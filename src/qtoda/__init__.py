@@ -6,7 +6,6 @@ from .errors import (
     DenominatorVanishes,
     IncompatibleStep,
     InvalidTau,
-    MismatchAt,
     NonCoprime,
     NonFinite,
     NonInvertibleLeading,
@@ -36,6 +35,7 @@ from .schur import (
 from .vertex import TauTable, VertexContext, tau_table
 from .opalg import (
     DiffOp,
+    LaxSession,
     SessionParams,
     SitePoly,
     TauDressing,
@@ -47,7 +47,6 @@ from .opalg import (
     initial_M,
     initial_lax,
     op_inverse,
-    op_mul,
 )
 from .volterra import (
     LatticeState,

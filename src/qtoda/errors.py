@@ -38,14 +38,6 @@ class RelationViolated(QTodaError):
         self.residual = residual
 
 
-class MismatchAt(QTodaError):
-    """Two build routes disagree; carries the first differing shift power."""
-
-    def __init__(self, message, power=None):
-        super().__init__(message)
-        self.power = power
-
-
 class TruncationInsufficient(QTodaError):
     """The requested window cannot be certified from the available terms."""
 

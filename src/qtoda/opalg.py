@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import (
@@ -40,6 +41,7 @@ from .partitions import (
     partitions_of,
 )
 from .qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
+from .report import record_check
 from .vertex import TauTable, VertexContext, tau_table
 
 _NEG_INF = float("-inf")
@@ -418,12 +420,6 @@ class DiffOp:
 
     # -- formatting ------------------------------------------------------------------
 
-    def describe(self) -> list[tuple[str, str]]:
-        return [
-            (str(self.power_of(n)), str(c))
-            for n, c in sorted(self.coeffs.items(), reverse=True)
-        ]
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -434,10 +430,6 @@ class DiffOp:
 
     def __repr__(self) -> str:
         return f"DiffOp(step={self.step}, window={self.window()}, {self})"
-
-
-def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a * b
 
 
 def op_inverse(a: DiffOp, depth: int, side: str | None = None) -> DiffOp:
@@ -524,8 +516,7 @@ def monomial_pow(op: DiffOp, k: int) -> DiffOp:
 def difference_on_window(a: DiffOp, b: DiffOp):
     """(window, offenders): nonzero coefficients of a - b on the common window."""
     diff = a - b
-    offenders = [(n, c) for n, c in sorted(diff.coeffs.items()) if not c.is_zero()]
-    return diff.window(), offenders
+    return diff.window(), sorted(diff.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +622,7 @@ def build_W0(params: SessionParams, via_product: bool = False) -> DiffOp:
 
     The closed route conjugates the descending factor series by the
     quadratic gauge exponent coefficientwise; via_product=True multiplies
-    the three factors with op_mul instead (used as a build-path cross-check).
+    the three factors instead (used as a build-path cross-check).
     """
     E = _gauge_exponent(params.tau)
     T = params.T
@@ -663,22 +654,78 @@ def build_W0bar(params: SessionParams, via_product: bool = False) -> DiffOp:
     return DiffOp(Fraction(1), coeffs, floor=None, ceil=T)
 
 
-def initial_lax(params: SessionParams) -> tuple[DiffOp, DiffOp]:
+class LaxSession:
+    """The time-zero operators of one session, each computed once.
+
+    W0 and W0bar are built once and inverted once on the integer grid.  The
+    fractional Lax powers reindex both onto the refined grid (inversion
+    commutes with reindexing, windows included), and the Orlov-type closed
+    forms are verified against the same inverses.  A session lives for one
+    suite call and never mutates an operator it has handed out.
+    """
+
+    def __init__(self, params: SessionParams):
+        if params.T < 2:
+            raise TruncationInsufficient("need T >= 2 for the initial Lax and Orlov operators")
+        self.params = params
+        self.w0 = build_W0(params)
+        self.w0_inv = op_inverse(self.w0, -params.T - 1, side="top")
+        self.wbar0 = build_W0bar(params)
+        self.wbar0_inv = op_inverse(self.wbar0, params.T + 1, side="bot")
+
+    @cached_property
+    def lax(self) -> tuple[DiffOp, DiffOp]:
+        """Fractional powers of the two Lax operators at time zero, via dressing."""
+        params = self.params
+        return (
+            _dressed_power(self.w0, self.w0_inv, params.step, params.up_index),
+            _dressed_power(self.wbar0, self.wbar0_inv, params.step, params.down_index),
+        )
+
+    @cached_property
+    def orlov(self) -> tuple[DiffOp, DiffOp]:
+        """q^(M0) and q^(M0bar), computed from first principles by conjugating
+        q^s with the dressing operators, verified against the two-term closed
+        forms; the exact closed forms are returned.
+        """
+        tau = self.params.tau
+        q_s = qpow(ExponentPoly.of(c1=1))
+        qs = DiffOp.monomial(Fraction(1), 0, q_s)
+        closed = DiffOp(
+            Fraction(1),
+            {0: q_s, -1: -qpow(ExponentPoly.of(c0=-tau - Fraction(3, 2), c1=tau + 2))},
+        )
+        closed_bar = DiffOp(
+            Fraction(1), {0: q_s, 1: -qpow(ExponentPoly.of(c0=Fraction(1, 2), c1=-tau))}
+        )
+        for label, w, w_inv, expected in (
+            ("q^M0 closed form", self.w0, self.w0_inv, closed),
+            ("q^M0bar closed form", self.wbar0, self.wbar0_inv, closed_bar),
+        ):
+            _, offenders = difference_on_window(w * qs * w_inv, expected)
+            if offenders:
+                n, c = offenders[0]
+                raise RelationViolated(
+                    f"{label}: first offending coefficient at index {n}: {c}",
+                    power=n,
+                    residual=str(c),
+                )
+        return closed, closed_bar
+
+
+def _dressed_power(w: DiffOp, w_inv: DiffOp, step, index: int) -> DiffOp:
+    """w Lam^(index*step) w^-1 on the refined grid, from integer-grid w and w^-1."""
+    mono = DiffOp.monomial(step, index, QFieldElem.one())
+    return w.with_step(step) * mono * w_inv.with_step(step)
+
+
+def _session(params: SessionParams | LaxSession) -> LaxSession:
+    return params if isinstance(params, LaxSession) else LaxSession(params)
+
+
+def initial_lax(params: SessionParams | LaxSession) -> tuple[DiffOp, DiffOp]:
     """Fractional powers of the two Lax operators at time zero, via dressing."""
-    if params.T < 2:
-        raise TruncationInsufficient("need T >= 2 for the initial Lax operators")
-    step = params.step
-    one = QFieldElem.one()
-    depth = (params.T + 1) * params.refinement
-
-    w0 = build_W0(params).with_step(step)
-    w0_inv = op_inverse(w0, -depth, side="top")
-    lfrac = w0 * DiffOp.monomial(step, params.up_index, one) * w0_inv
-
-    wbar0 = build_W0bar(params).with_step(step)
-    wbar0_inv = op_inverse(wbar0, depth, side="bot")
-    lbarfrac = wbar0 * DiffOp.monomial(step, params.down_index, one) * wbar0_inv
-    return lfrac, lbarfrac
+    return _session(params).lax
 
 
 def expected_initial_lax(params: SessionParams) -> DiffOp:
@@ -691,52 +738,14 @@ def expected_initial_lax(params: SessionParams) -> DiffOp:
     )
 
 
-def initial_M(params: SessionParams) -> tuple[DiffOp, DiffOp]:
-    """q^(M0) and q^(M0bar), computed from first principles by conjugating
-    q^s with the dressing operators, verified against the two-term closed
-    forms; the exact closed forms are returned.
-    """
-    if params.T < 2:
-        raise TruncationInsufficient("need T >= 2 for the initial M operators")
-    tau = params.tau
-    qs = DiffOp.monomial(Fraction(1), 0, qpow(ExponentPoly.of(c1=1)))
-
-    w0 = build_W0(params)
-    computed = w0 * qs * op_inverse(w0, -params.T - 1, side="top")
-    closed = DiffOp(
-        Fraction(1),
-        {
-            0: qpow(ExponentPoly.of(c1=1)),
-            -1: -qpow(ExponentPoly.of(c0=-tau - Fraction(3, 2), c1=tau + 2)),
-        },
-    )
-    _verify_match(computed, closed, "q^M0 closed form")
-
-    wbar0 = build_W0bar(params)
-    computed_bar = wbar0 * qs * op_inverse(wbar0, params.T + 1, side="bot")
-    closed_bar = DiffOp(
-        Fraction(1),
-        {
-            0: qpow(ExponentPoly.of(c1=1)),
-            1: -qpow(ExponentPoly.of(c0=Fraction(1, 2), c1=-tau)),
-        },
-    )
-    _verify_match(computed_bar, closed_bar, "q^M0bar closed form")
-    return closed, closed_bar
+def initial_M(params: SessionParams | LaxSession) -> tuple[DiffOp, DiffOp]:
+    """The verified closed forms of q^(M0) and q^(M0bar) (see LaxSession.orlov)."""
+    return _session(params).orlov
 
 
-def _verify_match(computed: DiffOp, expected: DiffOp, label: str):
-    _, offenders = difference_on_window(computed, expected)
-    if offenders:
-        n, c = offenders[0]
-        raise RelationViolated(
-            f"{label}: first offending coefficient at index {n}: {c}",
-            power=n,
-            residual=str(c),
-        )
-
-
-def check_LM_relation(params: SessionParams, _perturb_power: int | None = None) -> dict:
+def check_LM_relation(
+    params: SessionParams | LaxSession, _perturb_power: int | None = None
+) -> dict:
     """Verify the supplementary Lax/Orlov monomial identities at time zero.
 
     Checks that (1) q^(-M0) L0^(1/(tau+1)) collapses to the monomial
@@ -746,23 +755,20 @@ def check_LM_relation(params: SessionParams, _perturb_power: int | None = None) 
     powers only (the (-sign*b)-th power of the refinement-step monomial
     against the a*(a + sign*b)-th power of the right side).
     """
+    session = _session(params)
+    params = session.params
     tau = params.tau
     step = params.step
     report: dict = {"passed": True, "checks": []}
 
-    def record(name, ok, detail=""):
-        report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
-        if not ok:
-            report["passed"] = False
-
     try:
-        qm0, qm0bar = initial_M(params)
+        qm0, qm0bar = session.orlov
     except RelationViolated as exc:
-        record("initial_orlov_closed_forms", False, str(exc))
+        record_check(report, "initial_orlov_closed_forms", False, str(exc))
         return report
-    record("initial_orlov_closed_forms", True)
+    record_check(report, "initial_orlov_closed_forms", True)
 
-    lfrac, lbarfrac = initial_lax(params)
+    lfrac, lbarfrac = session.lax
     if _perturb_power is not None:
         # test hook: damage one certified coefficient; the check must locate it
         bad = dict(lfrac.coeffs)
@@ -771,35 +777,26 @@ def check_LM_relation(params: SessionParams, _perturb_power: int | None = None) 
         lfrac = DiffOp(lfrac.step, bad, lfrac.floor, lfrac.ceil)
 
     depth = (params.T + 1) * params.refinement
-    left = op_inverse(qm0.with_step(step), -depth, side="top") * lfrac
     target = DiffOp.monomial(step, params.up_index, qpow(ExponentPoly.of(c1=-1)))
-    _, offenders = difference_on_window(left, target)
-    if offenders:
-        n, c = offenders[0]
-        record(
-            "orlov_monomial_collapse",
-            False,
-            f"first offending coefficient at power {n * step}: {c}",
-        )
-    else:
-        record("orlov_monomial_collapse", True)
-
-    left_bar = op_inverse(qm0bar.with_step(step), depth, side="bot") * lbarfrac
     target_bar = DiffOp.monomial(
         step,
         params.down_index,
         qpow(ExponentPoly.of(c0=-tau - Fraction(1, 2), c1=tau)),
     )
-    _, offenders = difference_on_window(left_bar, target_bar)
-    if offenders:
-        n, c = offenders[0]
-        record(
-            "orlov_monomial_collapse_bar",
-            False,
-            f"first offending coefficient at power {n * step}: {c}",
+    for name, left, right in (
+        ("orlov_monomial_collapse",
+         op_inverse(qm0.with_step(step), -depth, side="top") * lfrac, target),
+        ("orlov_monomial_collapse_bar",
+         op_inverse(qm0bar.with_step(step), depth, side="bot") * lbarfrac, target_bar),
+    ):
+        _, offenders = difference_on_window(left, right)
+        record_check(
+            report,
+            name,
+            not offenders,
+            f"first offending coefficient at power {offenders[0][0] * step}: {offenders[0][1]}"
+            if offenders else "",
         )
-    else:
-        record("orlov_monomial_collapse_bar", True)
 
     m = params.refinement
     big = monomial_pow(target, m)  # integral-power realization of the step monomial
@@ -812,11 +809,12 @@ def check_LM_relation(params: SessionParams, _perturb_power: int | None = None) 
     )
     rhs = monomial_pow(rhs_base, params.a * m)
     _, offenders = difference_on_window(lhs, rhs)
-    if offenders:
-        n, c = offenders[0]
-        record("integerized_power_identity", False, f"power {n * step}: {c}")
-    else:
-        record("integerized_power_identity", True)
+    record_check(
+        report,
+        "integerized_power_identity",
+        not offenders,
+        f"power {offenders[0][0] * step}: {offenders[0][1]}" if offenders else "",
+    )
     return report
 
 
@@ -940,11 +938,6 @@ def cross_check_initial(
 
     report: dict = {"passed": True, "checks": [], "max_deg": max_deg, "flow_k": flow_k}
 
-    def record(name, ok, detail=""):
-        report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
-        if not ok:
-            report["passed"] = False
-
     ctx = VertexContext(max_deg)
     table = tau_table(params.a, params.b, params.sign, 0, max_deg, ctx)
     dressing = dressing_from_tau(table, params, order=max_deg, flow_k=flow_k)
@@ -957,7 +950,7 @@ def cross_check_initial(
     ) and all(
         dressing.Wbar.coeff(n) == dressing_prev.Wbar.coeff(n) for n in range(max_deg)
     )
-    record("truncation_stability", stable)
+    record_check(report, "truncation_stability", stable)
 
     # (i) dressing coefficients against the factorization closed forms
     fparams = SessionParams(params.a, params.b, params.sign, T=max_deg)
@@ -969,7 +962,8 @@ def cross_check_initial(
         for n in range(depth + 1)
         if not (dressing.W.coeff(-n) == w0.coeff(-n))
     ]
-    record(
+    record_check(
+        report,
         "dressing_agreement",
         not bad,
         f"first mismatch at Lam^-{bad[0]}" if bad else f"coefficients 0..{depth} equal",
@@ -980,7 +974,8 @@ def cross_check_initial(
         for n in range(depth + 1)
         if not (dressing.Wbar.coeff(n) == gauge * wbar0.coeff(n))
     ]
-    record(
+    record_check(
+        report,
         "dressing_agreement_bar",
         not bad_bar,
         f"recorded diagonal gauge: {gauge}"
@@ -993,17 +988,16 @@ def cross_check_initial(
     step = params.step
     m = params.refinement
     one = QFieldElem.one()
-    W_fine = dressing.W.with_step(step)
-    Wbar_fine = dressing.Wbar.with_step(step)
-    lfrac = W_fine * DiffOp.monomial(step, params.up_index, one) * op_inverse(
-        W_fine, -(max_deg + 1) * m, side="top"
-    )
-    lbarfrac = Wbar_fine * DiffOp.monomial(step, params.down_index, one) * op_inverse(
-        Wbar_fine, (max_deg + 1) * m, side="bot"
+    W, Wbar = dressing.W, dressing.Wbar
+    W_inv = op_inverse(W, -max_deg - 1, side="top")  # reused by (iii)
+    lfrac = _dressed_power(W, W_inv, step, params.up_index)
+    lbarfrac = _dressed_power(
+        Wbar, op_inverse(Wbar, max_deg + 1, side="bot"), step, params.down_index
     )
     total = lfrac + lbarfrac
-    offenders = [(n, c) for n, c in sorted(total.coeffs.items()) if not c.is_zero()]
-    record(
+    offenders = sorted(total.coeffs.items())
+    record_check(
+        report,
         "fractional_powers_cancel",
         not offenders,
         f"window {total.window()}"
@@ -1011,7 +1005,8 @@ def cross_check_initial(
     )
 
     surviving = sorted(lfrac.coeffs)
-    record(
+    record_check(
+        report,
         "two_surviving_powers",
         surviving == sorted([params.up_index, params.down_index]),
         f"nonzero powers: {[str(n * step) for n in surviving]} on window {lfrac.window()}",
@@ -1020,19 +1015,21 @@ def cross_check_initial(
     p1 = lfrac.coeff(params.down_index)
     pbar0 = lbarfrac.coeff(params.down_index)
     pbar1 = lbarfrac.coeff(params.up_index)
-    record("coefficient_relation_pbar1", pbar1 == -one, f"pbar_1 = {pbar1}")
-    record("coefficient_relation_pbar0", pbar0 == -p1, f"pbar_0 = {pbar0}")
+    record_check(report, "coefficient_relation_pbar1", pbar1 == -one, f"pbar_1 = {pbar1}")
+    record_check(report, "coefficient_relation_pbar0", pbar0 == -p1, f"pbar_0 = {pbar0}")
 
     alpha = Fraction(params.a, m)
     w1 = dressing.W.coeff(-1)
-    record(
+    record_check(
+        report,
         "p1_from_w1",
         p1 == w1 - w1.shift(alpha),
         "p_1 = w_1(s) - w_1(s + 1/(tau+1))",
     )
     alphabar = Fraction(params.down_index, m)
     w0bar_c = dressing.Wbar.coeff(0)
-    record(
+    record_check(
+        report,
         "pbar0_from_wbar0",
         pbar0 == w0bar_c / w0bar_c.shift(alphabar),
         "pbar_0 = wbar_0(s) / wbar_0(s - tau/(tau+1))",
@@ -1040,8 +1037,6 @@ def cross_check_initial(
 
     # (iii) the Lax equation for the flow_k time at t = 0, on the integer grid
     k = flow_k
-    W = dressing.W
-    W_inv = op_inverse(W, -max_deg - 1, side="top")
     L = W * DiffOp.monomial(Fraction(1), 1, one) * W_inv
     Lk = L.pow_int(k)
     Bk = Lk.proj_nonneg()
@@ -1049,11 +1044,12 @@ def cross_check_initial(
     lhs = X * L - L * X
     rhs = Bk * L - L * Bk
     residual = lhs - rhs
-    offenders = [(n, c) for n, c in sorted(residual.coeffs.items()) if not c.is_zero()]
+    offenders = sorted(residual.coeffs.items())
     window_ok = residual.floor is None or residual.ceil is None or (
         residual.floor <= residual.ceil
     )
-    record(
+    record_check(
+        report,
         "lax_equation_flow",
         window_ok and not offenders,
         f"window {residual.window()}"
@@ -1061,8 +1057,9 @@ def cross_check_initial(
     )
 
     sato = dressing.dW + Lk.proj_neg() * W
-    offenders = [(n, c) for n, c in sorted(sato.coeffs.items()) if not c.is_zero()]
-    record(
+    offenders = sorted(sato.coeffs.items())
+    record_check(
+        report,
         "sato_equation_flow",
         not offenders,
         f"window {sato.window()}"

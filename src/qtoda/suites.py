@@ -9,18 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .opalg import SessionParams, check_LM_relation, cross_check_initial, \
+from .errors import RelationViolated
+from .opalg import LaxSession, SessionParams, check_LM_relation, cross_check_initial, \
     difference_on_window, expected_initial_lax, initial_lax, initial_M
 from .partitions import Partition, enumerate_partitions
 from .qfield import QFieldElem
+from .report import record_check
 from .schur import PowerSumRing, specialize_nu_rho
 from .vertex import VertexContext, tau_table
-
-
-def _record(report: dict, name: str, ok: bool, detail: str = ""):
-    report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
-    if not ok:
-        report["passed"] = False
 
 
 def pairs_up_to(total_weight: int) -> list[tuple[Partition, Partition]]:
@@ -45,7 +41,7 @@ def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False
             rhs = -rhs
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar}): {lhs} != {rhs}")
-    _record(report, f"vertex_def_equals_hook_w{weight}", not bad, "; ".join(bad[:2]))
+    record_check(report, f"vertex_def_equals_hook_w{weight}", not bad, "; ".join(bad[:2]))
     return report
 
 
@@ -61,8 +57,8 @@ def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
         flipped = ctx.vertex_def(nu.conjugate(), nubar.conjugate()).invert_q()
         if not (w == flipped.scale((-1) ** (nu.weight + nubar.weight))):
             bad_q.append(f"({nu},{nubar})")
-    _record(report, f"vertex_transposition_w{weight}", not bad_t, "; ".join(bad_t[:3]))
-    _record(report, f"vertex_q_inversion_w{weight}", not bad_q, "; ".join(bad_q[:3]))
+    record_check(report, f"vertex_transposition_w{weight}", not bad_t, "; ".join(bad_t[:3]))
+    record_check(report, f"vertex_q_inversion_w{weight}", not bad_q, "; ".join(bad_q[:3]))
     return report
 
 
@@ -76,7 +72,7 @@ def schur_negation_suite(weight: int) -> dict:
         rhs = ring.schur(mu.conjugate()).scale((-1) ** mu.weight)
         if not (lhs == rhs):
             bad.append(str(mu))
-    _record(report, f"schur_negation_w{weight}", not bad, "; ".join(bad[:3]))
+    record_check(report, f"schur_negation_w{weight}", not bad, "; ".join(bad[:3]))
     bad = []
     for mu in enumerate_partitions(weight):
         for nu in enumerate_partitions(mu.weight):
@@ -88,7 +84,7 @@ def schur_negation_suite(weight: int) -> dict:
             )
             if not (lhs == rhs):
                 bad.append(f"{mu}/{nu}")
-    _record(report, f"skew_schur_negation_w{weight}", not bad, "; ".join(bad[:3]))
+    record_check(report, f"skew_schur_negation_w{weight}", not bad, "; ".join(bad[:3]))
     return report
 
 
@@ -100,13 +96,13 @@ def schur_structure_suite(weight: int) -> dict:
     for mu in enumerate_partitions(weight):
         if ring.schur(mu) != ring.schur(mu, size=mu.length + 2):
             bad.append(str(mu))
-    _record(report, f"determinant_size_independence_w{weight}", not bad, "; ".join(bad[:3]))
+    record_check(report, f"determinant_size_independence_w{weight}", not bad, "; ".join(bad[:3]))
     bad = [
         str(mu)
         for mu in enumerate_partitions(weight)
         if not ring.schur(mu).is_homogeneous(mu.weight)
     ]
-    _record(report, f"weighted_homogeneity_w{weight}", not bad, "; ".join(bad[:3]))
+    record_check(report, f"weighted_homogeneity_w{weight}", not bad, "; ".join(bad[:3]))
     bad = []
     for nu in enumerate_partitions(min(4, weight)):
         for k in range(1, 5):
@@ -114,7 +110,7 @@ def schur_structure_suite(weight: int) -> dict:
             rhs = -_neg_conjugate_point(nu, k)
             if not (lhs == rhs):
                 bad.append(f"({nu}, k={k})")
-    _record(report, "power_sum_special_points", not bad, "; ".join(bad[:3]))
+    record_check(report, "power_sum_special_points", not bad, "; ".join(bad[:3]))
     return report
 
 
@@ -145,7 +141,7 @@ def kappa_suite(weight: int = 8) -> dict:
         or nu.conjugate().weight != nu.weight
         or (nu.parts and nu.conjugate().length != nu.parts[0])
     ]
-    _record(report, f"kappa_conjugation_w{weight}", not bad, "; ".join(bad[:3]))
+    record_check(report, f"kappa_conjugation_w{weight}", not bad, "; ".join(bad[:3]))
     return report
 
 
@@ -164,7 +160,7 @@ def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
         )
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar})")
-    _record(report, f"vertex_matrix_element_link_w{weight}", not bad, "; ".join(bad[:3]))
+    record_check(report, f"vertex_matrix_element_link_w{weight}", not bad, "; ".join(bad[:3]))
     return report
 
 
@@ -182,7 +178,7 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, shifts=(Fraction(1, 
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
                 bad.append(f"({nu},{nubar})")
         pref_ok = shifted.cubic == _shift_cubic(base.cubic, c)
-        _record(
+        record_check(
             report,
             f"tau_shift_c={c}",
             not bad and pref_ok,
@@ -221,7 +217,7 @@ def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
     # unshifted cubic prefactor is scale * (4 s^3 - s)
     scale = (tau + 1 / tau + 2) / 24
     cubic_ok = table.cubic == (Fraction(0), -scale, Fraction(0), 4 * scale)
-    _record(
+    record_check(
         report,
         "tau_exponent_rederivation",
         not bad and cubic_ok,
@@ -260,6 +256,8 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
     powers, the closed forms of the initial Orlov-type operators, the
     supplementary monomial identity, and (when a tau degree is given) the
     full cross-check of the tau-quotient route against the factorization.
+    One LaxSession serves every check, so each time-zero operator is
+    computed once.
     """
     report = {
         "passed": True,
@@ -271,24 +269,22 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
         "T": params.T,
         "residuals": {},
     }
-    lfrac, lbarfrac = initial_lax(params)
+    session = LaxSession(params)
+    lfrac, lbarfrac = initial_lax(session)
     expected = expected_initial_lax(params)
-    _, off = difference_on_window(lfrac, expected)
-    _record(
-        report,
-        "initial_fractional_power_closed_form",
-        not off,
-        "" if not off else f"first residual at power {off[0][0] * params.step}: {off[0][1]}",
-    )
-    _, off = difference_on_window(lbarfrac, -expected)
-    _record(
-        report,
-        "initial_fractional_power_closed_form_bar",
-        not off,
-        "" if not off else f"first residual at power {off[0][0] * params.step}: {off[0][1]}",
-    )
+    for name, op, target in (
+        ("initial_fractional_power_closed_form", lfrac, expected),
+        ("initial_fractional_power_closed_form_bar", lbarfrac, -expected),
+    ):
+        _, off = difference_on_window(op, target)
+        record_check(
+            report,
+            name,
+            not off,
+            "" if not off else f"first residual at power {off[0][0] * params.step}: {off[0][1]}",
+        )
     total = lfrac + lbarfrac
-    off = [(n, c) for n, c in sorted(total.coeffs.items()) if not c.is_zero()]
+    off = sorted(total.coeffs.items())
     report["residuals"]["fractional_sum_window"] = [
         str(total.window()[0] * params.step if total.window()[0] is not None else None),
         str(total.window()[1] * params.step if total.window()[1] is not None else None),
@@ -298,7 +294,7 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
     report["residuals"]["fractional_sum"] = {
         str(n * params.step): str(total.coeff(n)) for n in range(lo, hi + 1)
     }
-    _record(
+    record_check(
         report,
         "fractional_powers_cancel",
         not off,
@@ -306,16 +302,16 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
         + ("" if not off else f"; first residual at power {off[0][0] * params.step}"),
     )
     try:
-        initial_M(params)
-        _record(report, "orlov_closed_forms", True)
-    except Exception as exc:  # RelationViolated carries the offender
-        _record(report, "orlov_closed_forms", False, str(exc))
-    lm = check_LM_relation(params)
+        initial_M(session)
+        record_check(report, "orlov_closed_forms", True)
+    except RelationViolated as exc:
+        record_check(report, "orlov_closed_forms", False, str(exc))
+    lm = check_LM_relation(session)
     for chk in lm["checks"]:
-        _record(report, chk["name"], chk["passed"], chk["detail"])
+        record_check(report, chk["name"], chk["passed"], chk["detail"])
     if tau_degree:
         cc = cross_check_initial(params, max_deg=tau_degree, flow_k=flow_k)
         for chk in cc["checks"]:
-            _record(report, "tau_" + chk["name"], chk["passed"], chk["detail"])
+            record_check(report, "tau_" + chk["name"], chk["passed"], chk["detail"])
         report["gauge"] = cc.get("gauge")
     return report

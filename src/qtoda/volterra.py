@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NonFinite, UnsupportedFlow
 from .opalg import DiffOp, SessionParams, SitePoly
+from .report import record_check
 
 # ---------------------------------------------------------------------------
 # lattice state and the banded cyclic realization
@@ -232,11 +233,16 @@ def integrate(
     params: SessionParams | None = None,
     record_every: int = 1,
 ) -> Trajectory:
-    """Fixed-step classical fourth-order Runge-Kutta; deterministic."""
+    """Fixed-step classical fourth-order Runge-Kutta; deterministic.
+
+    t_end must be a whole multiple of dt, so a run never ends early.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = _require_positive_sign(params, state.a, state.b)
     n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")
     u = state.sites.astype(float).copy()
     a, b = state.a, state.b
 
@@ -354,11 +360,6 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
         raise ValueError("need coprime a > b >= 1")
     report: dict = {"passed": True, "checks": [], "a": a, "b": b, "tau": f"-{b}/{a}"}
 
-    def record(name, ok, detail=""):
-        report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
-        if not ok:
-            report["passed"] = False
-
     m = a - b
     lax = symbolic_lax(a, b, -1)
     power = lax.pow_int(m)
@@ -366,7 +367,8 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
     powers = sorted(power.indices())
     physical = [Fraction(n, m) for n in powers]
     expected = [Fraction(j) for j in range(b, a + 1)]
-    record(
+    record_check(
+        report,
         "band_profile",
         physical == expected,
         f"shift powers of the (a-b)-th power: {[str(x) for x in physical]}",
@@ -377,7 +379,8 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
     for k in range(1, max_k + 1):
         big = power.pow_int(k)
         comm = big * lax - lax * big
-        record(
+        record_check(
+            report,
             f"commutator_k{k}",
             comm.is_zero_on_window() and comm.is_exact(),
             "flow generator commutes exactly",
@@ -404,11 +407,6 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
         "relabeling": f"sigma(j) = ({b} - j) mod n; dual realization -L^T; sign -1",
     }
 
-    def record(name, ok, detail=""):
-        report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
-        if not ok:
-            report["passed"] = False
-
     u = np.array([Fraction(x) for x in state.sites.tolist()], dtype=object)
     n = len(u)
     m = a + b
@@ -418,7 +416,9 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
     # zero field: both lattice types are trivially stationary
     if all(x == 0 for x in u):
         dual_rhs = flow_rhs(LatticeState(b, a, u), k)
-        record("zero_state", all(x == 0 for x in rhs) and all(x == 0 for x in dual_rhs))
+        record_check(
+            report, "zero_state", all(x == 0 for x in rhs) and all(x == 0 for x in dual_rhs)
+        )
         return report
 
     # reflection/complement relabeling with time reversal
@@ -426,7 +426,8 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
     u_ref = np.array([u[sigma[j]] for j in range(n)], dtype=object)
     rhs_ref = flow_rhs(LatticeState(a, b, u_ref), k)
     expected = np.array([-rhs[sigma[j]] for j in range(n)], dtype=object)
-    record(
+    record_check(
+        report,
         "reflection_time_reversal",
         bool(np.all(rhs_ref == expected)),
         "rhs[u o sigma] = -(rhs[u]) o sigma",
@@ -435,13 +436,14 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
     # invariants are reflection-invariant
     h = conserved_quantities(exact, 2)
     h_ref = conserved_quantities(LatticeState(a, b, u_ref), 2)
-    record("invariants_under_relabeling", h == h_ref, f"H_1, H_2 = {h}")
+    record_check(report, "invariants_under_relabeling", h == h_ref, f"H_1, H_2 = {h}")
 
     # dual band realization: -L^T has the (b, a) band profile and satisfies
     # the Lax equation with the dual (nonpositive-power) generator
     lax = lax_diagonals(u, a, b)
     dual = {o: -v for o, v in banded_transpose(lax, n).items()}
-    record(
+    record_check(
+        report,
         "dual_band_profile",
         sorted(dual) == [-a, b],
         f"bands of -L^T: {sorted(dual)} (type ({b}, {a}) profile)",
@@ -454,7 +456,8 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
     neg = banded_mul(dual, bhat, n)
     for o, v in neg.items():
         commutator[o] = commutator[o] - v if o in commutator else -v
-    record(
+    record_check(
+        report,
         "dual_lax_equation",
         banded_equal(commutator, ldot_dual, n),
         "d/dt(-L^T) = [Bhat, -L^T] with the dual projection generator",

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from qtoda.cli import main
+from qtoda.errors import TruncationInsufficient
+from qtoda.opalg import LaxSession
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
 
@@ -103,6 +105,24 @@ def test_laxcheck_small(tmp_path):
 
 def test_laxcheck_exit_code_on_noncoprime():
     assert main(["laxcheck", "--a", "2", "--b", "2", "--T", "2"]) == 2
+
+
+def test_laxcheck_program_error_in_orlov_build_exits_2(monkeypatch):
+    # a program error is a usage/program failure (2), not a failed check (1)
+    def truncated(session):
+        raise TruncationInsufficient("injected truncation failure")
+
+    monkeypatch.setattr(LaxSession, "orlov", property(truncated))
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "3"]) == 2
+
+
+def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", "--dt", "0.3",
+        "--t-end", "1", "--out-csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert "whole multiple" in capsys.readouterr().err
 
 
 def test_simulate_zero_amplitude_constant_csv(tmp_path):

@@ -12,8 +12,10 @@ from qtoda.errors import (
     InvalidTau,
     TruncationInsufficient,
 )
+from qtoda import opalg
 from qtoda.opalg import (
     DiffOp,
+    LaxSession,
     SessionParams,
     SitePoly,
     TauDressing,
@@ -34,6 +36,7 @@ from qtoda.opalg import (
 from qtoda.partitions import EMPTY, Partition
 from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
 from qtoda.schur import PowerSumRing, Specialization, specialize_neg_rho
+from qtoda.suites import laxcheck_suite
 from qtoda.vertex import VertexContext, tau_table
 
 ONE = QFieldElem.one()
@@ -244,6 +247,36 @@ def test_lm_relation_negative_control(params11):
     assert not rep["passed"]
     failing = [c for c in rep["checks"] if not c["passed"]]
     assert failing and "offending coefficient" in failing[0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "a,b,sign", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1), (2, 1, -1), (3, 2, -1)]
+)
+def test_integer_grid_inverse_reindexes_to_refined_inverse(a, b, sign):
+    # LaxSession inverts W0 and W0bar once on the integer grid and reindexes
+    # them; the refined-grid inverse is the reference
+    params = SessionParams(a, b, sign, T=4)
+    session = LaxSession(params)
+    step, depth = params.step, (params.T + 1) * params.refinement
+    reference = op_inverse(session.w0.with_step(step), -depth, side="top")
+    assert repr(session.w0_inv.with_step(step)) == repr(reference)
+    reference_bar = op_inverse(session.wbar0.with_step(step), depth, side="bot")
+    assert repr(session.wbar0_inv.with_step(step)) == repr(reference_bar)
+
+
+@pytest.mark.parametrize("tau_degree,inversions", [(None, 4), (4, 6)])
+def test_laxcheck_suite_inverts_each_operator_once(monkeypatch, tau_degree, inversions):
+    calls = []
+    inverse = opalg.op_inverse
+
+    def counting_inverse(*args, **kwargs):
+        calls.append(args[1:])
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(opalg, "op_inverse", counting_inverse)
+    report = laxcheck_suite(SessionParams(1, 1, 1, T=4), tau_degree=tau_degree)
+    assert report["passed"]
+    assert len(calls) == inversions, calls
 
 
 def test_monomial_pow():

@@ -110,6 +110,11 @@ def test_integration_zero_data_stays_zero():
     assert np.all(traj.states == 0.0)
 
 
+def test_integration_rejects_truncated_end_time():
+    with pytest.raises(ValueError, match="whole multiple"):
+        integrate(LatticeState(1, 1, np.zeros(4)), 1, t_end=1.0, dt=0.3)
+
+
 def test_integration_determinism():
     state = perturbed_constant_state(1, 1, 8)
     t1 = integrate(state, 1, 0.5, 1e-3)
