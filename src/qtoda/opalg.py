@@ -42,6 +42,7 @@ from .partitions import (
 )
 from .qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
 from .report import record_check
+from .sparse import SparsePoly
 from .vertex import TauTable, VertexContext, tau_table
 
 _NEG_INF = float("-inf")
@@ -53,79 +54,35 @@ _POS_INF = float("inf")
 # ---------------------------------------------------------------------------
 
 
-class SitePoly:
+def _merge_offsets(m1: tuple, m2: tuple) -> tuple:
+    return tuple(sorted(m1 + m2))
+
+
+class SitePoly(SparsePoly):
     """Polynomial in shifted samples u(s + r) with Fraction coefficients.
 
     A monomial is a sorted tuple of rational offsets r (with multiplicity);
-    the shift s -> s + beta acts by translating every offset.
+    the shift s -> s + beta acts by translating every offset.  Displayed in
+    ascending monomial order.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[tuple[Fraction, ...], Fraction] | None = None):
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "SitePoly":
-        return SitePoly()
+    _mono_mul = staticmethod(_merge_offsets)
 
     @staticmethod
-    def one() -> "SitePoly":
-        return SitePoly({(): Fraction(1)})
-
-    @staticmethod
-    def const(c) -> "SitePoly":
-        c = Fraction(c)
-        return SitePoly({(): c}) if c else SitePoly()
+    def _mono_str(m: tuple) -> str:
+        return "*".join(f"u(s{'+' if r > 0 else ''}{r})" if r else "u(s)" for r in m)
 
     @staticmethod
     def u(offset=0) -> "SitePoly":
         return SitePoly({(Fraction(offset),): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SitePoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "SitePoly") -> "SitePoly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return SitePoly(out)
-
-    def __neg__(self) -> "SitePoly":
-        return SitePoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "SitePoly") -> "SitePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "SitePoly") -> "SitePoly":
-        out: dict[tuple[Fraction, ...], Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(sorted(m1 + m2))
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return SitePoly(out)
-
     def shift(self, beta) -> "SitePoly":
         beta = Fraction(beta)
         if not beta:
             return self
-        return SitePoly({tuple(r + beta for r in m): c for m, c in self.coeffs.items()})
-
-    def offsets(self) -> set[Fraction]:
-        return {r for m in self.coeffs for r in m}
+        return SitePoly._raw({tuple(r + beta for r in m): c for m, c in self.coeffs.items()})
 
     def evaluate(self, sample: Callable[[Fraction], object]):
         """Evaluate with u(s + r) -> sample(r); exact when samples are exact."""
@@ -136,33 +93,6 @@ class SitePoly:
                 v = v * sample(r)
             total = v if total is None else total + v
         return 0 if total is None else total
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for m, c in sorted(self.coeffs.items()):
-            mono = "*".join(
-                f"u(s{'+' if r > 0 else ''}{r})" if r else "u(s)" for r in m
-            )
-            if not m:
-                text = str(c)
-            elif c == 1:
-                text = mono
-            elif c == -1:
-                text = "-" + mono
-            else:
-                text = f"{c}*{mono}"
-            if chunks and not text.startswith("-"):
-                chunks.append(" + " + text)
-            elif chunks:
-                chunks.append(" - " + text[1:])
-            else:
-                chunks.append(text)
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"SitePoly({self})"
 
 
 # ---------------------------------------------------------------------------

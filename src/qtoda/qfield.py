@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import mpmath
 from mpmath import iv, mp
 
 from .errors import DenominatorVanishes
+from .sparse import SparsePoly
 
 Rat = Union[int, Fraction]
 
@@ -143,15 +144,6 @@ class ExponentPoly:
         k = self.key
         return ExponentPoly._raw((-k[0], k[1], -k[2], k[3], -k[4], k[5]))
 
-    def scale(self, r: Rat) -> "ExponentPoly":
-        rn, rd = _rat(r)
-        k = self.key
-        return ExponentPoly._raw(
-            _rmul(k[0], k[1], rn, rd)
-            + _rmul(k[2], k[3], rn, rd)
-            + _rmul(k[4], k[5], rn, rd)
-        )
-
     def shift(self, beta: Rat) -> "ExponentPoly":
         """Exact substitution s -> s + beta."""
         bn, bd = _rat(beta)
@@ -198,44 +190,26 @@ class ExponentPoly:
 E_ZERO = ExponentPoly()
 
 
-class QPowerSum:
-    """Finite Q-linear combination of monomials q^E(s).
+class QPowerSum(SparsePoly):
+    """Finite Q-linear combination of monomials q^E(s), keyed by the
+    exponent E and displayed by descending E."""
 
-    Terms live in a dict keyed by exponent; no zero coefficients are kept,
-    so dict equality is semantic equality.  Instances are treated as
-    immutable after construction.
-    """
+    __slots__ = ("_hash",)
 
-    __slots__ = ("d", "_hash")
+    _UNIT = E_ZERO
+    _DESCENDING = True
+    _mono_mul = staticmethod(ExponentPoly.__add__)
 
-    def __init__(self, terms: Iterable[tuple[ExponentPoly, Fraction]] = (), _own=None):
-        if _own is not None:
-            self.d = _own
-        else:
-            acc: dict[ExponentPoly, Fraction] = {}
-            for expo, coef in terms:
-                c = acc.get(expo, _ZERO) + coef
-                if c:
-                    acc[expo] = c
-                elif expo in acc:
-                    del acc[expo]
-            self.d = acc
-        self._hash = None
+    @staticmethod
+    def _mono_str(expo: ExponentPoly) -> str:
+        return f"q^({expo})"
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero() -> "QPowerSum":
-        return QPowerSum(_own={})
-
-    @staticmethod
-    def one() -> "QPowerSum":
-        return QPowerSum(_own={E_ZERO: _ONE})
-
-    @staticmethod
     def monomial(expo: ExponentPoly, coef: Rat = 1) -> "QPowerSum":
         coef = _frac(coef)
-        return QPowerSum(_own={expo: coef} if coef else {})
+        return QPowerSum._raw({expo: coef} if coef else {})
 
     @staticmethod
     def rational(c: Rat) -> "QPowerSum":
@@ -243,123 +217,42 @@ class QPowerSum:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def terms(self) -> tuple:
-        """Terms sorted by descending exponent (for display and iteration)."""
-        return tuple(sorted(self.d.items(), key=lambda t: t[0], reverse=True))
-
-    def is_zero(self) -> bool:
-        return not self.d
-
     def is_one(self) -> bool:
-        return len(self.d) == 1 and self.d.get(E_ZERO) == _ONE
-
-    def is_monomial(self) -> bool:
-        return len(self.d) == 1
+        return len(self.coeffs) == 1 and self.coeffs.get(E_ZERO) == _ONE
 
     def min_term(self) -> tuple[ExponentPoly, Fraction]:
-        e = min(self.d)  # ExponentPoly.__lt__ is the exact term order
-        return e, self.d[e]
+        e = min(self.coeffs)  # ExponentPoly.__lt__ is the exact term order
+        return e, self.coeffs[e]
 
     def max_term(self) -> tuple[ExponentPoly, Fraction]:
-        e = max(self.d)
-        return e, self.d[e]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPowerSum) and self.d == other.d
+        e = max(self.coeffs)
+        return e, self.coeffs[e]
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.d.items()))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.coeffs.items()))
+            return h
 
-    def __len__(self) -> int:
-        return len(self.d)
-
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other: "QPowerSum") -> "QPowerSum":
-        if not self.d:
-            return other
-        if not other.d:
-            return self
-        a, b = (self.d, other.d) if len(self.d) >= len(other.d) else (other.d, self.d)
-        acc = dict(a)
-        for e, c in b.items():
-            v = acc.get(e, _ZERO) + c
-            if v:
-                acc[e] = v
-            elif e in acc:
-                del acc[e]
-        return QPowerSum(_own=acc)
-
-    def __neg__(self) -> "QPowerSum":
-        return QPowerSum(_own={e: -c for e, c in self.d.items()})
-
-    def __sub__(self, other: "QPowerSum") -> "QPowerSum":
-        if not other.d:
-            return self
-        acc = dict(self.d)
-        for e, c in other.d.items():
-            v = acc.get(e, _ZERO) - c
-            if v:
-                acc[e] = v
-            elif e in acc:
-                del acc[e]
-        return QPowerSum(_own=acc)
-
-    def __mul__(self, other: "QPowerSum") -> "QPowerSum":
-        if not self.d or not other.d:
-            return _QPS_ZERO
-        if other.is_one():
-            return self
-        if self.is_one():
-            return other
-        if len(other.d) == 1:
-            ((e2, c2),) = other.d.items()
-            return self.mul_monomial(e2, c2)
-        if len(self.d) == 1:
-            ((e1, c1),) = self.d.items()
-            return other.mul_monomial(e1, c1)
-        acc: dict[ExponentPoly, Fraction] = {}
-        for e1, c1 in self.d.items():
-            for e2, c2 in other.d.items():
-                e = e1 + e2
-                v = acc.get(e, _ZERO) + c1 * c2
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        return QPowerSum(_own=acc)
-
-    def scale(self, r: Rat) -> "QPowerSum":
-        r = _frac(r)
-        if not r:
-            return _QPS_ZERO
-        return QPowerSum(_own={e: c * r for e, c in self.d.items()})
-
-    def mul_monomial(self, expo: ExponentPoly, coef: Fraction) -> "QPowerSum":
-        # exponent translation is injective, so no collisions can occur
-        if expo.is_zero():
-            return self.scale(coef)
-        return QPowerSum(_own={e + expo: c * coef for e, c in self.d.items()})
+    # -- exponent maps -------------------------------------------------------
 
     def shift(self, beta: Rat) -> "QPowerSum":
         """Substitute s -> s + beta in every exponent (ring homomorphism)."""
         beta = _frac(beta)
         if not beta:
             return self
-        return QPowerSum(_own={e.shift(beta): c for e, c in self.d.items()})
+        return QPowerSum._raw({e.shift(beta): c for e, c in self.coeffs.items()})
 
     def negate_exponents(self) -> "QPowerSum":
         """The involution q -> 1/q (negates every exponent)."""
-        return QPowerSum(_own={-e: c for e, c in self.d.items()})
+        return QPowerSum._raw({-e: c for e, c in self.coeffs.items()})
 
     # -- numerics ---------------------------------------------------------------
 
     def eval_interval(self, q_iv, log_q_iv, s_val: Rat):
         total = iv.mpf(0)
-        for expo, coef in self.d.items():
+        for expo, coef in self.coeffs.items():
             r = expo.value_at(s_val)
             c = iv.mpf(coef.numerator) / coef.denominator
             if r == 0:
@@ -371,7 +264,7 @@ class QPowerSum:
 
     def eval_mpf(self, log_q, s_val: Rat):
         total = mp.mpf(0)
-        for expo, coef in self.d.items():
+        for expo, coef in self.coeffs.items():
             r = expo.value_at(s_val)
             c = mp.mpf(coef.numerator) / coef.denominator
             if r == 0:
@@ -380,35 +273,9 @@ class QPowerSum:
                 total += c * mp.exp((mp.mpf(r.numerator) / r.denominator) * log_q)
         return total
 
-    # -- formatting ----------------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.d:
-            return "0"
-        chunks = []
-        for expo, coef in self.terms:
-            if expo.is_zero():
-                text = str(coef)
-            elif coef == 1:
-                text = f"q^({expo})"
-            elif coef == -1:
-                text = f"-q^({expo})"
-            else:
-                text = f"{coef}*q^({expo})"
-            if chunks and not text.startswith("-"):
-                chunks.append(" + " + text)
-            elif chunks:
-                chunks.append(" - " + text[1:])
-            else:
-                chunks.append(text)
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"QPowerSum({self})"
-
-
-_QPS_ZERO = QPowerSum(_own={})
-_QPS_ONE = QPowerSum(_own={E_ZERO: _ONE})
+_QPS_ZERO = QPowerSum.zero()
+_QPS_ONE = QPowerSum.one()
 
 _DIV_CACHE: dict[tuple[QPowerSum, QPowerSum], QPowerSum | None] = {}
 
@@ -425,8 +292,8 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
         return None
     if den.is_one():
         return num
-    if len(den.d) == 1:
-        ((e, c),) = den.d.items()
+    if len(den.coeffs) == 1:
+        ((e, c),) = den.coeffs.items()
         return num.mul_monomial(-e, 1 / c)
     if num.is_zero():
         return _QPS_ZERO
@@ -434,14 +301,14 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
     if key in _DIV_CACHE:
         return _DIV_CACHE[key]
     lead_e, lead_c = den.max_term()
-    den_rest = [(e, c) for e, c in den.d.items() if e != lead_e]
-    rem = dict(num.d)
+    den_rest = [(e, c) for e, c in den.coeffs.items() if e != lead_e]
+    rem = dict(num.coeffs)
     quot: dict[ExponentPoly, Fraction] = {}
-    max_steps = len(num.d) + len(den.d) + 8
+    max_steps = len(num.coeffs) + len(den.coeffs) + 8
     result = None
     for _ in range(max_steps):
         if not rem:
-            result = QPowerSum(_own=quot)
+            result = QPowerSum._raw(quot)
             break
         re = max(rem)
         qe, qc = re - lead_e, rem[re] / lead_c
@@ -493,10 +360,6 @@ class QFieldElem:
     def one() -> "QFieldElem":
         return _QFE_ONE
 
-    @staticmethod
-    def from_rational(c: Rat) -> "QFieldElem":
-        return QFieldElem(QPowerSum.rational(c))
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -508,7 +371,7 @@ class QFieldElem:
     def is_s_free(self) -> bool:
         """True when no exponent depends on s (pure q^(rational) expression)."""
         return all(
-            e.c1 == 0 and e.c2 == 0 for e in (*self.num.d, *self.den.d)
+            e.c1 == 0 and e.c2 == 0 for e in (*self.num.coeffs, *self.den.coeffs)
         )
 
     def __eq__(self, other) -> bool:
@@ -561,15 +424,6 @@ class QFieldElem:
 
     def scale(self, r: Rat) -> "QFieldElem":
         return QFieldElem(self.num.scale(r), self.den)
-
-    def pow_int(self, k: int) -> "QFieldElem":
-        if k == 0:
-            return _QFE_ONE
-        base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
 
     def shift(self, beta: Rat) -> "QFieldElem":
         """Substitute s -> s + beta throughout."""
@@ -656,11 +510,15 @@ _QFE_ONE = QFieldElem(_QPS_ONE)
 
 
 def default_precision() -> int:
-    """Working precision in bits; overridable via QTODA_PRECISION_BITS."""
+    """Working precision in bits; overridable via QTODA_PRECISION_BITS (>= 16)."""
+    text = os.environ.get("QTODA_PRECISION_BITS", "128")
     try:
-        return max(16, int(os.environ.get("QTODA_PRECISION_BITS", "128")))
+        bits = int(text)
     except ValueError:
-        return 128
+        raise ValueError(f"QTODA_PRECISION_BITS={text!r} is not an integer") from None
+    if bits < 16:
+        raise ValueError(f"QTODA_PRECISION_BITS={text!r} is below 16 bits")
+    return bits
 
 
 def qpow(expo: ExponentPoly | Rat, coef: Rat = 1) -> QFieldElem:

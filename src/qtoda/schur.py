@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from .errors import DegreeBoundExceeded
-from .partitions import Partition
+from .partitions import EMPTY, Partition
 from .qfield import ExponentPoly, QFieldElem, QPowerSum
+from .sparse import SparsePoly
 
 _ZERO = Fraction(0)
 
@@ -43,21 +44,26 @@ def _mono_weight(m: Monomial) -> int:
     return sum((k + 1) * e for k, e in enumerate(m))
 
 
-class PowerSumPoly:
-    """Polynomial in p_1..p_D with exact rational coefficients."""
+class PowerSumPoly(SparsePoly):
+    """Polynomial in p_1..p_D with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Displayed by descending weighted degree, then descending monomial.
+    """
 
-    def __init__(self, coeffs: dict[Monomial, Fraction] | None = None):
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c}
+    __slots__ = ()
+
+    _DESCENDING = True
+    _mono_mul = staticmethod(_mono_mul)
 
     @staticmethod
-    def zero() -> "PowerSumPoly":
-        return PowerSumPoly()
+    def _display_key(m: Monomial):
+        return (_mono_weight(m), m)
 
     @staticmethod
-    def one() -> "PowerSumPoly":
-        return PowerSumPoly({(): Fraction(1)})
+    def _mono_str(m: Monomial) -> str:
+        return "*".join(
+            f"p{k}" if e == 1 else f"p{k}^{e}" for k, e in enumerate(m, start=1) if e
+        )
 
     @staticmethod
     def p(k: int) -> "PowerSumPoly":
@@ -67,56 +73,9 @@ class PowerSumPoly:
         mono = (0,) * (k - 1) + (1,)
         return PowerSumPoly({mono: Fraction(1)})
 
-    @staticmethod
-    def const(c) -> "PowerSumPoly":
-        c = Fraction(c)
-        return PowerSumPoly({(): c}) if c else PowerSumPoly()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSumPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, _ZERO) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return PowerSumPoly(out)
-
-    def __neg__(self) -> "PowerSumPoly":
-        return PowerSumPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = _mono_mul(m1, m2)
-                v = out.get(m, _ZERO) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return PowerSumPoly(out)
-
-    def scale(self, r) -> "PowerSumPoly":
-        r = Fraction(r)
-        if not r:
-            return PowerSumPoly()
-        return PowerSumPoly({m: c * r for m, c in self.coeffs.items()})
-
     def negate_p(self) -> "PowerSumPoly":
         """Substitute p_k -> -p_k for every k."""
-        return PowerSumPoly(
+        return PowerSumPoly._raw(
             {m: (-c if sum(m) % 2 else c) for m, c in self.coeffs.items()}
         )
 
@@ -132,7 +91,7 @@ class PowerSumPoly:
     # -- leading term machinery for exact division ----------------------
 
     def _lead(self) -> tuple[Monomial, Fraction]:
-        key = max(self.coeffs, key=lambda m: (_mono_weight(m), m))
+        key = max(self.coeffs, key=self._display_key)
         return key, self.coeffs[key]
 
     def divide_exact(self, divisor: "PowerSumPoly") -> "PowerSumPoly":
@@ -160,55 +119,6 @@ class PowerSumPoly:
             quot[qm] = quot.get(qm, _ZERO) + qc
             rem = rem - divisor * PowerSumPoly({qm: qc})
         return PowerSumPoly(quot)
-
-    # -- evaluation ------------------------------------------------------
-
-    def eval_rational(self, values: dict[int, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.coeffs.items():
-            v = c
-            for k, e in enumerate(m, start=1):
-                if e:
-                    v *= values[k] ** e
-            total += v
-        return total
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        def mono_str(m: Monomial) -> str:
-            factors = []
-            for k, e in enumerate(m, start=1):
-                if e == 1:
-                    factors.append(f"p{k}")
-                elif e > 1:
-                    factors.append(f"p{k}^{e}")
-            return "*".join(factors) if factors else "1"
-
-        items = sorted(
-            self.coeffs.items(), key=lambda t: (_mono_weight(t[0]), t[0]), reverse=True
-        )
-        chunks = []
-        for m, c in items:
-            ms = mono_str(m)
-            if ms == "1":
-                text = str(c)
-            elif c == 1:
-                text = ms
-            elif c == -1:
-                text = "-" + ms
-            else:
-                text = f"{c}*{ms}"
-            if chunks and not text.startswith("-"):
-                chunks.append(" + " + text)
-            elif chunks:
-                chunks.append(" - " + text[1:])
-            else:
-                chunks.append(text)
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"PowerSumPoly({self})"
 
 
 def _bareiss_det(matrix: list[list[PowerSumPoly]]) -> PowerSumPoly:
@@ -289,20 +199,7 @@ class PowerSumRing:
 
     def schur(self, mu: Partition, size: int | None = None) -> PowerSumPoly:
         """S_mu as a determinant of size >= l(mu); independent of the size."""
-        if mu.weight > self.degree_bound:
-            raise DegreeBoundExceeded(
-                f"|mu| = {mu.weight} exceeds degree bound {self.degree_bound}"
-            )
-        if size is None:
-            key = ("s", mu.parts)
-            got = self._schur_cache.get(key)
-            if got is None:
-                got = self._jacobi_trudi(mu, Partition(), mu.length)
-                self._schur_cache[key] = got
-            return got
-        if size < mu.length:
-            raise ValueError("determinant size smaller than the partition length")
-        return self._jacobi_trudi(mu, Partition(), size)
+        return self.skew_schur(mu, EMPTY, size)
 
     def skew_schur(
         self, mu: Partition, nu: Partition, size: int | None = None
@@ -313,7 +210,7 @@ class PowerSumRing:
                 f"|mu| = {mu.weight} exceeds degree bound {self.degree_bound}"
             )
         if size is None:
-            key = ("k", mu.parts, nu.parts)
+            key = (mu.parts, nu.parts)
             got = self._schur_cache.get(key)
             if got is None:
                 got = self._jacobi_trudi(mu, nu, max(mu.length, nu.length))

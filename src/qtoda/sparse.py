@@ -1,0 +1,171 @@
+"""Exact sparse polynomials: the ring and formatting code of `QPowerSum`,
+`SitePoly` and `PowerSumPoly`.
+
+A polynomial is a dict from monomials to nonzero `Fraction` coefficients.
+No zero coefficient is ever stored, so dict equality is equality of
+polynomials.  Instances are treated as immutable after construction.
+
+Each subclass supplies its monomial monoid and its text form:
+`_UNIT` (the constant monomial), `_mono_mul` (the monomial product),
+`_mono_str` (the text of a non-constant monomial) and `_display_key` /
+`_DESCENDING` (the term order of `str()`).  Every monoid used here is
+commutative and cancellative, so multiplying by a single monomial never
+makes two terms collide.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class SparsePoly:
+    """Finite sum of monomials with exact rational coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    _UNIT = ()
+    _DESCENDING = False
+
+    @staticmethod
+    def _display_key(mono):
+        return mono
+
+    def __init__(self, terms: dict | Iterable[tuple] = ()):
+        """Sum of (monomial, coefficient) pairs, or of a dict's items."""
+        if isinstance(terms, dict):
+            terms = terms.items()
+        acc: dict = {}
+        for m, c in terms:
+            v = acc.get(m, _ZERO) + c
+            if v:
+                acc[m] = v
+            elif m in acc:
+                del acc[m]
+        self.coeffs = acc
+
+    @classmethod
+    def _raw(cls, coeffs: dict):
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        new = object.__new__(cls)
+        new.coeffs = coeffs
+        return new
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @classmethod
+    def one(cls):
+        return cls._raw({cls._UNIT: _ONE})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a:
+            return other
+        if not b:
+            return self
+        if len(a) < len(b):
+            a, b = b, a
+        acc = dict(a)
+        for m, c in b.items():
+            v = acc.get(m, _ZERO) + c
+            if v:
+                acc[m] = v
+            elif m in acc:
+                del acc[m]
+        return self._raw(acc)
+
+    def __neg__(self):
+        return self._raw({m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if not other.coeffs:
+            return self
+        acc = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            v = acc.get(m, _ZERO) - c
+            if v:
+                acc[m] = v
+            elif m in acc:
+                del acc[m]
+        return self._raw(acc)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self._raw({})
+        if len(b) == 1:
+            ((m, c),) = b.items()
+            return self.mul_monomial(m, c)
+        if len(a) == 1:
+            ((m, c),) = a.items()
+            return other.mul_monomial(m, c)
+        mono_mul = self._mono_mul
+        acc: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = mono_mul(m1, m2)
+                v = acc.get(m, _ZERO) + c1 * c2
+                if v:
+                    acc[m] = v
+                elif m in acc:
+                    del acc[m]
+        return self._raw(acc)
+
+    def mul_monomial(self, mono, coef: Fraction):
+        """Product with coef * mono (no two terms can collide)."""
+        if mono == self._UNIT:
+            return self if coef == 1 else self.scale(coef)
+        mono_mul = self._mono_mul
+        return self._raw({mono_mul(m, mono): c * coef for m, c in self.coeffs.items()})
+
+    def scale(self, r):
+        r = r if isinstance(r, Fraction) else Fraction(r)
+        if not r:
+            return self._raw({})
+        return self._raw({m: c * r for m, c in self.coeffs.items()})
+
+    # -- formatting -----------------------------------------------------------
+
+    def __str__(self) -> str:
+        """Signed terms in display order: "c*mono", "mono", "-mono" or "c"."""
+        if not self.coeffs:
+            return "0"
+        unit, mono_str, key = self._UNIT, self._mono_str, self._display_key
+        chunks = []
+        for m, c in sorted(
+            self.coeffs.items(), key=lambda t: key(t[0]), reverse=self._DESCENDING
+        ):
+            if m == unit:
+                text = str(c)
+            elif c == 1:
+                text = mono_str(m)
+            elif c == -1:
+                text = "-" + mono_str(m)
+            else:
+                text = f"{c}*{mono_str(m)}"
+            if not chunks:
+                chunks.append(text)
+            elif text.startswith("-"):
+                chunks.append(" - " + text[1:])
+            else:
+                chunks.append(" + " + text)
+        return "".join(chunks)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"

@@ -177,7 +177,7 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, shifts=(Fraction(1, 
             nu, nubar = Partition(key[0]), Partition(key[1])
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
                 bad.append(f"({nu},{nubar})")
-        pref_ok = shifted.cubic == _shift_cubic(base.cubic, c)
+        pref_ok = shifted.cubic == base.cubic_shifted(c)
         record_check(
             report,
             f"tau_shift_c={c}",
@@ -185,16 +185,6 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, shifts=(Fraction(1, 
             ("entries: " + "; ".join(bad[:3])) if bad else ("" if pref_ok else "cubic prefactor mismatch"),
         )
     return report
-
-
-def _shift_cubic(cubic, c: Fraction):
-    c0, c1, c2, c3 = cubic
-    return (
-        c0 + c1 * c + c2 * c * c + c3 * c * c * c,
-        c1 + 2 * c2 * c + 3 * c3 * c * c,
-        c2 + 3 * c3 * c,
-        c3,
-    )
 
 
 def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:

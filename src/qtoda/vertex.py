@@ -186,9 +186,6 @@ class TauTable:
     def tau(self) -> Fraction:
         return Fraction(self.sign * self.b, self.a)
 
-    def pairs(self):
-        return sorted(self.exponents)
-
     def entry(self, nu: Partition, nubar: Partition) -> QFieldElem:
         key = (nu.parts, nubar.parts)
         return qpow(self.exponents[key]) * self.gammas[key]
@@ -198,25 +195,24 @@ class TauTable:
         s = Fraction(s_val)
         return c0 + c1 * s + c2 * s * s + c3 * s * s * s
 
+    def cubic_shifted(self, e) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """Coefficients (c0, c1, c2, c3) of P(s+e) for the recorded cubic P."""
+        c0, c1, c2, c3 = self.cubic
+        return (
+            c0 + c1 * e + c2 * e * e + c3 * e * e * e,
+            c1 + 2 * c2 * e + 3 * c3 * e * e,
+            c2 + 3 * c3 * e,
+            c3,
+        )
+
     def cubic_delta(self, alpha, beta) -> ExponentPoly:
         """P(s+alpha) - P(s+beta) for the recorded cubic prefactor P.
 
         The cubic terms cancel, so the result is an honest quadratic-in-s
         exponent suitable for the coefficient field.
         """
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        c0, c1, c2, c3 = self.cubic
-
-        def shifted(e: Fraction):
-            # coefficients of P(s+e) as a cubic in s
-            return (
-                c0 + c1 * e + c2 * e * e + c3 * e * e * e,
-                c1 + 2 * c2 * e + 3 * c3 * e * e,
-                c2 + 3 * c3 * e,
-                c3,
-            )
-
-        pa, pb = shifted(alpha), shifted(beta)
+        pa = self.cubic_shifted(Fraction(alpha))
+        pb = self.cubic_shifted(Fraction(beta))
         d3 = pa[3] - pb[3]
         if d3 != 0:
             raise ValueError("cubic prefactor difference is not quadratic")

@@ -62,13 +62,6 @@ class LatticeState:
     def refinement(self) -> int:
         return self.a + self.b
 
-    @property
-    def coarse_sites(self) -> int:
-        return len(self.sites) // self.refinement
-
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.a, self.b, self.sites.copy(), self.time)
-
 
 def perturbed_constant_state(
     a: int, b: int, coarse_sites: int, base=1.0, amplitude=0.1, wavelength: int = 12
@@ -83,8 +76,7 @@ def lax_diagonals(u: np.ndarray, a: int, b: int) -> dict[int, np.ndarray]:
     """Cyclic matrix of the reduced Lax operator: row j has 1 at column
     j + a and -u_j at column j - b (offsets kept as plain integers)."""
     n = len(u)
-    ones = np.ones(n, dtype=u.dtype) if u.dtype != object else np.array([1] * n, dtype=object)
-    return {a: ones, -b: -u}
+    return {a: np.ones(n, dtype=u.dtype), -b: -u}
 
 
 def banded_mul(
@@ -122,11 +114,18 @@ def diagonal_of(diags: dict[int, np.ndarray], n: int) -> np.ndarray:
         if o % n == 0:
             total = v.copy() if total is None else total + v
     if total is None:
-        sample = next(iter(diags.values()))
-        total = np.zeros(n, dtype=sample.dtype) if sample.dtype != object else np.array(
-            [0] * n, dtype=object
-        )
+        total = np.zeros(n, dtype=next(iter(diags.values())).dtype)
     return total
+
+
+def _commutator(
+    x: dict[int, np.ndarray], y: dict[int, np.ndarray], n: int
+) -> dict[int, np.ndarray]:
+    """[x, y] = x*y - y*x of cyclic banded matrices in diagonal form."""
+    out = banded_mul(x, y, n)
+    for o, v in banded_mul(y, x, n).items():
+        out[o] = out[o] - v if o in out else -v
+    return out
 
 
 def banded_transpose(diags: dict[int, np.ndarray], n: int) -> dict[int, np.ndarray]:
@@ -185,7 +184,7 @@ def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = Non
     power = banded_power(lax_diagonals(u, state.a, state.b), k * m, n)
     d = power.get(0)
     if d is None:
-        d = np.zeros(n) if u.dtype != object else np.array([0] * n, dtype=object)
+        d = np.zeros(n, dtype=u.dtype)
     return u * (d - np.roll(d, state.b))
 
 
@@ -340,12 +339,7 @@ def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
     lax = lax_diagonals(u, a, b)
     power = banded_power(lax, k * m, n)
     bk = {o: v for o, v in power.items() if o >= 0}
-    commutator = banded_mul(bk, lax, n)
-    neg = banded_mul(lax, bk, n)
-    for o, v in neg.items():
-        commutator[o] = commutator[o] - v if o in commutator else -v
-    ldot = {-b: -rhs}
-    return banded_equal(commutator, ldot, n)
+    return banded_equal(_commutator(bk, lax, n), {-b: -rhs}, n)
 
 
 def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
@@ -452,14 +446,10 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
     sign_pow = (-1) ** (k * m)
     bhat = {o: -sign_pow * v for o, v in power.items() if o <= 0}
     ldot_dual = {b: np.roll(rhs, -b)}  # -(d/dt L)^T
-    commutator = banded_mul(bhat, dual, n)
-    neg = banded_mul(dual, bhat, n)
-    for o, v in neg.items():
-        commutator[o] = commutator[o] - v if o in commutator else -v
     record_check(
         report,
         "dual_lax_equation",
-        banded_equal(commutator, ldot_dual, n),
+        banded_equal(_commutator(bhat, dual, n), ldot_dual, n),
         "d/dt(-L^T) = [Bhat, -L^T] with the dual projection generator",
     )
     return report

@@ -176,6 +176,10 @@ def test_default_precision_env(monkeypatch):
     monkeypatch.setenv("QTODA_PRECISION_BITS", "256")
     assert default_precision() == 256
     monkeypatch.setenv("QTODA_PRECISION_BITS", "bogus")
-    assert default_precision() == 128
+    with pytest.raises(ValueError, match="QTODA_PRECISION_BITS='bogus'"):
+        default_precision()
+    monkeypatch.setenv("QTODA_PRECISION_BITS", "8")
+    with pytest.raises(ValueError, match="QTODA_PRECISION_BITS='8'"):
+        default_precision()
     monkeypatch.delenv("QTODA_PRECISION_BITS")
     assert default_precision() == 128

@@ -1,0 +1,206 @@
+"""The shared sparse-polynomial core behind QPowerSum, SitePoly and PowerSumPoly.
+
+The golden strings pin the documented str() contract and the ring
+operations: each pair is str(x) and str(x * y - z) for seeded random x, y, z,
+as printed before the three classes shared one implementation.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qtoda.opalg import SitePoly
+from qtoda.qfield import E_ZERO, ExponentPoly, QPowerSum
+from qtoda.schur import PowerSumPoly
+
+SEED = 20261017
+
+
+def _coef(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(1)
+    if kind == 1:
+        return Fraction(-1)
+    return Fraction(rng.choice([-7, -3, -2, 2, 3, 5]), rng.choice([1, 2, 3, 4]))
+
+
+def random_qpowersum(rng):
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            expo = E_ZERO
+        else:
+            expo = ExponentPoly.of(
+                c0=Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
+                c1=Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
+                c2=rng.randint(-1, 1),
+            )
+        terms.append((expo, _coef(rng)))
+    return QPowerSum(terms)
+
+
+def random_sitepoly(rng):
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        n = rng.choice([0, 1, 1, 2, 3])
+        mono = tuple(
+            sorted(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 5])) for _ in range(n))
+        )
+        coeffs[mono] = _coef(rng)
+    return SitePoly(coeffs)
+
+
+def random_powersumpoly(rng):
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        n = rng.choice([0, 1, 2, 3])
+        mono = tuple(rng.randint(0, 2) for _ in range(n))
+        if mono:
+            mono = mono[:-1] + (mono[-1] or 1,)
+        coeffs[mono] = _coef(rng)
+    return PowerSumPoly(coeffs)
+
+
+GOLDEN_QPOWERSUM = [
+    ('-q^(s^2+s+2/3) - 1 - q^(-s^2+2*s+3/2)',
+     '-q^(2*s^2-11/6) - 3/2*q^(s^2+s+2/3) - q^(s^2-s-5/2) + 7/3*q^(s+4) - q^(s-1) + 2 - 3/2*q^(-s^2+2*s+3/2) + q^(-s^2+1/2*s+3/2)'),
+    ('-3 - 7/3*q^(-s^2+s-1/2) - q^(-s^2-s+1)',
+     '-3*q^(s^2+s-3) - 2/3*q^(s^2+1) - 7/3*q^(2*s-7/2) - 1 - q^(-2) + 3*q^(-s^2+s+2/3) - q^(-s^2-2*s+3) + 7/3*q^(-2*s^2+2*s+1/6) + q^(-2*s^2+5/3)'),
+    ('5/2*q^(s^2-2*s-1/3) - 3/2 - 7/3*q^(-s^2+2*s-1)',
+     '5/4*q^(2*s^2-3*s+1/3) + 5/2*q^(2*s^2-3*s-16/3) + 47/4*q^(s^2-s+2/3) - 3/2*q^(s^2-s-5) - 5/2*q^(s^2-3/2*s-1/3) - 15/2*q^(s+1) - 7/6*q^(s-1/3) - 7/3*q^(s-6) + 3/2*q^(1/2*s) - 1/2*q^(3/2) - 35/3*q^(-s^2+3*s) + 7/3*q^(-s^2+5/2*s-1)'),
+    ('1/2*q^(s^2+s+1) - 13/12 + q^(-s)',
+     '-3/8*q^(2*s^2+1/2*s+4) - 3/4*q^(s^2+s+1) + 1/3*q^(s^2+1/2*s+4/3) + 13/16*q^(s^2-1/2*s+3) - 3/4*q^(s^2-3/2*s+3) + 13/8 - 13/18*q^(-1/2*s+1/3) - 3/2*q^(-s) + 2/3*q^(-3/2*s+1/3) + q^(-s^2+1/2*s+2)'),
+    ('q^(s+3) + 8/3 + 5/4*q^(-s^2-s)',
+     '2*q^(s^2+2*s+8) + 16/3*q^(s^2+s+5) + q^(s^2+1/2) + q^(2*s+2) - q^(3/2*s+4/3) + 8/3*q^(s-1) - 8/3*q^(1/2*s-5/3) + 5/2*q^(5) + 1 + 5/4*q^(-s^2-1) - 5/4*q^(-s^2-1/2*s-5/3) + 2*q^(-s^2-s+14/3) + 16/3*q^(-s^2-2*s+5/3) + 5/2*q^(-2*s^2-3*s+5/3)'),
+    ('1',
+     '5*q^(s^2+1/3) + q^(s^2) - 3/2*q^(s^2-s+2) + 2/3*q^(s^2-2*s-3) - 1 - 2/3*q^(-1) - q^(-s^2-s-4/3)'),
+]
+
+GOLDEN_SITEPOLY = [
+    ('-3 + 3/2*u(s+4/5)*u(s+4/5) + u(s+4/5)*u(s+2)',
+     '9 - 3*u(s-1) + 3/2*u(s-1)*u(s+4/5)*u(s+4/5) + u(s-1)*u(s+4/5)*u(s+2) - 1/2*u(s+1/2) - 9/2*u(s+4/5)*u(s+4/5) - 3*u(s+4/5)*u(s+2)'),
+    ('-u(s-3)*u(s) + 2/3*u(s)',
+     '3*u(s-3)*u(s-2)*u(s)*u(s+3/2) + u(s-3)*u(s)*u(s)*u(s+2) + 7/2*u(s-3)*u(s)*u(s+2/5) - 2*u(s-2)*u(s)*u(s+3/2) + 3*u(s-1)*u(s-3/5) - 2/3*u(s)*u(s)*u(s+2) - 7/3*u(s)*u(s+2/5)'),
+    ('u(s-2)*u(s-3/5)*u(s+3) + 3*u(s+3/5)',
+     '1 + u(s-2)*u(s-3/5)*u(s)*u(s+3) + 3*u(s)*u(s+3/5)'),
+    ('1',
+     '3/2 - 1/2*u(s)*u(s+2) + 5*u(s+2/5) - 5/3*u(s+4)'),
+    ('2*u(s)*u(s+4/5)*u(s+3)',
+     '2/3*u(s-3)*u(s+2) + 2*u(s-1/2)*u(s-1/5)*u(s)*u(s+4/5)*u(s+3) - 3*u(s-2/5)*u(s+1/5) + 10/3*u(s)*u(s+4/5)*u(s+3) - 1/2*u(s+1/2)*u(s+3/5)*u(s+1)'),
+    ('2/3 + 3*u(s-2)*u(s+1) + 3/4*u(s+3/5)',
+     '3/4 + 15/4*u(s-2)*u(s)*u(s+3/5)*u(s+1) - 9/4*u(s-2)*u(s+2/5)*u(s+1)*u(s+3/2) - 1/2*u(s-1)*u(s)*u(s+2/5) + 5/6*u(s)*u(s+3/5) + 15/16*u(s)*u(s+3/5)*u(s+3/5) - 9/16*u(s+2/5)*u(s+3/5)*u(s+3/2) - 1/2*u(s+2/5)*u(s+3/2)'),
+]
+
+GOLDEN_POWERSUMPOLY = [
+    ('3/2*p1^2*p2^2*p3^2 + p1^2*p2*p3^2 - 3',
+     '3/2*p1^4*p2^2*p3^2 - 3/4*p1^3*p2^2*p3^2 + p1^4*p2*p3^2 - 1/2*p1^3*p2*p3^2 - 1/2*p1*p2 - 3*p1^2 + 13/6*p1'),
+    ('-7/2*p1*p2 + 1/2*p1^2 + 5/4*p2 + 5/3',
+     'p2^2*p3 + 49/6*p1^3*p2 + 3*p2*p3 - 7/6*p1^4 - 35/12*p1^2*p2 - p1*p3 - 8/9*p1^2'),
+    ('p1^2*p2^2 - p1^2*p3 + p1 + 1',
+     '2/3*p1^3*p2^3*p3 - 2/3*p1^3*p2*p3^2 + 2/3*p1^2*p2*p3 + 2/3*p1*p2*p3 - 5*p1*p2^2 + p1 - 5/2'),
+    ('-3/2*p1^2*p2^2*p3 + p1*p3 + p2^2 - 7/3',
+     '-9/8*p1^3*p2^4*p3^2 + 3/4*p1^2*p2^2*p3^2 + 3/4*p1*p2^4*p3 - 3/2*p1^2*p2^2*p3 - 7/4*p1*p2^2*p3 + p1*p3 + p2^2 - 5/3'),
+    ('3/4*p1*p2^2 + p1^2*p2 - p1*p3',
+     '3/8*p1^3*p2^4*p3 + 1/2*p1^4*p2^3*p3 - 1/2*p1^3*p2^2*p3^2 + 3/4*p1^2*p2^2*p3^2 + p1*p2^2*p3^2 - 21/16*p1^2*p2^2*p3 + 15/8*p1*p2^4 - 7/4*p1^3*p2*p3 + 1/4*p1^2*p2^3 + 7/4*p1^2*p3^2 - 5/2*p1*p2^2*p3 - 3*p1^3*p2^2 + 3*p1^2*p2*p3'),
+    ('2*p1*p2^2*p3 + 2/3*p2*p3 - 2*p1^2*p2 + p1',
+     '6*p1^3*p2^3*p3^2 + 2*p1^2*p2^2*p3^2 - 6*p1^4*p2^2*p3 + 3*p1^3*p2*p3 - 2*p1*p2^2*p3 - 2/3*p2*p3 + 2*p1^2*p2 - 5/3*p1^2 - 3*p1'),
+]
+
+
+GENERATORS = {
+    "qpowersum": (random_qpowersum, GOLDEN_QPOWERSUM),
+    "sitepoly": (random_sitepoly, GOLDEN_SITEPOLY),
+    "powersumpoly": (random_powersumpoly, GOLDEN_POWERSUMPOLY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_golden_str(name):
+    gen, golden = GENERATORS[name]
+    rng = random.Random(SEED)
+    got = []
+    for _ in golden:
+        x, y, z = gen(rng), gen(rng), gen(rng)
+        got.append((str(x), str(x * y - z)))
+    assert got == golden
+    assert repr(x) == f"{type(x).__name__}({x})"
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_golden_strings_cover_the_formatting_cases(name):
+    """The goldens exercise coefficients +-1, fractions, a negative leading
+    coefficient and the constant term, so each branch of str() is pinned."""
+    texts = [t for pair in GENERATORS[name][1] for t in pair]
+    terms = [term for t in texts for term in t.replace(" - ", " + -").split(" + ")]
+    assert any(t.startswith("-") for t in texts)
+    assert any(term[0].isalpha() for term in terms)
+    assert any(term[0] == "-" and term[1].isalpha() for term in terms)
+    assert any("/" in term.split("*")[0] for term in terms)
+    assert any(term.lstrip("-").replace("/", "").isdigit() for term in terms)
+
+
+def _reference_product(x, y, mono_mul):
+    """The schoolbook product, term by term, through the accumulating constructor."""
+    return type(x)(
+        (mono_mul(m1, m2), c1 * c2)
+        for m1, c1 in x.coeffs.items()
+        for m2, c2 in y.coeffs.items()
+    )
+
+
+def _merge(m1, m2):
+    return tuple(sorted(m1 + m2))
+
+
+def _add_exponents(m1, m2):
+    n = max(len(m1), len(m2))
+    out = [a + b for a, b in zip(m1 + (0,) * (n - len(m1)), m2 + (0,) * (n - len(m2)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+RINGS = {
+    "sitepoly": (random_sitepoly, _merge),
+    "powersumpoly": (random_powersumpoly, _add_exponents),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_ring_laws_random(name):
+    gen, mono_mul = RINGS[name]
+    rng = random.Random(SEED + 1)
+    for _ in range(40):
+        x, y, z = gen(rng), gen(rng), gen(rng)
+        assert x * y == y * x
+        assert x + y == y + x
+        assert (x * y) * z == x * (y * z)
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+        assert x - y == x + (-y)
+        diff = x - x
+        assert diff.is_zero() and diff.coeffs == {} and str(diff) == "0"
+        assert x * type(x).one() == x and x * type(x).zero() == type(x).zero()
+        assert x * y == _reference_product(x, y, mono_mul)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_one_term_shortcut_matches_general_product(name):
+    gen, mono_mul = RINGS[name]
+    rng = random.Random(SEED + 2)
+    for _ in range(40):
+        x, y = gen(rng), gen(rng)
+        for m, c in y.coeffs.items():
+            single = type(y)({m: c})
+            assert len(single) == 1
+            assert x * single == _reference_product(x, single, mono_mul)
+            assert single * x == _reference_product(single, x, mono_mul)
+            assert (x * single).coeffs == {mono_mul(k, m): v * c for k, v in x.coeffs.items()}
+
+
+def test_classes_do_not_compare_equal_across_rings():
+    assert SitePoly.zero() != PowerSumPoly.zero()
+    assert SitePoly.one() != PowerSumPoly.one()
+    assert QPowerSum.one() != PowerSumPoly.one()
