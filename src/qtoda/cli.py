@@ -22,6 +22,7 @@ from . import __version__
 from .errors import QTodaError
 from .opalg import SessionParams
 from .partitions import Partition
+from .report import merge_checks
 from .schur import PowerSumRing
 from .suites import identity_suite, laxcheck_suite, tau_shift_suite
 from .vertex import VertexContext, tau_table
@@ -127,9 +128,7 @@ def cmd_identities(args) -> int:
         corrupt=args.self_test_corrupt,
     )
     if args.shift_check:
-        sub = tau_shift_suite(1, 1, 1, min(args.weight, 4))
-        report["checks"].extend(sub["checks"])
-        report["passed"] = report["passed"] and sub["passed"]
+        merge_checks(report, tau_shift_suite(1, 1, 1, min(args.weight, 4)))
     _emit_json(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 

@@ -25,10 +25,6 @@ class Partition:
         object.__setattr__(self, "parts", parts)
 
     @staticmethod
-    def of(*parts: int) -> "Partition":
-        return Partition(tuple(parts))
-
-    @staticmethod
     def parse(text: str) -> "Partition":
         """Parse the CLI text form, e.g. "[3,1]" or "3,1" or "[]"."""
         body = text.strip().strip("[]")

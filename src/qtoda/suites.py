@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from .errors import RelationViolated
 from .opalg import LaxSession, SessionParams, check_LM_relation, cross_check_initial, \
-    difference_on_window, expected_initial_lax, initial_lax, initial_M
+    expected_initial_lax, initial_lax, initial_M, record_vanishing
 from .partitions import Partition, enumerate_partitions
 from .qfield import QFieldElem
-from .report import record_check
+from .report import merge_checks, record_all, record_check
 from .schur import PowerSumRing, specialize_nu_rho
 from .vertex import VertexContext, tau_table
 
@@ -41,7 +41,7 @@ def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False
             rhs = -rhs
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar}): {lhs} != {rhs}")
-    record_check(report, f"vertex_def_equals_hook_w{weight}", not bad, "; ".join(bad[:2]))
+    record_all(report, f"vertex_def_equals_hook_w{weight}", bad, shown=2)
     return report
 
 
@@ -57,8 +57,8 @@ def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
         flipped = ctx.vertex_def(nu.conjugate(), nubar.conjugate()).invert_q()
         if not (w == flipped.scale((-1) ** (nu.weight + nubar.weight))):
             bad_q.append(f"({nu},{nubar})")
-    record_check(report, f"vertex_transposition_w{weight}", not bad_t, "; ".join(bad_t[:3]))
-    record_check(report, f"vertex_q_inversion_w{weight}", not bad_q, "; ".join(bad_q[:3]))
+    record_all(report, f"vertex_transposition_w{weight}", bad_t)
+    record_all(report, f"vertex_q_inversion_w{weight}", bad_q)
     return report
 
 
@@ -72,7 +72,7 @@ def schur_negation_suite(weight: int) -> dict:
         rhs = ring.schur(mu.conjugate()).scale((-1) ** mu.weight)
         if not (lhs == rhs):
             bad.append(str(mu))
-    record_check(report, f"schur_negation_w{weight}", not bad, "; ".join(bad[:3]))
+    record_all(report, f"schur_negation_w{weight}", bad)
     bad = []
     for mu in enumerate_partitions(weight):
         for nu in enumerate_partitions(mu.weight):
@@ -84,7 +84,7 @@ def schur_negation_suite(weight: int) -> dict:
             )
             if not (lhs == rhs):
                 bad.append(f"{mu}/{nu}")
-    record_check(report, f"skew_schur_negation_w{weight}", not bad, "; ".join(bad[:3]))
+    record_all(report, f"skew_schur_negation_w{weight}", bad)
     return report
 
 
@@ -96,13 +96,13 @@ def schur_structure_suite(weight: int) -> dict:
     for mu in enumerate_partitions(weight):
         if ring.schur(mu) != ring.schur(mu, size=mu.length + 2):
             bad.append(str(mu))
-    record_check(report, f"determinant_size_independence_w{weight}", not bad, "; ".join(bad[:3]))
+    record_all(report, f"determinant_size_independence_w{weight}", bad)
     bad = [
         str(mu)
         for mu in enumerate_partitions(weight)
         if not ring.schur(mu).is_homogeneous(mu.weight)
     ]
-    record_check(report, f"weighted_homogeneity_w{weight}", not bad, "; ".join(bad[:3]))
+    record_all(report, f"weighted_homogeneity_w{weight}", bad)
     bad = []
     for nu in enumerate_partitions(min(4, weight)):
         for k in range(1, 5):
@@ -110,7 +110,7 @@ def schur_structure_suite(weight: int) -> dict:
             rhs = -_neg_conjugate_point(nu, k)
             if not (lhs == rhs):
                 bad.append(f"({nu}, k={k})")
-    record_check(report, "power_sum_special_points", not bad, "; ".join(bad[:3]))
+    record_all(report, "power_sum_special_points", bad)
     return report
 
 
@@ -141,7 +141,7 @@ def kappa_suite(weight: int = 8) -> dict:
         or nu.conjugate().weight != nu.weight
         or (nu.parts and nu.conjugate().length != nu.parts[0])
     ]
-    record_check(report, f"kappa_conjugation_w{weight}", not bad, "; ".join(bad[:3]))
+    record_all(report, f"kappa_conjugation_w{weight}", bad)
     return report
 
 
@@ -160,7 +160,7 @@ def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
         )
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar})")
-    record_check(report, f"vertex_matrix_element_link_w{weight}", not bad, "; ".join(bad[:3]))
+    record_all(report, f"vertex_matrix_element_link_w{weight}", bad)
     return report
 
 
@@ -172,18 +172,12 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, shifts=(Fraction(1, 
     base = tau_table(a, b, sign, 0, degree, ctx)
     for c in shifts:
         shifted = tau_table(a, b, sign, c, degree, ctx)
-        bad = []
+        bad = [] if shifted.cubic == base.cubic_shifted(c) else ["cubic prefactor mismatch"]
         for key in base.exponents:
             nu, nubar = Partition(key[0]), Partition(key[1])
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
-                bad.append(f"({nu},{nubar})")
-        pref_ok = shifted.cubic == base.cubic_shifted(c)
-        record_check(
-            report,
-            f"tau_shift_c={c}",
-            not bad and pref_ok,
-            ("entries: " + "; ".join(bad[:3])) if bad else ("" if pref_ok else "cubic prefactor mismatch"),
-        )
+                bad.append(f"entry ({nu},{nubar})")
+        record_all(report, f"tau_shift_c={c}", bad)
     return report
 
 
@@ -195,7 +189,10 @@ def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
     ctx = VertexContext(degree)
     table = tau_table(a, b, sign, 0, degree, ctx)
     tau = table.tau
-    bad = []
+    # unshifted cubic prefactor is scale * (4 s^3 - s)
+    scale = (tau + 1 / tau + 2) / 24
+    cubic_ok = table.cubic == (Fraction(0), -scale, Fraction(0), 4 * scale)
+    bad = [] if cubic_ok else ["cubic prefactor mismatch"]
     for key, expo in table.exponents.items():
         nu, nubar = Partition(key[0]), Partition(key[1])
         redo = ExponentPoly.of(
@@ -204,15 +201,7 @@ def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
         )
         if expo != redo:
             bad.append(f"({nu},{nubar})")
-    # unshifted cubic prefactor is scale * (4 s^3 - s)
-    scale = (tau + 1 / tau + 2) / 24
-    cubic_ok = table.cubic == (Fraction(0), -scale, Fraction(0), 4 * scale)
-    record_check(
-        report,
-        "tau_exponent_rederivation",
-        not bad and cubic_ok,
-        "; ".join(bad[:3]) if bad else ("" if cubic_ok else "cubic prefactor mismatch"),
-    )
+    record_all(report, "tau_exponent_rederivation", bad)
     return report
 
 
@@ -234,8 +223,7 @@ def identity_suite(
         gamma_vertex_link_suite(ctx, min(4, weight_symmetry)),
         tau_exponent_suite(1, 1, 1, min(3, max(weight_equality, 1))),
     ):
-        report["checks"].extend(sub["checks"])
-        report["passed"] = report["passed"] and sub["passed"]
+        merge_checks(report, sub)
     return report
 
 
@@ -262,19 +250,9 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
     session = LaxSession(params)
     lfrac, lbarfrac = initial_lax(session)
     expected = expected_initial_lax(params)
-    for name, op, target in (
-        ("initial_fractional_power_closed_form", lfrac, expected),
-        ("initial_fractional_power_closed_form_bar", lbarfrac, -expected),
-    ):
-        _, off = difference_on_window(op, target)
-        record_check(
-            report,
-            name,
-            not off,
-            "" if not off else f"first residual at power {off[0][0] * params.step}: {off[0][1]}",
-        )
+    record_vanishing(report, "initial_fractional_power_closed_form", lfrac - expected)
+    record_vanishing(report, "initial_fractional_power_closed_form_bar", lbarfrac + expected)
     total = lfrac + lbarfrac
-    off = sorted(total.coeffs.items())
     report["residuals"]["fractional_sum_window"] = [
         str(total.window()[0] * params.step if total.window()[0] is not None else None),
         str(total.window()[1] * params.step if total.window()[1] is not None else None),
@@ -284,24 +262,15 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
     report["residuals"]["fractional_sum"] = {
         str(n * params.step): str(total.coeff(n)) for n in range(lo, hi + 1)
     }
-    record_check(
-        report,
-        "fractional_powers_cancel",
-        not off,
-        f"window {total.window()}"
-        + ("" if not off else f"; first residual at power {off[0][0] * params.step}"),
-    )
+    record_vanishing(report, "fractional_powers_cancel", total, show_window=True)
     try:
         initial_M(session)
         record_check(report, "orlov_closed_forms", True)
     except RelationViolated as exc:
         record_check(report, "orlov_closed_forms", False, str(exc))
-    lm = check_LM_relation(session)
-    for chk in lm["checks"]:
-        record_check(report, chk["name"], chk["passed"], chk["detail"])
+    merge_checks(report, check_LM_relation(session))
     if tau_degree:
         cc = cross_check_initial(params, max_deg=tau_degree, flow_k=flow_k)
-        for chk in cc["checks"]:
-            record_check(report, "tau_" + chk["name"], chk["passed"], chk["detail"])
+        merge_checks(report, cc, prefix="tau_")
         report["gauge"] = cc.get("gauge")
     return report

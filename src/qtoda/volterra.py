@@ -182,9 +182,7 @@ def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = Non
     n = len(u)
     m = state.refinement
     power = banded_power(lax_diagonals(u, state.a, state.b), k * m, n)
-    d = power.get(0)
-    if d is None:
-        d = np.zeros(n, dtype=u.dtype)
+    d = power[0]  # k*b steps of +a and k*a steps of -b always reach offset 0
     return u * (d - np.roll(d, state.b))
 
 

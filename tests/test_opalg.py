@@ -154,6 +154,54 @@ def test_window_arithmetic_conservative():
         prod.coeff(-2)
 
 
+def triangular_to_depth(T, coeffs, top, lower, step):
+    """Triangular operator from a fixed coefficient list, certified to depth T."""
+    sign = -1 if lower else 1
+    terms = {top + sign * n: coeffs[n] for n in range(T + 1)}
+    edge = top + sign * T
+    return DiffOp(step, terms, floor=edge if lower else None, ceil=None if lower else edge)
+
+
+def test_window_soundness_random():
+    # an operation on operators certified to depth T must agree, on every
+    # index of its certified window, with the same operation at depth T+2,
+    # and must refuse to report a coefficient just outside that window
+    rng = random.Random(11)
+    for trial in range(12):
+        lower = trial % 2 == 0
+        step = rng.choice([Fraction(1), Fraction(1, 2)])
+        ops = []
+        for _ in range(2):
+            T = rng.randint(2, 4)
+            top = rng.randint(-1, 1)
+            pivot = ExponentPoly.of(c0=Fraction(rng.randint(-2, 2), 2))
+            coeffs = [qpow(pivot, rng.choice([1, -1]))]
+            coeffs += [
+                qpow(ExponentPoly.of(c0=Fraction(rng.randint(-3, 3), rng.choice([1, 2])),
+                                     c1=Fraction(rng.randint(-2, 2))), rng.choice([1, -1]))
+                if rng.random() < 0.8 else QFieldElem.zero()
+                for _ in range(T + 2)
+            ]
+            ops.append((triangular_to_depth(T, coeffs, top, lower, step),
+                        triangular_to_depth(T + 2, coeffs, top, lower, step)))
+        (a, a2), (b, b2) = ops
+        depth = -12 if lower else 12
+        side = "top" if lower else "bot"
+        for got, finer in (
+            (a + b, a2 + b2),
+            (a * b, a2 * b2),
+            (op_inverse(a, depth, side=side), op_inverse(a2, depth, side=side)),
+        ):
+            lo, hi = got.window()
+            assert (lo is None) != (hi is None)
+            known = list(got.coeffs) + list(finer.coeffs) + [lo if lower else hi]
+            span = range(lo, max(known) + 1) if lower else range(min(known), hi + 1)
+            for n in span:
+                assert got.coeff(n) == finer.coeff(n), (trial, n)
+            with pytest.raises(TruncationInsufficient):
+                got.coeff(lo - 1 if lower else hi + 1)
+
+
 def test_session_params_validation():
     with pytest.raises(NonCoprime):
         SessionParams(2, 4, 1)
@@ -243,7 +291,13 @@ def test_lm_relation_passes(params11):
 
 
 def test_lm_relation_negative_control(params11):
-    rep = check_LM_relation(params11, _perturb_power=-5)
+    # damage one certified coefficient of L0^(1/(tau+1)); the check must locate it
+    session = LaxSession(params11)
+    lfrac, lbarfrac = session.lax
+    bad = dict(lfrac.coeffs)
+    bad[-5] = lfrac.coeff(-5) + qpow(ExponentPoly.const(Fraction(1)))
+    session.lax = (DiffOp(lfrac.step, bad, lfrac.floor, lfrac.ceil), lbarfrac)
+    rep = check_LM_relation(session)
     assert not rep["passed"]
     failing = [c for c in rep["checks"] if not c["passed"]]
     assert failing and "offending coefficient" in failing[0]["detail"]
