@@ -178,7 +178,7 @@ class DiffOp:
             self.ceil is not None and index > self.ceil
         ):
             raise TruncationInsufficient(
-                f"coefficient at index {index} outside known window {self.window()}"
+                f"coefficient index {index} outside known window {self.window()}"
             )
         got = self.coeffs.get(index)
         if got is not None:
@@ -440,24 +440,33 @@ def monomial_pow(op: DiffOp, k: int) -> DiffOp:
     return op.pow_int(k)
 
 
-def difference_on_window(a: DiffOp, b: DiffOp):
-    """(window, offenders): nonzero coefficients of a - b on the common window."""
-    diff = a - b
-    return diff.window(), sorted(diff.coeffs.items())
+def _offence(residual: DiffOp) -> tuple | None:
+    """(power, coefficient text, message) of the lowest nonzero coefficient of a
+    residual that should vanish, or None; an empty window offends at power None."""
+    lo, hi = residual.window()
+    if lo is not None and hi is not None and lo > hi:
+        return None, None, f"empty window {(lo, hi)}"
+    if not residual.coeffs:
+        return None
+    n = min(residual.coeffs)
+    power, c = n * residual.step, residual.coeffs[n]
+    return power, str(c), f"first offending coefficient at power {power}: {c}"
 
 
 def record_vanishing(report: dict, name: str, residual: DiffOp, show_window: bool = False) -> None:
     """Record that `residual` is zero on its certified window, which must be non-empty."""
-    lo, hi = residual.window()
-    if lo is not None and hi is not None and lo > hi:
-        record_check(report, name, False, f"empty window {(lo, hi)}")
-        return
-    shown = [f"window {(lo, hi)}"] if show_window else []
-    if residual.coeffs:
-        n = min(residual.coeffs)
-        c = residual.coeffs[n]
-        shown.append(f"first offending coefficient at power {n * residual.step}: {c}")
-    record_check(report, name, not residual.coeffs, "; ".join(shown))
+    offence = _offence(residual)
+    shown = [offence[2]] if offence else []
+    if show_window and not (offence and offence[0] is None):
+        shown.insert(0, f"window {residual.window()}")
+    record_check(report, name, offence is None, "; ".join(shown))
+
+
+def require_vanishing(label: str, residual: DiffOp) -> None:
+    """Raise RelationViolated unless `residual` is zero on its non-empty certified window."""
+    offence = _offence(residual)
+    if offence:
+        raise RelationViolated(f"{label}: {offence[2]}", power=offence[0], residual=offence[1])
 
 
 # ---------------------------------------------------------------------------
@@ -546,61 +555,41 @@ def _gauge_exponent(tau: Fraction) -> ExponentPoly:
     return ExponentPoly.of(c0=half * Fraction(1, 4), c1=-half, c2=half)
 
 
-def descending_factor_series(T: int) -> DiffOp:
-    """prod_i (1 - q^(i-1/2) Lam^-1) truncated to T+1 terms (step 1)."""
-    coeffs = {-n: elementary_geometric(n).scale((-1) ** n) for n in range(T + 1)}
-    return DiffOp(Fraction(1), coeffs, floor=-T, ceil=None)
+def conjugated_series(left: ExponentPoly, right: ExponentPoly,
+                      coef: Callable[[int], QFieldElem], lower: bool, T: int) -> DiffOp:
+    """q^left(s) * sum_{n=0..T} coef(n) Lam^k * q^right(s), k = -n if lower else n.
 
-
-def ascending_factor_series(T: int) -> DiffOp:
-    """prod_i (1 - q^(i-1/2) Lam)^-1 truncated to T+1 terms (step 1)."""
-    coeffs = {n: complete_geometric(n) for n in range(T + 1)}
-    return DiffOp(Fraction(1), coeffs, floor=None, ceil=T)
-
-
-def build_W0(params: SessionParams, via_product: bool = False) -> DiffOp:
-    """Initial dressing operator on the integer grid, leading coefficient 1.
-
-    The closed route conjugates the descending factor series by the
-    quadratic gauge exponent coefficientwise; via_product=True multiplies
-    the three factors instead (used as a build-path cross-check).
+    The Lam^k coefficient is q^(left(s) + right(s+k)) coef(n); floor -T or ceil T.
     """
+    coeffs = {}
+    for n in range(T + 1):
+        k = -n if lower else n
+        coeffs[k] = qpow(left + right.shift(k)) * coef(n)
+    return DiffOp(Fraction(1), coeffs, floor=-T if lower else None, ceil=None if lower else T)
+
+
+def _signed_elementary(n: int) -> QFieldElem:
+    return elementary_geometric(n).scale((-1) ** n)
+
+
+def build_W0(params: SessionParams) -> DiffOp:
+    """W0 = q^E prod_i(1 - q^(i-1/2) Lam^-1) q^-E on the integer grid, leading coefficient 1."""
     E = _gauge_exponent(params.tau)
-    T = params.T
-    if via_product:
-        left = DiffOp.monomial(Fraction(1), 0, qpow(E))
-        right = DiffOp.monomial(Fraction(1), 0, qpow(-E))
-        return left * descending_factor_series(T) * right
-    coeffs = {}
-    for n in range(T + 1):
-        # conjugating by q^E(s) scales the Lam^-n coefficient by q^(E(s)-E(s-n))
-        gauge = qpow(E - E.shift(-n))
-        coeffs[-n] = gauge * elementary_geometric(n).scale((-1) ** n)
-    return DiffOp(Fraction(1), coeffs, floor=-T, ceil=None)
+    return conjugated_series(E, -E, _signed_elementary, True, params.T)
 
 
-def build_W0bar(params: SessionParams, via_product: bool = False) -> DiffOp:
-    """Second initial dressing operator (ascending series, step 1)."""
-    E1 = _gauge_exponent(params.tau)
-    E2 = _gauge_exponent(1 / params.tau)
-    T = params.T
-    if via_product:
-        left = DiffOp.monomial(Fraction(1), 0, qpow(E1))
-        right = DiffOp.monomial(Fraction(1), 0, qpow(E2))
-        return left * ascending_factor_series(T) * right
-    coeffs = {}
-    for n in range(T + 1):
-        gauge = qpow(E1 + E2.shift(n))
-        coeffs[n] = gauge * complete_geometric(n)
-    return DiffOp(Fraction(1), coeffs, floor=None, ceil=T)
+def build_W0bar(params: SessionParams) -> DiffOp:
+    """W0bar = q^E1 prod_i(1 - q^(i-1/2) Lam)^-1 q^E2 on the integer grid."""
+    E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
+    return conjugated_series(E1, E2, complete_geometric, False, params.T)
 
 
 class LaxSession:
     """The time-zero operators of one session, each computed once.
 
-    W0 and W0bar are built once and inverted once on the integer grid.  The
-    fractional Lax powers reindex both onto the refined grid (inversion
-    commutes with reindexing, windows included), and the Orlov-type closed
+    W0, W0bar and their closed-form inverses are built once on the integer
+    grid, each inverse certified by an exact product.  The fractional Lax
+    powers reindex them onto the refined grid, and the Orlov-type closed
     forms are verified against the same inverses.  A session lives for one
     suite call and never mutates an operator it has handed out.
     """
@@ -609,10 +598,15 @@ class LaxSession:
         if params.T < 2:
             raise TruncationInsufficient("need T >= 2 for the initial Lax and Orlov operators")
         self.params = params
+        E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
+        # Euler's q-exponential identities invert both middle products in closed form
         self.w0 = build_W0(params)
-        self.w0_inv = op_inverse(self.w0, -params.T - 1, side="top")
+        self.w0_inv = conjugated_series(E1, -E1, complete_geometric, True, params.T + 1)
         self.wbar0 = build_W0bar(params)
-        self.wbar0_inv = op_inverse(self.wbar0, params.T + 1, side="bot")
+        self.wbar0_inv = conjugated_series(-E2, -E1, _signed_elementary, False, params.T + 1)
+        one = DiffOp.monomial(Fraction(1), 0, QFieldElem.one())
+        require_vanishing("W0 inverse", self.w0 * self.w0_inv - one)
+        require_vanishing("W0bar inverse", self.wbar0 * self.wbar0_inv - one)
 
     @cached_property
     def lax(self) -> tuple[DiffOp, DiffOp]:
@@ -643,14 +637,7 @@ class LaxSession:
             ("q^M0 closed form", self.w0, self.w0_inv, closed),
             ("q^M0bar closed form", self.wbar0, self.wbar0_inv, closed_bar),
         ):
-            _, offenders = difference_on_window(w * qs * w_inv, expected)
-            if offenders:
-                n, c = offenders[0]
-                raise RelationViolated(
-                    f"{label}: first offending coefficient at index {n}: {c}",
-                    power=n,
-                    residual=str(c),
-                )
+            require_vanishing(label, w * qs * w_inv - expected)
         return closed, closed_bar
 
 

@@ -15,7 +15,6 @@ from qtoda.opalg import (
     SessionParams,
     check_LM_relation,
     cross_check_initial,
-    difference_on_window,
     expected_initial_lax,
     initial_M,
     initial_lax,
@@ -102,8 +101,8 @@ def test_criterion_4_initial_value_relation(a, b, sign):
     lfrac, lbarfrac = initial_lax(params)
     expected = expected_initial_lax(params)
     ok_closed = (
-        not difference_on_window(lfrac, expected)[1]
-        and not difference_on_window(lbarfrac, -expected)[1]
+        (lfrac - expected).is_zero_on_window()
+        and (lbarfrac + expected).is_zero_on_window()
     )
     total = lfrac + lbarfrac
     residuals = [(n, c) for n, c in total.coeffs.items() if not c.is_zero()]

@@ -9,7 +9,9 @@ import pytest
 
 from qtoda.cli import main
 from qtoda.errors import TruncationInsufficient
+from qtoda import opalg
 from qtoda.opalg import LaxSession
+from qtoda.qfield import ExponentPoly, qpow
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
 
@@ -114,6 +116,15 @@ def test_laxcheck_program_error_in_orlov_build_exits_2(monkeypatch):
 
     monkeypatch.setattr(LaxSession, "orlov", property(truncated))
     assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "3"]) == 2
+
+
+def test_laxcheck_wrong_closed_form_inverse_exits_2(monkeypatch, capsys):
+    # a wrong closed form is a program error, caught by the session's certification
+    h = opalg.complete_geometric
+    extra = qpow(ExponentPoly.const(1))
+    monkeypatch.setattr(opalg, "complete_geometric", lambda n: h(n) + extra if n == 4 else h(n))
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4"]) == 2
+    assert "W0 inverse: first offending coefficient at power -4: " in capsys.readouterr().err
 
 
 def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):

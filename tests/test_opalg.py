@@ -18,13 +18,14 @@ from qtoda.opalg import (
     LaxSession,
     SessionParams,
     SitePoly,
-    TauDressing,
+    _gauge_exponent,
+    _signed_elementary,
     build_W0,
     build_W0bar,
     check_LM_relation,
+    complete_geometric,
+    conjugated_series,
     cross_check_initial,
-    descending_factor_series,
-    difference_on_window,
     dressing_from_tau,
     elementary_geometric,
     expected_initial_lax,
@@ -33,7 +34,8 @@ from qtoda.opalg import (
     monomial_pow,
     op_inverse,
 )
-from qtoda.partitions import EMPTY, Partition
+from qtoda.errors import RelationViolated
+from qtoda.partitions import Partition
 from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
 from qtoda.schur import PowerSumRing, Specialization, specialize_neg_rho
 from qtoda.suites import laxcheck_suite
@@ -56,8 +58,8 @@ def test_defining_relation():
 def test_identity_neutral():
     ident = DiffOp.monomial(Fraction(1, 2), 0, ONE)
     a = DiffOp(Fraction(1, 2), {1: ONE, -1: -QS})
-    assert not difference_on_window(a * ident, a)[1]
-    assert not difference_on_window(ident * a, a)[1]
+    assert (a * ident - a).is_zero_on_window()
+    assert (ident * a - a).is_zero_on_window()
 
 
 def test_symbolic_square():
@@ -86,7 +88,7 @@ def test_associativity_random():
         a = random_triangular(rng, nterms=3)
         b = random_triangular(rng, nterms=3)
         c = random_triangular(rng, nterms=3)
-        assert not difference_on_window((a * b) * c, a * (b * c))[1]
+        assert ((a * b) * c - a * (b * c)).is_zero_on_window()
 
 
 def test_inverse_of_identity():
@@ -217,7 +219,9 @@ def test_session_params_validation():
 
 
 def test_factor_series_leading_coefficients():
-    series = descending_factor_series(3)
+    zero = ExponentPoly.const(0)
+    series = conjugated_series(zero, zero, _signed_elementary, True, 3)
+    assert series.window() == (-3, None)
     geom_den = QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1))
     expected = -QFieldElem(QPowerSum.monomial(ExponentPoly.const(Fraction(1, 2))), geom_den)
     assert series.coeff(-1) == expected
@@ -228,8 +232,6 @@ def test_factor_series_leading_coefficients():
 def test_factor_series_matches_schur_column_values():
     """Independent route: e_n and h_n of the geometric alphabet are the
     single-column / single-row Schur values at the reflected point."""
-    from qtoda.opalg import complete_geometric
-
     ring = PowerSumRing(5)
     # the alphabet {q^(1/2), q^(3/2), ...} has p_k = q^(k/2)/(1-q^k), which is
     # exactly the reflected-point continuation value
@@ -248,11 +250,21 @@ def params11():
 
 @pytest.mark.parametrize("T", [4, 8])
 def test_build_path_identity(T):
+    # the closed builders against the product q^left * (factor series) * q^right
     params = SessionParams(1, 2, 1, T=T)
-    for build in (build_W0, build_W0bar):
-        closed = build(params)
-        product = build(params, via_product=True)
-        assert not difference_on_window(closed, product)[1]
+    E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
+    zero = ExponentPoly.const(0)
+    for closed, left, right, coef, lower in (
+        (build_W0(params), E1, -E1, _signed_elementary, True),
+        (build_W0bar(params), E1, E2, complete_geometric, False),
+    ):
+        product = (
+            DiffOp.monomial(Fraction(1), 0, qpow(left))
+            * conjugated_series(zero, zero, coef, lower, T)
+            * DiffOp.monomial(Fraction(1), 0, qpow(right))
+        )
+        assert closed.window() == product.window()
+        assert (closed - product).is_zero_on_window()
 
 
 def test_w0_leading_and_first_coefficient(params11):
@@ -261,14 +273,14 @@ def test_w0_leading_and_first_coefficient(params11):
     tau = params11.tau
     # gauge conjugation multiplies the n=1 coefficient by q^((tau+1)(s-1))
     gauge = qpow(ExponentPoly.of(c0=-(tau + 1), c1=tau + 1))
-    assert w0.coeff(-1) == gauge * descending_factor_series(1).coeff(-1)
+    assert w0.coeff(-1) == gauge * -elementary_geometric(1)
 
 
 def test_initial_lax_closed_form(params11):
     lf, lb = initial_lax(params11)
     expected = expected_initial_lax(params11)
-    assert not difference_on_window(lf, expected)[1]
-    assert not difference_on_window(lb, -expected)[1]
+    assert (lf - expected).is_zero_on_window()
+    assert (lb + expected).is_zero_on_window()
     # u-coefficient at tau=1, s=0 evaluates to q^(-3/2)
     val = (-lf.coeff(params11.down_index)).eval(Fraction(1, 4), 0)
     assert abs(val - 8) < 1e-30
@@ -307,18 +319,57 @@ def test_lm_relation_negative_control(params11):
     "a,b,sign", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1), (2, 1, -1), (3, 2, -1)]
 )
 def test_integer_grid_inverse_reindexes_to_refined_inverse(a, b, sign):
-    # LaxSession inverts W0 and W0bar once on the integer grid and reindexes
-    # them; the refined-grid inverse is the reference
+    # LaxSession builds the inverses of W0 and W0bar in closed form on the
+    # integer grid and reindexes them; series inversion on the refined grid is
+    # the reference, compared on every index of the common certified window
     params = SessionParams(a, b, sign, T=4)
     session = LaxSession(params)
     step, depth = params.step, (params.T + 1) * params.refinement
-    reference = op_inverse(session.w0.with_step(step), -depth, side="top")
-    assert repr(session.w0_inv.with_step(step)) == repr(reference)
-    reference_bar = op_inverse(session.wbar0.with_step(step), depth, side="bot")
-    assert repr(session.wbar0_inv.with_step(step)) == repr(reference_bar)
+    for got, reference in (
+        (session.w0_inv.with_step(step),
+         op_inverse(session.w0.with_step(step), -depth, side="top")),
+        (session.wbar0_inv.with_step(step),
+         op_inverse(session.wbar0.with_step(step), depth, side="bot")),
+    ):
+        diff = got - reference
+        lo, hi = diff.window()
+        assert (lo is None) != (hi is None)
+        span = range(lo, 1) if hi is None else range(0, hi + 1)
+        assert len(span) > params.T * params.refinement
+        for n in span:
+            assert got.coeff(n) == reference.coeff(n), n
 
 
-@pytest.mark.parametrize("tau_degree,inversions", [(None, 4), (4, 6)])
+def damaged_h4(monkeypatch):
+    # h_4 gains q^1: a wrong closed form for the W0 inverse at power -4
+    h = opalg.complete_geometric
+    extra = qpow(ExponentPoly.const(Fraction(1)))
+    monkeypatch.setattr(opalg, "complete_geometric", lambda n: h(n) + extra if n == 4 else h(n))
+
+
+def test_session_certifies_each_closed_form_inverse(monkeypatch):
+    damaged_h4(monkeypatch)
+    with pytest.raises(RelationViolated) as exc:
+        LaxSession(SessionParams(1, 1, 1, T=4))
+    assert exc.value.power == -4
+    assert str(exc.value).startswith("W0 inverse: first offending coefficient at power -4: ")
+
+
+def test_orlov_names_the_power_of_a_damaged_inverse_coefficient():
+    # index -T is the deepest one inside the window of W0 * q^s * W0^-1
+    T = 4
+    session = LaxSession(SessionParams(1, 1, 1, T=T))
+    inv = session.w0_inv
+    bad = dict(inv.coeffs)
+    bad[-T] = inv.coeff(-T) + qpow(ExponentPoly.const(Fraction(1)))
+    session.w0_inv = DiffOp(inv.step, bad, inv.floor, inv.ceil)
+    with pytest.raises(RelationViolated) as exc:
+        session.orlov
+    assert exc.value.power == -T
+    assert f"q^M0 closed form: first offending coefficient at power {-T}: " in str(exc.value)
+
+
+@pytest.mark.parametrize("tau_degree,inversions", [(None, 2), (4, 4)])
 def test_laxcheck_suite_inverts_each_operator_once(monkeypatch, tau_degree, inversions):
     calls = []
     inverse = opalg.op_inverse
@@ -338,7 +389,7 @@ def test_monomial_pow():
     cubed = monomial_pow(mono, 3)
     assert cubed.indices() == [3]
     inv = monomial_pow(mono, -1)
-    assert not difference_on_window(mono * inv, DiffOp.monomial(Fraction(1, 2), 0, ONE))[1]
+    assert (mono * inv - DiffOp.monomial(Fraction(1, 2), 0, ONE)).is_zero_on_window()
 
 
 # -- tau-quotient dressing ---------------------------------------------------

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from qtoda.opalg import DiffOp, record_vanishing
+import pytest
+
+from qtoda.errors import RelationViolated
+from qtoda.opalg import DiffOp, record_vanishing, require_vanishing
 from qtoda.qfield import ExponentPoly, QFieldElem, qpow
 from qtoda.report import merge_checks, record_all, record_check
 
@@ -86,3 +89,16 @@ def test_merge_checks_prefixes_names_and_carries_a_failure():
     clean = new_report()
     merge_checks(clean, {"passed": True, "checks": sub["checks"][:1]})
     assert clean["passed"] and clean["checks"][0]["name"] == "good"
+
+
+def test_require_vanishing_raises_at_the_lowest_offender():
+    residual = DiffOp(Fraction(1, 2), {3: ONE, -1: -ONE}, floor=-2, ceil=5)
+    with pytest.raises(RelationViolated) as exc:
+        require_vanishing("relation", residual)
+    assert str(exc.value) == f"relation: first offending coefficient at power -1/2: {-ONE}"
+    assert exc.value.power == Fraction(-1, 2) and exc.value.residual == str(-ONE)
+
+
+def test_require_vanishing_rejects_an_empty_window():
+    with pytest.raises(RelationViolated, match=r"^relation: empty window \(3, 2\)$"):
+        require_vanishing("relation", DiffOp(Fraction(1), {}, floor=3, ceil=2, zero=ZERO))
