@@ -363,17 +363,19 @@ class DiffOp:
 
 
 def op_inverse(a: DiffOp, depth: int, side: str | None = None) -> DiffOp:
-    """Two-sided inverse of a triangular operator, certified out to `depth`.
+    """Two-sided inverse of a triangular operator by series expansion.
 
     The pivot is the extreme power with an invertible coefficient and all
     other powers strictly on one side: side="top" expands descending from
-    the highest power (depth is the lowest certified index), side="bot"
-    ascending from the lowest (depth is the highest certified index).  When
-    side is None it is inferred from which direction is exactly known.
+    the highest power, side="bot" ascending from the lowest.  When side is
+    None it is inferred from which direction is exactly known.  The result
+    is certified out to `depth` or to the operand's own truncation,
+    whichever is nearer the pivot.
 
     Intermediate series terms are truncated at `depth`; this is sound
     because in a one-sided geometric series the coefficients beyond depth
-    never feed back into the retained window.
+    never feed back into the retained window.  The exact checks use
+    closed-form inverses; this expansion is their test reference.
     """
     if not a.coeffs:
         raise NonInvertibleLeading("cannot invert an operator with empty window")
@@ -467,6 +469,11 @@ def require_vanishing(label: str, residual: DiffOp) -> None:
     offence = _offence(residual)
     if offence:
         raise RelationViolated(f"{label}: {offence[2]}", power=offence[0], residual=offence[1])
+
+
+def _require_inverse(label: str, w: DiffOp, w_inv: DiffOp) -> None:
+    """Raise RelationViolated unless w * w_inv - 1 vanishes on its certified window."""
+    require_vanishing(label, w * w_inv - DiffOp.monomial(w.step, 0, QFieldElem.one()))
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +611,8 @@ class LaxSession:
         self.w0_inv = conjugated_series(E1, -E1, complete_geometric, True, params.T + 1)
         self.wbar0 = build_W0bar(params)
         self.wbar0_inv = conjugated_series(-E2, -E1, _signed_elementary, False, params.T + 1)
-        one = DiffOp.monomial(Fraction(1), 0, QFieldElem.one())
-        require_vanishing("W0 inverse", self.w0 * self.w0_inv - one)
-        require_vanishing("W0bar inverse", self.wbar0 * self.wbar0_inv - one)
+        _require_inverse("W0 inverse", self.w0, self.w0_inv)
+        _require_inverse("W0bar inverse", self.wbar0, self.wbar0_inv)
 
     @cached_property
     def lax(self) -> tuple[DiffOp, DiffOp]:
@@ -679,7 +685,9 @@ def check_LM_relation(params: SessionParams | LaxSession) -> dict:
     q^(tau*s - tau - 1/2) Lam^(-tau/(tau+1)); (3) the scalar identity tying
     the two monomials, with the fractional power realized through integral
     powers only (the (-sign*b)-th power of the refinement-step monomial
-    against the a*(a + sign*b)-th power of the right side).
+    against the a*(a + sign*b)-th power of the right side).  The collapses
+    are checked by multiplying back, L0^(1/(tau+1)) = q^(M0) * monomial,
+    so q^(M0) is never inverted.
     """
     session = _session(params)
     params = session.params
@@ -695,20 +703,17 @@ def check_LM_relation(params: SessionParams | LaxSession) -> dict:
     record_check(report, "initial_orlov_closed_forms", True)
 
     lfrac, lbarfrac = session.lax
-    depth = (params.T + 1) * params.refinement
     target = DiffOp.monomial(step, params.up_index, qpow(ExponentPoly.of(c1=-1)))
     target_bar = DiffOp.monomial(
         step,
         params.down_index,
         qpow(ExponentPoly.of(c0=-tau - Fraction(1, 2), c1=tau)),
     )
-    for name, left, right in (
-        ("orlov_monomial_collapse",
-         op_inverse(qm0.with_step(step), -depth, side="top") * lfrac, target),
-        ("orlov_monomial_collapse_bar",
-         op_inverse(qm0bar.with_step(step), depth, side="bot") * lbarfrac, target_bar),
+    for name, lax, qm, mono in (
+        ("orlov_monomial_collapse", lfrac, qm0, target),
+        ("orlov_monomial_collapse_bar", lbarfrac, qm0bar, target_bar),
     ):
-        record_vanishing(report, name, left - right)
+        record_vanishing(report, name, lax - qm.with_step(step) * mono)
 
     m = params.refinement
     big = monomial_pow(target, m)  # integral-power realization of the step monomial
@@ -734,11 +739,10 @@ class TauDressing:
     """Initial-time dressing data extracted from a tau coefficient table."""
 
     W: DiffOp
+    W_inv: DiffOp
     dW: DiffOp
     Wbar: DiffOp
-    dWbar: DiffOp
-    flow_k: int
-    order: int
+    Wbar_inv: DiffOp
 
 
 def _column(n: int) -> Partition:
@@ -749,34 +753,33 @@ def _row(n: int) -> Partition:
     return Partition((n,)) if n else EMPTY
 
 
-def _hook_sign_sum(table: TauTable, k: int, nu_slot, nubar_slot) -> QFieldElem:
-    """sum over hooks eta of size k of (-1)^height * entry(eta in a slot)."""
+def _hook_sign_sum(table: TauTable, k: int) -> QFieldElem:
+    """sum over hooks eta of size k of (-1)^height * entry(eta, empty)."""
     total = QFieldElem.zero()
     for eta in hooks_of_size(k):
-        sign = (-1) ** hook_height(eta)
-        nu = eta if nu_slot is None else nu_slot
-        nubar = eta if nubar_slot is None else nubar_slot
-        total = total + table.entry(nu, nubar).scale(sign)
+        total = total + table.entry(eta, EMPTY).scale((-1) ** hook_height(eta))
     return total
 
 
-def dressing_from_tau(
-    table: TauTable, params: SessionParams, order: int, flow_k: int = 1
-) -> TauDressing:
-    """Dressing coefficients at time zero, and their flow_k time derivative.
+def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressing:
+    """Dressing coefficients at time zero, their inverses, and the flow_k
+    time derivative of W.
 
     The quotient of shifted tau functions is expanded by the one-variable
     substitution t_j -> t_j - z^(-j)/j (and its barred mirror); at time zero
-    only single-column (unbarred side) and single-row (barred side) entries
-    contribute, with the sign conventions of the underlying expansion of
-    the tau function carried by the extraction:
+    only single-column and single-row entries contribute.  The inverses are
+    the adjoint wave functions, tau quotients too.  The Lam^(-n) (W, W^-1)
+    and Lam^n (Wbar, Wbar^-1) coefficients are
 
-        w_n(s)    = (-1)^n * entry((1^n), empty)(s-1)
-        wbar_n(s) = q^(P(s)-P(s-1)) * entry(empty, (n))(s)
+        W:       (-1)^n * entry((1^n), empty)(s-1)
+        W^-1:    entry((n), empty)(s-n)
+        Wbar:    q^(P(s)-P(s-1)) * entry(empty, (n))(s) =: wbar_n(s)
+        Wbar^-1: (-1)^n * entry(empty, (1^n))(s+n-1) / wbar_0(s+n)
 
-    where P is the recorded partition-independent cubic prefactor.  The
-    time derivative along the flow of index flow_k follows from the
-    degree-flow_k part of the table (hook shapes only).
+    where P is the recorded partition-independent cubic prefactor.  Each
+    inverse is certified by an exact product; a wrong table entry raises
+    RelationViolated.  The time derivative along the flow of index flow_k
+    follows from the degree-flow_k part of the table (hook shapes only).
     """
     if order < 1:
         raise TruncationInsufficient("order must be >= 1")
@@ -787,14 +790,16 @@ def dressing_from_tau(
     if flow_k < 1 or flow_k > table.max_deg:
         raise TruncationInsufficient("flow index outside the table degree")
     k = flow_k
+    ns = range(order + 1)
 
-    w: dict[int, QFieldElem] = {}
-    for n in range(order + 1):
-        w[-n] = table.entry(_column(n), EMPTY).shift(-1).scale((-1) ** n)
-    W = DiffOp(Fraction(1), w, floor=-order, ceil=None)
+    w = {-n: table.entry(_column(n), EMPTY).shift(-1).scale((-1) ** n) for n in ns}
+    W = DiffOp(Fraction(1), w, floor=-order)
+    w_inv = {-n: table.entry(_row(n), EMPTY).shift(-n) for n in ns}
+    W_inv = DiffOp(Fraction(1), w_inv, floor=-order)
+    _require_inverse("tau-route W inverse", W, W_inv)
 
     # d/dt_k of the tau-quotient coefficients at t = 0
-    dk_den = _hook_sign_sum(table, k, None, EMPTY).shift(-1)
+    dk_den = _hook_sign_sum(table, k).shift(-1)
     dw: dict[int, QFieldElem] = {}
     dw_order = min(order, table.max_deg - k)
     for n in range(dw_order + 1):
@@ -810,17 +815,15 @@ def dressing_from_tau(
     dW = DiffOp(Fraction(1), dw, floor=-dw_order, ceil=None)
 
     gauge = qpow(table.cubic_delta(0, -1))
-    wbar: dict[int, QFieldElem] = {}
-    for n in range(order + 1):
-        wbar[n] = gauge * table.entry(EMPTY, _row(n))
-    Wbar = DiffOp(Fraction(1), wbar, floor=None, ceil=order)
-
-    dwbar: dict[int, QFieldElem] = {}
-    for n in range(dw_order + 1):
-        term = _hook_sign_sum(table, k, None, _row(n))
-        dwbar[n] = gauge * (term - table.entry(EMPTY, _row(n)) * dk_den)
-    dWbar = DiffOp(Fraction(1), dwbar, floor=None, ceil=dw_order)
-    return TauDressing(W=W, dW=dW, Wbar=Wbar, dWbar=dWbar, flow_k=k, order=order)
+    wbar = {n: gauge * table.entry(EMPTY, _row(n)) for n in ns}
+    Wbar = DiffOp(Fraction(1), wbar, ceil=order)
+    wbar_inv = {
+        n: table.entry(EMPTY, _column(n)).shift(n - 1).scale((-1) ** n) / wbar[0].shift(n)
+        for n in ns
+    }
+    Wbar_inv = DiffOp(Fraction(1), wbar_inv, ceil=order)
+    _require_inverse("tau-route Wbar inverse", Wbar, Wbar_inv)
+    return TauDressing(W=W, W_inv=W_inv, dW=dW, Wbar=Wbar, Wbar_inv=Wbar_inv)
 
 
 def cross_check_initial(
@@ -846,11 +849,11 @@ def cross_check_initial(
 
     ctx = VertexContext(max_deg)
     table = tau_table(params.a, params.b, params.sign, 0, max_deg, ctx)
-    dressing = dressing_from_tau(table, params, order=max_deg, flow_k=flow_k)
+    dressing = dressing_from_tau(table, order=max_deg, flow_k=flow_k)
 
     # truncation stability: a smaller table must reproduce the same coefficients
     table_prev = tau_table(params.a, params.b, params.sign, 0, max_deg - 1, ctx)
-    dressing_prev = dressing_from_tau(table_prev, params, order=max_deg - 1, flow_k=flow_k)
+    dressing_prev = dressing_from_tau(table_prev, order=max_deg - 1, flow_k=flow_k)
     stable = all(
         dressing.W.coeff(-n) == dressing_prev.W.coeff(-n) for n in range(max_deg)
     ) and all(
@@ -862,23 +865,16 @@ def cross_check_initial(
     fparams = SessionParams(params.a, params.b, params.sign, T=max_deg)
     w0 = build_W0(fparams)
     wbar0 = build_W0bar(fparams)
-    depth = min(4, max_deg)
-    bad = [
-        n
-        for n in range(depth + 1)
-        if not (dressing.W.coeff(-n) == w0.coeff(-n))
-    ]
+    bad = [n for n in range(max_deg + 1) if dressing.W.coeff(-n) != w0.coeff(-n)]
     record_check(
         report,
         "dressing_agreement",
         not bad,
-        f"first mismatch at Lam^-{bad[0]}" if bad else f"coefficients 0..{depth} equal",
+        f"first mismatch at Lam^-{bad[0]}" if bad else f"coefficients 0..{max_deg} equal",
     )
     gauge = dressing.Wbar.coeff(0) / wbar0.coeff(0)
     bad_bar = [
-        n
-        for n in range(depth + 1)
-        if not (dressing.Wbar.coeff(n) == gauge * wbar0.coeff(n))
+        n for n in range(max_deg + 1) if dressing.Wbar.coeff(n) != gauge * wbar0.coeff(n)
     ]
     record_check(
         report,
@@ -894,12 +890,9 @@ def cross_check_initial(
     step = params.step
     m = params.refinement
     one = QFieldElem.one()
-    W, Wbar = dressing.W, dressing.Wbar
-    W_inv = op_inverse(W, -max_deg - 1, side="top")  # reused by (iii)
+    W, W_inv = dressing.W, dressing.W_inv
     lfrac = _dressed_power(W, W_inv, step, params.up_index)
-    lbarfrac = _dressed_power(
-        Wbar, op_inverse(Wbar, max_deg + 1, side="bot"), step, params.down_index
-    )
+    lbarfrac = _dressed_power(dressing.Wbar, dressing.Wbar_inv, step, params.down_index)
     record_vanishing(report, "fractional_powers_cancel", lfrac + lbarfrac, show_window=True)
 
     surviving = sorted(lfrac.coeffs)

@@ -120,8 +120,9 @@ def test_criterion_4_initial_value_relation(a, b, sign):
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2)])
 def test_criterion_5_tau_factorization_cross_check(a, b):
     """Dressing from tau quotients at degree 6 agrees with the factorization
-    operators on the first 4 shift coefficients (recorded gauge), and the
-    first-flow Lax equation residual is exactly zero on the checked window."""
+    operators on every shift coefficient up to degree 6 (recorded gauge),
+    and the first-flow Lax equation residual is exactly zero on the checked
+    window."""
     start = time.time()
     params = SessionParams(a, b, 1, T=6)
     rep = cross_check_initial(params, max_deg=6)

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism, config file."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from qtoda.opalg import LaxSession
 from qtoda.qfield import ExponentPoly, qpow
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -125,6 +128,45 @@ def test_laxcheck_wrong_closed_form_inverse_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(opalg, "complete_geometric", lambda n: h(n) + extra if n == 4 else h(n))
     assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4"]) == 2
     assert "W0 inverse: first offending coefficient at power -4: " in capsys.readouterr().err
+
+
+def test_laxcheck_wrong_tau_table_entry_exits_2(monkeypatch, capsys):
+    # entry((d), empty) of a degree-d table is the deepest coefficient of the
+    # tau-route W inverse; its certification is a program error, not a check
+    build = opalg.tau_table
+
+    def damaged(*args, **kwargs):
+        table = build(*args, **kwargs)
+        key = ((table.max_deg,), ())
+        table.gammas[key] = table.gammas[key] + qpow(ExponentPoly.const(Fraction(1)))
+        return table
+
+    monkeypatch.setattr(opalg, "tau_table", damaged)
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "tau-route W inverse: first offending coefficient at power -4: " in err
+
+
+def load_benchmark_runner():
+    spec = importlib.util.spec_from_file_location("benchmark_run", REPO / "benchmarks" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name", ["laxcheck-a1-b1-t6", "laxcheck-a2-b1-neg-t6", "identities-w6", "tau-a1-b2-d7"]
+)
+def test_exact_benchmark_job_matches_its_reference(name, tmp_path):
+    # the benchmark's exact jobs, in-process, against its references, so a
+    # report change shows up in the tests and not only in a benchmark run
+    bench = load_benchmark_runner()
+    (job,) = [j for jobs in bench.WORKLOADS.values() for j in jobs if j.name == name]
+    out = tmp_path / f"{name}.json"
+    assert main(list(job.argv) + ["--out", str(out)]) == 0
+    reference = (bench.REFERENCE / f"{name}.json").read_text(encoding="utf-8")
+    assert bench.compare_to_reference(out.read_text(encoding="utf-8"), reference) is None
 
 
 def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):

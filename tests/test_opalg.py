@@ -106,6 +106,12 @@ def test_inverse_geometric_series():
     assert inv.coeff(-2) == x * x.shift(-1)
 
 
+def test_inverse_window_stops_at_operand_truncation():
+    # the requested depth -5 lies below W0's own floor -4, so -4 is certified
+    w0 = build_W0(SessionParams(1, 1, 1, T=4))
+    assert op_inverse(w0, -5, side="top").window() == (-4, None)
+
+
 def test_inverse_two_sided():
     rng = random.Random(9)
     for _ in range(5):
@@ -315,6 +321,21 @@ def test_lm_relation_negative_control(params11):
     assert failing and "offending coefficient" in failing[0]["detail"]
 
 
+def test_lm_relation_negative_control_bar(params11):
+    # the barred collapse is checked by multiplying q^(M0bar) back, so damage
+    # to L0bar^(1/(tau+1)) must fail exactly that check, at the damaged power
+    session = LaxSession(params11)
+    lfrac, lbarfrac = session.lax
+    bad = dict(lbarfrac.coeffs)
+    bad[3] = lbarfrac.coeff(3) + qpow(ExponentPoly.const(Fraction(1)))
+    session.lax = (lfrac, DiffOp(lbarfrac.step, bad, lbarfrac.floor, lbarfrac.ceil))
+    rep = check_LM_relation(session)
+    failing = [c for c in rep["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["orlov_monomial_collapse_bar"]
+    step = lbarfrac.step
+    assert failing[0]["detail"].startswith(f"first offending coefficient at power {3 * step}: ")
+
+
 @pytest.mark.parametrize(
     "a,b,sign", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1), (2, 1, -1), (3, 2, -1)]
 )
@@ -369,8 +390,9 @@ def test_orlov_names_the_power_of_a_damaged_inverse_coefficient():
     assert f"q^M0 closed form: first offending coefficient at power {-T}: " in str(exc.value)
 
 
-@pytest.mark.parametrize("tau_degree,inversions", [(None, 2), (4, 4)])
-def test_laxcheck_suite_inverts_each_operator_once(monkeypatch, tau_degree, inversions):
+@pytest.mark.parametrize("tau_degree", [None, 4])
+def test_laxcheck_suite_never_calls_op_inverse(monkeypatch, tau_degree):
+    # every inverse the exact checks use is a closed form certified by a product
     calls = []
     inverse = opalg.op_inverse
 
@@ -381,7 +403,7 @@ def test_laxcheck_suite_inverts_each_operator_once(monkeypatch, tau_degree, inve
     monkeypatch.setattr(opalg, "op_inverse", counting_inverse)
     report = laxcheck_suite(SessionParams(1, 1, 1, T=4), tau_degree=tau_degree)
     assert report["passed"]
-    assert len(calls) == inversions, calls
+    assert calls == []
 
 
 def test_monomial_pow():
@@ -400,7 +422,7 @@ def dressing11():
     params = SessionParams(1, 1, 1, T=4)
     ctx = VertexContext(4)
     table = tau_table(1, 1, 1, 0, 4, ctx)
-    return table, dressing_from_tau(table, params, order=4)
+    return table, dressing_from_tau(table, order=4)
 
 
 def test_dressing_leading_values(dressing11):
@@ -417,21 +439,19 @@ def test_dressing_derivative_of_constant_coefficient(dressing11):
 
 
 def test_dressing_truncation_stability():
-    params = SessionParams(1, 1, 1, T=3)
     ctx = VertexContext(3)
-    small = dressing_from_tau(tau_table(1, 1, 1, 0, 1, ctx), params, order=1)
-    big = dressing_from_tau(tau_table(1, 1, 1, 0, 3, ctx), params, order=3)
+    small = dressing_from_tau(tau_table(1, 1, 1, 0, 1, ctx), order=1)
+    big = dressing_from_tau(tau_table(1, 1, 1, 0, 3, ctx), order=3)
     assert small.W.coeff(-1) == big.W.coeff(-1)
     assert small.Wbar.coeff(1) == big.Wbar.coeff(1)
 
 
 def test_dressing_trivial_table_is_identity():
-    params = SessionParams(1, 1, 1, T=3)
     table = tau_table(1, 1, 1, 0, 3)
     for key in table.gammas:
         if key != ((), ()):
             table.gammas[key] = QFieldElem.zero()
-    dressing = dressing_from_tau(table, params, order=3)
+    dressing = dressing_from_tau(table, order=3)
     assert dressing.W.coeff(0).is_one()
     for n in range(1, 4):
         assert dressing.W.coeff(-n).is_zero()
@@ -451,9 +471,65 @@ def test_dressing_matches_factorization(dressing11):
 
 def test_dressing_order_validation(dressing11):
     table, _ = dressing11
-    params = SessionParams(1, 1, 1, T=4)
     with pytest.raises(TruncationInsufficient):
-        dressing_from_tau(table, params, order=9)
+        dressing_from_tau(table, order=9)
+
+
+def test_dressing_inverses_are_the_adjoint_tau_quotients(dressing11):
+    _, dressing = dressing11
+    one = DiffOp.monomial(Fraction(1), 0, ONE)
+    for w, w_inv in ((dressing.W, dressing.W_inv), (dressing.Wbar, dressing.Wbar_inv)):
+        assert w_inv.window() == w.window()
+        assert (w * w_inv - one).is_zero_on_window()
+        assert (w_inv * w - one).is_zero_on_window()
+    assert dressing.W_inv.coeff(-1) == -dressing.W.coeff(-1)
+
+
+def damage_entry(table, nu, nubar):
+    # add q^1 to one gamma; the entry changes by q^(its exponent) * q
+    key = (Partition(nu).parts, Partition(nubar).parts)
+    table.gammas[key] = table.gammas[key] + qpow(ExponentPoly.const(Fraction(1)))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_dressing_certifies_the_w_inverse(d):
+    # entry((d), empty) enters W^-1 at its deepest power -d and W not at all
+    table = tau_table(1, 1, 1, 0, d)
+    damage_entry(table, (d,), ())
+    with pytest.raises(RelationViolated) as exc:
+        dressing_from_tau(table, order=d)
+    assert exc.value.power == -d
+    assert str(exc.value).startswith(
+        f"tau-route W inverse: first offending coefficient at power {-d}: "
+    )
+
+
+def test_dressing_certifies_the_wbar_inverse():
+    table = tau_table(1, 2, 1, 0, 4)
+    damage_entry(table, (), (1, 1))
+    with pytest.raises(RelationViolated) as exc:
+        dressing_from_tau(table, order=4)
+    assert exc.value.power == 2
+    assert str(exc.value).startswith(
+        "tau-route Wbar inverse: first offending coefficient at power 2: "
+    )
+
+
+def test_dressing_agreement_covers_every_coefficient(monkeypatch):
+    # power 2 lies inside the old n <= min(4, d) range, power 5 only in n <= d
+    build = opalg.build_W0
+    for power in (2, 5):
+        def damaged(params, power=power):
+            w0 = build(params)
+            coeffs = dict(w0.coeffs)
+            coeffs[-power] = w0.coeff(-power) + qpow(ExponentPoly.const(Fraction(1)))
+            return DiffOp(w0.step, coeffs, w0.floor, w0.ceil)
+
+        monkeypatch.setattr(opalg, "build_W0", damaged)
+        report = cross_check_initial(SessionParams(1, 1, 1, T=5), max_deg=5)
+        check = next(c for c in report["checks"] if c["name"] == "dressing_agreement")
+        assert not check["passed"]
+        assert check["detail"] == f"first mismatch at Lam^-{power}"
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3)])
@@ -462,6 +538,8 @@ def test_cross_check_initial(a, b):
     report = cross_check_initial(params, max_deg=5)
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
     assert report["gauge_is_identity"]
+    agreement = next(c for c in report["checks"] if c["name"] == "dressing_agreement")
+    assert agreement["detail"] == "coefficients 0..5 equal"
 
 
 def test_cross_check_higher_flow():
