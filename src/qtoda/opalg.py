@@ -84,16 +84,6 @@ class SitePoly(SparsePoly):
             return self
         return SitePoly._raw({tuple(r + beta for r in m): c for m, c in self.coeffs.items()})
 
-    def evaluate(self, sample: Callable[[Fraction], object]):
-        """Evaluate with u(s + r) -> sample(r); exact when samples are exact."""
-        total = None
-        for m, c in self.coeffs.items():
-            v = c
-            for r in m:
-                v = v * sample(r)
-            total = v if total is None else total + v
-        return 0 if total is None else total
-
 
 # ---------------------------------------------------------------------------
 # the operator algebra

@@ -13,6 +13,15 @@ onto nonnegative shift powers agree with the infinite periodic lattice and
 the whole construction is an exact algebra homomorphism down to the cyclic
 realization.
 
+The flows need only the offset-0 diagonal d, so flow_rhs and integrate do
+not form the matrix power.  They sum d over lattice paths of k*b steps of
++a and k*a steps of -b (path_plan, power_diagonal), keeping after each
+step only the partial products that can still return to offset 0.  Every
+entry is built from the same pair of products that banded_mul adds for it,
+so d is bitwise equal to the diagonal of banded_power on floats and equal
+on Fractions.  The banded products remain for the traces, the matrix Lax
+equation and the duality check, and as the reference in the tests.
+
 Everything here works elementwise over numpy arrays; object arrays of
 Fractions run the same code path exactly, which is how the flow stencil is
 compared against the symbolic operator oracle.
@@ -153,7 +162,9 @@ def banded_equal(x: dict[int, np.ndarray], y: dict[int, np.ndarray], n: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _require_positive_sign(params: SessionParams | None, a: int, b: int) -> SessionParams:
+def _require_flow(k: int, params: SessionParams | None, a: int, b: int) -> None:
+    if k < 1:
+        raise UnsupportedFlow("flow index must be >= 1")
     if params is None:
         params = SessionParams(a, b, 1, T=2)
     if params.sign != 1:
@@ -163,7 +174,59 @@ def _require_positive_sign(params: SessionParams | None, a: int, b: int) -> Sess
         )
     if (params.a, params.b) != (a, b):
         raise ValueError("params do not match the lattice type")
-    return params
+
+
+def path_plan(a: int, b: int, k: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]]:
+    """Gather indices of the path recursion for the k-th flow on n sites.
+
+    After t of the k*(a+b) steps, row i of the band holds the paths with i
+    steps of +a, at unreduced offset i*a - (t - i)*b.  Only rows that can
+    still return to offset 0 are kept: i <= k*b and t - i <= k*a.  Entry
+    t - 1 of the plan takes the band from t to t + 1 steps and is
+    (lo, hi, lo2, hi2, idx): the kept rows lo..hi before and lo2..hi2
+    after, and for the rows lo2..hi that take a step of -b, the sites
+    (j + offset) mod n whose -u multiplies them.
+    """
+    ka, kb = k * a, k * b
+    bounds, offsets = [], []
+    for t in range(1, k * (a + b)):
+        lo, hi = max(0, t - ka), min(t, kb)
+        lo2, hi2 = max(0, t + 1 - ka), min(t + 1, kb)
+        bounds.append((lo, hi, lo2, hi2, len(offsets)))
+        offsets += [i * a - (t - i) * b for i in range(lo2, hi + 1)]
+    idx = np.add.outer(offsets, np.arange(n)) % n
+    return [(lo, hi, lo2, hi2, idx[start:start + hi - lo2 + 1])
+            for lo, hi, lo2, hi2, start in bounds]
+
+
+def power_diagonal(u: np.ndarray, plan) -> np.ndarray:
+    """Offset-0 diagonal of the k*(a+b)-th power of the Lax band, by paths.
+
+    Each entry is the sum of the same two products that banded_mul forms
+    for it: the row below times 1 (a step of +a; x*1 is exact, so the
+    multiplication is skipped) and the row itself times the gathered -u
+    (a step of -b).  A two-term sum commutes exactly, so the result is
+    bitwise equal to banded_power(lax_diagonals(u, a, b), k*(a+b), n)[0]
+    on floats and equal on Fractions.
+    """
+    band = np.empty((2, len(u)), dtype=u.dtype)  # after one step: rows 0 (-b) and 1 (+a)
+    neg = np.negative(u, out=band[0])
+    band[1] = 1
+    for lo, hi, lo2, hi2, idx in plan:
+        new = np.empty((hi2 - lo2 + 1, len(u)), dtype=u.dtype)
+        stepped = hi - lo2 + 1  # new rows lo2..hi, reached by a step of -b
+        np.multiply(band[lo2 - lo:], neg.take(idx), out=new[:stepped])
+        first = max(lo + 1, lo2)  # lowest new row also reached by a step of +a
+        new[first - lo2:stepped] += band[first - 1 - lo:hi - lo]
+        if hi2 > hi:  # the all-(+a) row, reached by a step of +a only
+            new[stepped] = band[hi - lo]
+        band = new
+    return band[0]  # the one row left: k*b steps of +a, k*a of -b
+
+
+def _rhs(u: np.ndarray, b: int, plan) -> np.ndarray:
+    d = power_diagonal(u, plan)
+    return u * (d - np.concatenate((d[-b:], d[:-b])))  # d_j - d_{j-b}
 
 
 def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = None) -> np.ndarray:
@@ -173,17 +236,12 @@ def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = Non
     (offset exactly 0 in the unreduced-diagonal representation, which is
     the periodic realization of the infinite-lattice operator; offsets
     that merely wrap to zero modulo the period belong to traces, not to
-    the reduced flow).
+    the reduced flow).  It is summed over lattice paths by power_diagonal,
+    bitwise equal to reading it off banded_power.
     """
-    if k < 1:
-        raise UnsupportedFlow("flow index must be >= 1")
-    _require_positive_sign(params, state.a, state.b)
+    _require_flow(k, params, state.a, state.b)
     u = state.sites
-    n = len(u)
-    m = state.refinement
-    power = banded_power(lax_diagonals(u, state.a, state.b), k * m, n)
-    d = power[0]  # k*b steps of +a and k*a steps of -b always reach offset 0
-    return u * (d - np.roll(d, state.b))
+    return _rhs(u, state.b, path_plan(state.a, state.b, k, len(u)))
 
 
 def conserved_quantities(
@@ -232,36 +290,37 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step classical fourth-order Runge-Kutta; deterministic.
 
-    t_end must be a whole multiple of dt, so a run never ends early.
+    t_end must be a nonnegative whole multiple of dt, so a run never ends
+    early; every input is checked before the first step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    params = _require_positive_sign(params, state.a, state.b)
+    if t_end < 0:
+        raise ValueError(f"t_end = {t_end} must not be negative")
+    if record_every < 1:
+        raise ValueError(f"record_every = {record_every} must be >= 1")
+    _require_flow(k, params, state.a, state.b)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")
     u = state.sites.astype(float).copy()
-    a, b = state.a, state.b
-
-    def f(v: np.ndarray) -> np.ndarray:
-        return flow_rhs(LatticeState(a, b, v), k, params)
+    b = state.b
+    plan = path_plan(state.a, b, k, len(u))
 
     times = [state.time]
     states = [u.copy()]
-    t = state.time
-    for step in range(n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = f(u)
-            k2 = f(u + 0.5 * dt * k1)
-            k3 = f(u + 0.5 * dt * k2)
-            k4 = f(u + dt * k3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            k1 = _rhs(u, b, plan)
+            k2 = _rhs(u + 0.5 * dt * k1, b, plan)
+            k3 = _rhs(u + 0.5 * dt * k2, b, plan)
+            k4 = _rhs(u + dt * k3, b, plan)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
-            raise NonFinite(f"state left double-precision range at step {step + 1}")
-        t = state.time + (step + 1) * dt
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            times.append(t)
-            states.append(u.copy())
+            if not np.isfinite(u).all():
+                raise NonFinite(f"state left double-precision range at step {step + 1}")
+            if (step + 1) % record_every == 0 or step + 1 == n_steps:
+                times.append(state.time + (step + 1) * dt)
+                states.append(u.copy())
     return Trajectory(np.array(times), np.array(states))
 
 
@@ -307,17 +366,31 @@ def symbolic_flow_stencil(a: int, b: int, k: int = 1) -> SitePoly:
 
 
 def stencil_apply(stencil: SitePoly, u: np.ndarray, m: int) -> np.ndarray:
-    """Evaluate a symbolic stencil on lattice data (offsets scale by m)."""
+    """Evaluate a symbolic stencil on lattice data (offsets scale by m).
+
+    Each monomial's offsets become site offsets once; the sites are then
+    summed on a plain list, exactly when u holds Fractions.
+    """
     n = len(u)
-    out = []
-    for j in range(n):
-        def sample(r: Fraction, j=j):
+    terms = []
+    for mono, c in stencil.coeffs.items():
+        sites = []
+        for r in mono:
             idx = r * m
             if idx.denominator != 1:
                 raise ValueError("stencil offset off the refined lattice")
-            return u[(j + idx.numerator) % n]
-
-        out.append(stencil.evaluate(sample))
+            sites.append(idx.numerator % n)
+        terms.append((c, sites))
+    values = u.tolist() * 2  # values[j + o] is u[(j + o) mod n] for 0 <= o < n
+    out = []
+    for j in range(n):
+        total = 0
+        for c, sites in terms:
+            v = c
+            for o in sites:
+                v = v * values[j + o]
+            total = total + v
+        out.append(total)
     return np.array(out, dtype=u.dtype)
 
 

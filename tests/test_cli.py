@@ -178,6 +178,16 @@ def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):
     assert "whole multiple" in capsys.readouterr().err
 
 
+def test_simulate_rejects_flow_zero(tmp_path, capsys):
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", "--flows", "0",
+        "--out-csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert "flow index must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_simulate_zero_amplitude_constant_csv(tmp_path):
     csv = tmp_path / "run.csv"
     out = tmp_path / "run.json"

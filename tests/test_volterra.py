@@ -23,13 +23,23 @@ from qtoda.volterra import (
     invariant_drift,
     lax_diagonals,
     lax_equation_residual,
+    path_plan,
     perturbed_constant_state,
+    power_diagonal,
     stationarity_check,
     stencil_apply,
     symbolic_flow_stencil,
 )
 
 COPRIME_SMALL = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1)]
+# every lattice type with a + b <= 7, with the flows k <= 3
+FLOW_TYPES = [
+    (a, m - a, k)
+    for m in range(2, 8)
+    for a in range(1, m)
+    if math.gcd(a, m - a) == 1
+    for k in (1, 2, 3)
+]
 
 
 def rational_state(a, b, coarse, seed=0):
@@ -59,6 +69,82 @@ def test_flow_matches_symbolic_oracle(a, b):
     num = flow_rhs(state, 1)
     sym = stencil_apply(symbolic_flow_stencil(a, b, 1), state.sites, a + b)
     assert np.all(num == sym)
+
+
+def test_stencil_apply_rejects_offsets_off_the_lattice():
+    from qtoda.opalg import SitePoly
+
+    u = np.array([Fraction(1)] * 4, dtype=object)
+    with pytest.raises(ValueError, match="off the refined lattice"):
+        stencil_apply(SitePoly.u(Fraction(1, 4)), u, 2)
+
+
+@pytest.mark.parametrize("a,b,k", FLOW_TYPES)
+def test_power_diagonal_bitwise_equals_banded_power(a, b, k):
+    """The path recursion forms the same products as banded_mul; on the
+    smallest lattice n = 2(a+b) the offsets wrap around the period."""
+    m = a + b
+    for n in (2 * m, 3 * m):
+        u = np.random.default_rng(100 * a + 10 * b + k + n).uniform(0.5, 1.5, n)
+        plan = path_plan(a, b, k, n)
+        expected = banded_power(lax_diagonals(u, a, b), k * m, n)[0]
+        assert np.array_equal(power_diagonal(u, plan), expected), n
+        exact = rational_state(a, b, n // m, seed=n + k).sites
+        expected = banded_power(lax_diagonals(exact, a, b), k * m, n)[0]
+        assert all(power_diagonal(exact, plan) == expected), n
+
+
+@pytest.mark.parametrize("a,b,k", FLOW_TYPES)
+def test_path_plan_keeps_exactly_the_rows_that_return(a, b, k):
+    """After t steps, a row is kept iff some choice of the remaining steps
+    brings its offset i*a - (t - i)*b back to 0."""
+    power = k * (a + b)
+    n = 2 * (a + b)
+
+    def returning(t):
+        return [
+            i for i in range(t + 1)
+            if any(i * a - (t - i) * b + j * a - (power - t - j) * b == 0
+                   for j in range(power - t + 1))
+        ]
+
+    plan = path_plan(a, b, k, n)
+    assert len(plan) == power - 1
+    for t, (lo, hi, lo2, hi2, idx) in enumerate(plan, start=1):
+        assert list(range(lo, hi + 1)) == returning(t)
+        assert list(range(lo2, hi2 + 1)) == returning(t + 1)
+        assert idx.shape == (hi - lo2 + 1, n)
+
+
+def _banded_rk4(state, k, dt, steps):
+    """Classical RK4 over the flow read off banded_power (the reference)."""
+    a, b = state.a, state.b
+    n = len(state.sites)
+
+    def f(v):
+        d = banded_power(lax_diagonals(v, a, b), k * (a + b), n)[0]
+        return v * (d - np.roll(d, b))
+
+    u = state.sites.astype(float).copy()
+    states = [u.copy()]
+    for _ in range(steps):
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(u.copy())
+    return states
+
+
+@pytest.mark.parametrize("a,b,k", [(1, 1, 1), (2, 3, 1)])
+def test_integrate_bitwise_equals_banded_rk4(a, b, k):
+    state = perturbed_constant_state(a, b, 6, amplitude=0.3)
+    traj = integrate(state, k, t_end=0.05, dt=1e-3)
+    reference = _banded_rk4(state, k, 1e-3, 50)
+    assert len(traj.states) == len(reference) == 51
+    for step, (got, expected) in enumerate(zip(traj.states, reference)):
+        assert np.array_equal(got, expected), step
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
@@ -108,6 +194,24 @@ def test_banded_algebra_roundtrips():
 def test_integration_zero_data_stays_zero():
     traj = integrate(LatticeState(1, 1, np.zeros(12)), 1, t_end=0.5, dt=1e-2)
     assert np.all(traj.states == 0.0)
+
+
+def test_integration_validates_the_flow_before_a_step():
+    # t_end = 0 takes no step, so only an up-front check can raise
+    state = LatticeState(1, 1, np.ones(8))
+    with pytest.raises(UnsupportedFlow, match="flow index"):
+        integrate(state, 0, t_end=0.0)
+    with pytest.raises(UnsupportedFlow, match="positive-sign"):
+        integrate(LatticeState(2, 1, np.ones(6)), 1, t_end=0.0,
+                  params=SessionParams(2, 1, -1, T=2))
+
+
+def test_integration_rejects_negative_end_time_and_record_interval():
+    state = LatticeState(1, 1, np.ones(8))
+    with pytest.raises(ValueError, match="must not be negative"):
+        integrate(state, 1, t_end=-1.0)
+    with pytest.raises(ValueError, match="record_every"):
+        integrate(state, 1, t_end=0.0, record_every=0)
 
 
 def test_integration_rejects_truncated_end_time():
