@@ -28,7 +28,6 @@ from .schur import (
     PowerSumRing,
     Specialization,
     negate_p,
-    specialize_neg_rho,
     specialize_nu_rho,
     specialize_rho,
 )

@@ -134,6 +134,11 @@ def cmd_identities(args) -> int:
 
 
 def cmd_laxcheck(args) -> int:
+    if args.flow < 1:
+        raise ValueError(f"--flow {args.flow} must be >= 1")
+    if args.flow != 1 and not args.deg:
+        raise ValueError(f"--flow {args.flow} needs --deg: only the tau cross-check "
+                         "runs a flow other than the first")
     params = SessionParams(args.a, args.b, args.sign, T=args.T)
     if args.flow > 1:
         print(
@@ -147,6 +152,8 @@ def cmd_laxcheck(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.invariants < 1:
+        raise ValueError(f"--invariants {args.invariants} must be >= 1")
     state = perturbed_constant_state(
         args.a, args.b, args.sites, base=args.base, amplitude=args.amplitude,
         wavelength=args.wavelength,

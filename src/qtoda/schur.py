@@ -3,24 +3,22 @@
 S_mu is defined through the Jacobi-Trudi determinant det(S_{mu_i - i + j})
 of complete homogeneous pieces, where the S_m are generated by
 exp(sum_k p_k z^k / k).  Polynomials are exact (Fraction coefficients);
-determinants over the polynomial ring are evaluated by fraction-free
-Gaussian elimination so intermediate entries stay polynomial.
+a determinant over the polynomial ring is a cofactor expansion down the
+rows, with each minor computed once, so no step divides.
 
 The module also provides the closed-form principal specializations of the
-power sums used by the vertex: p_k at q^rho, at q^(nu+rho), and the
-rational continuation at q^(-rho).
+power sums used by the vertex: p_k at q^rho and at q^(nu+rho).  The
+rational continuation to q^(-rho) is p_k -> -p_k, so a value there is
+`negate_p()` evaluated at q^rho.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from .errors import DegreeBoundExceeded
 from .partitions import EMPTY, Partition
 from .qfield import ExponentPoly, QFieldElem, QPowerSum
 from .sparse import SparsePoly
-
-_ZERO = Fraction(0)
 
 # A monomial in p_1, p_2, ... is the tuple of exponents (e1, e2, ..., ek)
 # with trailing zeros dropped; () is the constant monomial.
@@ -88,64 +86,30 @@ class PowerSumPoly(SparsePoly):
     def is_homogeneous(self, degree: int) -> bool:
         return self.weighted_degrees() <= {degree}
 
-    # -- leading term machinery for exact division ----------------------
 
-    def _lead(self) -> tuple[Monomial, Fraction]:
-        key = max(self.coeffs, key=self._display_key)
-        return key, self.coeffs[key]
-
-    def divide_exact(self, divisor: "PowerSumPoly") -> "PowerSumPoly":
-        """Exact polynomial division; raises if the division leaves a remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return PowerSumPoly()
-        lead_m, lead_c = divisor._lead()
-        rem = self
-        quot: dict[Monomial, Fraction] = {}
-        while not rem.is_zero():
-            rm, rc = rem._lead()
-            diff = [0] * len(rm)
-            for i, e in enumerate(lead_m):
-                diff_i = rm[i] - e if i < len(rm) else -e
-                if diff_i < 0:
-                    raise ArithmeticError("inexact polynomial division")
-                diff[i] = diff_i
-            for i in range(len(lead_m), len(rm)):
-                diff[i] = rm[i]
-            while diff and diff[-1] == 0:
-                diff.pop()
-            qm, qc = tuple(diff), rc / lead_c
-            quot[qm] = quot.get(qm, _ZERO) + qc
-            rem = rem - divisor * PowerSumPoly({qm: qc})
-        return PowerSumPoly(quot)
-
-
-def _bareiss_det(matrix: list[list[PowerSumPoly]]) -> PowerSumPoly:
-    """Fraction-free determinant over the polynomial ring."""
+def _det(matrix: list[list[PowerSumPoly]]) -> PowerSumPoly:
+    """Cofactor expansion down the rows; the minor on the rows below row r
+    depends only on its column set, so each is computed once, and zero
+    entries are skipped."""
     n = len(matrix)
-    if n == 0:
-        return PowerSumPoly.one()
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = PowerSumPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return PowerSumPoly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divide_exact(prev)
-            m[i][k] = PowerSumPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    minors: dict[tuple[int, ...], PowerSumPoly] = {}
+
+    def minor(cols: tuple[int, ...]) -> PowerSumPoly:
+        if not cols:
+            return PowerSumPoly.one()
+        got = minors.get(cols)
+        if got is None:
+            row = matrix[n - len(cols)]
+            got = PowerSumPoly.zero()
+            for pos, j in enumerate(cols):
+                if row[j].is_zero():
+                    continue
+                term = row[j] * minor(cols[:pos] + cols[pos + 1 :])
+                got = got - term if pos % 2 else got + term
+            minors[cols] = got
+        return got
+
+    return minor(tuple(range(n)))
 
 
 class PowerSumRing:
@@ -195,7 +159,7 @@ class PowerSumRing:
             ]
             for i in range(1, size + 1)
         ]
-        return _bareiss_det(matrix)
+        return _det(matrix)
 
     def schur(self, mu: Partition, size: int | None = None) -> PowerSumPoly:
         """S_mu as a determinant of size >= l(mu); independent of the size."""
@@ -230,7 +194,6 @@ def negate_p(f: PowerSumPoly) -> PowerSumPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def specialize_rho(k: int) -> QFieldElem:
     """p_k at q^rho: the closed geometric form 1 / (q^(k/2) - q^(-k/2))."""
     if k < 1:
@@ -240,12 +203,6 @@ def specialize_rho(k: int) -> QFieldElem:
         ExponentPoly.const(-half), Fraction(-1)
     )
     return QFieldElem(QPowerSum.one(), den)
-
-
-@lru_cache(maxsize=None)
-def specialize_neg_rho(k: int) -> QFieldElem:
-    """p_k at q^(-rho) as the rational continuation -p_k(q^rho)."""
-    return -specialize_rho(k)
 
 
 def specialize_nu_rho(nu: Partition, k: int) -> QFieldElem:
@@ -285,12 +242,6 @@ class Specialization:
     @staticmethod
     def rho(degree_bound: int) -> "Specialization":
         return Specialization({k: specialize_rho(k) for k in range(1, degree_bound + 1)})
-
-    @staticmethod
-    def neg_rho(degree_bound: int) -> "Specialization":
-        return Specialization(
-            {k: specialize_neg_rho(k) for k in range(1, degree_bound + 1)}
-        )
 
     @staticmethod
     def nu_rho(nu: Partition, degree_bound: int) -> "Specialization":

@@ -7,9 +7,11 @@ sum over common subdiagrams of the conjugates.  Their equality, and the
 transposition / q -> 1/q symmetries, are the machine-checked identities.
 
 The tau table collects the exact coefficients of the double Schur
-expansion of the lattice tau function.  The cubic part of the exponent
-is independent of the partition pair; it is factored out and recorded as
-a polynomial so that every stored exponent stays quadratic in s.
+expansion of the lattice tau function.  Its matrix elements are Schur
+values at the q^(-rho) continuation, evaluated as p_k -> -p_k at the one
+q^rho specialization.  The cubic part of the exponent is independent of
+the partition pair; it is factored out and recorded as a polynomial so
+that every stored exponent stays quadratic in s.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class VertexContext:
         self.degree_bound = degree_bound
         self.ring = PowerSumRing(degree_bound)
         self.rho = Specialization.rho(degree_bound)
-        self.neg_rho = Specialization.neg_rho(degree_bound)
         self._nu_rho: dict[tuple, Specialization] = {}
         self._schur_at_rho: dict[tuple, QFieldElem] = {}
         self._skew_at: dict[tuple, QFieldElem] = {}
@@ -79,11 +80,12 @@ class VertexContext:
         return got
 
     def skew_at(self, mu: Partition, eta: Partition, point: str) -> QFieldElem:
+        """s_{mu/eta} at q^rho ("rho") or at its continuation q^(-rho) ("neg")."""
         key = (mu.parts, eta.parts, point)
         got = self._skew_at.get(key)
         if got is None:
-            spec = self.rho if point == "rho" else self.neg_rho
-            got = spec.evaluate(self.ring.skew_schur(mu, eta))
+            poly = self.ring.skew_schur(mu, eta)
+            got = self.rho.evaluate(poly if point == "rho" else poly.negate_p())
             self._skew_at[key] = got
         return got
 

@@ -76,9 +76,12 @@ def perturbed_constant_state(
     a: int, b: int, coarse_sites: int, base=1.0, amplitude=0.1, wavelength: int = 12
 ) -> LatticeState:
     """u_j = base + amplitude * sin(2 pi j / wavelength) on the refined lattice."""
+    if wavelength == 0:
+        raise ValueError("wavelength must be nonzero")
     n = coarse_sites * (a + b)
     j = np.arange(n)
-    return LatticeState(a, b, base + amplitude * np.sin(2 * np.pi * j / wavelength))
+    with np.errstate(invalid="ignore"):  # inf * sin(0); integrate names the non-finite start
+        return LatticeState(a, b, base + amplitude * np.sin(2 * np.pi * j / wavelength))
 
 
 def lax_diagonals(u: np.ndarray, a: int, b: int) -> dict[int, np.ndarray]:
@@ -244,9 +247,7 @@ def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = Non
     return _rhs(u, state.b, path_plan(state.a, state.b, k, len(u)))
 
 
-def conserved_quantities(
-    state: LatticeState, kmax: int = 3, params: SessionParams | None = None
-) -> list[float]:
+def conserved_quantities(state: LatticeState, kmax: int = 3) -> list[float]:
     """Traces of the matrix powers to exponents k*(a+b), k = 1..kmax.
 
     Exactly invariant under every local flow; numeric drift therefore
@@ -304,6 +305,9 @@ def integrate(
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")
     u = state.sites.astype(float).copy()
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise NonFinite(f"initial state is not finite: u_{bad[0]} = {u[bad[0]]}")
     b = state.b
     plan = path_plan(state.a, b, k, len(u))
 

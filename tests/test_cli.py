@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qtoda import cli
 from qtoda.cli import main
 from qtoda.errors import TruncationInsufficient
 from qtoda import opalg
@@ -112,6 +113,23 @@ def test_laxcheck_exit_code_on_noncoprime():
     assert main(["laxcheck", "--a", "2", "--b", "2", "--T", "2"]) == 2
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the command did work before rejecting its options")
+
+
+def test_laxcheck_rejects_flow_zero(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "laxcheck_suite", _fail_if_called)
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--flow", "0"]) == 2
+    assert "--flow 0 must be >= 1" in capsys.readouterr().err
+
+
+def test_laxcheck_rejects_higher_flow_without_deg(monkeypatch, capsys):
+    # without --deg no check runs a flow other than the first
+    monkeypatch.setattr(cli, "laxcheck_suite", _fail_if_called)
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--flow", "3"]) == 2
+    assert "--flow 3 needs --deg" in capsys.readouterr().err
+
+
 def test_laxcheck_program_error_in_orlov_build_exits_2(monkeypatch):
     # a program error is a usage/program failure (2), not a failed check (1)
     def truncated(session):
@@ -185,6 +203,36 @@ def test_simulate_rejects_flow_zero(tmp_path, capsys):
     ])
     assert code == 2
     assert "flow index must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_simulate_rejects_invariants_zero_before_integrating(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "integrate", _fail_if_called)
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", "--invariants", "0",
+        "--out-csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert "--invariants 0 must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--wavelength", "0"], "wavelength must be nonzero"),
+        (["--base", "nan"], "initial state is not finite: u_0 = nan"),
+        (["--amplitude", "inf"], "initial state is not finite: u_0 = nan"),
+    ],
+)
+def test_simulate_rejects_a_nonfinite_start(tmp_path, capsys, option, message):
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", "--dt", "1e-2",
+        "--t-end", "0.1", "--out-csv", str(tmp_path / "run.csv"), *option,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "step" not in err
     assert not (tmp_path / "run.csv").exists()
 
 

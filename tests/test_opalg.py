@@ -37,7 +37,7 @@ from qtoda.opalg import (
 from qtoda.errors import RelationViolated
 from qtoda.partitions import Partition
 from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
-from qtoda.schur import PowerSumRing, Specialization, specialize_neg_rho
+from qtoda.schur import PowerSumRing, Specialization, specialize_rho
 from qtoda.suites import laxcheck_suite
 from qtoda.vertex import VertexContext, tau_table
 
@@ -241,7 +241,7 @@ def test_factor_series_matches_schur_column_values():
     ring = PowerSumRing(5)
     # the alphabet {q^(1/2), q^(3/2), ...} has p_k = q^(k/2)/(1-q^k), which is
     # exactly the reflected-point continuation value
-    spec = Specialization({k: specialize_neg_rho(k) for k in range(1, 6)})
+    spec = Specialization({k: -specialize_rho(k) for k in range(1, 6)})
     for n in range(1, 5):
         column = Partition((1,) * n)
         row = Partition((n,))

@@ -1,17 +1,20 @@
 """Schur polynomials, determinant routes, and principal specializations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from qtoda import schur
 from qtoda.errors import DegreeBoundExceeded
 from qtoda.partitions import EMPTY, Partition, enumerate_partitions
 from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum
+from qtoda.suites import schur_structure_suite
+from qtoda.vertex import VertexContext, subpartitions
 from qtoda.schur import (
     PowerSumPoly,
     PowerSumRing,
     Specialization,
-    specialize_neg_rho,
     specialize_nu_rho,
     specialize_rho,
 )
@@ -81,6 +84,129 @@ def test_skew_negation_identity(ring):
             assert lhs == rhs, (mu, nu)
 
 
+# -- routes that share no code with the determinant ---------------------
+
+
+def _fraction_det(rows: list[list[int]]) -> Fraction:
+    """Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+def _at_power_sums(poly: PowerSumPoly, xs: list[int]) -> Fraction:
+    """poly at p_k = sum_i x_i^k."""
+    p = {k: sum(x**k for x in xs) for k in range(1, poly.max_index() + 1)}
+    total = Fraction(0)
+    for mono, c in poly.coeffs.items():
+        for k, e in enumerate(mono, start=1):
+            c *= p[k] ** e
+        total += c
+    return total
+
+
+def _bialternant(lam: Partition, xs: list[int]) -> Fraction:
+    """s_lam(x_1..x_n) = det(x_i^(lam_j + n - j)) / det(x_i^(n - j))."""
+    n = len(xs)
+    num = [[x ** (lam.part(j) + n - j) for j in range(1, n + 1)] for x in xs]
+    den = [[x ** (n - j) for j in range(1, n + 1)] for x in xs]
+    return _fraction_det(num) / _fraction_det(den)
+
+
+def _integer_points(n: int, count: int, seed: int) -> list[list[int]]:
+    rng = random.Random(seed)
+    return [rng.sample(range(-6, 7), n) for _ in range(count)]
+
+
+def test_schur_matches_the_bialternant_at_integer_points():
+    ring = PowerSumRing(10)
+    shapes = enumerate_partitions(7) + [Partition((4, 3, 2, 1))]
+    for lam in shapes:
+        # one variable more than the length, so a padding row is exercised too
+        for xs in _integer_points(lam.length + 1, 4, seed=lam.weight):
+            assert _at_power_sums(ring.schur(lam), xs) == _bialternant(lam, xs), (lam, xs)
+
+
+def test_skew_schur_matches_the_coproduct_at_integer_points():
+    # s_lam(x, y) = sum over mu inside lam of s_{lam/mu}(x) s_mu(y)
+    ring = PowerSumRing(6)
+    for lam in enumerate_partitions(6):
+        inner = [mu for mu in enumerate_partitions(lam.weight) if lam.contains(mu)]
+        for point in _integer_points(6, 4, seed=lam.weight):
+            xs, ys = point[:3], point[3:]
+            lhs = _at_power_sums(ring.schur(lam), xs + ys)
+            rhs = sum(
+                _at_power_sums(ring.skew_schur(lam, mu), xs)
+                * _at_power_sums(ring.schur(mu), ys)
+                for mu in inner
+            )
+            assert lhs == rhs, (lam, point)
+
+
+def test_continuation_matches_explicit_negated_specialization():
+    """q^(-rho) as p -> -p at q^rho against the explicit point p_k = -p_k(q^rho)."""
+    ctx = VertexContext(6)
+    neg = Specialization({k: -specialize_rho(k) for k in range(1, 7)})
+    for mu in enumerate_partitions(6):
+        for eta in subpartitions(mu):
+            expected = neg.evaluate(ctx.ring.skew_schur(mu, eta))
+            assert str(ctx.skew_at(mu, eta, "neg")) == str(expected), (mu, eta)
+    parts = enumerate_partitions(6)
+    for nu in parts:
+        for nubar in parts:
+            if nu.weight + nubar.weight > 6:
+                continue
+            expected = QFieldElem.zero()
+            for eta in subpartitions(nu.intersect(nubar)):
+                expected = expected + neg.evaluate(ctx.ring.skew_schur(nu, eta)) * neg.evaluate(
+                    ctx.ring.skew_schur(nubar, eta)
+                )
+            assert str(ctx.gamma_matrix_element(nu, nubar)) == str(expected), (nu, nubar)
+
+
+def test_size_independence_check_fails_on_a_wrong_padded_expansion(monkeypatch):
+    """Negative control: a cofactor expansion that drops the signs (a
+    permanent) on matrices larger than l(mu) must fail the suite's check."""
+
+    def permanent(matrix):
+        if not matrix:
+            return PowerSumPoly.one()
+        total = PowerSumPoly.zero()
+        for j, entry in enumerate(matrix[0]):
+            if not entry.is_zero():
+                rest = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+                total = total + entry * permanent(rest)
+        return total
+
+    real = schur._det
+
+    def mutated(matrix):
+        # rows below l(mu) read (0, ..., 0, 1): only padded matrices change
+        last = matrix[-1] if matrix else []
+        padded = last and all(e.is_zero() for e in last[:-1]) and last[-1] == PowerSumPoly.one()
+        return permanent(matrix) if padded else real(matrix)
+
+    monkeypatch.setattr(schur, "_det", mutated)
+    report = schur_structure_suite(4)
+    check = next(c for c in report["checks"] if c["name"] == "determinant_size_independence_w4")
+    assert report["passed"] is False and check["passed"] is False
+    # one-row shapes give triangular padded matrices, where the permanent is
+    # the determinant; (1, 1) is the first partition the mutation breaks
+    assert check["detail"].split("; ")[0] == str(Partition((1, 1)))
+
+
 def test_homogeneity(ring):
     for mu in enumerate_partitions(6):
         assert ring.schur(mu).is_homogeneous(mu.weight)
@@ -112,11 +238,6 @@ def test_specialize_nu_rho_examples():
         QPowerSum.monomial(ExponentPoly.const(Fraction(-3, 2))), geom_den
     )
     assert specialize_nu_rho(Partition((1,)), 1) == expect
-
-
-def test_neg_rho_is_continuation():
-    for k in (1, 2, 3, 4):
-        assert specialize_neg_rho(k) == -specialize_rho(k)
 
 
 def test_power_sum_special_point_relation():

@@ -7,7 +7,7 @@ import pytest
 from qtoda.errors import DegreeBoundExceeded, InvalidTau, NonCoprime
 from qtoda.partitions import EMPTY, Partition
 from qtoda.qfield import ExponentPoly, QFieldElem, qpow
-from qtoda.schur import specialize_neg_rho, specialize_rho
+from qtoda.schur import specialize_rho
 from qtoda.suites import pairs_up_to
 from qtoda.vertex import VertexContext, subpartitions, tau_table
 
@@ -61,8 +61,9 @@ def test_vertex_inversion_symmetry(ctx):
 def test_gamma_matrix_element_examples(ctx):
     assert ctx.gamma_matrix_element(EMPTY, EMPTY).is_one()
     one = Partition((1,))
-    assert ctx.gamma_matrix_element(one, EMPTY) == specialize_neg_rho(1)
-    expected = specialize_neg_rho(1) * specialize_neg_rho(1) + QFieldElem.one()
+    p1_neg = -specialize_rho(1)
+    assert ctx.gamma_matrix_element(one, EMPTY) == p1_neg
+    expected = p1_neg * p1_neg + QFieldElem.one()
     assert ctx.gamma_matrix_element(one, one) == expected
 
 
@@ -109,7 +110,7 @@ def test_tau_table_normalized_entry():
 def test_tau_table_entry_example():
     # entry ((1), empty) at tau=1, c=0: q^(2s) * (-1/(q^(1/2)-q^(-1/2)))
     table = tau_table(1, 1, 1, 0, 3)
-    expected = qpow(ExponentPoly.of(c1=2)) * specialize_neg_rho(1)
+    expected = -qpow(ExponentPoly.of(c1=2)) * specialize_rho(1)
     assert table.entry(Partition((1,)), EMPTY) == expected
 
 

@@ -253,6 +253,15 @@ def test_nonfinite_detection():
         integrate(bad, 1, 1.0, 1e-2)
 
 
+def test_nonfinite_start_is_named_before_a_step():
+    # t_end = 0 takes no step, so only the up-front check can raise
+    bad = LatticeState(1, 1, np.array([1.0, np.inf, 1.0, 1.0]))
+    with pytest.raises(NonFinite, match="initial state is not finite: u_1 = inf"):
+        integrate(bad, 1, t_end=0.0)
+    with pytest.raises(ValueError, match="wavelength"):
+        perturbed_constant_state(1, 1, 4, wavelength=0)
+
+
 def test_conservation_drift_small():
     state = perturbed_constant_state(1, 1, 12)
     traj = integrate(state, 1, t_end=2.0, dt=1e-3, record_every=250)
