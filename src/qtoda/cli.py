@@ -139,13 +139,13 @@ def cmd_laxcheck(args) -> int:
     if args.flow != 1 and not args.deg:
         raise ValueError(f"--flow {args.flow} needs --deg: only the tau cross-check "
                          "runs a flow other than the first")
+    if args.deg < 0:
+        raise ValueError(f"--deg {args.deg} must be >= 0 (0 skips the cross-check)")
+    if 0 < args.deg < args.flow + 2:
+        raise ValueError(f"--deg {args.deg} must be 0 or >= {args.flow + 2} for --flow {args.flow}")
     params = SessionParams(args.a, args.b, args.sign, T=args.T)
     if args.flow > 1:
-        print(
-            f"note: flow index {args.flow} needs tau-table degree >= {args.flow + 2}; "
-            "cost grows quickly with the degree",
-            file=sys.stderr,
-        )
+        print("note: the cost grows quickly with --deg", file=sys.stderr)
     report = laxcheck_suite(params, tau_degree=args.deg, flow_k=args.flow)
     _emit_json(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

@@ -22,9 +22,9 @@ so d is bitwise equal to the diagonal of banded_power on floats and equal
 on Fractions.  The banded products remain for the traces, the matrix Lax
 equation and the duality check, and as the reference in the tests.
 
-Everything here works elementwise over numpy arrays; object arrays of
-Fractions run the same code path exactly, which is how the flow stencil is
-compared against the symbolic operator oracle.
+The flows work elementwise over numpy arrays; object arrays of Fractions
+run the same code path exactly.  The oracle compares them on such a state
+with symbolic_flow_stencil, which stencil_apply evaluates in integers.
 """
 
 from __future__ import annotations
@@ -360,11 +360,16 @@ def symbolic_flow_stencil(a: int, b: int, k: int = 1) -> SitePoly:
     """The flow right-hand side extracted from the symbolic operator power.
 
     u(s) * ((L^k)_0 - (L^k)_0 at s - b/(a+b)), with (.)_0 the coefficient
-    of the zeroth shift power of the (k*(a+b))-th power.
+    of the zeroth shift power of the (k*(a+b))-th power.  Only that one
+    coefficient is formed: r = k*(a+b) - 1 products by the exact L narrow
+    the start window [-a*r, b*r] to [0, 0], skipping every other term.
     """
     m = a + b
     lax = symbolic_lax(a, b, 1)
-    power = lax.pow_int(k * m)
+    r = k * m - 1
+    power = lax.with_floor(-a * r).with_ceil(b * r)
+    for _ in range(r):
+        power = power * lax
     p0 = power.coeff(0)
     return SitePoly.u(0) * (p0 - p0.shift(Fraction(-b, m)))
 
@@ -372,11 +377,12 @@ def symbolic_flow_stencil(a: int, b: int, k: int = 1) -> SitePoly:
 def stencil_apply(stencil: SitePoly, u: np.ndarray, m: int) -> np.ndarray:
     """Evaluate a symbolic stencil on lattice data (offsets scale by m).
 
-    Each monomial's offsets become site offsets once; the sites are then
-    summed on a plain list, exactly when u holds Fractions.
+    Exact on object arrays of ints and Fractions; a float array gets the
+    correctly rounded value.  u is scaled to integers by the lcm of its
+    denominators, and each site sums per (degree, coefficient denominator).
     """
     n = len(u)
-    terms = []
+    groups: dict[tuple[int, int], list] = {}
     for mono, c in stencil.coeffs.items():
         sites = []
         for r in mono:
@@ -384,16 +390,19 @@ def stencil_apply(stencil: SitePoly, u: np.ndarray, m: int) -> np.ndarray:
             if idx.denominator != 1:
                 raise ValueError("stencil offset off the refined lattice")
             sites.append(idx.numerator % n)
-        terms.append((c, sites))
-    values = u.tolist() * 2  # values[j + o] is u[(j + o) mod n] for 0 <= o < n
+        groups.setdefault((len(sites), c.denominator), []).append((c.numerator, sites))
+    den = math.lcm(*(Fraction(x).denominator for x in u.tolist()))
+    values = [int(Fraction(x) * den) for x in u.tolist()] * 2  # [j + o]: den * u[(j + o) % n]
     out = []
     for j in range(n):
-        total = 0
-        for c, sites in terms:
-            v = c
-            for o in sites:
-                v = v * values[j + o]
-            total = total + v
+        total = Fraction(0)
+        for (deg, cden), terms in groups.items():
+            acc = 0
+            for c, sites in terms:
+                for o in sites:
+                    c *= values[j + o]
+                acc += c
+            total += Fraction(acc, cden * den**deg)
         out.append(total)
     return np.array(out, dtype=u.dtype)
 

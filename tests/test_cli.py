@@ -2,19 +2,22 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qtoda import cli
 from qtoda.cli import main
 from qtoda.errors import TruncationInsufficient
 from qtoda import opalg
-from qtoda.opalg import LaxSession
+from qtoda.opalg import LaxSession, SitePoly
 from qtoda.qfield import ExponentPoly, qpow
+from qtoda.volterra import LatticeState, flow_rhs, stencil_apply, symbolic_flow_stencil
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
 REPO = Path(__file__).resolve().parents[1]
@@ -130,6 +133,21 @@ def test_laxcheck_rejects_higher_flow_without_deg(monkeypatch, capsys):
     assert "--flow 3 needs --deg" in capsys.readouterr().err
 
 
+def test_laxcheck_rejects_negative_deg(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "laxcheck_suite", _fail_if_called)
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "-1"]) == 2
+    assert "--deg -1 must be >= 0 (0 skips the cross-check)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flow,deg", [(1, 2), (1, 1), (2, 3)])
+def test_laxcheck_rejects_deg_below_flow_plus_2(monkeypatch, capsys, flow, deg):
+    # the cross-check needs a tau table of degree flow + 2 or more
+    monkeypatch.setattr(cli, "laxcheck_suite", _fail_if_called)
+    argv = ["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--flow", str(flow), "--deg", str(deg)]
+    assert main(argv) == 2
+    assert f"--deg {deg} must be 0 or >= {flow + 2} for --flow {flow}" in capsys.readouterr().err
+
+
 def test_laxcheck_program_error_in_orlov_build_exits_2(monkeypatch):
     # a program error is a usage/program failure (2), not a failed check (1)
     def truncated(session):
@@ -165,8 +183,11 @@ def test_laxcheck_wrong_tau_table_entry_exits_2(monkeypatch, capsys):
     assert "tau-route W inverse: first offending coefficient at power -4: " in err
 
 
-def load_benchmark_runner():
-    spec = importlib.util.spec_from_file_location("benchmark_run", REPO / "benchmarks" / "run.py")
+def load_benchmark(stem):
+    """Import benchmarks/<stem>.py, which is not a package module."""
+    spec = importlib.util.spec_from_file_location(
+        f"benchmark_{stem}", REPO / "benchmarks" / f"{stem}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module by name
     spec.loader.exec_module(module)
@@ -179,12 +200,38 @@ def load_benchmark_runner():
 def test_exact_benchmark_job_matches_its_reference(name, tmp_path):
     # the benchmark's exact jobs, in-process, against its references, so a
     # report change shows up in the tests and not only in a benchmark run
-    bench = load_benchmark_runner()
+    bench = load_benchmark("run")
     (job,) = [j for jobs in bench.WORKLOADS.values() for j in jobs if j.name == name]
     out = tmp_path / f"{name}.json"
     assert main(list(job.argv) + ["--out", str(out)]) == 0
     reference = (bench.REFERENCE / f"{name}.json").read_text(encoding="utf-8")
     assert bench.compare_to_reference(out.read_text(encoding="utf-8"), reference) is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_oracle_job_is_exact(seed):
+    # the benchmark's oracle job, in-process: flow_rhs on its rational state
+    # equals the symbolic stencil at every site, in Fractions
+    child = load_benchmark("child")
+    assert child.run_oracle(child.oracle_state(seed))
+
+
+def test_oracle_sees_one_wrong_stencil_coefficient():
+    # negative control: one monomial coefficient of the (2,3,2) stencil off
+    # by 1/7 moves the evaluated stencil at site 0 by exactly 1/7 times
+    # that monomial's value there
+    a, b, k = 2, 3, 2
+    m = a + b
+    rng = np.random.default_rng(11)
+    u = np.array([Fraction(x).limit_denominator(64) for x in rng.uniform(0.5, 1.5, 3 * m)],
+                 dtype=object)
+    stencil = symbolic_flow_stencil(a, b, k)
+    numeric = flow_rhs(LatticeState(a, b, u), k)
+    assert all(numeric == stencil_apply(stencil, u, m))
+    mono, coef = max(stencil.coeffs.items())
+    damaged = SitePoly({**stencil.coeffs, mono: coef + Fraction(1, 7)})
+    value = math.prod(u[int(r * m) % len(u)] for r in mono)
+    assert stencil_apply(damaged, u, m)[0] - numeric[0] == value / 7
 
 
 def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):

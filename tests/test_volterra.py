@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtoda.errors import NonFinite, UnsupportedFlow
-from qtoda.opalg import SessionParams
+from qtoda.errors import NonFinite, TruncationInsufficient, UnsupportedFlow
+from qtoda.opalg import SessionParams, SitePoly
 from qtoda.volterra import (
     LatticeState,
     Trajectory,
@@ -29,6 +29,7 @@ from qtoda.volterra import (
     stationarity_check,
     stencil_apply,
     symbolic_flow_stencil,
+    symbolic_lax,
 )
 
 COPRIME_SMALL = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1)]
@@ -57,8 +58,6 @@ def test_volterra_stencil_closed_form():
 
 def test_symbolic_stencil_volterra():
     stencil = symbolic_flow_stencil(1, 1, 1)
-    from qtoda.opalg import SitePoly
-
     expected = SitePoly.u(0) * (SitePoly.u(Fraction(-1, 2)) - SitePoly.u(Fraction(1, 2)))
     assert stencil == expected
 
@@ -72,11 +71,105 @@ def test_flow_matches_symbolic_oracle(a, b):
 
 
 def test_stencil_apply_rejects_offsets_off_the_lattice():
-    from qtoda.opalg import SitePoly
-
     u = np.array([Fraction(1)] * 4, dtype=object)
     with pytest.raises(ValueError, match="off the refined lattice"):
         stencil_apply(SitePoly.u(Fraction(1, 4)), u, 2)
+    with pytest.raises(ValueError, match="off the refined lattice"):
+        stencil_apply(SitePoly.u(0) * SitePoly.u(Fraction(-3, 4)), np.ones(4), 2)
+
+
+# every coprime type with a + b <= 5 and k <= 2, plus the benchmark's (2, 3, 3)
+WINDOWED_TYPES = [
+    (a, m - a, k)
+    for m in range(2, 6)
+    for a in range(1, m)
+    if math.gcd(a, m - a) == 1
+    for k in (1, 2)
+] + [(2, 3, 3)]
+
+
+@pytest.mark.parametrize("a,b,k", WINDOWED_TYPES)
+def test_windowed_stencil_equals_the_full_power(a, b, k):
+    m = a + b
+    p0 = symbolic_lax(a, b).pow_int(k * m).coeff(0)
+    reference = SitePoly.u(0) * (p0 - p0.shift(Fraction(-b, m)))
+    stencil = symbolic_flow_stencil(a, b, k)
+    assert stencil == reference
+    assert str(stencil) == str(reference)
+
+
+def _windowed_p0(a, b, k, floor, ceil):
+    """Offset-0 coefficient of L^(k(a+b)) from a first factor certified on
+    [floor, ceil], multiplied by the exact L k(a+b) - 1 times."""
+    lax = symbolic_lax(a, b)
+    power = lax.with_floor(floor).with_ceil(ceil)
+    for _ in range(k * (a + b) - 1):
+        power = power * lax
+    return power.coeff(0)
+
+
+@pytest.mark.parametrize("a,b,k", [(1, 1, 1), (1, 2, 1), (2, 3, 2), (3, 2, 1)])
+def test_a_narrower_start_window_cannot_drop_a_term(a, b, k):
+    # the start window [-a*r, b*r] ends at exactly [0, 0]; one narrower at
+    # either end leaves offset 0 outside the certified window
+    r = k * (a + b) - 1
+    assert _windowed_p0(a, b, k, -a * r, b * r) == symbolic_lax(a, b).pow_int(r + 1).coeff(0)
+    for floor, ceil in ((-a * r + 1, b * r), (-a * r, b * r - 1)):
+        with pytest.raises(TruncationInsufficient, match="outside known window"):
+            _windowed_p0(a, b, k, floor, ceil)
+
+
+def _apply_by_monomials(stencil, u, m):
+    """Reference evaluation: every monomial at every site, in Fractions."""
+    n = len(u)
+    out = []
+    for j in range(n):
+        total = Fraction(0)
+        for mono, c in stencil.coeffs.items():
+            term = c
+            for r in mono:
+                term *= Fraction(u[(j + int(r * m)) % n])
+            total += term
+        out.append(total)
+    return out
+
+
+def _random_stencil(rng, m):
+    """Constant plus monomials of degree 1..5, fractional coefficients,
+    offsets (negative ones too) on the refined lattice of step 1/m."""
+    terms = [((), Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 12))))]
+    for _ in range(int(rng.integers(5, 30))):
+        degree = int(rng.integers(1, 6))
+        mono = tuple(sorted(Fraction(int(o), m) for o in rng.integers(-3 * m, 3 * m, degree)))
+        terms.append((mono, Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))))
+    return SitePoly(terms)
+
+
+LARGE_PRIMES = [1_000_000_007, 998_244_353, 2_147_483_647, 4_294_967_291, 10**18 + 9]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stencil_apply_matches_a_per_monomial_fraction_loop(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    n = m * int(rng.integers(2, 4))
+    stencil = _random_stencil(rng, m)
+    # ints, and Fractions over large pairwise coprime denominators
+    values = [
+        int(rng.integers(-5, 6)) if j % 3 == 0
+        else Fraction(int(rng.integers(-10**12, 10**12)), LARGE_PRIMES[j % len(LARGE_PRIMES)])
+        for j in range(n)
+    ]
+    u = np.array(values, dtype=object)
+    got = stencil_apply(stencil, u, m)
+    assert all(isinstance(x, Fraction) for x in got)
+    assert list(got) == _apply_by_monomials(stencil, u, m)
+
+    floats = rng.uniform(-2.0, 2.0, n)
+    exact = _apply_by_monomials(stencil, floats, m)
+    got = stencil_apply(stencil, floats, m)
+    assert got.dtype == floats.dtype
+    assert got.tolist() == [float(x) for x in exact]  # correctly rounded
 
 
 @pytest.mark.parametrize("a,b,k", FLOW_TYPES)
