@@ -158,9 +158,7 @@ def cmd_simulate(args) -> int:
         args.a, args.b, args.sites, base=args.base, amplitude=args.amplitude,
         wavelength=args.wavelength,
     )
-    params = SessionParams(args.a, args.b, 1, T=2)
-    traj = integrate(state, args.flows, args.t_end, args.dt, params,
-                     record_every=args.record_every)
+    traj = integrate(state, args.flows, args.t_end, args.dt, record_every=args.record_every)
     drift, series = invariant_drift(traj, args.a, args.b, args.invariants)
 
     csv_path = args.out_csv or f"simulate_a{args.a}_b{args.b}.csv"
@@ -190,7 +188,7 @@ def cmd_simulate(args) -> int:
         "csv": csv_path,
     }
     if args.order_check:
-        traj_half = integrate(state, args.flows, args.t_end, args.dt / 2, params,
+        traj_half = integrate(state, args.flows, args.t_end, args.dt / 2,
                               record_every=2 * args.record_every)
         drift_half, _ = invariant_drift(traj_half, args.a, args.b, args.invariants)
         ratio = max(drift) / max(drift_half) if max(drift_half) > 0 else math.inf

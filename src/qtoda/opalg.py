@@ -90,12 +90,6 @@ class SitePoly(SparsePoly):
 # ---------------------------------------------------------------------------
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = math.gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def _sum_coeffs(terms: list):
     if len(terms) == 1:
         return terms[0]
@@ -215,29 +209,25 @@ class DiffOp:
         )
 
     @staticmethod
-    def _common_step(a: "DiffOp", b: "DiffOp"):
-        if a.step == b.step:
-            return a, b
-        g = _frac_gcd(a.step, b.step)
-        if (a.step / g).numerator > 10**6 or (b.step / g).numerator > 10**6:
+    def _same_step(a: "DiffOp", b: "DiffOp") -> None:
+        if a.step != b.step:
             raise IncompatibleStep(
-                f"steps {a.step} and {b.step} have no workable common refinement"
+                f"steps {a.step} and {b.step} differ; reindex one with with_step"
             )
-        return a.with_step(g), b.with_step(g)
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        a, b = DiffOp._common_step(self, other)
-        out = dict(a.coeffs)
-        for n, c in b.coeffs.items():
+        DiffOp._same_step(self, other)
+        out = dict(self.coeffs)
+        for n, c in other.coeffs.items():
             out[n] = out[n] + c if n in out else c
         return DiffOp(
-            a.step,
+            self.step,
             out,
-            _max_opt(a.floor, b.floor),
-            _min_opt(a.ceil, b.ceil),
-            zero=a.zero_coeff if a.zero_coeff is not None else b.zero_coeff,
+            _max_opt(self.floor, other.floor),
+            _min_opt(self.ceil, other.ceil),
+            zero=self.zero_coeff if self.zero_coeff is not None else other.zero_coeff,
         )
 
     def __neg__(self) -> "DiffOp":
@@ -253,7 +243,8 @@ class DiffOp:
         return self + (-other)
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        a, b = DiffOp._common_step(self, other)
+        DiffOp._same_step(self, other)
+        a, b = self, other
         step = a.step
 
         floor_cands, ceil_cands = [], []
@@ -479,7 +470,6 @@ class SessionParams:
     b: int
     sign: int = 1
     T: int = 6
-    shift: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
@@ -492,7 +482,6 @@ class SessionParams:
             raise InvalidTau("tau = -1 is excluded")
         if self.sign == -1 and self.a < self.b:
             raise InvalidTau("negative sign requires a > b (swap the roles otherwise)")
-        object.__setattr__(self, "shift", Fraction(self.shift))
 
     @property
     def tau(self) -> Fraction:
@@ -828,8 +817,6 @@ def cross_check_initial(
     (iii) the flow_k Lax equation holds at time zero, with the dressing
     derivative taken from the degree-flow_k part of the table.
     """
-    if params.shift != 0:
-        raise InvalidTau("cross-check is defined at shift c = 0")
     if max_deg is None:
         max_deg = max(4, params.T)
     if max_deg < flow_k + 2:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import InvalidTau
@@ -87,18 +86,6 @@ class Partition:
 EMPTY = Partition()
 
 
-def conjugate(mu: Partition) -> Partition:
-    return mu.conjugate()
-
-
-def kappa(nu: Partition) -> int:
-    return nu.kappa()
-
-
-def z_factor(mu: Partition) -> int:
-    return mu.z_factor()
-
-
 def pochhammer(a: Fraction, k: int) -> Fraction:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1)."""
     out = Fraction(1)
@@ -129,7 +116,6 @@ def comb_factor(mu: Partition, mubar: Partition, tau: Fraction) -> tuple[int, Fr
     return ell % 4, value
 
 
-@lru_cache(maxsize=None)
 def partitions_of(weight: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of the given weight, lexicographically descending."""
     if weight == 0:

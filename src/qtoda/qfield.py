@@ -17,12 +17,8 @@ exact-division probe before falling back to cross multiplication.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Union
-
-import mpmath
-from mpmath import iv, mp
 
 from .errors import DenominatorVanishes
 from .sparse import SparsePoly
@@ -31,6 +27,8 @@ Rat = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+PRECISION_BITS = 128  # default working precision of QFieldElem.eval and eval_interval
 
 
 def _frac(x: Rat) -> Fraction:
@@ -250,27 +248,17 @@ class QPowerSum(SparsePoly):
 
     # -- numerics ---------------------------------------------------------------
 
-    def eval_interval(self, q_iv, log_q_iv, s_val: Rat):
-        total = iv.mpf(0)
+    def eval_in(self, ctx, log_q, s_val: Rat):
+        """Value at q = exp(log_q) and rational s in the mpmath context ctx
+        (mp for a point value, iv for an interval), at its precision."""
+        total = ctx.mpf(0)
         for expo, coef in self.coeffs.items():
             r = expo.value_at(s_val)
-            c = iv.mpf(coef.numerator) / coef.denominator
+            c = ctx.mpf(coef.numerator) / coef.denominator
             if r == 0:
                 total += c
             else:
-                power = iv.exp((iv.mpf(r.numerator) / r.denominator) * log_q_iv)
-                total += c * power
-        return total
-
-    def eval_mpf(self, log_q, s_val: Rat):
-        total = mp.mpf(0)
-        for expo, coef in self.coeffs.items():
-            r = expo.value_at(s_val)
-            c = mp.mpf(coef.numerator) / coef.denominator
-            if r == 0:
-                total += c
-            else:
-                total += c * mp.exp((mp.mpf(r.numerator) / r.denominator) * log_q)
+                total += c * ctx.exp((ctx.mpf(r.numerator) / r.denominator) * log_q)
         return total
 
 
@@ -452,17 +440,19 @@ class QFieldElem:
 
     # -- numerics -------------------------------------------------------------------
 
-    def eval_interval(self, q_val, s_val: Rat = 0, prec: int | None = None):
+    def _eval_parts(self, ctx, q_val, s_val: Rat):
+        q = _frac(q_val)
+        log_q = ctx.log(ctx.mpf(q.numerator) / q.denominator)
+        return self.num.eval_in(ctx, log_q, s_val), self.den.eval_in(ctx, log_q, s_val)
+
+    def eval_interval(self, q_val, s_val: Rat = 0, prec: int = PRECISION_BITS):
         """Certified interval value at numeric q in (0, 1) and rational s."""
-        prec = prec or default_precision()
+        from mpmath import iv
+
         old = iv.prec
         try:
             iv.prec = prec
-            q = Fraction(q_val) if not isinstance(q_val, Fraction) else q_val
-            q_iv = iv.mpf(q.numerator) / q.denominator
-            log_q = iv.log(q_iv)
-            num_iv = self.num.eval_interval(q_iv, log_q, s_val)
-            den_iv = self.den.eval_interval(q_iv, log_q, s_val)
+            num_iv, den_iv = self._eval_parts(iv, q_val, s_val)
             if 0 in den_iv:
                 raise DenominatorVanishes(
                     f"denominator interval {den_iv} not certified away from 0"
@@ -471,25 +461,21 @@ class QFieldElem:
         finally:
             iv.prec = old
 
-    def eval(self, q_val, s_val: Rat = 0, prec: int | None = None) -> mpmath.mpf:
-        """Numeric value at working precision.
+    def eval(self, q_val, s_val: Rat = 0, prec: int = PRECISION_BITS):
+        """Numeric value (an mpmath mpf) at working precision.
 
         The denominator is certified nonzero by interval arithmetic first;
         the returned value is a plain extended-precision evaluation with
         guard bits (interval midpoints would silently round through float).
         """
-        prec = prec or default_precision()
+        from mpmath import mp
+
         self.eval_interval(q_val, s_val, prec)  # certification only
-        old = mp.prec
-        try:
-            mp.prec = prec + 20
-            q = Fraction(q_val) if not isinstance(q_val, Fraction) else q_val
-            log_q = mp.log(mp.mpf(q.numerator) / q.denominator)
-            value = self.num.eval_mpf(log_q, s_val) / self.den.eval_mpf(log_q, s_val)
+        with mp.workprec(prec + 20):
+            num, den = self._eval_parts(mp, q_val, s_val)
+            value = num / den
             mp.prec = prec
             return +value
-        finally:
-            mp.prec = old
 
     # -- formatting --------------------------------------------------------------------
 
@@ -509,35 +495,8 @@ _QFE_ZERO = QFieldElem(_QPS_ZERO)
 _QFE_ONE = QFieldElem(_QPS_ONE)
 
 
-def default_precision() -> int:
-    """Working precision in bits; overridable via QTODA_PRECISION_BITS (>= 16)."""
-    text = os.environ.get("QTODA_PRECISION_BITS", "128")
-    try:
-        bits = int(text)
-    except ValueError:
-        raise ValueError(f"QTODA_PRECISION_BITS={text!r} is not an integer") from None
-    if bits < 16:
-        raise ValueError(f"QTODA_PRECISION_BITS={text!r} is below 16 bits")
-    return bits
-
-
 def qpow(expo: ExponentPoly | Rat, coef: Rat = 1) -> QFieldElem:
     """The monomial coef * q^E(s); a plain rational when E is the zero poly."""
     if not isinstance(expo, ExponentPoly):
         expo = ExponentPoly.const(expo)
     return QFieldElem(QPowerSum.monomial(expo, coef))
-
-
-def qpow_linear(c1: Rat, c0: Rat = 0, coef: Rat = 1) -> QFieldElem:
-    """Shorthand for coef * q^(c1*s + c0)."""
-    return qpow(ExponentPoly.of(c0=c0, c1=c1), coef)
-
-
-def shift_s(x: QFieldElem, beta: Rat) -> QFieldElem:
-    """Substitute s -> s + beta in every exponent of num and den."""
-    return x.shift(beta)
-
-
-def evaluate(x: QFieldElem, q_val, s_val: Rat = 0, prec: int | None = None):
-    """Evaluation homomorphism at numeric q and rational s."""
-    return x.eval(q_val, s_val, prec)

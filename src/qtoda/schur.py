@@ -185,10 +185,6 @@ class PowerSumRing:
         return self._jacobi_trudi(mu, nu, size)
 
 
-def negate_p(f: PowerSumPoly) -> PowerSumPoly:
-    return f.negate_p()
-
-
 # ---------------------------------------------------------------------------
 # principal specializations
 # ---------------------------------------------------------------------------

@@ -165,18 +165,10 @@ def banded_equal(x: dict[int, np.ndarray], y: dict[int, np.ndarray], n: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _require_flow(k: int, params: SessionParams | None, a: int, b: int) -> None:
+def _require_flow(k: int, a: int, b: int) -> None:
     if k < 1:
         raise UnsupportedFlow("flow index must be >= 1")
-    if params is None:
-        params = SessionParams(a, b, 1, T=2)
-    if params.sign != 1:
-        raise UnsupportedFlow(
-            "numeric flows are defined for the positive-sign lattice; "
-            "the negative-sign reduction is stationary (see stationarity_check)"
-        )
-    if (params.a, params.b) != (a, b):
-        raise ValueError("params do not match the lattice type")
+    SessionParams(a, b)  # raises NonCoprime unless a, b are positive and coprime
 
 
 def path_plan(a: int, b: int, k: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]]:
@@ -232,7 +224,7 @@ def _rhs(u: np.ndarray, b: int, plan) -> np.ndarray:
     return u * (d - np.concatenate((d[-b:], d[:-b])))  # d_j - d_{j-b}
 
 
-def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = None) -> np.ndarray:
+def flow_rhs(state: LatticeState, k: int = 1) -> np.ndarray:
     """du_j/dt along the k-th local flow: u_j * (d_j - d_{j-b}).
 
     d is the coefficient of the zeroth shift power of the operator power
@@ -242,7 +234,7 @@ def flow_rhs(state: LatticeState, k: int = 1, params: SessionParams | None = Non
     the reduced flow).  It is summed over lattice paths by power_diagonal,
     bitwise equal to reading it off banded_power.
     """
-    _require_flow(k, params, state.a, state.b)
+    _require_flow(k, state.a, state.b)
     u = state.sites
     return _rhs(u, state.b, path_plan(state.a, state.b, k, len(u)))
 
@@ -286,7 +278,6 @@ def integrate(
     k: int = 1,
     t_end: float = 1.0,
     dt: float = 1e-3,
-    params: SessionParams | None = None,
     record_every: int = 1,
 ) -> Trajectory:
     """Fixed-step classical fourth-order Runge-Kutta; deterministic.
@@ -300,7 +291,7 @@ def integrate(
         raise ValueError(f"t_end = {t_end} must not be negative")
     if record_every < 1:
         raise ValueError(f"record_every = {record_every} must be >= 1")
-    _require_flow(k, params, state.a, state.b)
+    _require_flow(k, state.a, state.b)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")
@@ -377,9 +368,10 @@ def symbolic_flow_stencil(a: int, b: int, k: int = 1) -> SitePoly:
 def stencil_apply(stencil: SitePoly, u: np.ndarray, m: int) -> np.ndarray:
     """Evaluate a symbolic stencil on lattice data (offsets scale by m).
 
-    Exact on object arrays of ints and Fractions; a float array gets the
-    correctly rounded value.  u is scaled to integers by the lcm of its
-    denominators, and each site sums per (degree, coefficient denominator).
+    Exact on integer arrays and object arrays of ints and Fractions, which
+    give an object array of Fractions; a float array gets the correctly
+    rounded value.  u is scaled to integers by the lcm of its denominators,
+    and each site sums per (degree, coefficient denominator).
     """
     n = len(u)
     groups: dict[tuple[int, int], list] = {}
@@ -404,7 +396,7 @@ def stencil_apply(stencil: SitePoly, u: np.ndarray, m: int) -> np.ndarray:
                 acc += c
             total += Fraction(acc, cden * den**deg)
         out.append(total)
-    return np.array(out, dtype=u.dtype)
+    return np.array(out, dtype=u.dtype if u.dtype.kind == "f" else object)
 
 
 def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:

@@ -253,6 +253,16 @@ def test_simulate_rejects_flow_zero(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_simulate_rejects_a_non_coprime_type(tmp_path, capsys):
+    code = main([
+        "simulate", "--a", "2", "--b", "4", "--sites", "4",
+        "--out-csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert "a=2, b=4 are not coprime" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_simulate_rejects_invariants_zero_before_integrating(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "integrate", _fail_if_called)
     code = main([

@@ -1,0 +1,84 @@
+"""Guards on the import path and on hidden process-global state.
+
+No environment variable and no process-global cache may change a result or
+its cost from one run to the next, and the command line must not load the
+numeric-evaluation library it never uses.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+FORBIDDEN = re.compile(
+    r"os\.environ|getenv|lru_cache|functools\.cache\b|from functools import [^\n]*\bcache\b"
+)
+
+# The one module-level mutable container allowed: the exact-division memo
+# of the q-field sums.  ROADMAP item 2 (factored q-Pochhammer denominators)
+# deletes it together with the division probe.
+ALLOWED_GLOBALS = {("qfield.py", "_DIV_CACHE")}
+
+
+def hidden_state(name: str, text: str) -> list[str]:
+    """Lines that read the environment or declare a process-global cache."""
+    found = [
+        f"{name}:{no}: {line.strip()}"
+        for no, line in enumerate(text.splitlines(), start=1)
+        if FORBIDDEN.search(line)
+    ]
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if not isinstance(node.value, mutable):
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and (name, target.id) not in ALLOWED_GLOBALS:
+                found.append(f"{name}:{node.lineno}: module-level {target.id}")
+    return found
+
+
+def test_no_environment_reads_or_global_caches_in_the_package():
+    found = []
+    for path in sorted((SRC / "qtoda").glob("*.py")):
+        found += hidden_state(path.name, path.read_text(encoding="utf-8"))
+    assert found == []
+
+
+def test_hidden_state_scan_flags_each_pattern():
+    # negative controls: each kind of hidden state is seen
+    assert hidden_state("x.py", "from functools import lru_cache\n\n@lru_cache\ndef f():\n    pass\n")
+    assert hidden_state("x.py", "import os\nBITS = os.environ.get('BITS')\n")
+    assert hidden_state("x.py", "from functools import cache\n")
+    assert hidden_state("x.py", "_MEMO: dict = {}\n") == ["x.py:1: module-level _MEMO"]
+    assert hidden_state("qfield.py", "_DIV_CACHE: dict = {}\n") == []
+    assert hidden_state("x.py", "from functools import cached_property\n_ONE = (1,)\n") == []
+
+
+def mpmath_loaded_by_cli_import(prelude: str = "") -> bool:
+    """Whether mpmath is in sys.modules after a fresh interpreter runs
+    `prelude` and then imports qtoda.cli."""
+    code = f"{prelude}\nimport sys\nimport qtoda.cli\nprint('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_mpmath():
+    assert not mpmath_loaded_by_cli_import()
+
+
+def test_cli_import_check_sees_mpmath():
+    # negative control: the same check fails when the child imports mpmath first
+    assert mpmath_loaded_by_cli_import("import mpmath")

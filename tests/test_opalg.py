@@ -12,7 +12,7 @@ from qtoda.errors import (
     InvalidTau,
     TruncationInsufficient,
 )
-from qtoda import opalg
+from qtoda import opalg, suites
 from qtoda.opalg import (
     DiffOp,
     LaxSession,
@@ -142,12 +142,15 @@ def test_step_refinement():
     a = DiffOp(Fraction(1), {1: ONE, 0: QS})
     fine = a.with_step(Fraction(1, 3))
     assert fine.indices() == [0, 3]
-    mixed = fine * DiffOp.monomial(Fraction(1, 2), 1, ONE)
-    assert mixed.step == Fraction(1, 6)
+    half = DiffOp.monomial(Fraction(1, 2), 1, ONE)
+    # mixed steps are never refined implicitly: both operands must share one
+    for combine in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(IncompatibleStep, match=r"steps 1/3 and 1/2 differ"):
+            combine(fine, half)
+    mixed = fine.with_step(Fraction(1, 6)) * half.with_step(Fraction(1, 6))
+    assert mixed.step == Fraction(1, 6) and mixed.indices() == [3, 9]
     with pytest.raises(IncompatibleStep):
-        DiffOp.monomial(Fraction(1, 3), 1, ONE) * DiffOp.monomial(
-            Fraction(1, 2000003), 1, ONE
-        )
+        fine.with_step(Fraction(1, 2))
 
 
 def test_window_arithmetic_conservative():
@@ -404,6 +407,62 @@ def test_laxcheck_suite_never_calls_op_inverse(monkeypatch, tau_degree):
     report = laxcheck_suite(SessionParams(1, 1, 1, T=4), tau_degree=tau_degree)
     assert report["passed"]
     assert calls == []
+
+
+def check_results(report):
+    return [(c["name"], c["passed"]) for c in report["checks"]]
+
+
+@pytest.mark.parametrize("a,b,sign", [(1, 1, 1), (2, 1, -1)])
+def test_closed_form_checks_fail_on_a_wrong_expected_coefficient(monkeypatch, a, b, sign):
+    # negative control: one coefficient of the expected closed form off by q^1
+    expected = suites.expected_initial_lax
+
+    def damaged(params):
+        good = expected(params)
+        coeffs = dict(good.coeffs)
+        coeffs[params.down_index] = coeffs[params.down_index] + qpow(ExponentPoly.const(1))
+        return DiffOp(good.step, coeffs)
+
+    monkeypatch.setattr(suites, "expected_initial_lax", damaged)
+    params = SessionParams(a, b, sign, T=4)
+    report = laxcheck_suite(params)
+    assert check_results(report) == [
+        ("initial_fractional_power_closed_form", False),
+        ("initial_fractional_power_closed_form_bar", False),
+        ("fractional_powers_cancel", True),
+        ("orlov_closed_forms", True),
+        ("initial_orlov_closed_forms", True),
+        ("orlov_monomial_collapse", True),
+        ("orlov_monomial_collapse_bar", True),
+        ("integerized_power_identity", True),
+    ]
+    power = params.down_index * params.step
+    for check in report["checks"][:2]:
+        assert check["detail"].startswith(f"first offending coefficient at power {power}: ")
+    assert not report["passed"]
+
+
+def test_orlov_checks_fail_when_the_closed_forms_are_violated(monkeypatch):
+    # negative control: both Orlov checks carry the violation's message
+    message = "q^M0 closed form: first offending coefficient at power -2: q^(s)"
+
+    def violated(session):
+        raise RelationViolated(message, power=-2, residual="q^(s)")
+
+    monkeypatch.setattr(LaxSession, "orlov", property(violated))
+    report = laxcheck_suite(SessionParams(1, 1, 1, T=4))
+    # check_LM_relation stops at its first check: the later ones need q^M0
+    assert check_results(report) == [
+        ("initial_fractional_power_closed_form", True),
+        ("initial_fractional_power_closed_form_bar", True),
+        ("fractional_powers_cancel", True),
+        ("orlov_closed_forms", False),
+        ("initial_orlov_closed_forms", False),
+    ]
+    for check in report["checks"][3:]:
+        assert check["detail"] == message
+    assert not report["passed"]
 
 
 def test_monomial_pow():

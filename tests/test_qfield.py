@@ -8,13 +8,11 @@ import pytest
 from qtoda.errors import DenominatorVanishes
 from qtoda.qfield import (
     E_ZERO,
+    PRECISION_BITS,
     ExponentPoly,
     QFieldElem,
     QPowerSum,
-    evaluate,
     qpow,
-    qpow_linear,
-    shift_s,
 )
 
 
@@ -36,36 +34,36 @@ def test_qpow_identity_cases():
 def test_qpow_quadratic_exponent_expansion():
     # (tau+1)(s-1/2)^2/2 at tau = 1 is s^2 - s + 1/4
     E = ExponentPoly.of(c0=Fraction(1, 4), c1=-1, c2=1)
-    assert qpow(E) == qpow_linear(0, 0) * qpow(E)  # sanity: one multiplication
+    assert qpow(E) == qpow(E_ZERO) * qpow(E)  # sanity: one multiplication
     assert str(E) == "s^2-s+1/4"
 
 
 def test_shift_s_examples():
     qs = qpow(ExponentPoly.of(c1=1))
-    assert shift_s(qs, 1) == qpow(ExponentPoly.const(1)) * qs
-    assert shift_s(QFieldElem.one(), Fraction(1, 2)).is_one()
+    assert qs.shift(1) == qpow(ExponentPoly.const(1)) * qs
+    assert QFieldElem.one().shift(Fraction(1, 2)).is_one()
     sq = qpow(ExponentPoly.of(c2=1))
-    assert shift_s(sq, 1) == qpow(ExponentPoly.of(c0=1, c1=2, c2=1))
+    assert sq.shift(1) == qpow(ExponentPoly.of(c0=1, c1=2, c2=1))
 
 
 def test_shift_s_additivity():
     x = rho_like(1) + qpow(ExponentPoly.of(c0=Fraction(1, 3), c1=2, c2=Fraction(1, 2)))
     a, b = Fraction(2, 3), Fraction(-1, 5)
-    assert shift_s(shift_s(x, a), b) == shift_s(x, a + b)
+    assert x.shift(a).shift(b) == x.shift(a + b)
 
 
 def test_eval_examples():
     from mpmath import mp
 
     with mp.workprec(160):
-        assert abs(evaluate(rho_like(1), Fraction(1, 4), 0) + mp.mpf(2) / 3) < 1e-30
+        assert abs(rho_like(1).eval(Fraction(1, 4), 0) + mp.mpf(2) / 3) < 1e-30
         qs = qpow(ExponentPoly.of(c1=1))
-        assert abs(evaluate(qs, Fraction(1, 2), 3) - Fraction(1, 8)) < 1e-30
+        assert abs(qs.eval(Fraction(1, 2), 3) - Fraction(1, 8)) < 1e-30
         geom = QFieldElem(
             QPowerSum.one(),
             QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1)),
         )
-        assert abs(evaluate(geom, Fraction(1, 2), 17) - 2) < 1e-30
+        assert abs(geom.eval(Fraction(1, 2), 17) - 2) < 1e-30
 
 
 def test_eval_certifies_denominator():
@@ -116,6 +114,20 @@ def test_field_axioms_random():
         if not a.is_zero():
             assert (a * a.inv()).is_one()
             assert (a.inv().inv()) == a
+
+
+def test_eval_precision_argument():
+    from mpmath import mp
+
+    x = rho_like(1)  # -2/3 at q = 1/4
+    with mp.workprec(400):  # compare at more bits than either evaluation
+        err_default = abs(x.eval(Fraction(1, 4), 0) + mp.mpf(2) / 3)
+        err_256 = abs(x.eval(Fraction(1, 4), 0, prec=256) + mp.mpf(2) / 3)
+        assert x.eval(Fraction(1, 4), 0) == x.eval(Fraction(1, 4), 0, prec=PRECISION_BITS)
+    assert 0 < err_default < mp.mpf(2) ** -(PRECISION_BITS - 2)
+    assert err_256 < mp.mpf(2) ** -254 < err_default
+    width = x.eval_interval(Fraction(1, 4), 0, prec=256).delta
+    assert 0 < width < mp.mpf(2) ** -240
 
 
 def test_eval_is_homomorphism():
@@ -170,16 +182,3 @@ def test_power_sums_form_integral_domain():
         assert not (a.num * b.num).is_zero()
 
 
-def test_default_precision_env(monkeypatch):
-    from qtoda.qfield import default_precision
-
-    monkeypatch.setenv("QTODA_PRECISION_BITS", "256")
-    assert default_precision() == 256
-    monkeypatch.setenv("QTODA_PRECISION_BITS", "bogus")
-    with pytest.raises(ValueError, match="QTODA_PRECISION_BITS='bogus'"):
-        default_precision()
-    monkeypatch.setenv("QTODA_PRECISION_BITS", "8")
-    with pytest.raises(ValueError, match="QTODA_PRECISION_BITS='8'"):
-        default_precision()
-    monkeypatch.delenv("QTODA_PRECISION_BITS")
-    assert default_precision() == 128

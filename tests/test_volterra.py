@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtoda.errors import NonFinite, TruncationInsufficient, UnsupportedFlow
-from qtoda.opalg import SessionParams, SitePoly
+from qtoda.errors import NonCoprime, NonFinite, TruncationInsufficient, UnsupportedFlow
+from qtoda.opalg import SitePoly
 from qtoda.volterra import (
     LatticeState,
     Trajectory,
@@ -76,6 +76,22 @@ def test_stencil_apply_rejects_offsets_off_the_lattice():
         stencil_apply(SitePoly.u(Fraction(1, 4)), u, 2)
     with pytest.raises(ValueError, match="off the refined lattice"):
         stencil_apply(SitePoly.u(0) * SitePoly.u(Fraction(-3, 4)), np.ones(4), 2)
+
+
+def test_stencil_apply_is_exact_on_integer_input():
+    # int and object input give Fractions; only a float array stays float
+    third = SitePoly.u(0).scale(Fraction(1, 3))
+    pair = (SitePoly.u(0) * SitePoly.u(Fraction(1, 2))).scale(Fraction(1, 3))
+    ints = [1, 2, 3, 4]
+    thirds = [Fraction(x, 3) for x in ints]
+    pairs = [Fraction(ints[j] * ints[(j + 1) % 4], 3) for j in range(4)]
+    for u in (np.array(ints), np.array(ints, dtype=object)):
+        for stencil, expected in ((third, thirds), (pair, pairs)):
+            got = stencil_apply(stencil, u, 2)
+            assert got.dtype == object and list(got) == expected
+            assert all(isinstance(x, Fraction) for x in got)
+    got = stencil_apply(third, np.array(ints, dtype=float), 2)
+    assert got.dtype == np.float64 and got.tolist() == [float(x) for x in thirds]
 
 
 # every coprime type with a + b <= 5 and k <= 2, plus the benchmark's (2, 3, 3)
@@ -258,8 +274,6 @@ def test_flow_validation():
     state = LatticeState(1, 1, np.ones(8))
     with pytest.raises(UnsupportedFlow):
         flow_rhs(state, 0)
-    with pytest.raises(UnsupportedFlow):
-        flow_rhs(state, 1, SessionParams(2, 1, -1, T=2))
 
 
 def test_conserved_h1_formula():
@@ -294,9 +308,20 @@ def test_integration_validates_the_flow_before_a_step():
     state = LatticeState(1, 1, np.ones(8))
     with pytest.raises(UnsupportedFlow, match="flow index"):
         integrate(state, 0, t_end=0.0)
-    with pytest.raises(UnsupportedFlow, match="positive-sign"):
-        integrate(LatticeState(2, 1, np.ones(6)), 1, t_end=0.0,
-                  params=SessionParams(2, 1, -1, T=2))
+
+
+def test_flows_reject_a_non_coprime_type_before_a_step(monkeypatch):
+    import qtoda.volterra as volterra
+
+    def no_step(*args):
+        raise AssertionError("a flow step ran before the lattice type was checked")
+
+    monkeypatch.setattr(volterra, "path_plan", no_step)
+    state = LatticeState(2, 4, np.ones(12))
+    with pytest.raises(NonCoprime, match="a=2, b=4 are not coprime"):
+        flow_rhs(state, 1)
+    with pytest.raises(NonCoprime, match="a=2, b=4 are not coprime"):
+        integrate(state, 1, t_end=0.0)
 
 
 def test_integration_rejects_negative_end_time_and_record_interval():
