@@ -205,7 +205,6 @@ def cmd_simulate(args) -> int:
 
 def _add_common_output(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--json", action="store_true", help="force JSON output on stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,12 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_parse_partition, required=True, help='partition, e.g. "[2,1]"')
     p.add_argument("--nu", type=_parse_partition, default=None, help="inner partition (skew)")
     _add_common_output(p)
+    p.add_argument("--json", action="store_true", help="JSON on stdout instead of text")
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("vertex", help="evaluate both vertex forms and their difference")
     p.add_argument("--nu", type=_parse_partition, required=True)
     p.add_argument("--nubar", type=_parse_partition, required=True)
     _add_common_output(p)
+    p.add_argument("--json", action="store_true", help="JSON on stdout instead of text")
     p.set_defaults(func=cmd_vertex)
 
     p = sub.add_parser("tau", help="dump the tau coefficient table as JSON")
@@ -283,18 +284,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Prepend defaults from the INI section of the chosen subcommand."""
-    if "--config" not in argv:
+    """Prepend defaults from the INI section of the chosen subcommand.
+
+    The file is applied here, before argparse, so every spelling argparse
+    would take for --config is settled here: "--config FILE" and
+    "--config=FILE" are applied, an abbreviation such as --conf is refused.
+    """
+    flags = [tok.split("=", 1)[0] for tok in argv]
+    hits = [i for i, flag in enumerate(flags) if len(flag) > 2 and "--config".startswith(flag)]
+    if not hits:
         return argv
-    idx = argv.index("--config")
-    try:
+    if len(hits) > 1:
+        parser.error("--config given more than once")
+    idx = hits[0]
+    flag, eq, path = argv[idx].partition("=")
+    if flag != "--config":
+        parser.error(f"{flag} is not read as a config file: spell it --config")
+    if not eq:
+        if idx + 1 == len(argv):
+            parser.error("--config needs a path")
         path = argv[idx + 1]
-    except IndexError:
-        parser.error("--config needs a path")
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
         parser.error(f"cannot read config file {path}")
-    rest = argv[:idx] + argv[idx + 2 :]
+    rest = argv[:idx] + argv[idx + (1 if eq else 2) :]
     command = next((tok for tok in rest if not tok.startswith("-")), None)
     if command is None or not cfg.has_section(command):
         return rest

@@ -45,10 +45,6 @@ from .report import record_check
 from .sparse import SparsePoly
 from .vertex import TauTable, VertexContext, tau_table
 
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
-
-
 # ---------------------------------------------------------------------------
 # symbolic lattice-function coefficients
 # ---------------------------------------------------------------------------
@@ -117,6 +113,24 @@ def _min_opt(a, b):
     return min(a, b)
 
 
+def _product_edge(a: "DiffOp", b: "DiffOp", lower: bool) -> int | None:
+    """Floor (lower) or ceil of a*b: a truncated edge of one factor plus the
+    other factor's farthest nonzero index on the far side, the nearest such
+    bound kept.  A far side that is itself truncated leaves no window."""
+    edges = []
+    for x, y in ((a, b), (b, a)):
+        edge = x.floor if lower else x.ceil
+        if edge is None:
+            continue
+        if (y.ceil if lower else y.floor) is not None:
+            raise TruncationInsufficient("product of opposite truncations has no window")
+        if y.coeffs:
+            edges.append(edge + (max(y.coeffs) if lower else min(y.coeffs)))
+    if not edges:
+        return None
+    return max(edges) if lower else min(edges)
+
+
 class DiffOp:
     """sum over n of coeffs[n] * Lam^(n*step), certified on [floor, ceil]."""
 
@@ -127,11 +141,10 @@ class DiffOp:
         if step <= 0:
             raise ValueError("step must be positive")
         self.step = step
+        if zero is None and coeffs:
+            zero = type(next(iter(coeffs.values()))).zero()
         cleaned = {}
-        witness = zero
         for n, c in coeffs.items():
-            if witness is None:
-                witness = c - c
             if c.is_zero():
                 continue
             if floor is not None and n < floor:
@@ -142,7 +155,7 @@ class DiffOp:
         self.coeffs = cleaned
         self.floor = floor
         self.ceil = ceil
-        self.zero_coeff = witness
+        self.zero_coeff = zero
 
     @staticmethod
     def monomial(step, index: int, coef) -> "DiffOp":
@@ -179,16 +192,6 @@ class DiffOp:
 
     def is_exact(self) -> bool:
         return self.floor is None and self.ceil is None
-
-    def _pnz_lo(self) -> float:
-        if self.floor is not None:
-            return _NEG_INF
-        return min(self.coeffs, default=_POS_INF)
-
-    def _pnz_hi(self) -> float:
-        if self.ceil is not None:
-            return _POS_INF
-        return max(self.coeffs, default=_NEG_INF)
 
     # -- step refinement ------------------------------------------------------
 
@@ -247,33 +250,7 @@ class DiffOp:
         a, b = self, other
         step = a.step
 
-        floor_cands, ceil_cands = [], []
-        if a.floor is not None:
-            hi = b._pnz_hi()
-            if hi == _POS_INF:
-                raise TruncationInsufficient("product of opposite truncations has no window")
-            if hi != _NEG_INF:
-                floor_cands.append(a.floor + int(hi))
-        if b.floor is not None:
-            hi = a._pnz_hi()
-            if hi == _POS_INF:
-                raise TruncationInsufficient("product of opposite truncations has no window")
-            if hi != _NEG_INF:
-                floor_cands.append(b.floor + int(hi))
-        if a.ceil is not None:
-            lo = b._pnz_lo()
-            if lo == _NEG_INF:
-                raise TruncationInsufficient("product of opposite truncations has no window")
-            if lo != _POS_INF:
-                ceil_cands.append(a.ceil + int(lo))
-        if b.ceil is not None:
-            lo = a._pnz_lo()
-            if lo == _NEG_INF:
-                raise TruncationInsufficient("product of opposite truncations has no window")
-            if lo != _POS_INF:
-                ceil_cands.append(b.ceil + int(lo))
-        floor = max(floor_cands) if floor_cands else None
-        ceil = min(ceil_cands) if ceil_cands else None
+        floor, ceil = _product_edge(a, b, lower=True), _product_edge(a, b, lower=False)
 
         pending: dict[int, list] = {}
         for n1, c1 in a.coeffs.items():
@@ -805,9 +782,7 @@ def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressi
     return TauDressing(W=W, W_inv=W_inv, dW=dW, Wbar=Wbar, Wbar_inv=Wbar_inv)
 
 
-def cross_check_initial(
-    params: SessionParams, max_deg: int | None = None, flow_k: int = 1
-) -> dict:
+def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1) -> dict:
     """Cross-check the tau-quotient route against the factorization route.
 
     (i) the tau-derived dressing coefficients match the closed factorization
@@ -817,8 +792,6 @@ def cross_check_initial(
     (iii) the flow_k Lax equation holds at time zero, with the dressing
     derivative taken from the degree-flow_k part of the table.
     """
-    if max_deg is None:
-        max_deg = max(4, params.T)
     if max_deg < flow_k + 2:
         raise TruncationInsufficient("table degree too small for the flow check")
 

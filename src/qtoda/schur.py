@@ -231,8 +231,6 @@ class Specialization:
 
     def __init__(self, values: dict[int, QFieldElem]):
         self.values = values
-        self._num = {k: v.num for k, v in values.items()}
-        self._den = {k: v.den for k, v in values.items()}
         self._pow_cache: dict[tuple[str, int, int], QPowerSum] = {}
 
     @staticmethod
@@ -251,7 +249,7 @@ class Specialization:
         key = (tag, k, e)
         got = self._pow_cache.get(key)
         if got is None:
-            base = self._num[k] if tag == "n" else self._den[k]
+            base = self.values[k].num if tag == "n" else self.values[k].den
             got = self._power(tag, k, e - 1) * base
             self._pow_cache[key] = got
         return got

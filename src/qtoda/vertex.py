@@ -55,7 +55,6 @@ class VertexContext:
         self.ring = PowerSumRing(degree_bound)
         self.rho = Specialization.rho(degree_bound)
         self._nu_rho: dict[tuple, Specialization] = {}
-        self._schur_at_rho: dict[tuple, QFieldElem] = {}
         self._skew_at: dict[tuple, QFieldElem] = {}
 
     def _check(self, nu: Partition, nubar: Partition):
@@ -70,13 +69,6 @@ class VertexContext:
         if got is None:
             got = Specialization.nu_rho(nu, self.degree_bound)
             self._nu_rho[nu.parts] = got
-        return got
-
-    def schur_at_rho(self, mu: Partition) -> QFieldElem:
-        got = self._schur_at_rho.get(mu.parts)
-        if got is None:
-            got = self.rho.evaluate(self.ring.schur(mu))
-            self._schur_at_rho[mu.parts] = got
         return got
 
     def skew_at(self, mu: Partition, eta: Partition, point: str) -> QFieldElem:
@@ -94,7 +86,7 @@ class VertexContext:
     def vertex_def(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """Defining form s_nu(q^rho) * s_nubar(q^(nu+rho))."""
         self._check(nu, nubar)
-        left = self.schur_at_rho(nu)
+        left = self.skew_at(nu, EMPTY, "rho")
         right = self.nu_rho_specialization(nu).evaluate(self.ring.schur(nubar))
         return left * right
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -208,6 +209,67 @@ def test_exact_benchmark_job_matches_its_reference(name, tmp_path):
     assert bench.compare_to_reference(out.read_text(encoding="utf-8"), reference) is None
 
 
+# A fresh interpreter loads benchmarks/tracing.py as load_benchmark does,
+# deletes the named opalg functions, installs the tracer and prints what it
+# wrapped; the tracer rebinds qtoda's functions, so it never runs in-process.
+TRACE_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("benchmark_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracing
+spec.loader.exec_module(tracing)
+import qtoda.opalg
+for name in sys.argv[2:]:
+    delattr(qtoda.opalg, name)
+tracer = tracing.install()
+print(json.dumps({"installed": sorted(tracer.installed), "counters": sorted(tracer.counters)}))
+"""
+
+
+def install_tracer(*deleted_from_opalg: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", TRACE_CHILD, str(REPO / "benchmarks" / "tracing.py"),
+         *deleted_from_opalg],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def untraced_metrics(installed: list[str]) -> list[str]:
+    """The .calls / .self_s metrics of BENCHMARK.json whose span the tracer
+    did not wrap; cli.self_s sums the spans of the cmd_ functions."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    missing = []
+    for metric in spec["per_layer"]:
+        span, _, kind = metric["name"].rpartition(".")
+        if kind not in ("calls", "self_s"):
+            continue
+        if span == "cli":
+            wrapped = any(name.startswith("cli.cmd_") for name in installed)
+        else:
+            wrapped = span in installed
+        if not wrapped:
+            missing.append(metric["name"])
+    return missing
+
+
+def test_tracer_wraps_every_per_layer_span():
+    # a benchmark metric whose target the program lost reads "not reported";
+    # this makes that a test failure rather than a malformed benchmark line
+    traced = install_tracer()
+    assert untraced_metrics(traced["installed"]) == []
+    assert {"div_probe_hits", "max_num_terms", "max_den_terms"} <= set(traced["counters"])
+
+
+def test_tracer_guard_sees_a_lost_target():
+    # negative control: without opalg.op_inverse its two metrics are flagged
+    traced = install_tracer("op_inverse")
+    assert untraced_metrics(traced["installed"]) == [
+        "opalg.op_inverse.calls", "opalg.op_inverse.self_s",
+    ]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_oracle_job_is_exact(seed):
     # the benchmark's oracle job, in-process: flow_rhs on its rational state
@@ -350,6 +412,42 @@ def test_config_file_defaults_and_override(tmp_path):
     assert main(["--config", str(cfg), "schur", "--mu", "[1]", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["mu"] == "[1]"
+
+
+@pytest.mark.parametrize("spelling", ["separate", "equals"])
+def test_config_file_both_spellings_apply(tmp_path, spelling):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[schur]\nmu = [1,1]\n")
+    out = tmp_path / "s.json"
+    flag = ["--config", str(cfg)] if spelling == "separate" else [f"--config={cfg}"]
+    assert main(flag + ["schur", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mu"] == "[1,1]"
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--c", "--confi="])
+def test_config_abbreviation_is_refused(tmp_path, capsys, flag):
+    # argparse would take an abbreviation and never apply the file
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[schur]\nmu = [1,1]\n")
+    argv = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["schur"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--a", "1", "--b", "1"],
+    ["identities"],
+    ["laxcheck", "--a", "1", "--b", "1"],
+    ["simulate"],
+])
+def test_json_flag_only_where_it_is_read(argv, capsys):
+    # --json switches text to JSON; the other commands always write JSON
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
 
 
 def test_console_entry_point():

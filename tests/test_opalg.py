@@ -213,6 +213,69 @@ def test_window_soundness_random():
                 got.coeff(lo - 1 if lower else hi + 1)
 
 
+def _random_full(rng, step):
+    """Exact operator with nonzero rational q-monomial coefficients on [lo, hi]."""
+    lo = rng.randint(-4, 1)
+    hi = lo + rng.randint(0, 5)
+    coeffs = {
+        n: qpow(ExponentPoly.of(c0=Fraction(rng.randint(-3, 3), 2), c1=rng.randint(-2, 2)),
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
+        for n in range(lo, hi + 1)
+    }
+    return DiffOp(step, coeffs)
+
+
+def _random_truncation(rng, full):
+    """`full` with each side, independently, exact or truncated so that at
+    least one nonzero term is discarded."""
+    lo, hi = min(full.coeffs), max(full.coeffs)
+    floor = rng.randint(lo + 1, hi) if hi > lo and rng.random() < 0.5 else None
+    start = lo if floor is None else floor
+    ceil = rng.randint(start, hi - 1) if hi > start and rng.random() < 0.5 else None
+    return DiffOp(full.step, full.coeffs, floor, ceil)
+
+
+def _first_disagreement(got: DiffOp, exact: DiffOp, lo: int, hi: int):
+    return next((n for n in range(lo, hi + 1) if got.coeff(n) != exact.coeff(n)), None)
+
+
+def test_product_window_never_certifies_a_discarded_term():
+    # opalg's central claim: on the certified window of a product of
+    # truncations, every coefficient equals that of the product of the
+    # untruncated operators; opposite truncations raise.  Negative control:
+    # the same product summed one index past a truncated edge disagrees.
+    rng = random.Random(20)
+    raised = products = widened = 0
+    for trial in range(300):
+        step = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+        full_a, full_b = _random_full(rng, step), _random_full(rng, step)
+        a, b = _random_truncation(rng, full_a), _random_truncation(rng, full_b)
+        if (a.floor is not None and b.ceil is not None) or (
+            a.ceil is not None and b.floor is not None
+        ):
+            with pytest.raises(TruncationInsufficient, match="opposite truncations"):
+                a * b
+            raised += 1
+            continue
+        got, exact = a * b, full_a * full_b
+        products += 1
+        known = list(exact.coeffs) + list(got.coeffs)
+        lo = got.floor if got.floor is not None else min(known) - 1
+        hi = got.ceil if got.ceil is not None else max(known) + 1
+        assert _first_disagreement(got, exact, lo, hi) is None, (trial, a, b)
+        if lo > hi:
+            continue
+        # every term the truncations do hold, summed without a window
+        unwindowed = DiffOp(step, a.coeffs) * DiffOp(step, b.coeffs)
+        if got.floor is not None:
+            widened += 1
+            assert _first_disagreement(unwindowed, exact, lo - 1, hi) == lo - 1, (trial, a, b)
+        if got.ceil is not None:
+            widened += 1
+            assert _first_disagreement(unwindowed, exact, lo, hi + 1) == hi + 1, (trial, a, b)
+    assert raised > 20 and products > 150 and widened > 100, (raised, products, widened)
+
+
 def test_session_params_validation():
     with pytest.raises(NonCoprime):
         SessionParams(2, 4, 1)

@@ -278,3 +278,27 @@ def test_specialization_matches_direct_value():
     missing = Specialization({1: specialize_rho(1)})
     with pytest.raises(DegreeBoundExceeded):
         missing.evaluate(PowerSumPoly.p(2))
+
+
+def test_special_point_check_fails_on_a_wrong_nu_rho_value(monkeypatch):
+    """Negative control: p_k(q^(nu+rho)) off by q^1 for every nonempty nu
+    breaks the reflection relation, and only that check of the suite."""
+    from qtoda import suites
+    from qtoda.qfield import qpow
+
+    real = suites.specialize_nu_rho
+
+    def shifted(nu, k):
+        value = real(nu, k)
+        return value + qpow(ExponentPoly.const(1)) if nu.weight else value
+
+    monkeypatch.setattr(suites, "specialize_nu_rho", shifted)
+    report = schur_structure_suite(4)
+    assert report["passed"] is False
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "determinant_size_independence_w4": True,
+        "weighted_homogeneity_w4": True,
+        "power_sum_special_points": False,
+    }
+    failing = next(c for c in report["checks"] if not c["passed"])
+    assert failing["detail"].split("; ")[0] == f"({Partition((1,))}, k=1)"

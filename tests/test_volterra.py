@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qtoda.errors import NonCoprime, NonFinite, TruncationInsufficient, UnsupportedFlow
+from qtoda import volterra
+from qtoda.errors import InvalidTau, NonCoprime, NonFinite, TruncationInsufficient, UnsupportedFlow
 from qtoda.opalg import SitePoly
 from qtoda.volterra import (
     LatticeState,
@@ -396,8 +397,11 @@ def test_stationarity_reports():
     assert rep["band"]["1"] == "-u(s)"
     for a, b in [(3, 1), (3, 2)]:
         assert stationarity_check(a, b)["passed"], (a, b)
-    with pytest.raises(ValueError):
-        stationarity_check(1, 2)
+    # the lattice type is validated by SessionParams(a, b, -1)
+    for a, b, error in [(1, 2, InvalidTau), (1, 1, InvalidTau), (4, 2, NonCoprime),
+                        (2, 0, NonCoprime)]:
+        with pytest.raises(error):
+            stationarity_check(a, b)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -408,7 +412,24 @@ def test_duality_check(a, b):
     assert "sigma(j)" in rep["relabeling"]
 
 
+DUALITY_CHECKS = ["reflection_time_reversal", "invariants_under_relabeling",
+                  "dual_band_profile", "dual_lax_equation"]
+
+
 def test_duality_zero_state():
+    # the zero field takes the general path: every check runs and passes
+    for a, b in [(2, 1), (1, 1), (1, 2), (2, 3), (3, 1)]:
+        rep = duality_check(a, b, LatticeState(a, b, np.zeros(3 * (a + b))))
+        assert [c["name"] for c in rep["checks"]] == DUALITY_CHECKS, (a, b)
+        assert rep["passed"], (a, b, [c for c in rep["checks"] if not c["passed"]])
+
+
+def test_duality_zero_state_sees_a_nonzero_flow(monkeypatch):
+    # negative control: at u = 0 a flow field shifted by 1 is not reversed
+    # by the reflection, the failure the zero field must be able to show
+    exact_rhs = volterra.flow_rhs
+    monkeypatch.setattr(volterra, "flow_rhs", lambda state, k=1: exact_rhs(state, k) + 1)
     rep = duality_check(2, 1, LatticeState(2, 1, np.zeros(9)))
-    assert rep["passed"]
-    assert rep["checks"][0]["name"] == "zero_state"
+    assert not rep["passed"]
+    failed = {c["name"] for c in rep["checks"] if not c["passed"]}
+    assert "reflection_time_reversal" in failed
