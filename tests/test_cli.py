@@ -412,15 +412,8 @@ def test_config_file_defaults_and_override(tmp_path):
     assert main(["--config", str(cfg), "schur", "--mu", "[1]", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["mu"] == "[1]"
-
-
-@pytest.mark.parametrize("spelling", ["separate", "equals"])
-def test_config_file_both_spellings_apply(tmp_path, spelling):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[schur]\nmu = [1,1]\n")
-    out = tmp_path / "s.json"
-    flag = ["--config", str(cfg)] if spelling == "separate" else [f"--config={cfg}"]
-    assert main(flag + ["schur", "--out", str(out)]) == 0
+    # the --config=FILE spelling applies the file too
+    assert main([f"--config={cfg}", "schur", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["mu"] == "[1,1]"
 
 
