@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -20,12 +19,11 @@ from pathlib import Path
 
 from . import __version__
 from .errors import QTodaError
-from .opalg import SessionParams
 from .partitions import Partition
 from .report import merge_checks
 from .schur import PowerSumRing
 from .suites import identity_suite, laxcheck_suite, tau_shift_suite
-from .vertex import VertexContext, tau_table
+from .vertex import SessionParams, VertexContext, tau_table
 from .volterra import integrate, invariant_drift, perturbed_constant_state
 
 EXIT_OK = 0
@@ -41,7 +39,7 @@ def _emit_json(payload: dict, out: str | None):
     # generated_at first so it occupies its own (skippable) line
     doc = {"generated_at": _timestamp(), "schema": 1}
     doc.update(payload)
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -159,7 +157,7 @@ def cmd_simulate(args) -> int:
         wavelength=args.wavelength,
     )
     traj = integrate(state, args.flows, args.t_end, args.dt, record_every=args.record_every)
-    drift, series = invariant_drift(traj, args.a, args.b, args.invariants)
+    drift, series = invariant_drift(traj, args.invariants)
 
     csv_path = args.out_csv or f"simulate_a{args.a}_b{args.b}.csv"
     n = traj.states.shape[1]
@@ -190,8 +188,9 @@ def cmd_simulate(args) -> int:
     if args.order_check:
         traj_half = integrate(state, args.flows, args.t_end, args.dt / 2,
                               record_every=2 * args.record_every)
-        drift_half, _ = invariant_drift(traj_half, args.a, args.b, args.invariants)
-        ratio = max(drift) / max(drift_half) if max(drift_half) > 0 else math.inf
+        drift_half, _ = invariant_drift(traj_half, args.invariants)
+        # the ratio is null, not Infinity (which is not JSON), when the half-step drift is 0
+        ratio = max(drift) / max(drift_half) if max(drift_half) > 0 else None
         payload["half_step_max_relative_drift"] = max(drift_half)
         payload["order_check_ratio"] = ratio
     _emit_json(payload, args.out)

@@ -18,16 +18,13 @@ for the symbolic reduction checks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 from .errors import (
     IncompatibleStep,
-    InvalidTau,
-    NonCoprime,
     NonInvertibleLeading,
     RelationViolated,
     TruncationInsufficient,
@@ -43,7 +40,7 @@ from .partitions import (
 from .qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
 from .report import record_check
 from .sparse import SparsePoly
-from .vertex import TauTable, VertexContext, tau_table
+from .vertex import SessionParams, TauTable, VertexContext, tau_table
 
 # ---------------------------------------------------------------------------
 # symbolic lattice-function coefficients
@@ -435,56 +432,6 @@ def _require_inverse(label: str, w: DiffOp, w_inv: DiffOp) -> None:
 
 
 # ---------------------------------------------------------------------------
-# session parameters
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SessionParams:
-    """Lattice type (a, b), sign of the deformation parameter, truncation."""
-
-    a: int
-    b: int
-    sign: int = 1
-    T: int = 6
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise NonCoprime("a and b must be positive integers")
-        if math.gcd(self.a, self.b) != 1:
-            raise NonCoprime(f"a={self.a}, b={self.b} are not coprime")
-        if self.sign not in (1, -1):
-            raise InvalidTau("sign must be +1 or -1")
-        if self.sign == -1 and self.a == self.b:
-            raise InvalidTau("tau = -1 is excluded")
-        if self.sign == -1 and self.a < self.b:
-            raise InvalidTau("negative sign requires a > b (swap the roles otherwise)")
-
-    @property
-    def tau(self) -> Fraction:
-        return Fraction(self.sign * self.b, self.a)
-
-    @property
-    def refinement(self) -> int:
-        """Lattice refinement m; the step quantum is 1/m."""
-        return self.a + self.sign * self.b
-
-    @property
-    def step(self) -> Fraction:
-        return Fraction(1, self.refinement)
-
-    @property
-    def up_index(self) -> int:
-        """Grid index of Lam^(1/(tau+1)) on the step grid (equals a)."""
-        return self.a
-
-    @property
-    def down_index(self) -> int:
-        """Grid index of the other surviving power, Lam^(-tau/(tau+1))."""
-        return -self.sign * self.b
-
-
-# ---------------------------------------------------------------------------
 # initial-value dressing operators from the factorization problem
 # ---------------------------------------------------------------------------
 
@@ -812,7 +759,7 @@ def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1) ->
     record_check(report, "truncation_stability", stable)
 
     # (i) dressing coefficients against the factorization closed forms
-    fparams = SessionParams(params.a, params.b, params.sign, T=max_deg)
+    fparams = replace(params, T=max_deg)
     w0 = build_W0(fparams)
     wbar0 = build_W0bar(fparams)
     bad = [n for n in range(max_deg + 1) if dressing.W.coeff(-n) != w0.coeff(-n)]

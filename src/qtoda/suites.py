@@ -10,12 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RelationViolated
-from .opalg import LaxSession, SessionParams, check_LM_relation, cross_check_initial, \
-    expected_initial_lax, initial_lax, initial_M, record_vanishing
+from .opalg import LaxSession, check_LM_relation, cross_check_initial, expected_initial_lax, \
+    initial_lax, initial_M, record_vanishing
 from .partitions import Partition, enumerate_partitions
+from .qfield import ExponentPoly, qpow
 from .report import merge_checks, record_all, record_check
 from .schur import PowerSumRing, specialize_nu_rho
-from .vertex import VertexContext, tau_table
+from .vertex import SessionParams, VertexContext, tau_table
 
 
 def pairs_up_to(total_weight: int) -> list[tuple[Partition, Partition]]:
@@ -129,8 +130,6 @@ def kappa_suite(weight: int = 8) -> dict:
 def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
     """Vertex values against the matrix-element route at the reflected point:
     W(nu,nubar) = (-1)^(|nu|+|nubar|) q^((kappa(nu)+kappa(nubar))/2) * gamma."""
-    from .qfield import ExponentPoly, qpow
-
     report = {"passed": True, "checks": []}
     bad = []
     for nu, nubar in pairs_up_to(weight):
@@ -164,8 +163,6 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int) -> dict:
 
 def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
     """Entry exponents re-derived independently from kappa and weights."""
-    from .qfield import ExponentPoly
-
     report = {"passed": True, "checks": []}
     ctx = VertexContext(degree)
     table = tau_table(a, b, sign, 0, degree, ctx)

@@ -12,6 +12,9 @@ values at the q^(-rho) continuation, evaluated as p_k -> -p_k at the one
 q^rho specialization.  The cubic part of the exponent is independent of
 the partition pair; it is factored out and recorded as a polynomial so
 that every stored exponent stays quadratic in s.
+
+SessionParams, the lattice type shared by every layer above this one, is
+defined here, the lowest module that needs it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,55 @@ def subpartitions(limit: Partition) -> Iterator[Partition]:
         yield EMPTY
         return
     yield from rec(0, limit.parts[0], ())
+
+
+@dataclass(frozen=True)
+class SessionParams:
+    """Lattice type (a, b), sign of the deformation parameter, truncation.
+
+    The one place that decides which types are valid and derives tau, the
+    refined step and the grid indices of the two Lax operator powers.
+    """
+
+    a: int
+    b: int
+    sign: int = 1
+    T: int = 6
+
+    def __post_init__(self):
+        if self.a < 1 or self.b < 1:
+            raise NonCoprime("a and b must be positive integers")
+        if math.gcd(self.a, self.b) != 1:
+            raise NonCoprime(f"a={self.a}, b={self.b} are not coprime")
+        if self.sign not in (1, -1):
+            raise InvalidTau("sign must be +1 or -1")
+        if self.sign == -1 and self.a == self.b:
+            raise InvalidTau("tau = -1 is excluded")
+        if self.sign == -1 and self.a < self.b:
+            raise InvalidTau("negative sign requires a > b (swap the roles otherwise)")
+
+    @property
+    def tau(self) -> Fraction:
+        return Fraction(self.sign * self.b, self.a)
+
+    @property
+    def refinement(self) -> int:
+        """Lattice refinement m; the step quantum is 1/m."""
+        return self.a + self.sign * self.b
+
+    @property
+    def step(self) -> Fraction:
+        return Fraction(1, self.refinement)
+
+    @property
+    def up_index(self) -> int:
+        """Grid index of Lam^(1/(tau+1)) on the step grid (equals a)."""
+        return self.a
+
+    @property
+    def down_index(self) -> int:
+        """Grid index of the other surviving power, Lam^(-tau/(tau+1))."""
+        return -self.sign * self.b
 
 
 class VertexContext:
@@ -162,9 +214,7 @@ class TauTable:
     coefficients (c0, c1, c2, c3) of a polynomial in s.
     """
 
-    a: int
-    b: int
-    sign: int
+    tau: Fraction
     shift: Fraction
     max_deg: int
     exponents: dict[tuple[tuple, tuple], ExponentPoly] = field(default_factory=dict)
@@ -175,10 +225,6 @@ class TauTable:
         Fraction(0),
         Fraction(0),
     )
-
-    @property
-    def tau(self) -> Fraction:
-        return Fraction(self.sign * self.b, self.a)
 
     def entry(self, nu: Partition, nubar: Partition) -> QFieldElem:
         key = (nu.parts, nubar.parts)
@@ -223,23 +269,19 @@ def tau_table(
 ) -> TauTable:
     """Build the coefficient table for tau = sign * b/a, shifted by c.
 
+    The type (a, b, sign) is validated by SessionParams.
+
     Each entry's exponent is
         (tau+1) (kappa(nu)/2 + (s+c)|nu|) + (1/tau+1) (kappa(nubar)/2 + (s+c)|nubar|),
     multiplied by the vertex-operator matrix element at q^(-rho); the
     (nu, nubar)-independent cubic (tau + 1/tau + 2)(4(s+c)^3 - (s+c))/24 is
     recorded on the side and is what normalizes the (empty, empty) entry to 1.
     """
-    if a < 1 or b < 1 or math.gcd(a, b) != 1:
-        raise NonCoprime(f"(a, b) = ({a}, {b}) must be coprime positive integers")
-    if sign not in (1, -1):
-        raise InvalidTau("sign must be +1 or -1")
-    tau = Fraction(sign * b, a)
-    if tau == 0 or tau == -1:
-        raise InvalidTau(f"tau = {tau} is excluded")
+    tau = SessionParams(a, b, sign).tau
     shift = Fraction(shift)
     if ctx is None:
         ctx = VertexContext(max_deg)
-    table = TauTable(a=a, b=b, sign=sign, shift=shift, max_deg=max_deg)
+    table = TauTable(tau=tau, shift=shift, max_deg=max_deg)
 
     tau_inv = 1 / tau
     # cubic prefactor (tau + 1/tau + 2)(4(s+c)^3 - (s+c))/24 expanded in s

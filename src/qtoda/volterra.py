@@ -36,8 +36,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonFinite, UnsupportedFlow
-from .opalg import DiffOp, SessionParams, SitePoly
+from .opalg import DiffOp, SitePoly
 from .report import record_check
+from .vertex import SessionParams
 
 # ---------------------------------------------------------------------------
 # lattice state and the banded cyclic realization
@@ -49,7 +50,8 @@ class LatticeState:
     """Field values on the refined periodic lattice at a moment in time.
 
     sites[j] is u at s = j/m with m = a + b (positive sign); the length
-    must be a multiple of m (the coarse circumference times m).
+    must be a multiple of m (the coarse circumference times m).  The type
+    (a, b) is validated by SessionParams on construction.
     """
 
     a: int
@@ -58,18 +60,17 @@ class LatticeState:
     time: float = 0.0
 
     def __post_init__(self):
+        m = self.refinement  # raises NonCoprime unless a, b are positive and coprime
         if self.sites.ndim != 1:
             raise ValueError("sites must be a one-dimensional array")
-        if len(self.sites) % self.refinement != 0:
-            raise ValueError(
-                f"number of sites must be a multiple of the refinement {self.refinement}"
-            )
-        if len(self.sites) < 2 * self.refinement:
+        if len(self.sites) % m != 0:
+            raise ValueError(f"number of sites must be a multiple of the refinement {m}")
+        if len(self.sites) < 2 * m:
             raise ValueError("need at least two coarse sites")
 
     @property
     def refinement(self) -> int:
-        return self.a + self.b
+        return SessionParams(self.a, self.b).refinement
 
 
 def perturbed_constant_state(
@@ -165,10 +166,9 @@ def banded_equal(x: dict[int, np.ndarray], y: dict[int, np.ndarray], n: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _require_flow(k: int, a: int, b: int) -> None:
+def _require_flow(k: int) -> None:
     if k < 1:
         raise UnsupportedFlow("flow index must be >= 1")
-    SessionParams(a, b)  # raises NonCoprime unless a, b are positive and coprime
 
 
 def path_plan(a: int, b: int, k: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]]:
@@ -234,7 +234,7 @@ def flow_rhs(state: LatticeState, k: int = 1) -> np.ndarray:
     the reduced flow).  It is summed over lattice paths by power_diagonal,
     bitwise equal to reading it off banded_power.
     """
-    _require_flow(k, state.a, state.b)
+    _require_flow(k)
     u = state.sites
     return _rhs(u, state.b, path_plan(state.a, state.b, k, len(u)))
 
@@ -266,11 +266,13 @@ def conserved_quantities(state: LatticeState, kmax: int = 3) -> list[float]:
 
 @dataclass
 class Trajectory:
+    a: int
+    b: int
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n_sites)
 
-    def state_at(self, index: int, a: int, b: int) -> LatticeState:
-        return LatticeState(a, b, self.states[index].copy(), float(self.times[index]))
+    def state_at(self, index: int) -> LatticeState:
+        return LatticeState(self.a, self.b, self.states[index].copy(), float(self.times[index]))
 
 
 def integrate(
@@ -291,7 +293,7 @@ def integrate(
         raise ValueError(f"t_end = {t_end} must not be negative")
     if record_every < 1:
         raise ValueError(f"record_every = {record_every} must be >= 1")
-    _require_flow(k, state.a, state.b)
+    _require_flow(k)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")
@@ -316,17 +318,12 @@ def integrate(
             if (step + 1) % record_every == 0 or step + 1 == n_steps:
                 times.append(state.time + (step + 1) * dt)
                 states.append(u.copy())
-    return Trajectory(np.array(times), np.array(states))
+    return Trajectory(state.a, state.b, np.array(times), np.array(states))
 
 
-def invariant_drift(
-    traj: Trajectory, a: int, b: int, kmax: int = 3
-) -> tuple[list[float], list[list[float]]]:
+def invariant_drift(traj: Trajectory, kmax: int = 3) -> tuple[list[float], list[list[float]]]:
     """Max relative drift per invariant: |H_k(t) - H_k(0)| / |H_k(0) + 1|."""
-    series: list[list[float]] = []
-    for idx in range(len(traj.times)):
-        st = traj.state_at(idx, a, b)
-        series.append(conserved_quantities(st, kmax))
+    series = [conserved_quantities(traj.state_at(idx), kmax) for idx in range(len(traj.times))]
     base = series[0]
     drift = [
         max(abs(row[i] - base[i]) for row in series) / abs(base[i] + 1.0)
@@ -342,9 +339,8 @@ def invariant_drift(
 
 def symbolic_lax(a: int, b: int, sign: int = 1) -> DiffOp:
     """The reduced Lax operator with an undetermined coefficient function."""
-    m = a + sign * b
-    step = Fraction(1, m)
-    return DiffOp(step, {a: SitePoly.one(), -sign * b: -SitePoly.u(0)})
+    p = SessionParams(a, b, sign)
+    return DiffOp(p.step, {p.up_index: SitePoly.one(), p.down_index: -SitePoly.u(0)})
 
 
 def symbolic_flow_stencil(a: int, b: int, k: int = 1) -> SitePoly:
@@ -409,7 +405,7 @@ def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
     u = np.array([Fraction(x) for x in state.sites.tolist()], dtype=object)
     n = len(u)
     a, b = state.a, state.b
-    m = a + b
+    m = state.refinement
     exact_state = LatticeState(a, b, u)
     rhs = flow_rhs(exact_state, k)
     lax = lax_diagonals(u, a, b)
@@ -426,10 +422,10 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
     all its own powers, so the corresponding flows are stationary.  All
     verified symbolically with an undetermined coefficient function.
     """
-    SessionParams(a, b, -1)  # raises unless a > b >= 1 are coprime
-    report: dict = {"passed": True, "checks": [], "a": a, "b": b, "tau": f"-{b}/{a}"}
+    params = SessionParams(a, b, -1)  # raises unless a > b >= 1 are coprime
+    report: dict = {"passed": True, "checks": [], "a": a, "b": b, "tau": str(params.tau)}
 
-    m = a - b
+    m = params.refinement
     lax = symbolic_lax(a, b, -1)
     power = lax.pow_int(m)
     # physical powers present: integers from b up to a, nothing else
@@ -457,7 +453,7 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
     return report
 
 
-def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
+def duality_check(state: LatticeState, k: int = 1) -> dict:
     """Exchange symmetry of the lattice type realized on the flow fields.
 
     The recorded relabeling is the site reflection-with-complement
@@ -470,6 +466,7 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
     projection of (-L^T)^(k(a+b)), which is the dual system's generator
     shape.  All identities are checked in exact rational arithmetic.
     """
+    a, b = state.a, state.b
     report: dict = {
         "passed": True,
         "checks": [],
@@ -478,7 +475,7 @@ def duality_check(a: int, b: int, state: LatticeState, k: int = 1) -> dict:
 
     u = np.array([Fraction(x) for x in state.sites.tolist()], dtype=object)
     n = len(u)
-    m = a + b
+    m = state.refinement
     exact = LatticeState(a, b, u)
     rhs = flow_rhs(exact, k)
 

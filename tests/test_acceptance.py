@@ -177,9 +177,9 @@ def test_criterion_7_conservation_and_order():
     """
     state = perturbed_constant_state(1, 1, 12, base=1.0, amplitude=0.85, wavelength=12)
     traj = integrate(state, 1, t_end=10.0, dt=1e-3, record_every=500)
-    drift, _ = invariant_drift(traj, 1, 1, 3)
+    drift, _ = invariant_drift(traj, 3)
     traj_half = integrate(state, 1, t_end=10.0, dt=5e-4, record_every=1000)
-    drift_half, _ = invariant_drift(traj_half, 1, 1, 3)
+    drift_half, _ = invariant_drift(traj_half, 3)
     ratio = max(drift) / max(drift_half)
     report(
         7,

@@ -68,6 +68,10 @@ def test_tau_degree_zero_single_entry(tmp_path):
 
 def test_tau_rejects_noncoprime(capsys):
     assert main(["tau", "--a", "2", "--b", "4", "--deg", "1"]) == 2
+    capsys.readouterr()
+    # a sign -1 type with a < b is refused, as laxcheck refuses it
+    assert main(["tau", "--a", "1", "--b", "2", "--sign", "-1", "--deg", "1"]) == 2
+    assert "negative sign requires a > b" in capsys.readouterr().err
 
 
 def test_identities_small_pass(tmp_path):
@@ -360,7 +364,7 @@ def test_simulate_zero_amplitude_constant_csv(tmp_path):
     out = tmp_path / "run.json"
     code = main([
         "simulate", "--a", "1", "--b", "1", "--sites", "4", "--dt", "1e-2",
-        "--t-end", "0.1", "--amplitude", "0", "--record-every", "2",
+        "--t-end", "0.1", "--amplitude", "0", "--record-every", "2", "--order-check",
         "--out-csv", str(csv), "--out", str(out),
     ])
     assert code == 0
@@ -371,8 +375,14 @@ def test_simulate_zero_amplitude_constant_csv(tmp_path):
     first = lines[2].split(",")[1:9]
     last = lines[-1].split(",")[1:9]
     assert first == last  # constant data stays constant
-    doc = json.loads(out.read_text())
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
     assert doc["max_relative_drift"] < 1e-12
+    # both drifts are 0, so the ratio is null rather than Infinity
+    assert doc["half_step_max_relative_drift"] == 0 and doc["order_check_ratio"] is None
 
 
 def test_simulate_determinism_modulo_timestamp(tmp_path):

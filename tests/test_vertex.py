@@ -2,14 +2,17 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qtoda import suites
 from qtoda.errors import DegreeBoundExceeded, InvalidTau, NonCoprime
 from qtoda.partitions import EMPTY, Partition
 from qtoda.qfield import ExponentPoly, QFieldElem, qpow
 from qtoda.schur import specialize_rho
-from qtoda.suites import pairs_up_to
-from qtoda.vertex import VertexContext, subpartitions, tau_table
+from qtoda.suites import pairs_up_to, tau_exponent_suite, tau_shift_suite
+from qtoda.vertex import SessionParams, VertexContext, subpartitions, tau_table
+from qtoda.volterra import LatticeState, symbolic_flow_stencil, symbolic_lax
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +181,69 @@ def test_tau_table_validation():
         tau_table(2, 2, 1, 0, 2)
     with pytest.raises(InvalidTau):
         tau_table(1, 1, -1, 0, 2)
+
+
+# (a, b, sign) and the error every layer must raise for it (None: accepted)
+LATTICE_TYPES = [
+    (2, 4, 1, NonCoprime),
+    (1, 1, -1, InvalidTau),
+    (1, 2, -1, InvalidTau),
+    (0, 1, 1, NonCoprime),
+    (1, 0, 1, NonCoprime),
+    (2, 1, 0, InvalidTau),
+    (2, 3, 1, None),
+    (3, 2, -1, None),
+    (1, 1, 1, None),
+]
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as exc:  # any class: a ZeroDivisionError must show too
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("a,b,sign,error", LATTICE_TYPES)
+def test_every_layer_validates_the_lattice_type_alike(a, b, sign, error):
+    """SessionParams, tau_table, symbolic_lax, and for sign +1 LatticeState
+    and symbolic_flow_stencil, accept the same types, and refuse the others
+    with the same exception class and message."""
+    builders = {
+        "SessionParams": lambda: SessionParams(a, b, sign),
+        "tau_table": lambda: tau_table(a, b, sign, 0, 1),
+        "symbolic_lax": lambda: symbolic_lax(a, b, sign),
+    }
+    if sign == 1:
+        builders["LatticeState"] = lambda: LatticeState(a, b, np.ones(2 * max(a + b, 1)))
+        builders["symbolic_flow_stencil"] = lambda: symbolic_flow_stencil(a, b)
+    outcomes = {name: _outcome(build) for name, build in builders.items()}
+    assert len(set(outcomes.values())) == 1, outcomes
+    got = outcomes["SessionParams"]
+    assert (None if got is None else got[0]) is error, got
+
+
+def test_shift_checks_fail_on_tables_that_do_not_shift(monkeypatch):
+    """Negative control: shifted tables that carry the unshifted entry
+    exponents fail both shift checks, each naming the first such entry,
+    while the exponent re-derivation (on the unshifted table) passes."""
+
+    def unshifted_exponents(a, b, sign, shift, max_deg, ctx):
+        table = tau_table(a, b, sign, shift, max_deg, ctx)
+        table.exponents = tau_table(a, b, sign, 0, max_deg, ctx).exponents
+        return table
+
+    monkeypatch.setattr(suites, "tau_table", unshifted_exponents)
+    report = tau_shift_suite(1, 1, 1, 4)
+    assert not report["passed"]
+    for check in report["checks"]:
+        assert check["name"] in ("tau_shift_c=1/2", "tau_shift_c=1/3"), check
+        assert not check["passed"] and check["detail"].startswith("entry ([],[1]);"), check
+    assert len(report["checks"]) == 2
+    rederived = tau_exponent_suite(1, 1, 1, 4)
+    assert rederived["passed"]
+    assert [c["name"] for c in rederived["checks"]] == ["tau_exponent_rederivation"]
 
 
 def test_tau_entries_link_to_generating_coefficients():

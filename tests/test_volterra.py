@@ -311,18 +311,10 @@ def test_integration_validates_the_flow_before_a_step():
         integrate(state, 0, t_end=0.0)
 
 
-def test_flows_reject_a_non_coprime_type_before_a_step(monkeypatch):
-    import qtoda.volterra as volterra
-
-    def no_step(*args):
-        raise AssertionError("a flow step ran before the lattice type was checked")
-
-    monkeypatch.setattr(volterra, "path_plan", no_step)
-    state = LatticeState(2, 4, np.ones(12))
+def test_flows_reject_a_non_coprime_type_before_a_step():
+    # the state itself refuses the type, so no flow can be started on it
     with pytest.raises(NonCoprime, match="a=2, b=4 are not coprime"):
-        flow_rhs(state, 1)
-    with pytest.raises(NonCoprime, match="a=2, b=4 are not coprime"):
-        integrate(state, 1, t_end=0.0)
+        LatticeState(2, 4, np.ones(12))
 
 
 def test_integration_rejects_negative_end_time_and_record_interval():
@@ -384,7 +376,7 @@ def test_nonfinite_start_is_named_before_a_step():
 def test_conservation_drift_small():
     state = perturbed_constant_state(1, 1, 12)
     traj = integrate(state, 1, t_end=2.0, dt=1e-3, record_every=250)
-    drift, series = invariant_drift(traj, 1, 1, 3)
+    drift, series = invariant_drift(traj, 3)
     assert max(drift) < 1e-10
     assert len(series[0]) == 3
 
@@ -407,7 +399,7 @@ def test_stationarity_reports():
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 3)])
 def test_duality_check(a, b):
     state = perturbed_constant_state(a, b, 6)
-    rep = duality_check(a, b, state)
+    rep = duality_check(state)
     assert rep["passed"], [c for c in rep["checks"] if not c["passed"]]
     assert "sigma(j)" in rep["relabeling"]
 
@@ -419,7 +411,7 @@ DUALITY_CHECKS = ["reflection_time_reversal", "invariants_under_relabeling",
 def test_duality_zero_state():
     # the zero field takes the general path: every check runs and passes
     for a, b in [(2, 1), (1, 1), (1, 2), (2, 3), (3, 1)]:
-        rep = duality_check(a, b, LatticeState(a, b, np.zeros(3 * (a + b))))
+        rep = duality_check(LatticeState(a, b, np.zeros(3 * (a + b))))
         assert [c["name"] for c in rep["checks"]] == DUALITY_CHECKS, (a, b)
         assert rep["passed"], (a, b, [c for c in rep["checks"] if not c["passed"]])
 
@@ -429,7 +421,7 @@ def test_duality_zero_state_sees_a_nonzero_flow(monkeypatch):
     # by the reflection, the failure the zero field must be able to show
     exact_rhs = volterra.flow_rhs
     monkeypatch.setattr(volterra, "flow_rhs", lambda state, k=1: exact_rhs(state, k) + 1)
-    rep = duality_check(2, 1, LatticeState(2, 1, np.zeros(9)))
+    rep = duality_check(LatticeState(2, 1, np.zeros(9)))
     assert not rep["passed"]
     failed = {c["name"] for c in rep["checks"] if not c["passed"]}
     assert "reflection_time_reversal" in failed
