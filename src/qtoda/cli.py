@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -158,6 +159,14 @@ def cmd_simulate(args) -> int:
     )
     traj = integrate(state, args.flows, args.t_end, args.dt, record_every=args.record_every)
     drift, series = invariant_drift(traj, args.invariants)
+    drift_half = None
+    if args.order_check:
+        traj_half = integrate(state, args.flows, args.t_end, args.dt / 2,
+                              record_every=2 * args.record_every)
+        drift_half, _ = invariant_drift(traj_half, args.invariants)
+    for k, values in enumerate(zip(series[0], drift, drift_half or drift), start=1):
+        if not all(math.isfinite(v) for v in values):  # checked before any file is written
+            raise ValueError(f"invariant H_{k} is not finite: lower --base or --amplitude")
 
     csv_path = args.out_csv or f"simulate_a{args.a}_b{args.b}.csv"
     n = traj.states.shape[1]
@@ -185,10 +194,7 @@ def cmd_simulate(args) -> int:
         "relative_drift": drift,
         "csv": csv_path,
     }
-    if args.order_check:
-        traj_half = integrate(state, args.flows, args.t_end, args.dt / 2,
-                              record_every=2 * args.record_every)
-        drift_half, _ = invariant_drift(traj_half, args.invariants)
+    if drift_half is not None:
         # the ratio is null, not Infinity (which is not JSON), when the half-step drift is 0
         ratio = max(drift) / max(drift_half) if max(drift_half) > 0 else None
         payload["half_step_max_relative_drift"] = max(drift_half)

@@ -5,10 +5,6 @@ class QTodaError(Exception):
     """Base class for library-specific failures."""
 
 
-class DenominatorVanishes(QTodaError):
-    """Numeric evaluation could not certify the denominator away from zero."""
-
-
 class DegreeBoundExceeded(QTodaError):
     """A partition or polynomial exceeds the session degree bound."""
 

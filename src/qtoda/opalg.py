@@ -286,7 +286,8 @@ class DiffOp:
         return DiffOp(self.step, kept, None, self.ceil, zero=self.zero_coeff)
 
     def proj_neg(self) -> "DiffOp":
-        if self.ceil is not None and self.ceil < 0:
+        """Shift powers < 0; the whole negative range must be certified."""
+        if self.ceil is not None and self.ceil < -1:
             raise TruncationInsufficient("negative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n < 0}
         return DiffOp(self.step, kept, self.floor, None, zero=self.zero_coeff)

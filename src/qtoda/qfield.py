@@ -5,8 +5,14 @@ Q-linear combinations of formal powers q^E(s), the exponent E being a
 polynomial in s with rational coefficients of degree at most 2.  Exponents
 add under multiplication, so the monomials form a totally ordered group,
 the linear combinations an integral domain, and the quotients a field.
-Everything is exact: coefficients are `fractions.Fraction`, exponents are
-triples of Fractions.
+Everything is exact.
+
+A `QPowerSum` groups its terms by their s-part c2*s^2 + c1*s and stores
+each group as q^(c2*s^2 + c1*s) * c * P(q^(1/L)): L the smallest grid of
+the constant exponents c0, c the rational content, P a primitive integer
+Laurent polynomial with a positive leading coefficient.  The form is
+canonical, so equality and hashing are structural.  Products multiply the
+P's in ints with no gcd pass (Gauss's lemma); sums take one.
 
 Equality of quotients is decided by cross multiplication; no gcd-style
 normalization is attempted.  The reductions applied are cheap ones that
@@ -18,248 +24,311 @@ exact-division probe before falling back to cross multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import truediv
 from typing import Union
 
-from .errors import DenominatorVanishes
 from .sparse import SparsePoly
 
 Rat = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-PRECISION_BITS = 128  # default working precision of QFieldElem.eval and eval_interval
 
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-from math import gcd as _gcd
-
-
 def _rat(x) -> tuple[int, int]:
     """Normalized int pair (num, den > 0)."""
-    if isinstance(x, int):
-        return (x, 1)
-    f = _frac(x)
-    return (f.numerator, f.denominator)
+    return (x, 1) if isinstance(x, int) else _frac(x).as_integer_ratio()
+
+
+def _pair(n: int, d: int) -> tuple[int, int]:
+    """n/d, d > 0, as a normalized int pair."""
+    g = gcd(n, d)
+    return (n // g, d // g)
 
 
 def _radd(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    n, d = an * bd + bn * ad, ad * bd
-    g = _gcd(n, d)
-    return (n // g, d // g) if g > 1 else (n, d)
+    return _pair(an * bd + bn * ad, ad * bd)
 
 
-def _rmul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    n, d = an * bn, ad * bd
-    if n == 0:
-        return (0, 1)
-    g = _gcd(n, d)
-    return (n // g, d // g) if g > 1 else (n, d)
+def _rmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    n, d = a[0] * b[0], a[1] * b[1]
+    return (n, 1) if d == 1 else _pair(n, d)
 
 
 class ExponentPoly:
     """Exponent E(s) = c2*s^2 + c1*s + c0 with exact rational coefficients.
 
     Immutable; the canonical term order is lexicographic on (c2, c1, c0).
-    Internally the coefficients are normalized integer pairs, which keeps
-    dictionary operations on exponents cheap in hot loops.
+    `key` holds the coefficients as normalized int pairs
+    (n2, d2, n1, d1, n0, d0), which keeps dictionary operations cheap.
     """
 
-    __slots__ = ("key", "_hash")
+    __slots__ = ("key",)
 
     def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0):
-        n0, d0 = _rat(c0)
-        n1, d1 = _rat(c1)
-        n2, d2 = _rat(c2)
-        object.__setattr__(self, "key", (n2, d2, n1, d1, n0, d0))
-        object.__setattr__(self, "_hash", hash((n2, d2, n1, d1, n0, d0)))
+        object.__setattr__(self, "key", _rat(c2) + _rat(c1) + _rat(c0))
 
     @staticmethod
     def _raw(key: tuple) -> "ExponentPoly":
         self = object.__new__(ExponentPoly)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ExponentPoly is immutable")
 
-    @property
-    def c0(self) -> Fraction:
-        return Fraction(self.key[4], self.key[5])
-
-    @property
-    def c1(self) -> Fraction:
-        return Fraction(self.key[2], self.key[3])
-
-    @property
-    def c2(self) -> Fraction:
-        return Fraction(self.key[0], self.key[1])
-
-    @staticmethod
-    def of(c0: Rat = 0, c1: Rat = 0, c2: Rat = 0) -> "ExponentPoly":
-        return ExponentPoly(c0, c1, c2)
-
-    @staticmethod
-    def const(c: Rat) -> "ExponentPoly":
-        return ExponentPoly(c)
+    c0 = property(lambda self: Fraction(self.key[4], self.key[5]))
+    c1 = property(lambda self: Fraction(self.key[2], self.key[3]))
+    c2 = property(lambda self: Fraction(self.key[0], self.key[1]))
 
     def __eq__(self, other) -> bool:
         return self.key == other.key if isinstance(other, ExponentPoly) else NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __lt__(self, other: "ExponentPoly") -> bool:
         a, b = self.key, other.key
-        for i in (0, 2, 4):
-            left = a[i] * b[i + 1]
-            right = b[i] * a[i + 1]
-            if left != right:
-                return left < right
-        return False
+        return (a[0] * b[1], a[2] * b[3], a[4] * b[5]) < (b[0] * a[1], b[2] * a[3], b[4] * a[5])
 
     def __add__(self, other: "ExponentPoly") -> "ExponentPoly":
         a, b = self.key, other.key
-        return ExponentPoly._raw(
-            _radd(a[0], a[1], b[0], b[1])
-            + _radd(a[2], a[3], b[2], b[3])
-            + _radd(a[4], a[5], b[4], b[5])
-        )
-
-    def __sub__(self, other: "ExponentPoly") -> "ExponentPoly":
-        a, b = self.key, other.key
-        return ExponentPoly._raw(
-            _radd(a[0], a[1], -b[0], b[1])
-            + _radd(a[2], a[3], -b[2], b[3])
-            + _radd(a[4], a[5], -b[4], b[5])
-        )
+        return ExponentPoly._raw(_sigma_add(a[:4], b[:4]) + _radd(*a[4:], *b[4:]))
 
     def __neg__(self) -> "ExponentPoly":
         k = self.key
         return ExponentPoly._raw((-k[0], k[1], -k[2], k[3], -k[4], k[5]))
 
+    def __sub__(self, other: "ExponentPoly") -> "ExponentPoly":
+        return self + -other
+
     def shift(self, beta: Rat) -> "ExponentPoly":
         """Exact substitution s -> s + beta."""
-        bn, bd = _rat(beta)
-        if bn == 0:
-            return self
-        n2, d2, n1, d1, n0, d0 = self.key
-        new1 = _radd(n1, d1, 2 * bn * n2, bd * d2)
-        lin = _rmul(bn, bd, n1, d1)
-        quad = _rmul(bn * bn, bd * bd, n2, d2)
-        new0 = _radd(*_radd(n0, d0, *lin), *quad)
-        return ExponentPoly._raw((n2, d2) + new1 + new0)
+        b, c1, c2 = _frac(beta), self.c1, self.c2
+        return ExponentPoly(self.c0 + (c1 + c2 * b) * b, c1 + 2 * c2 * b, c2) if b else self
 
     def is_zero(self) -> bool:
-        k = self.key
-        return k[0] == 0 and k[2] == 0 and k[4] == 0
+        return self.key[::2] == (0, 0, 0)
 
     def value_at(self, s_val: Rat) -> Fraction:
         s = _frac(s_val)
         return self.c0 + self.c1 * s + self.c2 * s * s
 
     def __str__(self) -> str:
-        parts = []
-        for coef, sym in ((self.c2, "s^2"), (self.c1, "s"), (self.c0, "")):
-            if coef == 0:
-                continue
-            if sym and coef == 1:
-                text = sym
-            elif sym and coef == -1:
-                text = "-" + sym
-            elif sym:
-                text = f"{coef}*{sym}"
-            else:
-                text = str(coef)
-            if parts and not text.startswith("-"):
-                parts.append("+" + text)
-            else:
-                parts.append(text)
-        return "".join(parts) if parts else "0"
+        text = ""
+        for n, d, sym in zip(self.key[::2], self.key[1::2], ("s^2", "s", "")):
+            if n:
+                coef = str(n) if d == 1 else f"{n}/{d}"
+                if sym:
+                    coef = {"1": "", "-1": "-"}.get(coef, coef + "*")
+                text += ("+" if text and n > 0 else "") + coef + sym
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"ExponentPoly({self})"
 
 
+# `ExponentPoly.of(c0, c1, c2)` and `ExponentPoly.const(c0)` name the constructor
+ExponentPoly.of = ExponentPoly.const = staticmethod(ExponentPoly)
 E_ZERO = ExponentPoly()
 
+# -- the parts of a QPowerSum -------------------------------------------------
+# A part (L, c, P) holds the terms c * P[k] * q^(k/L) of one s-part: c is a
+# nonzero rational as a normalized int pair, P a nonempty primitive
+# {int: int} whose coefficient at the largest exponent is positive, and
+# L >= 1 the smallest grid of its exponents.  An s-part is the key
+# (n2, d2, n1, d1) of c2*s^2 + c1*s, as in ExponentPoly.key.
 
-class QPowerSum(SparsePoly):
-    """Finite Q-linear combination of monomials q^E(s), keyed by the
-    exponent E and displayed by descending E."""
+_S0 = (0, 1, 0, 1)
 
-    __slots__ = ("_hash",)
 
-    _UNIT = E_ZERO
-    _DESCENDING = True
-    _mono_mul = staticmethod(ExponentPoly.__add__)
+def _sigma_add(a: tuple, b: tuple) -> tuple:
+    if a == _S0 or b == _S0:
+        return b if a == _S0 else a
+    return _radd(*a[:2], *b[:2]) + _radd(*a[2:], *b[2:])
+
+
+def _regrid(L: int, P: dict, M: int) -> dict:
+    """P's exponents moved from the grid L to M, a multiple of L."""
+    return P if M == L else {k * (M // L): v for k, v in P.items()}
+
+
+def _on_grid(L: int, c: tuple, P: dict) -> tuple:
+    """The part (L, c, P) on its smallest grid."""
+    g = gcd(L, *P) if L > 1 else 1
+    return (L, c, P) if g == 1 else (L // g, c, {k // g: v for k, v in P.items()})
+
+
+def _part_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two parts.  By Gauss's lemma it is primitive, and its
+    leading coefficient is the product of the two positive ones: no gcd pass."""
+    L = lcm(a[0], b[0])
+    Pa, Pb, P = _regrid(a[0], a[2], L), _regrid(b[0], b[2], L), {}
+    Pa, Pb = (Pa, Pb) if len(Pa) >= len(Pb) else (Pb, Pa)  # the shorter one outside
+    for kb, vb in Pb.items():
+        for ka, va in Pa.items():
+            k = ka + kb
+            P[k] = P.get(k, 0) + va * vb
+    return _on_grid(L, _rmul(a[1], b[1]), {k: v for k, v in P.items() if v})
+
+
+def _part_add(a: tuple, b: tuple) -> tuple | None:
+    """Sum of two parts of one s-part, with one gcd pass; None if they cancel."""
+    (x, dx), (y, dy) = a[1], b[1]
+    L, D = lcm(a[0], b[0]), lcm(dx, dy)
+    x, y = x * (D // dx), y * (D // dy)
+    P = {k: x * v for k, v in _regrid(a[0], a[2], L).items()}
+    for k, v in _regrid(b[0], b[2], L).items():
+        P[k] = P.get(k, 0) + y * v
+    P = {k: v for k, v in P.items() if v}
+    if not P:
+        return None
+    g = gcd(*P.values()) * (1 if P[max(P)] > 0 else -1)
+    return _on_grid(L, _pair(g, D), {k: v // g for k, v in P.items()} if g != 1 else P)
+
+
+def _part_times_q(part: tuple, n: int, d: int) -> tuple:
+    """part * q^(n/d)."""
+    L, c, P = part
+    M = lcm(L, d)
+    m, off = M // L, n * (M // d)
+    return _on_grid(M, c, {k * m + off: v for k, v in P.items()}) if n else part
+
+
+class _Terms(SparsePoly):
+    """Term-by-term view of a QPowerSum, used only to format it."""
+
+    __slots__ = ()
+    _UNIT, _DESCENDING = E_ZERO, True
+    _mono_str = staticmethod("q^({})".format)
+
+
+class QPowerSum:
+    """Finite Q-linear combination of monomials q^E(s), displayed by
+    descending E and stored as {s-part: (L, c, P)} (see the module
+    docstring).  Instances are immutable."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, terms=()):
+        """Sum of (ExponentPoly, coefficient) pairs, or of a dict's items."""
+        pairs = terms.items() if isinstance(terms, dict) else terms
+        self.parts = sum((QPowerSum.monomial(e, c) for e, c in pairs), _QPS_ZERO).parts
 
     @staticmethod
-    def _mono_str(expo: ExponentPoly) -> str:
-        return f"q^({expo})"
+    def _raw(parts: dict) -> "QPowerSum":
+        (new := object.__new__(QPowerSum)).parts = parts
+        return new
 
-    # -- constructors ----------------------------------------------------
+    @staticmethod
+    def zero() -> "QPowerSum":
+        return QPowerSum._raw({})
+
+    @staticmethod
+    def one() -> "QPowerSum":
+        return QPowerSum._raw({_S0: (1, (1, 1), {0: 1})})
 
     @staticmethod
     def monomial(expo: ExponentPoly, coef: Rat = 1) -> "QPowerSum":
-        coef = _frac(coef)
-        return QPowerSum._raw({expo: coef} if coef else {})
+        coef, k = _rat(coef), expo.key
+        return QPowerSum._raw({k[:4]: (k[5], coef, {k[4]: 1})} if coef[0] else {})
 
     @staticmethod
     def rational(c: Rat) -> "QPowerSum":
         return QPowerSum.monomial(E_ZERO, c)
 
-    # -- structure ---------------------------------------------------------
+    def terms(self):
+        """Every term as (c0, c1, c2, coefficient), all Fractions."""
+        for (n2, d2, n1, d1), (L, (n, d), P) in self.parts.items():
+            for k, v in P.items():
+                yield Fraction(k, L), Fraction(n1, d1), Fraction(n2, d2), Fraction(n * v, d)
+
+    def is_zero(self) -> bool:
+        return not self.parts
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs.get(E_ZERO) == _ONE
+        return self.parts == _QPS_ONE.parts
 
-    def min_term(self) -> tuple[ExponentPoly, Fraction]:
-        e = min(self.coeffs)  # ExponentPoly.__lt__ is the exact term order
-        return e, self.coeffs[e]
+    def __len__(self) -> int:
+        return sum(len(P) for _, _, P in self.parts.values())
 
-    def max_term(self) -> tuple[ExponentPoly, Fraction]:
-        e = max(self.coeffs)
-        return e, self.coeffs[e]
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QPowerSum) and self.parts == other.parts
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = h = hash(frozenset(self.coeffs.items()))
-            return h
+        if not hasattr(self, "_hash"):  # computed once, as parts never change
+            parts = self.parts.items()
+            self._hash = hash(frozenset((s, L, c, frozenset(P.items())) for s, (L, c, P) in parts))
+        return self._hash
 
-    # -- exponent maps -------------------------------------------------------
+    def min_term(self) -> tuple[ExponentPoly, Fraction]:
+        """The smallest term in the order (c2, c1, c0), as (exponent, coefficient)."""
+        s = min(self.parts, key=lambda s: ExponentPoly._raw(s + (0, 1)))
+        L, c, P = self.parts[s]
+        k = min(P)
+        return ExponentPoly._raw(s + _pair(k, L)), Fraction(c[0] * P[k], c[1])
+
+    def __add__(self, other: "QPowerSum") -> "QPowerSum":
+        if not self.parts:
+            return other
+        parts = dict(self.parts)
+        for s, part in other.parts.items():
+            got = parts.pop(s, None)
+            total = part if got is None else _part_add(got, part)
+            if total is not None:
+                parts[s] = total
+        return QPowerSum._raw(parts)
+
+    def __neg__(self) -> "QPowerSum":
+        return self.scale(-1)
+
+    def __sub__(self, other: "QPowerSum") -> "QPowerSum":
+        return self + -other
+
+    def __mul__(self, other: "QPowerSum") -> "QPowerSum":
+        total = _QPS_ZERO
+        for sa, pa in self.parts.items():
+            for sb, pb in other.parts.items():
+                total = total + QPowerSum._raw({_sigma_add(sa, sb): _part_mul(pa, pb)})
+        return total
+
+    def mul_monomial(self, mono: ExponentPoly, coef: Rat) -> "QPowerSum":
+        """Product with coef * q^mono, coef nonzero."""
+        s, (n, d), coef = mono.key[:4], mono.key[4:], _rat(coef)
+        return QPowerSum._raw({
+            _sigma_add(t, s): _part_times_q((L, _rmul(c, coef), P), n, d)
+            for t, (L, c, P) in self.parts.items()
+        })
+
+    def scale(self, r: Rat) -> "QPowerSum":
+        return self.mul_monomial(E_ZERO, r) if r else _QPS_ZERO
 
     def shift(self, beta: Rat) -> "QPowerSum":
         """Substitute s -> s + beta in every exponent (ring homomorphism)."""
-        beta = _frac(beta)
-        if not beta:
-            return self
-        return QPowerSum._raw({e.shift(beta): c for e, c in self.coeffs.items()})
+        parts = {}
+        for s, part in self.parts.items():
+            k = ExponentPoly._raw(s + (0, 1)).shift(beta).key
+            parts[k[:4]] = _part_times_q(part, *k[4:])
+        return QPowerSum._raw(parts)
 
     def negate_exponents(self) -> "QPowerSum":
         """The involution q -> 1/q (negates every exponent)."""
-        return QPowerSum._raw({-e: c for e, c in self.coeffs.items()})
+        parts = {}
+        for (n2, d2, n1, d1), (L, c, P) in self.parts.items():
+            sg = 1 if P[min(P)] > 0 else -1  # the sign of the new leading coefficient
+            parts[(-n2, d2, -n1, d1)] = (L, (c[0] * sg, c[1]), {-k: v * sg for k, v in P.items()})
+        return QPowerSum._raw(parts)
 
-    # -- numerics ---------------------------------------------------------------
+    def __str__(self) -> str:
+        return str(_Terms._raw({
+            ExponentPoly._raw(s + _pair(k, L)): Fraction(c[0] * v, c[1])
+            for s, (L, c, P) in self.parts.items() for k, v in P.items()
+        }))
 
-    def eval_in(self, ctx, log_q, s_val: Rat):
-        """Value at q = exp(log_q) and rational s in the mpmath context ctx
-        (mp for a point value, iv for an interval), at its precision."""
-        total = ctx.mpf(0)
-        for expo, coef in self.coeffs.items():
-            r = expo.value_at(s_val)
-            c = ctx.mpf(coef.numerator) / coef.denominator
-            if r == 0:
-                total += c
-            else:
-                total += c * ctx.exp((ctx.mpf(r.numerator) / r.denominator) * log_q)
-        return total
+    def __repr__(self) -> str:
+        return f"QPowerSum({self})"
 
 
 _QPS_ZERO = QPowerSum.zero()
@@ -268,49 +337,61 @@ _QPS_ONE = QPowerSum.one()
 _DIV_CACHE: dict[tuple[QPowerSum, QPowerSum], QPowerSum | None] = {}
 
 
+def _long_division(rem: dict, den: dict, max_steps: int, div) -> dict | None:
+    """rem / den by leading-term elimination (consumes rem); None once
+    max_steps steps leave a remainder or `div` finds no exact coefficient."""
+    lead_e = max(den)
+    lead_c, rest = den[lead_e], [(e, c) for e, c in den.items() if e != lead_e]
+    quot = {}
+    for _ in range(max_steps):
+        if not rem:
+            return quot
+        re = max(rem)
+        qc = div(rem.pop(re), lead_c)
+        if qc is None:
+            return None
+        qe = re - lead_e  # falls at every step, so each step adds a new term
+        quot[qe] = qc
+        for e, c in rest:
+            k = e + qe
+            rem[k] = rem.get(k, 0) - c * qc
+            if not rem[k]:
+                del rem[k]
+    return None
+
+
 def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
     """num/den when the division is exact in the monomial algebra, else None.
 
-    Leading-term elimination in the canonical exponent order, working on a
-    mutable dict; bails out once the step count exceeds what an exact
-    quotient could need.  Results are memoized (denominators recur heavily
-    in iterated operator arithmetic).
+    Leading-term elimination in the canonical exponent order; bails out once
+    the step count exceeds what an exact quotient could need.  With one
+    s-part on each side it runs on the int P's: by Gauss's lemma an exact
+    quotient of primitive P's has int coefficients, so the first one that
+    does not divide ends the probe early with the same answer.  Results are
+    memoized (denominators recur heavily in iterated operator arithmetic).
     """
     if den.is_zero():
         return None
     if den.is_one():
         return num
-    if len(den.coeffs) == 1:
-        ((e, c),) = den.coeffs.items()
-        return num.mul_monomial(-e, 1 / c)
     if num.is_zero():
         return _QPS_ZERO
     key = (num, den)
     if key in _DIV_CACHE:
         return _DIV_CACHE[key]
-    lead_e, lead_c = den.max_term()
-    den_rest = [(e, c) for e, c in den.coeffs.items() if e != lead_e]
-    rem = dict(num.coeffs)
-    quot: dict[ExponentPoly, Fraction] = {}
-    max_steps = len(num.coeffs) + len(den.coeffs) + 8
-    result = None
-    for _ in range(max_steps):
-        if not rem:
-            result = QPowerSum._raw(quot)
-            break
-        re = max(rem)
-        qe, qc = re - lead_e, rem[re] / lead_c
-        quot[qe] = quot.get(qe, _ZERO) + qc
-        if not quot[qe]:
-            del quot[qe]
-        del rem[re]
-        for e, c in den_rest:
-            ke = e + qe
-            v = rem.get(ke, _ZERO) - c * qc
-            if v:
-                rem[ke] = v
-            elif ke in rem:
-                del rem[ke]
+    max_steps = len(num) + len(den) + 8
+    if len(num.parts) == len(den.parts) == 1:
+        ((sn, (Ln, cn, Pn)),), ((sd, (Ld, cd, Pd)),) = num.parts.items(), den.parts.items()
+        L = lcm(Ln, Ld)
+        quot = _long_division(dict(_regrid(Ln, Pn, L)), _regrid(Ld, Pd, L), max_steps,
+                              lambda a, b: None if a % b else a // b)
+        s = _sigma_add(sn, (-sd[0], sd[1], -sd[2], sd[3]))
+        c = _rat(Fraction(cn[0] * cd[1], cn[1] * cd[0]))
+        result = None if quot is None else QPowerSum._raw({s: _on_grid(L, c, quot)})
+    else:
+        rem, flat = ({ExponentPoly(*t[:3]): t[3] for t in x.terms()} for x in (num, den))
+        quot = _long_division(rem, flat, max_steps, truediv)
+        result = None if quot is None else QPowerSum(quot)
     if len(_DIV_CACHE) < 200_000:
         _DIV_CACHE[key] = result
     return result
@@ -338,8 +419,6 @@ class QFieldElem:
         self.num = num
         self.den = den
 
-    # -- constructors -----------------------------------------------------
-
     @staticmethod
     def zero() -> "QFieldElem":
         return _QFE_ZERO
@@ -347,8 +426,6 @@ class QFieldElem:
     @staticmethod
     def one() -> "QFieldElem":
         return _QFE_ONE
-
-    # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -358,9 +435,7 @@ class QFieldElem:
 
     def is_s_free(self) -> bool:
         """True when no exponent depends on s (pure q^(rational) expression)."""
-        return all(
-            e.c1 == 0 and e.c2 == 0 for e in (*self.num.coeffs, *self.den.coeffs)
-        )
+        return all(s == _S0 for s in (*self.num.parts, *self.den.parts))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QFieldElem):
@@ -437,45 +512,6 @@ class QFieldElem:
         for den, num in groups.items():
             total = total + QFieldElem(num, den)
         return total
-
-    # -- numerics -------------------------------------------------------------------
-
-    def _eval_parts(self, ctx, q_val, s_val: Rat):
-        q = _frac(q_val)
-        log_q = ctx.log(ctx.mpf(q.numerator) / q.denominator)
-        return self.num.eval_in(ctx, log_q, s_val), self.den.eval_in(ctx, log_q, s_val)
-
-    def eval_interval(self, q_val, s_val: Rat = 0, prec: int = PRECISION_BITS):
-        """Certified interval value at numeric q in (0, 1) and rational s."""
-        from mpmath import iv
-
-        old = iv.prec
-        try:
-            iv.prec = prec
-            num_iv, den_iv = self._eval_parts(iv, q_val, s_val)
-            if 0 in den_iv:
-                raise DenominatorVanishes(
-                    f"denominator interval {den_iv} not certified away from 0"
-                )
-            return num_iv / den_iv
-        finally:
-            iv.prec = old
-
-    def eval(self, q_val, s_val: Rat = 0, prec: int = PRECISION_BITS):
-        """Numeric value (an mpmath mpf) at working precision.
-
-        The denominator is certified nonzero by interval arithmetic first;
-        the returned value is a plain extended-precision evaluation with
-        guard bits (interval midpoints would silently round through float).
-        """
-        from mpmath import mp
-
-        self.eval_interval(q_val, s_val, prec)  # certification only
-        with mp.workprec(prec + 20):
-            num, den = self._eval_parts(mp, q_val, s_val)
-            value = num / den
-            mp.prec = prec
-            return +value
 
     # -- formatting --------------------------------------------------------------------
 

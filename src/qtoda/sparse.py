@@ -1,5 +1,5 @@
-"""Exact sparse polynomials: the ring and formatting code of `QPowerSum`,
-`SitePoly` and `PowerSumPoly`.
+"""Exact sparse polynomials: the ring and formatting code of `SitePoly` and
+`PowerSumPoly`, and the formatting code of `QPowerSum`.
 
 A polynomial is a dict from monomials to nonzero `Fraction` coefficients.
 No zero coefficient is ever stored, so dict equality is equality of

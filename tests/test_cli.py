@@ -19,6 +19,7 @@ from qtoda import opalg
 from qtoda.opalg import LaxSession, SitePoly
 from qtoda.qfield import ExponentPoly, qpow
 from qtoda.volterra import LatticeState, flow_rhs, stencil_apply, symbolic_flow_stencil
+from qfield_oracle import count_s_parts
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
 REPO = Path(__file__).resolve().parents[1]
@@ -274,6 +275,41 @@ def test_tracer_guard_sees_a_lost_target():
     ]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload", ["lax-exact", "vertex-identities"])
+def test_traced_benchmark_run_ends_in_a_full_result_line(workload):
+    # a traced run must end in a strict-JSON result line that carries every
+    # per-layer metric of BENCHMARK.json; a missing one breaks the benchmark
+    done = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in spec["per_layer"])
+    assert not any(line.startswith("not reported") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "name", ["laxcheck-a1-b1-t6", "laxcheck-a2-b1-neg-t6", "identities-w6", "tau-a1-b2-d7"]
+)
+def test_exact_benchmark_job_builds_no_sum_with_two_s_parts(name, tmp_path, monkeypatch):
+    # every QPowerSum of the exact jobs has one s-part, the fast path of the
+    # q-field core; test_sparse checks that the several-s-part path still runs
+    bench = load_benchmark("run")
+    (job,) = [j for jobs in bench.WORKLOADS.values() for j in jobs if j.name == name]
+    built = count_s_parts(monkeypatch)
+    assert main(list(job.argv) + ["--out", str(tmp_path / "out.json")]) == 0
+    assert built["sums"] > 1000 and built["mixed"] == 0
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_oracle_job_is_exact(seed):
     # the benchmark's oracle job, in-process: flow_rhs on its rational state
@@ -357,6 +393,21 @@ def test_simulate_rejects_a_nonfinite_start(tmp_path, capsys, option, message):
     err = capsys.readouterr().err
     assert message in err and "step" not in err
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--order-check"]])
+def test_simulate_refuses_a_nonfinite_invariant_before_writing(tmp_path, capsys, extra):
+    # a constant state is stationary, but its traces overflow double precision
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([
+            "simulate", "--t-end", "0.01", "--dt", "1e-3", "--base", "1e200",
+            "--out-csv", str(csv), "--out", str(report), *extra,
+        ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invariant H_2 is not finite" in err and "lower --base or --amplitude" in err
+    assert not csv.exists() and not report.exists()
 
 
 def test_simulate_zero_amplitude_constant_csv(tmp_path):

@@ -1,15 +1,12 @@
 """Guards on the import path and on hidden process-global state.
 
 No environment variable and no process-global cache may change a result or
-its cost from one run to the next, and the command line must not load the
-numeric-evaluation library it never uses.
+its cost from one run to the next, and no module imports mpmath: the
+q-field is checked by exact evaluation, not by numeric evaluation.
 """
 
 import ast
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -19,7 +16,7 @@ FORBIDDEN = re.compile(
 )
 
 # The one module-level mutable container allowed: the exact-division memo
-# of the q-field sums.  ROADMAP item 2 (factored q-Pochhammer denominators)
+# of the q-field sums.  ROADMAP item 5 (factored q-Pochhammer denominators)
 # deletes it together with the division probe.
 ALLOWED_GLOBALS = {("qfield.py", "_DIV_CACHE")}
 
@@ -64,21 +61,31 @@ def test_hidden_state_scan_flags_each_pattern():
     assert hidden_state("x.py", "from functools import cached_property\n_ONE = (1,)\n") == []
 
 
-def mpmath_loaded_by_cli_import(prelude: str = "") -> bool:
-    """Whether mpmath is in sys.modules after a fresh interpreter runs
-    `prelude` and then imports qtoda.cli."""
-    code = f"{prelude}\nimport sys\nimport qtoda.cli\nprint('mpmath' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.strip() == "True"
+def mpmath_imports(name: str, text: str) -> list[str]:
+    """Import statements of mpmath in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == "mpmath" or m.startswith("mpmath.") for m in modules):
+            found.append(f"{name}:{node.lineno}")
+    return found
 
 
-def test_cli_import_does_not_load_mpmath():
-    assert not mpmath_loaded_by_cli_import()
+def test_no_mpmath_import_in_the_package():
+    found = []
+    for path in sorted((SRC / "qtoda").glob("*.py")):
+        found += mpmath_imports(path.name, path.read_text(encoding="utf-8"))
+    assert found == []
 
 
-def test_cli_import_check_sees_mpmath():
-    # negative control: the same check fails when the child imports mpmath first
-    assert mpmath_loaded_by_cli_import("import mpmath")
+def test_mpmath_scan_sees_each_import_form():
+    # negative control: top-level, local and from-imports are all seen
+    assert mpmath_imports("x.py", "import mpmath\n") == ["x.py:1"]
+    assert mpmath_imports("x.py", "def f():\n    from mpmath import mp\n") == ["x.py:2"]
+    assert mpmath_imports("x.py", "import numpy, mpmath.libmp\n") == ["x.py:1"]
+    assert mpmath_imports("x.py", "import numpy\nfrom fractions import Fraction\n") == []

@@ -40,6 +40,7 @@ from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
 from qtoda.schur import PowerSumRing, Specialization, specialize_rho
 from qtoda.suites import laxcheck_suite
 from qtoda.vertex import VertexContext, tau_table
+from qfield_oracle import evaluate
 
 ONE = QFieldElem.one()
 QS = qpow(ExponentPoly.of(c1=1))  # q^s
@@ -163,6 +164,20 @@ def test_window_arithmetic_conservative():
     assert (exact * exact).floor is None
     with pytest.raises(TruncationInsufficient):
         prod.coeff(-2)
+
+
+def test_projections_refuse_only_an_uncertified_part():
+    # at floor 0 every nonnegative index is known, and at ceil -1 every
+    # negative one; one step further in, the part is no longer certified
+    full = {n: qpow(ExponentPoly.const(n)) for n in range(-3, 4)}
+    nonneg = DiffOp(Fraction(1), full, floor=0).proj_nonneg()
+    assert nonneg.coeffs == {n: full[n] for n in range(0, 4)} and nonneg.window() == (None, None)
+    neg = DiffOp(Fraction(1), full, ceil=-1).proj_neg()
+    assert neg.coeffs == {n: full[n] for n in range(-3, 0)} and neg.window() == (None, None)
+    with pytest.raises(TruncationInsufficient):
+        DiffOp(Fraction(1), full, floor=1).proj_nonneg()
+    with pytest.raises(TruncationInsufficient):
+        DiffOp(Fraction(1), full, ceil=-2).proj_neg()
 
 
 def triangular_to_depth(T, coeffs, top, lower, step):
@@ -353,9 +368,8 @@ def test_initial_lax_closed_form(params11):
     expected = expected_initial_lax(params11)
     assert (lf - expected).is_zero_on_window()
     assert (lb + expected).is_zero_on_window()
-    # u-coefficient at tau=1, s=0 evaluates to q^(-3/2)
-    val = (-lf.coeff(params11.down_index)).eval(Fraction(1, 4), 0)
-    assert abs(val - 8) < 1e-30
+    # u-coefficient at tau=1, s=0 evaluates to q^(-3/2): 8 at q = (1/2)^2
+    assert evaluate(-lf.coeff(params11.down_index), 0, Fraction(1, 2), 2) == 8
 
 
 def test_initial_M_closed_forms(params11):

@@ -1,19 +1,15 @@
-"""Field arithmetic: construction, shift, evaluation, axioms."""
+"""Field arithmetic: construction, shift, exact evaluation, axioms, and the
+QPowerSum core against the references of qfield_oracle.py."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from qtoda.errors import DenominatorVanishes
-from qtoda.qfield import (
-    E_ZERO,
-    PRECISION_BITS,
-    ExponentPoly,
-    QFieldElem,
-    QPowerSum,
-    qpow,
-)
+from qtoda import qfield
+from qtoda.qfield import E_ZERO, ExponentPoly, QFieldElem, QPowerSum, qpow
+from qfield_oracle import evaluate, expand, grid, ref_add, ref_mul, ref_shift, value
 
 
 def rho_like(k):
@@ -53,21 +49,20 @@ def test_shift_s_additivity():
 
 
 def test_eval_examples():
-    from mpmath import mp
-
-    with mp.workprec(160):
-        assert abs(rho_like(1).eval(Fraction(1, 4), 0) + mp.mpf(2) / 3) < 1e-30
-        qs = qpow(ExponentPoly.of(c1=1))
-        assert abs(qs.eval(Fraction(1, 2), 3) - Fraction(1, 8)) < 1e-30
-        geom = QFieldElem(
-            QPowerSum.one(),
-            QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1)),
-        )
-        assert abs(geom.eval(Fraction(1, 2), 17) - 2) < 1e-30
+    assert evaluate(rho_like(1), 0, Fraction(1, 2), 2) == Fraction(-2, 3)  # q = 1/4
+    qs = qpow(ExponentPoly.of(c1=1))
+    assert evaluate(qs, 3, Fraction(1, 2), 1) == Fraction(1, 8)
+    geom = QFieldElem(
+        QPowerSum.one(),
+        QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1)),
+    )
+    assert evaluate(geom, 17, Fraction(1, 2), 1) == 2
+    with pytest.raises(ValueError):  # q^(1/2) needs a grid of 2
+        evaluate(rho_like(1), 0, Fraction(1, 2), 1)
 
 
 def test_eval_certifies_denominator():
-    # q^s - q^s has a vanishing denominator when used as one
+    # q - q is a vanishing denominator for every q
     den = QPowerSum.monomial(ExponentPoly.const(1)) + QPowerSum.monomial(
         ExponentPoly.const(1), Fraction(-1)
     )
@@ -78,8 +73,9 @@ def test_eval_certifies_denominator():
         E_ZERO, Fraction(-1, 2)
     )
     elem = QFieldElem(QPowerSum.one(), near)
-    with pytest.raises(DenominatorVanishes):
-        elem.eval(Fraction(1, 2), 0)
+    with pytest.raises(ZeroDivisionError):
+        evaluate(elem, 0, Fraction(1, 2), 1)
+    assert evaluate(elem, 0, Fraction(1, 3), 1) == -6
 
 
 def random_elem(rng):
@@ -116,34 +112,21 @@ def test_field_axioms_random():
             assert (a.inv().inv()) == a
 
 
-def test_eval_precision_argument():
-    from mpmath import mp
-
-    x = rho_like(1)  # -2/3 at q = 1/4
-    with mp.workprec(400):  # compare at more bits than either evaluation
-        err_default = abs(x.eval(Fraction(1, 4), 0) + mp.mpf(2) / 3)
-        err_256 = abs(x.eval(Fraction(1, 4), 0, prec=256) + mp.mpf(2) / 3)
-        assert x.eval(Fraction(1, 4), 0) == x.eval(Fraction(1, 4), 0, prec=PRECISION_BITS)
-    assert 0 < err_default < mp.mpf(2) ** -(PRECISION_BITS - 2)
-    assert err_256 < mp.mpf(2) ** -254 < err_default
-    width = x.eval_interval(Fraction(1, 4), 0, prec=256).delta
-    assert 0 < width < mp.mpf(2) ** -240
-
-
 def test_eval_is_homomorphism():
-    from mpmath import mp
-
     rng = random.Random(7)
-    q, s = Fraction(1, 3), Fraction(2)
-    with mp.workprec(160):  # combine values at full precision
-        for _ in range(15):
-            a, b = random_elem(rng), random_elem(rng)
-            try:
-                va, vb = a.eval(q, s), b.eval(q, s)
-                assert abs((a * b).eval(q, s) - va * vb) < 1e-25
-                assert abs((a + b).eval(q, s) - (va + vb)) < 1e-25
-            except (DenominatorVanishes, ZeroDivisionError):
-                continue
+    s, t = 2, Fraction(1, 3)
+    checked = 0
+    for _ in range(15):
+        a, b = random_elem(rng), random_elem(rng)
+        L = grid(a.num, a.den, b.num, b.den)
+        try:
+            va, vb = evaluate(a, s, t, L), evaluate(b, s, t, L)
+        except ZeroDivisionError:
+            continue
+        assert evaluate(a * b, s, t, L) == va * vb
+        assert evaluate(a + b, s, t, L) == va + vb
+        checked += 1
+    assert checked >= 10
 
 
 def test_invert_q_involution():
@@ -182,3 +165,151 @@ def test_power_sums_form_integral_domain():
         assert not (a.num * b.num).is_zero()
 
 
+
+
+# -- the QPowerSum core against the evaluation homomorphism and a plain
+# Fraction reference, on operands with several s-parts and large coprime
+# denominators ----------------------------------------------------------------
+
+SEED = 20261018
+PRIMES = (101, 103, 1009, 10007, 65537)
+POINTS = [(0, Fraction(2, 3)), (1, Fraction(-3, 2)), (-2, Fraction(5, 7)),
+          (2, Fraction(7, 4)), (-1, Fraction(-2, 9))]
+
+
+def random_exponent(rng):
+    return ExponentPoly.of(
+        c0=Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
+        c1=rng.choice([0, 0, 1, -1, Fraction(1, 2)]),
+        c2=rng.choice([0, 0, 1, Fraction(-1, 3)]),
+    )
+
+
+def random_coef(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice(PRIMES))
+
+
+def random_sum(rng, parts=3, size=3):
+    """Up to `parts` s-parts of up to `size` terms each."""
+    terms = []
+    for _ in range(rng.randint(1, parts)):
+        s_part = random_exponent(rng)
+        for _ in range(rng.randint(1, size)):
+            c0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+            terms.append((ExponentPoly.of(c0, s_part.c1, s_part.c2), random_coef(rng)))
+    return QPowerSum(terms) if terms else QPowerSum.one()
+
+
+def random_quotient(rng):
+    num, den = random_sum(rng, 2, 2), random_sum(rng, 2, 2)
+    return QFieldElem(num, den if not den.is_zero() else QPowerSum.one())
+
+
+def assert_canonical(p):
+    """Each part (L, c, P): c a normalized nonzero pair, P primitive with a
+    positive leading coefficient, L the smallest grid of P's exponents."""
+    for L, (n, d), P in p.parts.values():
+        assert P and n and d > 0 and gcd(n, d) == 1
+        assert gcd(*P.values()) == 1 and P[max(P)] > 0
+        assert L >= 1 and gcd(L, *P) == 1
+
+
+def three_points(elems, L):
+    """Three points of POINTS where no denominator of elems vanishes."""
+    found = []
+    for s, t in POINTS:
+        try:
+            found.append((s, t, [evaluate(x, s, t, L) for x in elems]))
+        except ZeroDivisionError:
+            continue
+        if len(found) == 3:
+            return found
+    raise AssertionError("fewer than three usable points")
+
+
+def cross_equal(r, num: dict, den: dict) -> bool:
+    """r = num/den, compared in the reference arithmetic."""
+    return ref_mul(expand(r.num), den) == ref_mul(num, expand(r.den))
+
+
+def test_powersum_ops_match_both_references():
+    rng = random.Random(SEED)
+    for _ in range(30):
+        x, y = random_sum(rng), random_sum(rng)
+        mono, coef, beta = random_exponent(rng), random_coef(rng), rng.randint(-2, 2)
+        ex, ey, em = expand(x), expand(y), expand(QPowerSum.monomial(mono, coef))
+        L = grid(x, y, QPowerSum.monomial(mono))
+        cases = [
+            (x * y, ref_mul(ex, ey), lambda vx, vy, vm, s, t: vx * vy),
+            (x + y, ref_add(ex, ey), lambda vx, vy, vm, s, t: vx + vy),
+            (x - y, ref_add(ex, ey, -1), lambda vx, vy, vm, s, t: vx - vy),
+            (x.mul_monomial(mono, coef), ref_mul(ex, em), lambda vx, vy, vm, s, t: vx * vm),
+            (x.shift(beta), ref_shift(ex, Fraction(beta)), None),
+            (x.negate_exponents(), {(-a, -b, -c): v for (a, b, c), v in ex.items()}, None),
+        ]
+        for got, ref, _ in cases:
+            assert expand(got) == ref
+            assert_canonical(got)
+        assert x * y == y * x and hash(x * y) == hash(y * x)
+        assert (x + y) - y == x
+        for s, t in POINTS[:3]:
+            vx, vy, vm = (value(p, s, t, L) for p in (x, y, QPowerSum.monomial(mono, coef)))
+            for got, _, op in cases:
+                if op is not None:
+                    assert value(got, s, t, L) == op(vx, vy, vm, s, t)
+            assert value(x.shift(beta), s, t, L) == value(x, s + beta, t, L)
+            assert value(x.negate_exponents(), s, t, L) == value(x, s, 1 / t, L)
+
+
+def test_quotient_ops_match_both_references():
+    rng = random.Random(SEED + 1)
+    for _ in range(20):
+        x, y, z = (random_quotient(rng) for _ in range(3))
+        beta = rng.randint(-2, 2)
+        xn, xd, yn, yd = expand(x.num), expand(x.den), expand(y.num), expand(y.den)
+        zn, zd = expand(z.num), expand(z.den)
+        L = grid(x.num, x.den, y.num, y.den, z.num, z.den)
+        total = QFieldElem.sum([x, y, z])
+        sum_num = ref_add(ref_mul(ref_add(ref_mul(xn, yd), ref_mul(yn, xd)), zd),
+                          ref_mul(zn, ref_mul(xd, yd)))
+        assert cross_equal(x * y, ref_mul(xn, yn), ref_mul(xd, yd))
+        assert cross_equal(x + y, ref_add(ref_mul(xn, yd), ref_mul(yn, xd)), ref_mul(xd, yd))
+        assert cross_equal(x - y, ref_add(ref_mul(xn, yd), ref_mul(yn, xd), -1), ref_mul(xd, yd))
+        assert cross_equal(x.shift(beta), ref_shift(xn, Fraction(beta)), ref_shift(xd, Fraction(beta)))
+        assert cross_equal(total, sum_num, ref_mul(ref_mul(xd, yd), zd))
+        for r in (x * y, x + y, x - y, x.shift(beta), x.invert_q(), total):
+            assert_canonical(r.num)
+            assert_canonical(r.den)
+        for s, t, (vx, vy, vz) in three_points([x, y, z], L):
+            assert evaluate(x * y, s, t, L) == vx * vy
+            assert evaluate(x + y, s, t, L) == vx + vy
+            assert evaluate(x - y, s, t, L) == vx - vy
+            assert evaluate(total, s, t, L) == vx + vy + vz
+            assert evaluate(x.invert_q(), s, 1 / t, L) == vx
+            try:
+                assert evaluate(x.shift(beta), s, t, L) == evaluate(x, s + beta, t, L)
+            except ZeroDivisionError:
+                pass  # x's denominator vanishes at s + beta
+
+
+def test_references_see_a_coefficient_damaged_by_one_seventh():
+    rng = random.Random(SEED + 2)
+    x, y = random_sum(rng), random_sum(rng)
+    good = x * y
+    e, c = good.min_term()
+    bad = good + QPowerSum.monomial(e, Fraction(1, 7))
+    assert expand(good) == ref_mul(expand(x), expand(y))
+    assert expand(bad) != ref_mul(expand(x), expand(y))
+    L = grid(x, y)
+    for s, t in POINTS[:3]:
+        assert value(good, s, t, L) == value(x, s, t, L) * value(y, s, t, L)
+        assert value(bad, s, t, L) != value(x, s, t, L) * value(y, s, t, L)
+
+
+def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
+    rng = random.Random(SEED + 3)
+    for parts in (1, 1, 2, 3) * 6:
+        a, b = random_sum(rng, parts), random_sum(rng, parts)
+        assert qfield._divide_exact(a * b, b) == a
+        if len(b) > 1:
+            assert qfield._divide_exact(a * b + QPowerSum.one(), b) is None

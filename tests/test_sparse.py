@@ -1,4 +1,5 @@
-"""The shared sparse-polynomial core behind QPowerSum, SitePoly and PowerSumPoly.
+"""The sparse-polynomial core behind SitePoly and PowerSumPoly, and the str()
+and ring operations that QPowerSum keeps with its own integer core.
 
 The golden strings pin the documented str() contract and the ring
 operations: each pair is str(x) and str(x * y - z) for seeded random x, y, z,
@@ -13,6 +14,7 @@ import pytest
 from qtoda.opalg import SitePoly
 from qtoda.qfield import E_ZERO, ExponentPoly, QPowerSum
 from qtoda.schur import PowerSumPoly
+from qfield_oracle import count_s_parts
 
 SEED = 20261017
 
@@ -126,6 +128,14 @@ def test_golden_str(name):
         got.append((str(x), str(x * y - z)))
     assert got == golden
     assert repr(x) == f"{type(x).__name__}({x})"
+
+
+def test_qpowersum_goldens_run_sums_with_several_s_parts(monkeypatch):
+    # the exact benchmark jobs never build one (test_cli); the goldens keep
+    # that path of the QPowerSum core exercised
+    built = count_s_parts(monkeypatch)
+    test_golden_str("qpowersum")
+    assert built["mixed"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
