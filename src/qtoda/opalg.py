@@ -283,14 +283,16 @@ class DiffOp:
         if self.floor is not None and self.floor > 0:
             raise TruncationInsufficient("nonnegative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n >= 0}
-        return DiffOp(self.step, kept, None, self.ceil, zero=self.zero_coeff)
+        ceil = None if self.ceil is None else max(self.ceil, -1)  # indices < 0 are known zeros
+        return DiffOp(self.step, kept, None, ceil, zero=self.zero_coeff)
 
     def proj_neg(self) -> "DiffOp":
         """Shift powers < 0; the whole negative range must be certified."""
         if self.ceil is not None and self.ceil < -1:
             raise TruncationInsufficient("negative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n < 0}
-        return DiffOp(self.step, kept, self.floor, None, zero=self.zero_coeff)
+        floor = None if self.floor is None else min(self.floor, 0)  # indices >= 0 are known zeros
+        return DiffOp(self.step, kept, floor, None, zero=self.zero_coeff)
 
     def with_floor(self, floor) -> "DiffOp":
         return DiffOp(

@@ -14,32 +14,31 @@ Laurent polynomial with a positive leading coefficient.  The form is
 canonical, so equality and hashing are structural.  Products multiply the
 P's in ints with no gcd pass (Gauss's lemma); sums take one.
 
+Every operation, the text form included, works on these parts; an
+`ExponentPoly` is only an input, and `terms()` the one term-by-term read-out.
+
 Equality of quotients is decided by cross multiplication; no gcd-style
 normalization is attempted.  The reductions applied are cheap ones that
 keep iterated arithmetic bounded: the smallest denominator term is divided
-out of both parts, and sums try to reuse a common denominator through an
-exact-division probe before falling back to cross multiplication.
+out of both parts, and when each denominator has one s-part, sums try to
+reuse a common denominator through an exact-division probe.  Otherwise
+they cross-multiply.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import truediv
 from typing import Union
 
-from .sparse import SparsePoly
+from .sparse import join_terms
 
 Rat = Union[int, Fraction]
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _rat(x) -> tuple[int, int]:
     """Normalized int pair (num, den > 0)."""
-    return (x, 1) if isinstance(x, int) else _frac(x).as_integer_ratio()
+    return (x, 1) if isinstance(x, int) else x.as_integer_ratio()
 
 
 def _pair(n: int, d: int) -> tuple[int, int]:
@@ -57,11 +56,36 @@ def _rmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (n, 1) if d == 1 else _pair(n, d)
 
 
+def _rdiv(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a / b for normalized int pairs, b nonzero."""
+    n, d = a[0] * b[1], a[1] * b[0]
+    return _pair(n, d) if d > 0 else _pair(-n, -d)
+
+
+def _shift_key(key: tuple, b: tuple[int, int]) -> tuple:
+    """The int key of E(s + b) from that of E(s), b an int pair:
+    c2 stays, c1 gains 2*c2*b and c0 gains (c1 + c2*b)*b."""
+    c2, c1, c0 = key[:2], key[2:4], key[4:]
+    c2b = _rmul(c2, b)
+    return c2 + _radd(*c1, *_rmul((2, 1), c2b)) + _radd(*c0, *_rmul(_radd(*c1, *c2b), b))
+
+
+def _expo_text(key: tuple) -> str:
+    """The text of c2*s^2 + c1*s + c0 from its int key, e.g. "s^2-1/2*s+3"."""
+    text = ""
+    for n, d, sym in zip(key[::2], key[1::2], ("s^2", "s", "")):
+        if n:
+            coef = str(n) if d == 1 else f"{n}/{d}"
+            if sym:
+                coef = {"1": "", "-1": "-"}.get(coef, coef + "*")
+            text += ("+" if text and n > 0 else "") + coef + sym
+    return text or "0"
+
+
 class ExponentPoly:
     """Exponent E(s) = c2*s^2 + c1*s + c0 with exact rational coefficients.
 
-    Immutable; the canonical term order is lexicographic on (c2, c1, c0).
-    `key` holds the coefficients as normalized int pairs
+    Immutable.  `key` holds the coefficients as normalized int pairs
     (n2, d2, n1, d1, n0, d0), which keeps dictionary operations cheap.
     """
 
@@ -89,10 +113,6 @@ class ExponentPoly:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def __lt__(self, other: "ExponentPoly") -> bool:
-        a, b = self.key, other.key
-        return (a[0] * b[1], a[2] * b[3], a[4] * b[5]) < (b[0] * a[1], b[2] * a[3], b[4] * a[5])
-
     def __add__(self, other: "ExponentPoly") -> "ExponentPoly":
         a, b = self.key, other.key
         return ExponentPoly._raw(_sigma_add(a[:4], b[:4]) + _radd(*a[4:], *b[4:]))
@@ -106,25 +126,15 @@ class ExponentPoly:
 
     def shift(self, beta: Rat) -> "ExponentPoly":
         """Exact substitution s -> s + beta."""
-        b, c1, c2 = _frac(beta), self.c1, self.c2
-        return ExponentPoly(self.c0 + (c1 + c2 * b) * b, c1 + 2 * c2 * b, c2) if b else self
-
-    def is_zero(self) -> bool:
-        return self.key[::2] == (0, 0, 0)
+        b = _rat(beta)
+        return ExponentPoly._raw(_shift_key(self.key, b)) if b[0] else self
 
     def value_at(self, s_val: Rat) -> Fraction:
-        s = _frac(s_val)
+        s = Fraction(s_val)
         return self.c0 + self.c1 * s + self.c2 * s * s
 
     def __str__(self) -> str:
-        text = ""
-        for n, d, sym in zip(self.key[::2], self.key[1::2], ("s^2", "s", "")):
-            if n:
-                coef = str(n) if d == 1 else f"{n}/{d}"
-                if sym:
-                    coef = {"1": "", "-1": "-"}.get(coef, coef + "*")
-                text += ("+" if text and n > 0 else "") + coef + sym
-        return text or "0"
+        return _expo_text(self.key)
 
     def __repr__(self) -> str:
         return f"ExponentPoly({self})"
@@ -142,6 +152,15 @@ E_ZERO = ExponentPoly()
 # (n2, d2, n1, d1) of c2*s^2 + c1*s, as in ExponentPoly.key.
 
 _S0 = (0, 1, 0, 1)
+
+
+def _s_order(s: tuple) -> tuple:
+    """Sort key (c2, c1) of an s-part."""
+    return Fraction(*s[:2]), Fraction(*s[2:])
+
+
+def _s_neg(s: tuple) -> tuple:
+    return (-s[0], s[1], -s[2], s[3])
 
 
 def _sigma_add(a: tuple, b: tuple) -> tuple:
@@ -197,14 +216,6 @@ def _part_times_q(part: tuple, n: int, d: int) -> tuple:
     return _on_grid(M, c, {k * m + off: v for k, v in P.items()}) if n else part
 
 
-class _Terms(SparsePoly):
-    """Term-by-term view of a QPowerSum, used only to format it."""
-
-    __slots__ = ()
-    _UNIT, _DESCENDING = E_ZERO, True
-    _mono_str = staticmethod("q^({})".format)
-
-
 class QPowerSum:
     """Finite Q-linear combination of monomials q^E(s), displayed by
     descending E and stored as {s-part: (L, c, P)} (see the module
@@ -213,9 +224,8 @@ class QPowerSum:
     __slots__ = ("parts", "_hash")
 
     def __init__(self, terms=()):
-        """Sum of (ExponentPoly, coefficient) pairs, or of a dict's items."""
-        pairs = terms.items() if isinstance(terms, dict) else terms
-        self.parts = sum((QPowerSum.monomial(e, c) for e, c in pairs), _QPS_ZERO).parts
+        """Sum of (ExponentPoly, coefficient) pairs."""
+        self.parts = sum((QPowerSum.monomial(e, c) for e, c in terms), _QPS_ZERO).parts
 
     @staticmethod
     def _raw(parts: dict) -> "QPowerSum":
@@ -263,13 +273,6 @@ class QPowerSum:
             self._hash = hash(frozenset((s, L, c, frozenset(P.items())) for s, (L, c, P) in parts))
         return self._hash
 
-    def min_term(self) -> tuple[ExponentPoly, Fraction]:
-        """The smallest term in the order (c2, c1, c0), as (exponent, coefficient)."""
-        s = min(self.parts, key=lambda s: ExponentPoly._raw(s + (0, 1)))
-        L, c, P = self.parts[s]
-        k = min(P)
-        return ExponentPoly._raw(s + _pair(k, L)), Fraction(c[0] * P[k], c[1])
-
     def __add__(self, other: "QPowerSum") -> "QPowerSum":
         if not self.parts:
             return other
@@ -296,36 +299,46 @@ class QPowerSum:
 
     def mul_monomial(self, mono: ExponentPoly, coef: Rat) -> "QPowerSum":
         """Product with coef * q^mono, coef nonzero."""
-        s, (n, d), coef = mono.key[:4], mono.key[4:], _rat(coef)
+        return self._times(mono.key, _rat(coef))
+
+    def _times(self, key: tuple, coef: tuple[int, int]) -> "QPowerSum":
+        """Product with coef * q^E, E given by its int key and coef as an int pair."""
+        s, (n, d) = key[:4], key[4:]
         return QPowerSum._raw({
             _sigma_add(t, s): _part_times_q((L, _rmul(c, coef), P), n, d)
             for t, (L, c, P) in self.parts.items()
         })
 
     def scale(self, r: Rat) -> "QPowerSum":
-        return self.mul_monomial(E_ZERO, r) if r else _QPS_ZERO
+        return self._times(E_ZERO.key, _rat(r)) if r else _QPS_ZERO
 
     def shift(self, beta: Rat) -> "QPowerSum":
         """Substitute s -> s + beta in every exponent (ring homomorphism)."""
-        parts = {}
+        b, parts = _rat(beta), {}
         for s, part in self.parts.items():
-            k = ExponentPoly._raw(s + (0, 1)).shift(beta).key
+            k = _shift_key(s + (0, 1), b)
             parts[k[:4]] = _part_times_q(part, *k[4:])
         return QPowerSum._raw(parts)
 
     def negate_exponents(self) -> "QPowerSum":
         """The involution q -> 1/q (negates every exponent)."""
         parts = {}
-        for (n2, d2, n1, d1), (L, c, P) in self.parts.items():
+        for s, (L, c, P) in self.parts.items():
             sg = 1 if P[min(P)] > 0 else -1  # the sign of the new leading coefficient
-            parts[(-n2, d2, -n1, d1)] = (L, (c[0] * sg, c[1]), {-k: v * sg for k, v in P.items()})
+            parts[_s_neg(s)] = (L, (c[0] * sg, c[1]), {-k: v * sg for k, v in P.items()})
         return QPowerSum._raw(parts)
 
     def __str__(self) -> str:
-        return str(_Terms._raw({
-            ExponentPoly._raw(s + _pair(k, L)): Fraction(c[0] * v, c[1])
-            for s, (L, c, P) in self.parts.items() for k, v in P.items()
-        }))
+        """Terms by descending (c2, c1, c0): the s-parts by (c2, c1), then
+        each P by its int key."""
+        terms = []
+        for s in sorted(self.parts, key=_s_order, reverse=True):
+            L, (n, d), P = self.parts[s]
+            for k in sorted(P, reverse=True):
+                a, b = _pair(n * P[k], d)
+                mono = None if s == _S0 and not k else f"q^({_expo_text(s + _pair(k, L))})"
+                terms.append((str(a) if b == 1 else f"{a}/{b}", mono))
+        return join_terms(terms)
 
     def __repr__(self) -> str:
         return f"QPowerSum({self})"
@@ -337,38 +350,16 @@ _QPS_ONE = QPowerSum.one()
 _DIV_CACHE: dict[tuple[QPowerSum, QPowerSum], QPowerSum | None] = {}
 
 
-def _long_division(rem: dict, den: dict, max_steps: int, div) -> dict | None:
-    """rem / den by leading-term elimination (consumes rem); None once
-    max_steps steps leave a remainder or `div` finds no exact coefficient."""
-    lead_e = max(den)
-    lead_c, rest = den[lead_e], [(e, c) for e, c in den.items() if e != lead_e]
-    quot = {}
-    for _ in range(max_steps):
-        if not rem:
-            return quot
-        re = max(rem)
-        qc = div(rem.pop(re), lead_c)
-        if qc is None:
-            return None
-        qe = re - lead_e  # falls at every step, so each step adds a new term
-        quot[qe] = qc
-        for e, c in rest:
-            k = e + qe
-            rem[k] = rem.get(k, 0) - c * qc
-            if not rem[k]:
-                del rem[k]
-    return None
-
-
 def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
-    """num/den when the division is exact in the monomial algebra, else None.
+    """num/den when each side has one s-part and the division is exact, else None.
 
-    Leading-term elimination in the canonical exponent order; bails out once
-    the step count exceeds what an exact quotient could need.  With one
-    s-part on each side it runs on the int P's: by Gauss's lemma an exact
-    quotient of primitive P's has int coefficients, so the first one that
-    does not divide ends the probe early with the same answer.  Results are
-    memoized (denominators recur heavily in iterated operator arithmetic).
+    Leading-term elimination on the int P's, bailing out once the step count
+    exceeds what an exact quotient could need: by Gauss's lemma an exact
+    quotient of primitive P's is primitive with int coefficients, so the
+    first leading coefficient that does not divide ends the probe.  With
+    several s-parts on either side it gives up, and `QFieldElem.__add__`
+    cross-multiplies.  Results are memoized (denominators recur heavily in
+    iterated operator arithmetic).
     """
     if den.is_zero():
         return None
@@ -376,22 +367,32 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
         return num
     if num.is_zero():
         return _QPS_ZERO
+    if len(num.parts) != 1 or len(den.parts) != 1:
+        return None
     key = (num, den)
     if key in _DIV_CACHE:
         return _DIV_CACHE[key]
-    max_steps = len(num) + len(den) + 8
-    if len(num.parts) == len(den.parts) == 1:
-        ((sn, (Ln, cn, Pn)),), ((sd, (Ld, cd, Pd)),) = num.parts.items(), den.parts.items()
-        L = lcm(Ln, Ld)
-        quot = _long_division(dict(_regrid(Ln, Pn, L)), _regrid(Ld, Pd, L), max_steps,
-                              lambda a, b: None if a % b else a // b)
-        s = _sigma_add(sn, (-sd[0], sd[1], -sd[2], sd[3]))
-        c = _rat(Fraction(cn[0] * cd[1], cn[1] * cd[0]))
-        result = None if quot is None else QPowerSum._raw({s: _on_grid(L, c, quot)})
-    else:
-        rem, flat = ({ExponentPoly(*t[:3]): t[3] for t in x.terms()} for x in (num, den))
-        quot = _long_division(rem, flat, max_steps, truediv)
-        result = None if quot is None else QPowerSum(quot)
+    ((sn, (Ln, cn, Pn)),), ((sd, (Ld, cd, Pd)),) = num.parts.items(), den.parts.items()
+    L = lcm(Ln, Ld)
+    rem, Pd = dict(_regrid(Ln, Pn, L)), _regrid(Ld, Pd, L)
+    lead_e = max(Pd)
+    lead_c, rest = Pd[lead_e], [(e, c) for e, c in Pd.items() if e != lead_e]
+    quot, result = {}, None
+    for _ in range(len(Pn) + len(Pd) + 8):
+        if not rem:
+            result = QPowerSum._raw({_sigma_add(sn, _s_neg(sd)): _on_grid(L, _rdiv(cn, cd), quot)})
+            break
+        re = max(rem)
+        qc, r = divmod(rem.pop(re), lead_c)
+        if r:
+            break
+        qe = re - lead_e  # falls at every step, so each step adds a new term
+        quot[qe] = qc
+        for e, c in rest:
+            k = e + qe
+            rem[k] = rem.get(k, 0) - c * qc
+            if not rem[k]:
+                del rem[k]
     if len(_DIV_CACHE) < 200_000:
         _DIV_CACHE[key] = result
     return result
@@ -412,10 +413,13 @@ class QFieldElem:
         if num.is_zero():
             den = _QPS_ONE
         elif not den.is_one():
-            e, c = den.min_term()
-            if not (e.is_zero() and c == 1):
-                num = num.mul_monomial(-e, 1 / c)
-                den = den.mul_monomial(-e, 1 / c)
+            # the smallest term c * q^(sigma + k/L) in the order (c2, c1, c0)
+            s = next(iter(den.parts)) if len(den.parts) == 1 else min(den.parts, key=_s_order)
+            L, (n, d), P = den.parts[s]
+            k = min(P)
+            if not (s == _S0 and k == 0 and n * P[k] == d):
+                key, inv = _s_neg(s) + _pair(-k, L), _rdiv((1, 1), (n * P[k], d))
+                num, den = num._times(key, inv), den._times(key, inv)
         self.num = num
         self.den = den
 
@@ -490,7 +494,6 @@ class QFieldElem:
 
     def shift(self, beta: Rat) -> "QFieldElem":
         """Substitute s -> s + beta throughout."""
-        beta = _frac(beta)
         if not beta:
             return self
         return QFieldElem(self.num.shift(beta), self.den.shift(beta))

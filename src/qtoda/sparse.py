@@ -1,5 +1,6 @@
 """Exact sparse polynomials: the ring and formatting code of `SitePoly` and
-`PowerSumPoly`, and the formatting code of `QPowerSum`.
+`PowerSumPoly`, and `join_terms`, the signed-term join that `QPowerSum`
+shares (it orders and formats its own terms).
 
 A polynomial is a dict from monomials to nonzero `Fraction` coefficients.
 No zero coefficient is ever stored, so dict equality is equality of
@@ -20,6 +21,16 @@ from typing import Iterable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def join_terms(terms: Iterable[tuple[str, str | None]]) -> str:
+    """Join (coefficient text, monomial text) pairs, the monomial None for the
+    unit, as "c*mono", "mono", "-mono" or "c" with " + " and " - "; "0" if empty."""
+    chunks = []
+    for coef, mono in terms:
+        text = coef if mono is None else {"1": mono, "-1": "-" + mono}.get(coef, f"{coef}*{mono}")
+        chunks.append(text if not chunks else " - " + text[1:] if text[0] == "-" else " + " + text)
+    return "".join(chunks) or "0"
 
 
 class SparsePoly:
@@ -143,29 +154,10 @@ class SparsePoly:
     # -- formatting -----------------------------------------------------------
 
     def __str__(self) -> str:
-        """Signed terms in display order: "c*mono", "mono", "-mono" or "c"."""
-        if not self.coeffs:
-            return "0"
+        """The terms in display order, through `join_terms`."""
         unit, mono_str, key = self._UNIT, self._mono_str, self._display_key
-        chunks = []
-        for m, c in sorted(
-            self.coeffs.items(), key=lambda t: key(t[0]), reverse=self._DESCENDING
-        ):
-            if m == unit:
-                text = str(c)
-            elif c == 1:
-                text = mono_str(m)
-            elif c == -1:
-                text = "-" + mono_str(m)
-            else:
-                text = f"{c}*{mono_str(m)}"
-            if not chunks:
-                chunks.append(text)
-            elif text.startswith("-"):
-                chunks.append(" - " + text[1:])
-            else:
-                chunks.append(" + " + text)
-        return "".join(chunks)
+        terms = sorted(self.coeffs.items(), key=lambda t: key(t[0]), reverse=self._DESCENDING)
+        return join_terms((str(c), None if m == unit else mono_str(m)) for m, c in terms)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

@@ -250,17 +250,13 @@ def conserved_quantities(state: LatticeState, kmax: int = 3) -> list[float]:
     u = state.sites
     n = len(u)
     m = state.refinement
-    base = banded_power(lax_diagonals(u, state.a, state.b), m, n)
     out = []
-    power = base
-    for k in range(1, kmax + 1):
-        if k > 1:
-            power = banded_mul(power, base, n)
-        diag = diagonal_of(power, n)
-        if diag.dtype == object:
-            out.append(sum(diag))
-        else:
-            out.append(math.fsum(diag))
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check that each H_k is finite
+        base = banded_power(lax_diagonals(u, state.a, state.b), m, n)
+        for k in range(1, kmax + 1):
+            power = base if k == 1 else banded_mul(power, base, n)
+            diag = diagonal_of(power, n)
+            out.append(sum(diag) if diag.dtype == object else math.fsum(diag))
     return out
 
 

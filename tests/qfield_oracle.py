@@ -4,10 +4,11 @@
 with t a rational other than 1 and L a grid that makes every exponent an
 integer, a QFieldElem is an exact Fraction.  `expand` turns a QPowerSum
 into a plain {(c2, c1, c0): coefficient} dict of Fractions, and the `ref_*`
-functions are the ring operations on such dicts.  All of them read an
-element only through `QPowerSum.terms()`, so they share no polynomial
-arithmetic with the code they check.  `count_s_parts` counts the sums
-that leave the one-s-part fast path of that code.
+functions are the ring operations on such dicts, and `ref_str` the text
+form.  All of them read an element only through `QPowerSum.terms()`, so
+they share no polynomial arithmetic or formatting with the code they
+check.  `count_s_parts` counts the sums with more than one s-part, on
+which the exact-division probe gives up and sums cross-multiply.
 """
 
 from fractions import Fraction
@@ -68,6 +69,35 @@ def ref_shift(a: dict, beta: Fraction) -> dict:
         (c2, c1 + 2 * c2 * beta, c0 + c1 * beta + c2 * beta * beta): c
         for (c2, c1, c0), c in a.items()
     }
+
+
+def _exponent_text(c2: Fraction, c1: Fraction, c0: Fraction) -> str:
+    text = ""
+    for c, sym in ((c2, "s^2"), (c1, "s"), (c0, "")):
+        if c:
+            coef = str(c)
+            if sym:
+                coef = {"1": "", "-1": "-"}.get(coef, coef + "*")
+            text += ("+" if text and c > 0 else "") + coef + sym
+    return text
+
+
+def ref_str(p) -> str:
+    """The text of a QPowerSum: its terms by descending (c2, c1, c0), each as
+    "c*q^(E)", "q^(E)", "-q^(E)" or, for E = 0, "c", joined by " + " and
+    " - "; "0" for the zero sum."""
+    text = ""
+    for c0, c1, c2, coef in sorted(p.terms(), key=lambda t: (t[2], t[1], t[0]), reverse=True):
+        if not (c0 or c1 or c2):
+            term = str(coef)
+        else:
+            mono = f"q^({_exponent_text(c2, c1, c0)})"
+            term = {1: mono, -1: "-" + mono}.get(coef, f"{coef}*{mono}")
+        if not text:
+            text = term
+        else:
+            text += " - " + term[1:] if term.startswith("-") else " + " + term
+    return text or "0"
 
 
 def count_s_parts(monkeypatch) -> dict:

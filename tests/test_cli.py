@@ -410,6 +410,16 @@ def test_simulate_refuses_a_nonfinite_invariant_before_writing(tmp_path, capsys,
     assert not csv.exists() and not report.exists()
 
 
+def test_simulate_nonfinite_invariant_prints_only_the_error(tmp_path):
+    # the overflowing traces raise no numpy warning: stderr is the one line
+    csv = tmp_path / "run.csv"
+    done = run_cli(["simulate", "--t-end", "0.01", "--dt", "1e-3", "--base", "1e200",
+                    "--out-csv", str(csv)])
+    assert done.returncode == 2
+    assert done.stderr == "error: invariant H_2 is not finite: lower --base or --amplitude\n"
+    assert not csv.exists()
+
+
 def test_simulate_zero_amplitude_constant_csv(tmp_path):
     csv = tmp_path / "run.csv"
     out = tmp_path / "run.json"

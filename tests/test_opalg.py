@@ -291,6 +291,206 @@ def test_product_window_never_certifies_a_discarded_term():
     assert raised > 20 and products > 150 and widened > 100, (raised, products, widened)
 
 
+# -- the other window operations, each against the same operation on the
+# untruncated operators: soundness (no certified coefficient differs) and
+# tightness (a refusal, of one index or of the whole operation, needs an
+# index of the requested range that is genuinely unknown: one on which two
+# completions of the truncated operands give different results) -------------
+
+STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+
+
+def _completion(rng, full, cut):
+    """`full` (its terms lie in [-4, 6]) plus a nonzero term at every index
+    of [-8, 10] that `cut` discards: a second exact operator that `cut`
+    truncates, differing from `full` on every discarded index that the
+    checks below look at."""
+    coeffs = dict(full.coeffs)
+    for n in range(-8, 11):
+        if (cut.floor is not None and n < cut.floor) or (cut.ceil is not None and n > cut.ceil):
+            extra = qpow(ExponentPoly.of(c0=Fraction(rng.randint(-9, 9), 4), c1=rng.randint(-2, 2)),
+                         rng.randint(2, 9))
+            coeffs[n] = coeffs[n] + extra if n in coeffs else extra
+    return DiffOp(full.step, coeffs)
+
+
+def _operand(rng, step):
+    """(truncated, untruncated, another completion of the truncated one)."""
+    full = _random_full(rng, step)
+    cut = _random_truncation(rng, full)
+    return cut, full, _completion(rng, full, cut)
+
+
+def _schoolbook(x, y):
+    """The product of exact operators, term by term."""
+    out = {}
+    for n1, c1 in x.coeffs.items():
+        for n2, c2 in y.coeffs.items():
+            term = c1 * c2.shift(n1 * x.step)
+            out[n1 + n2] = out[n1 + n2] + term if n1 + n2 in out else term
+    return DiffOp(x.step, out, zero=QFieldElem.zero())
+
+
+def _span(*ops):
+    """The indices within two of every stored term and finite window edge."""
+    keys = [n for op in ops for n in (*op.coeffs, *op.window()) if n is not None]
+    return range(min(keys) - 2, max(keys) + 3)
+
+
+def _check_claims(got, truth, other, indices, grid=1):
+    """Soundness and tightness of `got` on `indices` (tightness only on
+    multiples of `grid`); returns the number of refused indices."""
+    refused = 0
+    for n in indices:
+        try:
+            c = got.coeff(n)
+        except TruncationInsufficient:
+            refused += 1
+            assert n % grid or truth.coeff(n) != other.coeff(n), f"refused a known index {n}"
+        else:
+            assert c == truth.coeff(n) == other.coeff(n), f"certified a wrong coefficient at {n}"
+    return refused
+
+
+def _differs_somewhere(truth, other, indices):
+    return any(truth.coeff(n) != other.coeff(n) for n in indices)
+
+
+def test_difference_window_is_sound_and_tight():
+    rng = random.Random(21)
+    refused = 0
+    for _ in range(120):
+        step = rng.choice(STEPS)
+        (a, fa, oa), (b, fb, ob) = _operand(rng, step), _operand(rng, step)
+
+        def minus(x, y):
+            return DiffOp(step, {n: x.coeff(n) - y.coeff(n) for n in {*x.coeffs, *y.coeffs}})
+
+        def neg(x):
+            return DiffOp(step, {n: -c for n, c in x.coeffs.items()})
+
+        refused += _check_claims(a - b, minus(fa, fb), minus(oa, ob), _span(fa, fb, a - b))
+        _check_claims(-a, neg(fa), neg(oa), _span(fa, -a))
+    assert refused > 100
+
+
+def test_pow_int_window_is_sound_and_tight():
+    rng = random.Random(22)
+    whole = refused = 0
+    for _ in range(90):
+        a, full, other = _operand(rng, rng.choice(STEPS))
+        k = rng.randint(1, 3)
+        truth, other_k = full, other
+        for _ in range(k - 1):
+            truth, other_k = _schoolbook(truth, full), _schoolbook(other_k, other)
+        if k > 1 and a.floor is not None and a.ceil is not None:
+            with pytest.raises(TruncationInsufficient):
+                a.pow_int(k)
+            assert _differs_somewhere(truth, other_k, _span(truth))
+            whole += 1
+            continue
+        got = a.pow_int(k)
+        refused += _check_claims(got, truth, other_k, _span(truth, got))
+    assert whole > 5 and refused > 50, (whole, refused)
+
+
+def test_with_step_window_is_sound_and_tight():
+    # the indices strictly between two multiples of r are known zeros; the
+    # window still refuses those just past its edges, so tightness is
+    # checked on the multiples of r, the indices of the original grid
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(100):
+        a, full, other = _operand(rng, rng.choice(STEPS))
+        r = rng.choice([1, 2, 3])
+        fine = a.step / r
+
+        def refine(x):
+            return DiffOp(fine, {n * r: c for n, c in x.coeffs.items()})
+
+        got, truth = a.with_step(fine), refine(full)
+        refused += _check_claims(got, truth, refine(other), _span(truth, got), grid=r)
+    assert refused > 100
+
+
+@pytest.mark.parametrize("method", ["with_floor", "with_ceil"])
+def test_window_clamp_is_sound_and_tight(method):
+    # only the indices on the requested side of the clamp are requested
+    rng = random.Random(24)
+    refused = 0
+    for _ in range(100):
+        a, full, other = _operand(rng, rng.choice(STEPS))
+        edge = rng.randint(min(full.coeffs) - 2, max(full.coeffs) + 2)
+        got = getattr(a, method)(edge)
+        span = _span(full, got)
+        requested = [n for n in span if (n >= edge if method == "with_floor" else n <= edge)]
+        refused += _check_claims(got, full, other, requested)
+        with pytest.raises(TruncationInsufficient):
+            got.coeff(edge - 1 if method == "with_floor" else edge + 1)
+    assert refused > 50
+
+
+@pytest.mark.parametrize("method", ["proj_nonneg", "proj_neg"])
+def test_projection_is_sound_and_tight(method):
+    rng = random.Random(25)
+    whole = refused = 0
+    for _ in range(150):
+        a, full, other = _operand(rng, rng.choice(STEPS))
+        keep = (lambda n: n >= 0) if method == "proj_nonneg" else (lambda n: n < 0)
+
+        def project(x):
+            kept = {n: c for n, c in x.coeffs.items() if keep(n)}
+            return DiffOp(x.step, kept, zero=QFieldElem.zero())
+
+        truth, other_part = project(full), project(other)
+        try:
+            got = getattr(a, method)()
+        except TruncationInsufficient:
+            assert _differs_somewhere(truth, other_part, [n for n in _span(full) if keep(n)])
+            whole += 1
+            continue
+        refused += _check_claims(got, truth, other_part, _span(full, got))
+    assert whole > 10 and refused > 50, (whole, refused)
+
+
+def _monomial_power(step, idx, coef, k):
+    """(coef Lam^idx)^k from its shifted coefficients: their product for
+    k > 0, the product of their inverses for k < 0."""
+    out = ONE
+    for j in range(k) if k > 0 else range(-1, k - 1, -1):
+        c = coef.shift(j * idx * step)
+        out = out * (c if k > 0 else c.inv())
+    return DiffOp(step, {idx * k: out})
+
+
+def test_monomial_pow_is_exact_and_refuses_a_truncated_operand():
+    rng = random.Random(26)
+    witnessed = 0
+    for _ in range(60):
+        step = rng.choice(STEPS)
+        full = _random_full(rng, step)
+        idx = rng.choice(sorted(full.coeffs))
+        mono, k = DiffOp(step, {idx: full.coeffs[idx]}), rng.randint(-3, 3)
+        got, expected = monomial_pow(mono, k), _monomial_power(step, idx, full.coeffs[idx], k)
+        assert got.is_exact() and got.indices() == expected.indices() == [idx * k]
+        assert got.coeff(idx * k) == expected.coeff(idx * k)
+        if len(full.coeffs) > 1:
+            with pytest.raises(ValueError):
+                monomial_pow(full, k)
+        lower = rng.random() < 0.5
+        cut = DiffOp(step, mono.coeffs, floor=idx if lower else None, ceil=None if lower else idx)
+        with pytest.raises(ValueError):
+            monomial_pow(cut, k)
+        if k > 0:  # the power of another completion differs: the refusal is needed
+            other = _completion(rng, mono, cut)
+            other_k = other
+            for _ in range(k - 1):
+                other_k = _schoolbook(other_k, other)
+            assert _differs_somewhere(expected, other_k, _span(expected, other_k))
+            witnessed += 1
+    assert witnessed > 15
+
+
 def test_session_params_validation():
     with pytest.raises(NonCoprime):
         SessionParams(2, 4, 1)

@@ -1,5 +1,6 @@
 """Field arithmetic: construction, shift, exact evaluation, axioms, and the
-QPowerSum core against the references of qfield_oracle.py."""
+QPowerSum core (its text form included) against the references of
+qfield_oracle.py."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from qtoda import qfield
 from qtoda.qfield import E_ZERO, ExponentPoly, QFieldElem, QPowerSum, qpow
-from qfield_oracle import evaluate, expand, grid, ref_add, ref_mul, ref_shift, value
+from qfield_oracle import evaluate, expand, grid, ref_add, ref_mul, ref_shift, ref_str, value
 
 
 def rho_like(k):
@@ -296,8 +297,8 @@ def test_references_see_a_coefficient_damaged_by_one_seventh():
     rng = random.Random(SEED + 2)
     x, y = random_sum(rng), random_sum(rng)
     good = x * y
-    e, c = good.min_term()
-    bad = good + QPowerSum.monomial(e, Fraction(1, 7))
+    c0, c1, c2, _ = min(good.terms(), key=lambda t: (t[2], t[1], t[0]))
+    bad = good + QPowerSum.monomial(ExponentPoly.of(c0, c1, c2), Fraction(1, 7))
     assert expand(good) == ref_mul(expand(x), expand(y))
     assert expand(bad) != ref_mul(expand(x), expand(y))
     L = grid(x, y)
@@ -307,9 +308,100 @@ def test_references_see_a_coefficient_damaged_by_one_seventh():
 
 
 def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
+    # one s-part on each side: the exact quotient, or None for a non-multiple;
+    # several: None, and a sum over such denominators cross-multiplies exactly
     rng = random.Random(SEED + 3)
+    one, several = QPowerSum.one(), 0
     for parts in (1, 1, 2, 3) * 6:
         a, b = random_sum(rng, parts), random_sum(rng, parts)
-        assert qfield._divide_exact(a * b, b) == a
-        if len(b) > 1:
-            assert qfield._divide_exact(a * b + QPowerSum.one(), b) is None
+        ab = a * b
+        if len(ab.parts) == len(b.parts) == 1:
+            assert qfield._divide_exact(ab, b) == a
+            if len(b) > 1:
+                assert qfield._divide_exact(ab + one, b) is None
+            continue
+        several += 1
+        assert qfield._divide_exact(ab, b) is None
+        x, y = QFieldElem(one, b), QFieldElem(a, ab)
+        xn, xd, yn, yd = (expand(p) for p in (x.num, x.den, y.num, y.den))
+        assert cross_equal(x + y, ref_add(ref_mul(xn, yd), ref_mul(yn, xd)), ref_mul(xd, yd))
+        L = grid(x.num, x.den, y.num, y.den)
+        for s, t, (vx, vy) in three_points([x, y], L):
+            assert evaluate(x + y, s, t, L) == vx + vy
+    assert several >= 8
+
+
+# -- the text form and the normalized denominator, read through terms() -------
+
+
+def random_gridded_sum(rng, L):
+    """Up to three s-parts with every c0 on the grid 1/L, and sometimes a
+    constant term; coefficients +-1 or multi-digit."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        s_part = random_exponent(rng)
+        for _ in range(rng.randint(1, 4)):
+            coef = rng.choice([1, -1, Fraction(rng.choice([-1, 1]) * rng.randint(10, 10**5),
+                                               rng.choice([1, 7, 97]))])
+            c0 = Fraction(rng.randint(-3 * L, 3 * L), L)
+            terms.append((ExponentPoly.of(c0, s_part.c1, s_part.c2), coef))
+    if rng.random() < 0.5:
+        terms.append((E_ZERO, rng.choice([1, -1, Fraction(-355, 113)])))
+    return QPowerSum(terms)
+
+
+def test_str_matches_a_formatter_built_from_terms():
+    rng = random.Random(SEED + 4)
+    mixed = 0
+    for L in (1, 2, 3, 4, 16):
+        for _ in range(30):
+            x, y = random_gridded_sum(rng, L), random_gridded_sum(rng, L)
+            for p in (x, x * y, x - y, x - x):
+                assert str(p) == ref_str(p)
+            mixed += len(x.parts) > 1
+    assert str(QPowerSum.zero()) == ref_str(QPowerSum.zero()) == "0"
+    assert mixed > 50
+
+
+def test_denominator_starts_at_the_unit_term():
+    # the smallest denominator term in (c2, c1, c0) order is divided out of
+    # num and den, whatever the number of s-parts
+    rng = random.Random(SEED + 5)
+    mixed = 0
+    for parts in (1, 2, 3) * 10:
+        num, den = random_sum(rng, parts), random_sum(rng, parts)
+        x, y = QFieldElem(num, den), random_quotient(rng)
+        assert cross_equal(x, expand(num), expand(den))
+        for r in (x, x * y, x + y, x.shift(1), x.invert_q(), x - x):
+            assert min(r.den.terms(), key=lambda t: (t[2], t[1], t[0])) == (0, 0, 0, 1)
+        mixed += len(den.parts) > 1
+    assert mixed > 5
+
+
+def test_parts_core_builds_no_exponent_poly(monkeypatch):
+    # str, shift, normalization and the division probe work on the int parts
+    rng = random.Random(SEED + 6)
+    sums = [random_sum(rng, 3) for _ in range(10)]
+    singles = [random_sum(rng, 1) for _ in range(6)]
+    built, init, raw = [], ExponentPoly.__init__, ExponentPoly._raw
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_raw(key):
+        built.append("raw")
+        return raw(key)
+
+    monkeypatch.setattr(ExponentPoly, "__init__", counting_init)
+    monkeypatch.setattr(ExponentPoly, "_raw", staticmethod(counting_raw))
+    for x, y in zip(sums + singles, sums[1:] + singles[1:]):
+        q = QFieldElem(x, y)
+        str(q)
+        x.shift(2)
+        q.shift(Fraction(-3, 2))
+        qfield._divide_exact(x * y, y)
+        qfield._divide_exact(x * y + QPowerSum.one(), y)
+    assert built == []
+    ExponentPoly.const(1).shift(1)  # the counters see both constructors
+    assert built == ["init", "raw"]
