@@ -18,10 +18,11 @@ for the symbolic reduction checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     IncompatibleStep,
@@ -54,28 +55,101 @@ def _merge_offsets(m1: tuple, m2: tuple) -> tuple:
 class SitePoly(SparsePoly):
     """Polynomial in shifted samples u(s + r) with Fraction coefficients.
 
-    A monomial is a sorted tuple of rational offsets r (with multiplicity);
-    the shift s -> s + beta acts by translating every offset.  Displayed in
-    ascending monomial order.
+    A monomial is a sorted tuple of int offsets i (with multiplicity), each
+    the rational offset r = i / grid on the polynomial's own grid, a
+    positive int.  Rational offsets are only input (the constructor, `u`,
+    `shift`) and `terms()` is the only rational read-out; the ring
+    operations, `shift`, `==` and `str()` work on the int tuples.  Two
+    operands are brought to the lcm of their grids, which is free when the
+    grids agree, and `==` is polynomial equality whatever the grids.  The
+    shift s -> s + beta translates every offset, refining the grid only
+    when beta * grid is not an integer.  Displayed in ascending monomial
+    order.
     """
 
-    __slots__ = ()
+    __slots__ = ("grid",)
 
     _mono_mul = staticmethod(_merge_offsets)
 
-    @staticmethod
-    def _mono_str(m: tuple) -> str:
-        return "*".join(f"u(s{'+' if r > 0 else ''}{r})" if r else "u(s)" for r in m)
+    def __init__(self, terms: dict | Iterable[tuple] = ()):
+        """Sum of (rational offset tuple, coefficient) pairs, or of a dict's items."""
+        if isinstance(terms, dict):
+            terms = terms.items()
+        terms = [(tuple(map(Fraction, m)), c) for m, c in terms]
+        grid = math.lcm(*(r.denominator for m, _ in terms for r in m))
+        super().__init__(
+            (tuple(sorted(r.numerator * (grid // r.denominator) for r in m)), c) for m, c in terms
+        )
+        self.grid = grid
+
+    @classmethod
+    def _raw(cls, coeffs: dict, grid: int = 1) -> "SitePoly":
+        new = object.__new__(cls)
+        new.coeffs = coeffs
+        new.grid = grid
+        return new
+
+    def _new(self, coeffs: dict) -> "SitePoly":
+        return SitePoly._raw(coeffs, self.grid)
+
+    def _on_grid(self, grid: int) -> "SitePoly":
+        """The same polynomial on a multiple of its grid."""
+        f = grid // self.grid
+        if f == 1:
+            return self
+        return SitePoly._raw({tuple(i * f for i in m): c for m, c in self.coeffs.items()}, grid)
+
+    def _aligned(self, other: "SitePoly") -> tuple["SitePoly", "SitePoly"]:
+        """self and other on the lcm of their grids."""
+        if self.grid == other.grid:
+            return self, other
+        grid = math.lcm(self.grid, other.grid)
+        return self._on_grid(grid), other._on_grid(grid)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SitePoly and SparsePoly.__eq__(*self._aligned(other))
+
+    def __add__(self, other: "SitePoly") -> "SitePoly":
+        return SparsePoly.__add__(*self._aligned(other))
+
+    def __sub__(self, other: "SitePoly") -> "SitePoly":
+        return SparsePoly.__sub__(*self._aligned(other))
+
+    def __mul__(self, other: "SitePoly") -> "SitePoly":
+        return SparsePoly.__mul__(*self._aligned(other))
+
+    def terms(self):
+        """Every term as (tuple of rational offsets, coefficient), all Fractions."""
+        grid = self.grid
+        for m, c in self.coeffs.items():
+            yield tuple(Fraction(i, grid) for i in m), c
+
+    def _mono_str(self, m: tuple) -> str:
+        return "*".join(f"u(s{_offset_str(i, self.grid)})" for i in m)
 
     @staticmethod
     def u(offset=0) -> "SitePoly":
-        return SitePoly({(Fraction(offset),): Fraction(1)})
+        r = Fraction(offset)
+        return SitePoly._raw({(r.numerator,): Fraction(1)}, r.denominator)
 
     def shift(self, beta) -> "SitePoly":
         beta = Fraction(beta)
         if not beta:
             return self
-        return SitePoly._raw({tuple(r + beta for r in m): c for m, c in self.coeffs.items()})
+        grid = math.lcm(self.grid, beta.denominator)
+        f, t = grid // self.grid, beta.numerator * (grid // beta.denominator)
+        return SitePoly._raw(
+            {tuple(i * f + t for i in m): c for m, c in self.coeffs.items()}, grid
+        )
+
+
+def _offset_str(i: int, grid: int) -> str:
+    """The signed text of the offset i / grid after "s", empty for 0."""
+    if not i:
+        return ""
+    d = math.gcd(i, grid)
+    n, d = i // d, grid // d
+    return f"{'+' if n > 0 else ''}{n}" + (f"/{d}" if d != 1 else "")
 
 
 # ---------------------------------------------------------------------------

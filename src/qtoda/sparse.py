@@ -4,7 +4,8 @@ shares (it orders and formats its own terms).
 
 A polynomial is a dict from monomials to nonzero `Fraction` coefficients.
 No zero coefficient is ever stored, so dict equality is equality of
-polynomials.  Instances are treated as immutable after construction.
+polynomials on one monomial basis.  Instances are treated as immutable
+after construction.
 
 Each subclass supplies its monomial monoid and its text form:
 `_UNIT` (the constant monomial), `_mono_mul` (the monomial product),
@@ -12,6 +13,13 @@ Each subclass supplies its monomial monoid and its text form:
 `_DESCENDING` (the term order of `str()`).  Every monoid used here is
 commutative and cancellative, so multiplying by a single monomial never
 makes two terms collide.
+
+Results are wrapped by `_new`, so a subclass whose monomials are read
+against an attribute of the polynomial keeps it: a `SitePoly` monomial is
+a sorted tuple of int offsets i, each standing for the rational offset
+i / grid on the polynomial's own grid.  `SitePoly` brings two operands to
+one grid before it calls the ring operations here, which then see only
+int tuples.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ class SparsePoly:
         new.coeffs = coeffs
         return new
 
+    def _new(self, coeffs: dict):
+        """Wrap zero-free terms on self's monomial basis, without copying."""
+        return self._raw(coeffs)
+
     @classmethod
     def zero(cls):
         return cls._raw({})
@@ -99,10 +111,10 @@ class SparsePoly:
                 acc[m] = v
             elif m in acc:
                 del acc[m]
-        return self._raw(acc)
+        return self._new(acc)
 
     def __neg__(self):
-        return self._raw({m: -c for m, c in self.coeffs.items()})
+        return self._new({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not other.coeffs:
@@ -114,12 +126,12 @@ class SparsePoly:
                 acc[m] = v
             elif m in acc:
                 del acc[m]
-        return self._raw(acc)
+        return self._new(acc)
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return self._raw({})
+            return self._new({})
         if len(b) == 1:
             ((m, c),) = b.items()
             return self.mul_monomial(m, c)
@@ -136,20 +148,20 @@ class SparsePoly:
                     acc[m] = v
                 elif m in acc:
                     del acc[m]
-        return self._raw(acc)
+        return self._new(acc)
 
     def mul_monomial(self, mono, coef: Fraction):
         """Product with coef * mono (no two terms can collide)."""
         if mono == self._UNIT:
             return self if coef == 1 else self.scale(coef)
         mono_mul = self._mono_mul
-        return self._raw({mono_mul(m, mono): c * coef for m, c in self.coeffs.items()})
+        return self._new({mono_mul(m, mono): c * coef for m, c in self.coeffs.items()})
 
     def scale(self, r):
         r = r if isinstance(r, Fraction) else Fraction(r)
         if not r:
-            return self._raw({})
-        return self._raw({m: c * r for m, c in self.coeffs.items()})
+            return self._new({})
+        return self._new({m: c * r for m, c in self.coeffs.items()})
 
     # -- formatting -----------------------------------------------------------
 

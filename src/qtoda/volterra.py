@@ -280,9 +280,12 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step classical fourth-order Runge-Kutta; deterministic.
 
-    t_end must be a nonnegative whole multiple of dt, so a run never ends
-    early; every input is checked before the first step.
+    t_end must be a finite nonnegative whole multiple of dt, so a run never
+    ends early; every input is checked before the first step.
     """
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
@@ -360,20 +363,22 @@ def symbolic_flow_stencil(a: int, b: int, k: int = 1) -> SitePoly:
 def stencil_apply(stencil: SitePoly, u: np.ndarray, m: int) -> np.ndarray:
     """Evaluate a symbolic stencil on lattice data (offsets scale by m).
 
-    Exact on integer arrays and object arrays of ints and Fractions, which
-    give an object array of Fractions; a float array gets the correctly
-    rounded value.  u is scaled to integers by the lcm of its denominators,
-    and each site sums per (degree, coefficient denominator).
+    The stencil's int offsets i on its grid g are the rational offsets
+    i / g, so the site offset i * m / g is read in ints; an offset with
+    i * m not a multiple of g is off the refined lattice.  Exact on integer
+    arrays and object arrays of ints and Fractions, which give an object
+    array of Fractions; a float array gets the correctly rounded value.
+    u is scaled to integers by the lcm of its denominators, and each site
+    sums per (degree, coefficient denominator).
     """
-    n = len(u)
+    n, grid = len(u), stencil.grid
     groups: dict[tuple[int, int], list] = {}
     for mono, c in stencil.coeffs.items():
         sites = []
-        for r in mono:
-            idx = r * m
-            if idx.denominator != 1:
+        for i in mono:
+            if i * m % grid:
                 raise ValueError("stencil offset off the refined lattice")
-            sites.append(idx.numerator % n)
+            sites.append(i * m // grid % n)
         groups.setdefault((len(sites), c.denominator), []).append((c.numerator, sites))
     den = math.lcm(*(Fraction(x).denominator for x in u.tolist()))
     values = [int(Fraction(x) * den) for x in u.tolist()] * 2  # [j + o]: den * u[(j + o) % n]

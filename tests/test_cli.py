@@ -330,8 +330,9 @@ def test_oracle_sees_one_wrong_stencil_coefficient():
     stencil = symbolic_flow_stencil(a, b, k)
     numeric = flow_rhs(LatticeState(a, b, u), k)
     assert all(numeric == stencil_apply(stencil, u, m))
-    mono, coef = max(stencil.coeffs.items())
-    damaged = SitePoly({**stencil.coeffs, mono: coef + Fraction(1, 7)})
+    terms = dict(stencil.terms())  # rational offsets, read out and fed back in
+    mono, coef = max(terms.items())
+    damaged = SitePoly({**terms, mono: coef + Fraction(1, 7)})
     value = math.prod(u[int(r * m) % len(u)] for r in mono)
     assert stencil_apply(damaged, u, m)[0] - numeric[0] == value / 7
 
@@ -343,6 +344,23 @@ def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):
     ])
     assert code == 2
     assert "whole multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, name",
+    [("--dt", "dt"), ("--t-end", "t_end")],
+)
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_rejects_a_nonfinite_step_or_end_time(tmp_path, capsys, option, name, value):
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", option, value,
+        "--out-csv", str(csv), "--out", str(report),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {name} = {value} must be finite\n"
+    assert not csv.exists() and not report.exists()
 
 
 def test_simulate_rejects_flow_zero(tmp_path, capsys):

@@ -8,6 +8,7 @@ operations: each pair is str(x) and str(x * y - z) for seeded random x, y, z,
 as printed before the three classes shared one implementation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,14 +47,15 @@ def random_qpowersum(rng):
 
 
 def random_sitepoly(rng):
-    coeffs = {}
+    """Offsets on grids 1, 2 and 5, given to the constructor as Fractions."""
+    terms = {}
     for _ in range(rng.randint(1, 4)):
         n = rng.choice([0, 1, 1, 2, 3])
         mono = tuple(
             sorted(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 5])) for _ in range(n))
         )
-        coeffs[mono] = _coef(rng)
-    return SitePoly(coeffs)
+        terms[mono] = _coef(rng)
+    return SitePoly(terms)
 
 
 def random_powersumpoly(rng):
@@ -153,12 +155,18 @@ def test_golden_strings_cover_the_formatting_cases(name):
     assert any(term.lstrip("-").replace("/", "").isdigit() for term in terms)
 
 
+def _terms(x):
+    """(monomial, coefficient) pairs as the constructor takes them: a
+    SitePoly's rational offsets through terms(), else the stored terms."""
+    return x.terms() if isinstance(x, SitePoly) else x.coeffs.items()
+
+
 def _reference_product(x, y, mono_mul):
     """The schoolbook product, term by term, through the accumulating constructor."""
     return type(x)(
         (mono_mul(m1, m2), c1 * c2)
-        for m1, c1 in x.coeffs.items()
-        for m2, c2 in y.coeffs.items()
+        for m1, c1 in _terms(x)
+        for m2, c2 in _terms(y)
     )
 
 
@@ -204,15 +212,111 @@ def test_one_term_shortcut_matches_general_product(name):
     rng = random.Random(SEED + 2)
     for _ in range(40):
         x, y = gen(rng), gen(rng)
-        for m, c in y.coeffs.items():
+        for m, c in _terms(y):
             single = type(y)({m: c})
             assert len(single) == 1
             assert x * single == _reference_product(x, single, mono_mul)
             assert single * x == _reference_product(single, x, mono_mul)
-            assert (x * single).coeffs == {mono_mul(k, m): v * c for k, v in x.coeffs.items()}
+            assert dict(_terms(x * single)) == {mono_mul(k, m): v * c for k, v in _terms(x)}
 
 
 def test_classes_do_not_compare_equal_across_rings():
     assert SitePoly.zero() != PowerSumPoly.zero()
     assert SitePoly.one() != PowerSumPoly.one()
     assert QPowerSum.one() != PowerSumPoly.one()
+
+
+# -- SitePoly against a plain Fraction-offset reference -----------------------
+#
+# A reference polynomial is a dict {sorted tuple of Fraction offsets:
+# nonzero Fraction}, read from SitePoly.terms() and computed on directly.
+
+
+def _ref_clean(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_add(x, y, sign=1):
+    acc = dict(x)
+    for m, c in y.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return _ref_clean(acc)
+
+
+def _ref_mul(x, y):
+    acc = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = tuple(sorted(m1 + m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return _ref_clean(acc)
+
+
+def _ref_str(x):
+    """str() rebuilt from terms() alone, in ascending monomial order."""
+    chunks = []
+    for mono, c in sorted(x.terms()):
+        mono_text = "*".join(f"u(s{'+' if r > 0 else ''}{r})" if r else "u(s)" for r in mono)
+        if not mono:
+            text = str(c)
+        else:
+            text = {1: mono_text, -1: "-" + mono_text}.get(c, f"{c}*{mono_text}")
+        if chunks:
+            text = " - " + text[1:] if text[0] == "-" else " + " + text
+        chunks.append(text)
+    return "".join(chunks) or "0"
+
+
+def _sitepoly_on_grid(rng, grid):
+    """A random SitePoly whose offsets are multiples of 1/grid."""
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        mono = tuple(Fraction(rng.randint(-3 * grid, 3 * grid), grid)
+                     for _ in range(rng.choice([0, 1, 1, 2, 3])))
+        terms.append((mono, _coef(rng)))
+    return SitePoly(terms)
+
+
+def test_sitepoly_matches_a_fraction_offset_reference():
+    rng = random.Random(SEED + 3)
+    mixed = 0
+    for _ in range(300):
+        gx, gy = rng.choice([1, 2, 5]), rng.choice([1, 2, 5])
+        x, y = _sitepoly_on_grid(rng, gx), _sitepoly_on_grid(rng, gy)
+        mixed += x.grid != y.grid
+        rx, ry = dict(x.terms()), dict(y.terms())
+        assert all(list(m) == sorted(m) for m in rx)
+        assert dict((x + y).terms()) == _ref_add(rx, ry)
+        assert dict((x - y).terms()) == _ref_add(rx, ry, -1)
+        assert dict((-x).terms()) == _ref_add({}, rx, -1)
+        assert dict((x * y).terms()) == _ref_mul(rx, ry)
+        r = _coef(rng) if rng.random() < 0.9 else Fraction(0)
+        assert dict(x.scale(r).terms()) == _ref_clean({m: c * r for m, c in rx.items()})
+        # a shift by a multiple of 1/grid keeps the grid, any other refines it
+        beta = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+        shifted = x.shift(beta)
+        assert dict(shifted.terms()) == {tuple(o + beta for o in m): c for m, c in rx.items()}
+        assert shifted.grid == (x.grid if beta * x.grid == int(beta * x.grid)
+                                else math.lcm(x.grid, beta.denominator))
+        # equality is polynomial equality across grids
+        assert (x == y) == (rx == ry)
+        there_and_back = x.shift(Fraction(1, 3)).shift(Fraction(-1, 3))
+        assert there_and_back.grid != x.grid and there_and_back == x
+        assert (x + y) == SitePoly(_ref_add(rx, ry)) and (x * y) == SitePoly(_ref_mul(rx, ry))
+        for z in (x, y, x + y, x * y, shifted):
+            assert str(z) == _ref_str(z)
+    assert mixed > 100
+
+
+def test_sitepoly_reference_sees_a_damaged_coefficient():
+    # negative control: one coefficient off by 1/7 is seen by the reference,
+    # by ==, and by the text form
+    rng = random.Random(SEED + 4)
+    x, y = _sitepoly_on_grid(rng, 2), _sitepoly_on_grid(rng, 5)
+    while x.is_zero() or y.is_zero():
+        x, y = _sitepoly_on_grid(rng, 2), _sitepoly_on_grid(rng, 5)
+    product = dict((x * y).terms())
+    mono = max(product)
+    damaged = SitePoly({**product, mono: product[mono] + Fraction(1, 7)})
+    assert dict(damaged.terms()) != _ref_mul(dict(x.terms()), dict(y.terms()))
+    assert damaged != x * y and str(damaged) != str(x * y)

@@ -63,6 +63,33 @@ def test_symbolic_stencil_volterra():
     assert stencil == expected
 
 
+def _count_fraction_hashes(monkeypatch):
+    """A counter of Fraction.__hash__ calls, for the rest of the test."""
+    calls, original = [0], Fraction.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    return calls
+
+
+def test_symbolic_stencil_hashes_no_fraction(monkeypatch):
+    # SitePoly monomials are int offsets on a grid; with Fraction offsets
+    # this build hashed 134,804 Fractions
+    calls = _count_fraction_hashes(monkeypatch)
+    symbolic_flow_stencil(2, 3, 3)
+    assert calls[0] == 0
+
+
+def test_fraction_hash_counter_sees_a_fraction_dict_key(monkeypatch):
+    # negative control: a monomial of rational offsets used as a dict key
+    calls = _count_fraction_hashes(monkeypatch)
+    {(Fraction(-3, 5), Fraction(2, 5)): 1}
+    assert calls[0] == 2  # one hash per offset of the key
+
+
 @pytest.mark.parametrize("a,b", COPRIME_SMALL)
 def test_flow_matches_symbolic_oracle(a, b):
     state = rational_state(a, b, 3, seed=a * 10 + b)
@@ -142,7 +169,7 @@ def _apply_by_monomials(stencil, u, m):
     out = []
     for j in range(n):
         total = Fraction(0)
-        for mono, c in stencil.coeffs.items():
+        for mono, c in stencil.terms():
             term = c
             for r in mono:
                 term *= Fraction(u[(j + int(r * m)) % n])
