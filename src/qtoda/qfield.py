@@ -21,7 +21,8 @@ Equality of quotients is decided by cross multiplication; no gcd-style
 normalization is attempted.  The reductions applied are cheap ones that
 keep iterated arithmetic bounded: the smallest denominator term is divided
 out of both parts, and when each denominator has one s-part, sums try to
-reuse a common denominator through an exact-division probe.  Otherwise
+reuse a common denominator through an exact-division probe, a pure
+function ended by an exact exponent bound and kept in no memo.  Otherwise
 they cross-multiply.
 """
 
@@ -347,19 +348,19 @@ class QPowerSum:
 _QPS_ZERO = QPowerSum.zero()
 _QPS_ONE = QPowerSum.one()
 
-_DIV_CACHE: dict[tuple[QPowerSum, QPowerSum], QPowerSum | None] = {}
-
 
 def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
     """num/den when each side has one s-part and the division is exact, else None.
 
-    Leading-term elimination on the int P's, bailing out once the step count
-    exceeds what an exact quotient could need: by Gauss's lemma an exact
-    quotient of primitive P's is primitive with int coefficients, so the
-    first leading coefficient that does not divide ends the probe.  With
-    several s-parts on either side it gives up, and `QFieldElem.__add__`
-    cross-multiplies.  Results are memoized (denominators recur heavily in
-    iterated operator arithmetic).
+    Leading-term elimination on the int P's, ended by an exact bound: an
+    exact quotient's lowest term times den's lowest term is num's lowest
+    term, so no quotient exponent lies below low = min(num) - min(den).  The
+    quotient exponent falls at every step, so the probe fails once it drops
+    below low, after at most span(num) - span(den) + 1 steps.  By Gauss's
+    lemma an exact quotient of primitive P's is primitive with int
+    coefficients, so the first leading coefficient that does not divide
+    also ends it.  With several s-parts on either side it gives up, and
+    `QFieldElem.__add__` cross-multiplies.
     """
     if den.is_zero():
         return None
@@ -369,33 +370,25 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
         return _QPS_ZERO
     if len(num.parts) != 1 or len(den.parts) != 1:
         return None
-    key = (num, den)
-    if key in _DIV_CACHE:
-        return _DIV_CACHE[key]
     ((sn, (Ln, cn, Pn)),), ((sd, (Ld, cd, Pd)),) = num.parts.items(), den.parts.items()
     L = lcm(Ln, Ld)
     rem, Pd = dict(_regrid(Ln, Pn, L)), _regrid(Ld, Pd, L)
-    lead_e = max(Pd)
+    lead_e, low = max(Pd), min(rem) - min(Pd)
     lead_c, rest = Pd[lead_e], [(e, c) for e, c in Pd.items() if e != lead_e]
-    quot, result = {}, None
-    for _ in range(len(Pn) + len(Pd) + 8):
-        if not rem:
-            result = QPowerSum._raw({_sigma_add(sn, _s_neg(sd)): _on_grid(L, _rdiv(cn, cd), quot)})
-            break
+    quot = {}
+    while rem:
         re = max(rem)
+        qe = re - lead_e
         qc, r = divmod(rem.pop(re), lead_c)
-        if r:
-            break
-        qe = re - lead_e  # falls at every step, so each step adds a new term
+        if qe < low or r:
+            return None
         quot[qe] = qc
         for e, c in rest:
             k = e + qe
             rem[k] = rem.get(k, 0) - c * qc
             if not rem[k]:
                 del rem[k]
-    if len(_DIV_CACHE) < 200_000:
-        _DIV_CACHE[key] = result
-    return result
+    return QPowerSum._raw({_sigma_add(sn, _s_neg(sd)): _on_grid(L, _rdiv(cn, cd), quot)})
 
 
 class QFieldElem:

@@ -307,6 +307,18 @@ def test_references_see_a_coefficient_damaged_by_one_seventh():
         assert value(bad, s, t, L) != value(x, s, t, L) * value(y, s, t, L)
 
 
+def long_sum(rng, size):
+    """`size` terms on one random s-part, the c0 spread over a grid of 1, 2 or 3."""
+    s_part, d = random_exponent(rng), rng.choice([1, 2, 3])
+    return QPowerSum([(ExponentPoly.of(Fraction(k, d), s_part.c1, s_part.c2), random_coef(rng))
+                      for k in rng.sample(range(-40, 41), size)])
+
+
+def without_top_term(p):
+    """p, of one s-part and at least two terms, less its highest term."""
+    return QPowerSum([(ExponentPoly.of(c0, c1, c2), c) for c0, c1, c2, c in sorted(p.terms())[:-1]])
+
+
 def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
     # one s-part on each side: the exact quotient, or None for a non-multiple;
     # several: None, and a sum over such denominators cross-multiplies exactly
@@ -329,6 +341,38 @@ def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
         for s, t, (vx, vy) in three_points([x, y], L):
             assert evaluate(x + y, s, t, L) == vx + vy
     assert several >= 8
+
+    # (1 - q^(n/2)) / (1 - q^(1/2)) is the n-term geometric sum; a numerator
+    # that spans less than the denominator is no multiple of it
+    def q(c0):
+        return QPowerSum.monomial(ExponentPoly.const(c0))
+
+    for n in (12, 20, 40):
+        geometric = sum((q(Fraction(k, 2)) for k in range(n)), QPowerSum.zero())
+        assert qfield._divide_exact(one - q(Fraction(n, 2)), one - q(Fraction(1, 2))) == geometric
+        assert qfield._divide_exact(one - q(Fraction(n, 2)), one - q(Fraction(n + 1, 2))) is None
+
+    # seeded quotients of 12 to 30 terms, a one-coefficient perturbation of
+    # each product, and numerators shorter in span than the denominator
+    for _ in range(12):
+        a, b = long_sum(rng, rng.randint(12, 30)), long_sum(rng, rng.randint(2, 8))
+        ab = a * b
+        assert qfield._divide_exact(ab, b) == a
+        c0, c1, c2, _ = rng.choice(list(ab.terms()))
+        near = ab + QPowerSum.monomial(ExponentPoly.of(c0, c1, c2), Fraction(1, 7))
+        assert qfield._divide_exact(near, b) is None
+        shorter = without_top_term(b) * QPowerSum.monomial(random_exponent(rng), random_coef(rng))
+        assert qfield._divide_exact(shorter, b) is None
+        assert qfield._divide_exact(without_top_term(ab), b) is None
+
+    # every exact quotient's lowest exponent is min(num) - min(den), the
+    # bound itself; here it is reached with den on a grid of 2, num on 6
+    a = QPowerSum([(ExponentPoly.of(Fraction(-7, 3), 1), 3), (ExponentPoly.of(Fraction(1, 2), 1), -2),
+                   (ExponentPoly.of(Fraction(5, 2), 1), 1)])
+    b = q(Fraction(-1, 2)) + q(1) + q(Fraction(3, 2)).scale(-5)
+    assert qfield._divide_exact(a * b, b) == a
+    below = QPowerSum.monomial(ExponentPoly.of(-3, 1))  # lower than every term of a * b
+    assert qfield._divide_exact(a * b + below, b) is None
 
 
 # -- the text form and the normalized denominator, read through terms() -------
