@@ -151,11 +151,15 @@ class SparsePoly:
         return self._new(acc)
 
     def mul_monomial(self, mono, coef: Fraction):
-        """Product with coef * mono (no two terms can collide)."""
+        """Product with coef * mono (no two terms can collide); 1 and -1 multiply nothing."""
         if mono == self._UNIT:
             return self if coef == 1 else self.scale(coef)
-        mono_mul = self._mono_mul
-        return self._new({mono_mul(m, mono): c * coef for m, c in self.coeffs.items()})
+        mono_mul, items = self._mono_mul, self.coeffs.items()
+        if coef == 1:
+            return self._new({mono_mul(m, mono): c for m, c in items})
+        if coef == -1:
+            return self._new({mono_mul(m, mono): -c for m, c in items})
+        return self._new({mono_mul(m, mono): c * coef for m, c in items})
 
     def scale(self, r):
         r = r if isinstance(r, Fraction) else Fraction(r)

@@ -13,14 +13,15 @@ onto nonnegative shift powers agree with the infinite periodic lattice and
 the whole construction is an exact algebra homomorphism down to the cyclic
 realization.
 
-The flows need only the offset-0 diagonal d, so flow_rhs and integrate do
-not form the matrix power.  They sum d over lattice paths of k*b steps of
-+a and k*a steps of -b (path_plan, power_diagonal), keeping after each
-step only the partial products that can still return to offset 0.  Every
-entry is built from the same pair of products that banded_mul adds for it,
-so d is bitwise equal to the diagonal of banded_power on floats and equal
-on Fractions.  The banded products remain for the traces, the matrix Lax
-equation and the duality check, and as the reference in the tests.
+The flows need only the offset-0 diagonal d.  flow_rhs and integrate sum it
+over lattice paths of k*b steps of +a and k*a of -b (path_plan,
+power_diagonal), storing only the partial products that can still return
+to offset 0 and are not the all-(+a) one, which is 1: each step is a
+gather of -u, an in-place multiply and an in-place add over row slices
+fixed in the plan.  Every entry is the same two-product sum banded_mul
+forms, so d is bitwise equal to the diagonal of banded_power on floats and
+equal on Fractions.  The banded products remain for the traces, the matrix
+Lax equation, the duality check and the tests' reference.
 
 The flows work elementwise over numpy arrays; object arrays of Fractions
 run the same code path exactly.  The oracle compares them on such a state
@@ -171,57 +172,54 @@ def _require_flow(k: int) -> None:
         raise UnsupportedFlow("flow index must be >= 1")
 
 
-def path_plan(a: int, b: int, k: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]]:
-    """Gather indices of the path recursion for the k-th flow on n sites.
+def path_plan(a: int, b: int, k: int, n: int) -> list[tuple]:
+    """Gather indices and row slices of the path recursion for the k-th flow.
 
     After t of the k*(a+b) steps, row i of the band holds the paths with i
-    steps of +a, at unreduced offset i*a - (t - i)*b.  Only rows that can
-    still return to offset 0 are kept: i <= k*b and t - i <= k*a.  Entry
-    t - 1 of the plan takes the band from t to t + 1 steps and is
-    (lo, hi, lo2, hi2, idx): the kept rows lo..hi before and lo2..hi2
-    after, and for the rows lo2..hi that take a step of -b, the sites
-    (j + offset) mod n whose -u multiplies them.
+    steps of +a, at unreduced offset i*a - (t - i)*b, for each i that can
+    still return to offset 0: i <= k*b and t - i <= k*a.  Row i = t is 1
+    while t <= k*b and is implicit, never stored.  Entry t - 1 of the plan,
+    (idx, down, below, up, prev), takes the band to t + 1 steps: idx holds,
+    per new row reached by a step of -b, the sites (j + offset) mod n of
+    its -u; new rows down step so from the stored rows below, and new rows
+    up by +a from the stored rows prev.
     """
     ka, kb = k * a, k * b
-    bounds, offsets = [], []
+    plan = []
     for t in range(1, k * (a + b)):
-        lo, hi = max(0, t - ka), min(t, kb)
-        lo2, hi2 = max(0, t + 1 - ka), min(t + 1, kb)
-        bounds.append((lo, hi, lo2, hi2, len(offsets)))
-        offsets += [i * a - (t - i) * b for i in range(lo2, hi + 1)]
-    idx = np.add.outer(offsets, np.arange(n)) % n
-    return [(lo, hi, lo2, hi2, idx[start:start + hi - lo2 + 1])
-            for lo, hi, lo2, hi2, start in bounds]
+        lo, hi, lo2 = max(0, t - ka), min(t, kb), max(0, t + 1 - ka)
+        first = max(lo + 1, lo2)  # lowest new row also reached by a step of +a
+        offsets = [i * a - (t - i) * b for i in range(lo2, hi + 1)]
+        plan.append((np.add.outer(offsets, np.arange(n)) % n,
+                     slice(min(t - 1, kb) - lo2 + 1), slice(lo2 - lo, None),
+                     slice(first - lo2, hi - lo2 + 1), slice(first - 1 - lo, hi - lo)))
+    return plan
 
 
 def power_diagonal(u: np.ndarray, plan) -> np.ndarray:
     """Offset-0 diagonal of the k*(a+b)-th power of the Lax band, by paths.
 
     Each entry is the sum of the same two products that banded_mul forms
-    for it: the row below times 1 (a step of +a; x*1 is exact, so the
-    multiplication is skipped) and the row itself times the gathered -u
-    (a step of -b).  A two-term sum commutes exactly, so the result is
-    bitwise equal to banded_power(lax_diagonals(u, a, b), k*(a+b), n)[0]
-    on floats and equal on Fractions.
+    for it: the row below times 1 (a step of +a) and the row itself times
+    the gathered -u (a step of -b).  As 1*x = x bitwise, the first is the
+    row below and the second, from the implicit all-ones row, the gathered
+    -u.  A two-term sum commutes exactly, so the result is bitwise equal to
+    banded_power(lax_diagonals(u, a, b), k*(a+b), n)[0] on floats and
+    equal on Fractions.
     """
-    band = np.empty((2, len(u)), dtype=u.dtype)  # after one step: rows 0 (-b) and 1 (+a)
-    neg = np.negative(u, out=band[0])
-    band[1] = 1
-    for lo, hi, lo2, hi2, idx in plan:
-        new = np.empty((hi2 - lo2 + 1, len(u)), dtype=u.dtype)
-        stepped = hi - lo2 + 1  # new rows lo2..hi, reached by a step of -b
-        np.multiply(band[lo2 - lo:], neg.take(idx), out=new[:stepped])
-        first = max(lo + 1, lo2)  # lowest new row also reached by a step of +a
-        new[first - lo2:stepped] += band[first - 1 - lo:hi - lo]
-        if hi2 > hi:  # the all-(+a) row, reached by a step of +a only
-            new[stepped] = band[hi - lo]
+    neg = -u
+    band = neg[None]  # after one step: row 0 (-b); row 1 (+a) is implicit
+    for idx, down, below, up, prev in plan:
+        new = neg[idx]
+        new[down] *= band[below]
+        new[up] += band[prev]
         band = new
     return band[0]  # the one row left: k*b steps of +a, k*a of -b
 
 
-def _rhs(u: np.ndarray, b: int, plan) -> np.ndarray:
+def _rhs(u: np.ndarray, back: np.ndarray, plan) -> np.ndarray:
     d = power_diagonal(u, plan)
-    return u * (d - np.concatenate((d[-b:], d[:-b])))  # d_j - d_{j-b}
+    return u * (d - d[back])  # d_j - d_{j-b}
 
 
 def flow_rhs(state: LatticeState, k: int = 1) -> np.ndarray:
@@ -236,7 +234,7 @@ def flow_rhs(state: LatticeState, k: int = 1) -> np.ndarray:
     """
     _require_flow(k)
     u = state.sites
-    return _rhs(u, state.b, path_plan(state.a, state.b, k, len(u)))
+    return _rhs(u, np.arange(len(u)) - state.b, path_plan(state.a, state.b, k, len(u)))
 
 
 def conserved_quantities(state: LatticeState, kmax: int = 3) -> list[float]:
@@ -249,10 +247,9 @@ def conserved_quantities(state: LatticeState, kmax: int = 3) -> list[float]:
         raise ValueError("kmax must be >= 1")
     u = state.sites
     n = len(u)
-    m = state.refinement
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # callers check that each H_k is finite
-        base = banded_power(lax_diagonals(u, state.a, state.b), m, n)
+        base = banded_power(lax_diagonals(u, state.a, state.b), state.refinement, n)
         for k in range(1, kmax + 1):
             power = base if k == 1 else banded_mul(power, base, n)
             diag = diagonal_of(power, n)
@@ -300,17 +297,17 @@ def integrate(
     bad = np.flatnonzero(~np.isfinite(u))
     if bad.size:
         raise NonFinite(f"initial state is not finite: u_{bad[0]} = {u[bad[0]]}")
-    b = state.b
-    plan = path_plan(state.a, b, k, len(u))
+    back = np.arange(len(u)) - state.b
+    plan = path_plan(state.a, state.b, k, len(u))
 
     times = [state.time]
     states = [u.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            k1 = _rhs(u, b, plan)
-            k2 = _rhs(u + 0.5 * dt * k1, b, plan)
-            k3 = _rhs(u + 0.5 * dt * k2, b, plan)
-            k4 = _rhs(u + dt * k3, b, plan)
+            k1 = _rhs(u, back, plan)
+            k2 = _rhs(u + 0.5 * dt * k1, back, plan)
+            k3 = _rhs(u + 0.5 * dt * k2, back, plan)
+            k4 = _rhs(u + dt * k3, back, plan)
             u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(u).all():
                 raise NonFinite(f"state left double-precision range at step {step + 1}")
@@ -406,11 +403,9 @@ def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
     u = np.array([Fraction(x) for x in state.sites.tolist()], dtype=object)
     n = len(u)
     a, b = state.a, state.b
-    m = state.refinement
-    exact_state = LatticeState(a, b, u)
-    rhs = flow_rhs(exact_state, k)
+    rhs = flow_rhs(LatticeState(a, b, u), k)
     lax = lax_diagonals(u, a, b)
-    power = banded_power(lax, k * m, n)
+    power = banded_power(lax, k * (a + b), n)
     bk = {o: v for o, v in power.items() if o >= 0}
     return banded_equal(_commutator(bk, lax, n), {-b: -rhs}, n)
 

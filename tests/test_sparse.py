@@ -212,12 +212,17 @@ def test_one_term_shortcut_matches_general_product(name):
     rng = random.Random(SEED + 2)
     for _ in range(40):
         x, y = gen(rng), gen(rng)
-        for m, c in _terms(y):
+        terms = list(_terms(y))
+        # +1 passes coefficients through and -1 negates them on a non-unit monomial
+        terms += [(m, Fraction(sign)) for m, _ in terms if m for sign in (1, -1)]
+        for m, c in terms:
             single = type(y)({m: c})
             assert len(single) == 1
             assert x * single == _reference_product(x, single, mono_mul)
             assert single * x == _reference_product(single, x, mono_mul)
-            assert dict(_terms(x * single)) == {mono_mul(k, m): v * c for k, v in _terms(x)}
+            product = dict(_terms(x * single))
+            assert product == {mono_mul(k, m): v * c for k, v in _terms(x)}
+            assert all(type(v) is Fraction for v in product.values())
 
 
 def test_classes_do_not_compare_equal_across_rings():

@@ -231,12 +231,49 @@ def test_power_diagonal_bitwise_equals_banded_power(a, b, k):
         assert all(power_diagonal(exact, plan) == expected), n
 
 
+SPECIAL_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308)
+
+
+def _special_states(n, seed):
+    """One state per special value at a random site, then states drawn from
+    signed zeros and ones and from all the special values at once."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    for value in SPECIAL_VALUES:
+        u = base.copy()
+        u[rng.integers(n)] = value
+        yield u
+    yield rng.choice(np.array([-0.0, 0.0, -1.0, 1.0]), n)
+    yield rng.choice(np.array(SPECIAL_VALUES + (-1.0, 2.0)), n)
+
+
+def _assert_same_bits(got, expected):
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("a,b,k", FLOW_TYPES)
+def test_power_diagonal_bitwise_on_special_values(a, b, k):
+    """Signed zeros, infinities, nan and overflow: the implicit all-ones row
+    stepped by -b is the gathered -u, as 1*x is for every float."""
+    m = a + b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (2 * m, 3 * m):
+            plan = path_plan(a, b, k, n)
+            for u in _special_states(n, 100 * a + 10 * b + k + n):
+                expected = banded_power(lax_diagonals(u, a, b), k * m, n)[0]
+                _assert_same_bits(power_diagonal(u, plan), expected)
+
+
 @pytest.mark.parametrize("a,b,k", FLOW_TYPES)
 def test_path_plan_keeps_exactly_the_rows_that_return(a, b, k):
-    """After t steps, a row is kept iff some choice of the remaining steps
-    brings its offset i*a - (t - i)*b back to 0."""
+    """After t steps, the stored rows and the implicit all-(+a) row i = t
+    (present while t <= k*b) are exactly the rows whose offset
+    i*a - (t - i)*b some choice of the remaining steps brings back to 0;
+    each step forms every kept row from the rows it is reached from."""
     power = k * (a + b)
-    n = 2 * (a + b)
+    n = 2 * power * (a + b) + 1  # no two offsets of one step wrap to one site
 
     def returning(t):
         return [
@@ -247,10 +284,21 @@ def test_path_plan_keeps_exactly_the_rows_that_return(a, b, k):
 
     plan = path_plan(a, b, k, n)
     assert len(plan) == power - 1
-    for t, (lo, hi, lo2, hi2, idx) in enumerate(plan, start=1):
-        assert list(range(lo, hi + 1)) == returning(t)
-        assert list(range(lo2, hi2 + 1)) == returning(t + 1)
-        assert idx.shape == (hi - lo2 + 1, n)
+    stored = [0]  # after one step: row 0 (-b); row 1 (+a) is implicit
+    for t, (idx, down, below, up, prev) in enumerate(plan, start=1):
+        assert stored + [t] * (t <= k * b) == returning(t)
+        # each new row is gathered at the offset, at t steps, of the row it steps from by -b
+        offsets = [x if x <= n // 2 else x - n for x in idx[:, 0].tolist()]
+        assert np.array_equal(idx, np.add.outer(offsets, np.arange(n)) % n)
+        new = [(o + t * b) // (a + b) for o in offsets]
+        assert [i * a - (t - i) * b for i in new] == offsets
+        rows = list(range(len(new)))
+        assert new[down] == stored[below] == [i for i in stored if i in new]  # -b
+        assert [new[r] for r in rows if r not in rows[down]] == [t] * (t <= k * b)
+        assert new[up] == [i + 1 for i in stored[prev]]  # +a from a stored row
+        assert sorted(new[up]) == [i + 1 for i in stored if i + 1 in new]
+        stored = new
+    assert stored == returning(power) == [k * b]
 
 
 def _banded_rk4(state, k, dt, steps):
@@ -274,14 +322,17 @@ def _banded_rk4(state, k, dt, steps):
     return states
 
 
-@pytest.mark.parametrize("a,b,k", [(1, 1, 1), (2, 3, 1)])
+@pytest.mark.parametrize("a,b,k", [(1, 1, 1), (2, 3, 1), (1, 2, 2), (3, 4, 1)])
 def test_integrate_bitwise_equals_banded_rk4(a, b, k):
+    """The benchmark's types, a k = 2 flow and a wide type, each at dt and,
+    as --order-check reruns it, at dt/2."""
     state = perturbed_constant_state(a, b, 6, amplitude=0.3)
-    traj = integrate(state, k, t_end=0.05, dt=1e-3)
-    reference = _banded_rk4(state, k, 1e-3, 50)
-    assert len(traj.states) == len(reference) == 51
-    for step, (got, expected) in enumerate(zip(traj.states, reference)):
-        assert np.array_equal(got, expected), step
+    for dt, steps in ((1e-3, 50), (5e-4, 100)):
+        traj = integrate(state, k, t_end=0.05, dt=dt)
+        reference = _banded_rk4(state, k, dt, steps)
+        assert len(traj.states) == len(reference) == steps + 1
+        for step, (got, expected) in enumerate(zip(traj.states, reference)):
+            assert np.array_equal(got, expected), (dt, step)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
