@@ -1,7 +1,9 @@
 """Lattice flows: stencils against the symbolic oracle, conservation,
 integrator behavior, stationarity, duality."""
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,6 @@ from qtoda.volterra import (
     integrate,
     invariant_drift,
     lax_diagonals,
-    lax_equation_residual,
     path_plan,
     perturbed_constant_state,
     power_diagonal,
@@ -335,6 +336,23 @@ def test_integrate_bitwise_equals_banded_rk4(a, b, k):
             assert np.array_equal(got, expected), (dt, step)
 
 
+def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
+    """Exact check of the matrix Lax equation d/dt L = [B, L] on the lattice.
+
+    B is the projection of the (k*(a+b))-th power onto nonnegative shift
+    powers; the time derivative enters only through the -b diagonal.  Runs
+    in exact rational arithmetic on the given state.
+    """
+    u = np.array([Fraction(x) for x in state.sites.tolist()], dtype=object)
+    n = len(u)
+    a, b = state.a, state.b
+    rhs = flow_rhs(LatticeState(a, b, u), k)
+    lax = lax_diagonals(u, a, b)
+    power = banded_power(lax, k * (a + b), n)
+    bk = {o: v for o, v in power.items() if o >= 0}
+    return banded_equal(volterra._commutator(bk, lax, n), {-b: -rhs}, n)
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
 def test_matrix_lax_equation_exact(a, b):
     state = rational_state(a, b, 3, seed=5)
@@ -442,6 +460,62 @@ def test_nonfinite_detection():
         integrate(bad, 1, 1.0, 1e-2)
 
 
+def _overflowing_rhs(kind, site, step):
+    """A stand-in for volterra._rhs: 0 except at the given step, where its
+    four stages (1e308, 1e308, -1e308, -1e308 for "nan") overflow the
+    weighted sum k1 + 2*k2 + 2*k3 + k4 at u[site] to +inf, -inf or inf - inf."""
+    stages = {"+inf": [1e308] * 4, "-inf": [-1e308] * 4, "nan": [1e308] * 2 + [-1e308] * 2}
+    calls = itertools.count()
+
+    def rhs(u, back, plan):
+        call = next(calls)
+        out = np.zeros_like(u)
+        if call // 4 + 1 == step:
+            out[site] = stages[kind][call % 4]
+        return out
+
+    return rhs
+
+
+def _isfinite_step(rhs, u, dt, steps):
+    """First step of a plain RK4 loop at which np.isfinite(u).all() fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            k1 = rhs(u, None, None)
+            k2 = rhs(u + 0.5 * dt * k1, None, None)
+            k3 = rhs(u + 0.5 * dt * k2, None, None)
+            k4 = rhs(u + dt * k3, None, None)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(u).all():
+                return step + 1
+    return None
+
+
+def _check_stops_where_isfinite_does(monkeypatch, kind, site):
+    state = LatticeState(1, 1, np.ones(8))
+    expected = _isfinite_step(_overflowing_rhs(kind, site, 3), state.sites, 1.0, 5)
+    assert expected == 3
+    monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, site, 3))
+    try:
+        integrate(state, 1, t_end=5.0, dt=1.0)
+        got = None
+    except NonFinite as err:
+        got = int(re.fullmatch(r"state left double-precision range at step (\d+)", str(err))[1])
+    assert got == expected
+
+
+@pytest.mark.parametrize("site", [0, -1])
+@pytest.mark.parametrize("kind", ["+inf", "-inf", "nan"])
+def test_finiteness_check_stops_at_the_step_isfinite_does(monkeypatch, kind, site):
+    _check_stops_where_isfinite_does(monkeypatch, kind, site)
+
+
+def test_finiteness_test_sees_a_check_that_misses_nan(monkeypatch):
+    monkeypatch.setattr(volterra, "_all_finite", lambda u, zeros: not np.isinf(u).any())
+    with pytest.raises(AssertionError):
+        _check_stops_where_isfinite_does(monkeypatch, "nan", 0)
+
+
 def test_nonfinite_start_is_named_before_a_step():
     # t_end = 0 takes no step, so only the up-front check can raise
     bad = LatticeState(1, 1, np.array([1.0, np.inf, 1.0, 1.0]))
@@ -457,6 +531,60 @@ def test_conservation_drift_small():
     drift, series = invariant_drift(traj, 3)
     assert max(drift) < 1e-10
     assert len(series[0]) == 3
+
+
+def _trace_trajectory(case):
+    """Float trajectories of three flows, one longer than a banded pass
+    takes, Fraction states (the object arrays duality_check passes) and
+    states with +-inf, nan or an overflow."""
+    if case == "fractions":
+        rows = [rational_state(2, 1, 3, seed=seed).sites for seed in range(4)]
+        return Trajectory(2, 1, np.arange(4.0), np.array(rows))
+    if case == "special":
+        rows = np.tile(perturbed_constant_state(1, 2, 4, amplitude=0.3).sites, (5, 1))
+        rows[1, 0], rows[2, -1], rows[3, 5], rows[4, 2] = np.inf, -np.inf, np.nan, 1e200
+        return Trajectory(1, 2, np.arange(5.0), rows)
+    if case == "blocks":
+        return integrate(perturbed_constant_state(1, 1, 6, amplitude=0.3), 1, 0.6, 1e-3)
+    a, b, k = case
+    return integrate(perturbed_constant_state(a, b, 6, amplitude=0.3), k, 0.05, 1e-3, 10)
+
+
+def _traces_by_row(traj):
+    """The loop invariant_drift ran before: one conserved_quantities per state."""
+    return [conserved_quantities(LatticeState(traj.a, traj.b, row.copy()), 3) for row in traj.states]
+
+
+def _check_batched_traces(traj, expected):
+    with np.errstate(over="ignore", invalid="ignore"):  # the drift of an inf trace
+        _, series = invariant_drift(traj, 3)
+    # repr tells apart every float but nan payloads, and every Fraction
+    assert [list(map(repr, row)) for row in series] == [list(map(repr, row)) for row in expected]
+
+
+@pytest.mark.parametrize("case", [(1, 1, 1), (2, 3, 1), (1, 2, 2), "blocks", "fractions", "special"])
+def test_batched_traces_equal_per_row_traces(case):
+    traj = _trace_trajectory(case)
+    assert len(traj.states) > 3
+    _check_batched_traces(traj, _traces_by_row(traj))
+
+
+def _banded_mul_along_states(x, y, n):
+    """banded_mul rolling along axis 0, the recorded states, not the sites."""
+    out = {}
+    for o1, v1 in x.items():
+        for o2, v2 in y.items():
+            term = v1 * np.roll(v2, -o1, axis=0)
+            out[o1 + o2] = out[o1 + o2] + term if o1 + o2 in out else term
+    return out
+
+
+def test_batched_traces_test_sees_a_roll_along_the_states(monkeypatch):
+    traj = _trace_trajectory((2, 3, 1))
+    expected = _traces_by_row(traj)
+    monkeypatch.setattr(volterra, "banded_mul", _banded_mul_along_states)
+    with pytest.raises(AssertionError):
+        _check_batched_traces(traj, expected)
 
 
 def test_stationarity_reports():
