@@ -99,10 +99,18 @@ def cmd_vertex(args) -> int:
     return EXIT_OK if diff.is_zero() else EXIT_CHECK_FAILED
 
 
+def _require_sizes(*options: tuple[str, int]) -> None:
+    """Refuse a negative size, naming its option."""
+    for flag, value in options:
+        if value < 0:
+            raise ValueError(f"{flag} {value} must be >= 0")
+
+
 def cmd_tau(args) -> int:
+    _require_sizes(("--deg", args.deg))
     table = tau_table(args.a, args.b, args.sign, args.shift, args.deg)
     entries = {}
-    for key in sorted(table.exponents):
+    for key in sorted(table.prefactors):
         nu, nubar = Partition(key[0]), Partition(key[1])
         entries[f"{nu}|{nubar}"] = str(table.entry(nu, nubar))
     payload = {
@@ -120,6 +128,8 @@ def cmd_tau(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    _require_sizes(("--weight", args.weight), ("--weight-sym", args.weight_sym),
+                   ("--weight-schur", args.weight_schur))
     report = identity_suite(
         weight_equality=args.weight,
         weight_symmetry=args.weight_sym,
@@ -336,10 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QTodaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (QTodaError, ValueError, ZeroDivisionError, OSError) as exc:
+        # an unwritable output path is a usage error too, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

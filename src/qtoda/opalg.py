@@ -38,7 +38,7 @@ from .partitions import (
     is_vertical_strip,
     partitions_of,
 )
-from .qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
+from .qfield import QFieldElem, QPowerSum, qpow
 from .report import record_check
 from .sparse import SparsePoly
 from .vertex import SessionParams, TauTable, VertexContext, tau_table
@@ -519,39 +519,40 @@ def _q_factorial_den(n: int) -> QPowerSum:
     for k in range(1, n + 1):
         out = out * (
             QPowerSum.one()
-            + QPowerSum.monomial(ExponentPoly.const(Fraction(k)), Fraction(-1))
+            + QPowerSum.monomial(k, coef=-1)
         )
     return out
 
 
 def elementary_geometric(n: int) -> QFieldElem:
     """e_n of the alphabet {q^(1/2), q^(3/2), ...}: q^(n^2/2) / prod(1-q^k)."""
-    num = QPowerSum.monomial(ExponentPoly.const(Fraction(n * n, 2)))
+    num = QPowerSum.monomial(Fraction(n * n, 2))
     return QFieldElem(num, _q_factorial_den(n))
 
 
 def complete_geometric(n: int) -> QFieldElem:
     """h_n of the same alphabet: q^(n/2) / prod(1-q^k)."""
-    num = QPowerSum.monomial(ExponentPoly.const(Fraction(n, 2)))
+    num = QPowerSum.monomial(Fraction(n, 2))
     return QFieldElem(num, _q_factorial_den(n))
 
 
-def _gauge_exponent(tau: Fraction) -> ExponentPoly:
-    """(tau+1)(s-1/2)^2/2 as an exponent polynomial."""
+def _gauge_exponent(tau: Fraction) -> QFieldElem:
+    """The monomial q^((tau+1)(s-1/2)^2/2)."""
     half = (tau + 1) / 2
-    return ExponentPoly.of(c0=half * Fraction(1, 4), c1=-half, c2=half)
+    return qpow(c0=half * Fraction(1, 4), c1=-half, c2=half)
 
 
-def conjugated_series(left: ExponentPoly, right: ExponentPoly,
+def conjugated_series(left: QFieldElem, right: QFieldElem,
                       coef: Callable[[int], QFieldElem], lower: bool, T: int) -> DiffOp:
-    """q^left(s) * sum_{n=0..T} coef(n) Lam^k * q^right(s), k = -n if lower else n.
+    """left(s) * sum_{n=0..T} coef(n) Lam^k * right(s), k = -n if lower else n,
+    for two monomials left and right.
 
-    The Lam^k coefficient is q^(left(s) + right(s+k)) coef(n); floor -T or ceil T.
+    The Lam^k coefficient is left(s) right(s+k) coef(n); floor -T or ceil T.
     """
     coeffs = {}
     for n in range(T + 1):
         k = -n if lower else n
-        coeffs[k] = qpow(left + right.shift(k)) * coef(n)
+        coeffs[k] = left * right.shift(k) * coef(n)
     return DiffOp(Fraction(1), coeffs, floor=-T if lower else None, ceil=None if lower else T)
 
 
@@ -562,7 +563,7 @@ def _signed_elementary(n: int) -> QFieldElem:
 def build_W0(params: SessionParams) -> DiffOp:
     """W0 = q^E prod_i(1 - q^(i-1/2) Lam^-1) q^-E on the integer grid, leading coefficient 1."""
     E = _gauge_exponent(params.tau)
-    return conjugated_series(E, -E, _signed_elementary, True, params.T)
+    return conjugated_series(E, E.inv(), _signed_elementary, True, params.T)
 
 
 def build_W0bar(params: SessionParams) -> DiffOp:
@@ -588,9 +589,10 @@ class LaxSession:
         E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
         # Euler's q-exponential identities invert both middle products in closed form
         self.w0 = build_W0(params)
-        self.w0_inv = conjugated_series(E1, -E1, complete_geometric, True, params.T + 1)
+        self.w0_inv = conjugated_series(E1, E1.inv(), complete_geometric, True, params.T + 1)
         self.wbar0 = build_W0bar(params)
-        self.wbar0_inv = conjugated_series(-E2, -E1, _signed_elementary, False, params.T + 1)
+        self.wbar0_inv = conjugated_series(E2.inv(), E1.inv(), _signed_elementary, False,
+                                           params.T + 1)
         _require_inverse("W0 inverse", self.w0, self.w0_inv)
         _require_inverse("W0bar inverse", self.wbar0, self.wbar0_inv)
 
@@ -610,14 +612,14 @@ class LaxSession:
         forms; the exact closed forms are returned.
         """
         tau = self.params.tau
-        q_s = qpow(ExponentPoly.of(c1=1))
+        q_s = qpow(c1=1)
         qs = DiffOp.monomial(Fraction(1), 0, q_s)
         closed = DiffOp(
             Fraction(1),
-            {0: q_s, -1: -qpow(ExponentPoly.of(c0=-tau - Fraction(3, 2), c1=tau + 2))},
+            {0: q_s, -1: -qpow(c0=-tau - Fraction(3, 2), c1=tau + 2)},
         )
         closed_bar = DiffOp(
-            Fraction(1), {0: q_s, 1: -qpow(ExponentPoly.of(c0=Fraction(1, 2), c1=-tau))}
+            Fraction(1), {0: q_s, 1: -qpow(c0=Fraction(1, 2), c1=-tau)}
         )
         for label, w, w_inv, expected in (
             ("q^M0 closed form", self.w0, self.w0_inv, closed),
@@ -645,7 +647,7 @@ def initial_lax(params: SessionParams | LaxSession) -> tuple[DiffOp, DiffOp]:
 def expected_initial_lax(params: SessionParams) -> DiffOp:
     """(1 - q^((tau+1)s - tau - 1/2) Lam^-1) Lam^(1/(tau+1)), exact."""
     tau = params.tau
-    u0 = qpow(ExponentPoly.of(c0=-tau - Fraction(1, 2), c1=tau + 1))
+    u0 = qpow(c0=-tau - Fraction(1, 2), c1=tau + 1)
     return DiffOp(
         params.step,
         {params.up_index: QFieldElem.one(), params.down_index: -u0},
@@ -683,11 +685,11 @@ def check_LM_relation(params: SessionParams | LaxSession) -> dict:
     record_check(report, "initial_orlov_closed_forms", True)
 
     lfrac, lbarfrac = session.lax
-    target = DiffOp.monomial(step, params.up_index, qpow(ExponentPoly.of(c1=-1)))
+    target = DiffOp.monomial(step, params.up_index, qpow(c1=-1))
     target_bar = DiffOp.monomial(
         step,
         params.down_index,
-        qpow(ExponentPoly.of(c0=-tau - Fraction(1, 2), c1=tau)),
+        qpow(c0=-tau - Fraction(1, 2), c1=tau),
     )
     for name, lax, qm, mono in (
         ("orlov_monomial_collapse", lfrac, qm0, target),
@@ -701,7 +703,7 @@ def check_LM_relation(params: SessionParams | LaxSession) -> dict:
     rhs_base = DiffOp.monomial(
         step,
         params.down_index,
-        qpow(ExponentPoly.const(Fraction(tau + 1, 2)))
+        qpow(Fraction(tau + 1, 2))
         * target_bar.coeffs[params.down_index],
     )
     rhs = monomial_pow(rhs_base, params.a * m)
@@ -794,7 +796,7 @@ def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressi
         dw[-n] = acc.scale((-1) ** n) - w[-n] * dk_den
     dW = DiffOp(Fraction(1), dw, floor=-dw_order, ceil=None)
 
-    gauge = qpow(table.cubic_delta(0, -1))
+    gauge = table.cubic_delta(0, -1)
     wbar = {n: gauge * table.entry(EMPTY, _row(n)) for n in ns}
     Wbar = DiffOp(Fraction(1), wbar, ceil=order)
     wbar_inv = {

@@ -14,8 +14,10 @@ Laurent polynomial with a positive leading coefficient.  The form is
 canonical, so equality and hashing are structural.  Products multiply the
 P's in ints with no gcd pass (Gauss's lemma); sums take one.
 
-Every operation, the text form included, works on these parts; an
-`ExponentPoly` is only an input, and `terms()` the one term-by-term read-out.
+Every operation, the text form included, works on these parts.  An
+exponent enters only as the coefficients (c0, c1, c2) of a monomial,
+`qpow(c0, c1, c2, coef)` or `QPowerSum.monomial`, and `terms()` reads the
+same tuples back out.
 
 Equality of quotients is decided by cross multiplication; no gcd-style
 normalization is attempted.  The reductions applied are cheap ones that
@@ -64,8 +66,8 @@ def _rdiv(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _shift_key(key: tuple, b: tuple[int, int]) -> tuple:
-    """The int key of E(s + b) from that of E(s), b an int pair:
-    c2 stays, c1 gains 2*c2*b and c0 gains (c1 + c2*b)*b."""
+    """The int key (n2, d2, n1, d1, n0, d0) of E(s + b) from that of E(s),
+    b an int pair: c2 stays, c1 gains 2*c2*b and c0 gains (c1 + c2*b)*b."""
     c2, c1, c0 = key[:2], key[2:4], key[4:]
     c2b = _rmul(c2, b)
     return c2 + _radd(*c1, *_rmul((2, 1), c2b)) + _radd(*c0, *_rmul(_radd(*c1, *c2b), b))
@@ -83,74 +85,12 @@ def _expo_text(key: tuple) -> str:
     return text or "0"
 
 
-class ExponentPoly:
-    """Exponent E(s) = c2*s^2 + c1*s + c0 with exact rational coefficients.
-
-    Immutable.  `key` holds the coefficients as normalized int pairs
-    (n2, d2, n1, d1, n0, d0), which keeps dictionary operations cheap.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0):
-        object.__setattr__(self, "key", _rat(c2) + _rat(c1) + _rat(c0))
-
-    @staticmethod
-    def _raw(key: tuple) -> "ExponentPoly":
-        self = object.__new__(ExponentPoly)
-        object.__setattr__(self, "key", key)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentPoly is immutable")
-
-    c0 = property(lambda self: Fraction(self.key[4], self.key[5]))
-    c1 = property(lambda self: Fraction(self.key[2], self.key[3]))
-    c2 = property(lambda self: Fraction(self.key[0], self.key[1]))
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key if isinstance(other, ExponentPoly) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __add__(self, other: "ExponentPoly") -> "ExponentPoly":
-        a, b = self.key, other.key
-        return ExponentPoly._raw(_sigma_add(a[:4], b[:4]) + _radd(*a[4:], *b[4:]))
-
-    def __neg__(self) -> "ExponentPoly":
-        k = self.key
-        return ExponentPoly._raw((-k[0], k[1], -k[2], k[3], -k[4], k[5]))
-
-    def __sub__(self, other: "ExponentPoly") -> "ExponentPoly":
-        return self + -other
-
-    def shift(self, beta: Rat) -> "ExponentPoly":
-        """Exact substitution s -> s + beta."""
-        b = _rat(beta)
-        return ExponentPoly._raw(_shift_key(self.key, b)) if b[0] else self
-
-    def value_at(self, s_val: Rat) -> Fraction:
-        s = Fraction(s_val)
-        return self.c0 + self.c1 * s + self.c2 * s * s
-
-    def __str__(self) -> str:
-        return _expo_text(self.key)
-
-    def __repr__(self) -> str:
-        return f"ExponentPoly({self})"
-
-
-# `ExponentPoly.of(c0, c1, c2)` and `ExponentPoly.const(c0)` name the constructor
-ExponentPoly.of = ExponentPoly.const = staticmethod(ExponentPoly)
-E_ZERO = ExponentPoly()
-
 # -- the parts of a QPowerSum -------------------------------------------------
 # A part (L, c, P) holds the terms c * P[k] * q^(k/L) of one s-part: c is a
 # nonzero rational as a normalized int pair, P a nonempty primitive
 # {int: int} whose coefficient at the largest exponent is positive, and
 # L >= 1 the smallest grid of its exponents.  An s-part is the key
-# (n2, d2, n1, d1) of c2*s^2 + c1*s, as in ExponentPoly.key.
+# (n2, d2, n1, d1) of c2*s^2 + c1*s: its coefficients as normalized int pairs.
 
 _S0 = (0, 1, 0, 1)
 
@@ -225,8 +165,8 @@ class QPowerSum:
     __slots__ = ("parts", "_hash")
 
     def __init__(self, terms=()):
-        """Sum of (ExponentPoly, coefficient) pairs."""
-        self.parts = sum((QPowerSum.monomial(e, c) for e, c in terms), _QPS_ZERO).parts
+        """Sum of (c0, c1, c2, coefficient) terms, the form `terms()` reads out."""
+        self.parts = sum((QPowerSum.monomial(*t) for t in terms), _QPS_ZERO).parts
 
     @staticmethod
     def _raw(parts: dict) -> "QPowerSum":
@@ -242,13 +182,10 @@ class QPowerSum:
         return QPowerSum._raw({_S0: (1, (1, 1), {0: 1})})
 
     @staticmethod
-    def monomial(expo: ExponentPoly, coef: Rat = 1) -> "QPowerSum":
-        coef, k = _rat(coef), expo.key
-        return QPowerSum._raw({k[:4]: (k[5], coef, {k[4]: 1})} if coef[0] else {})
-
-    @staticmethod
-    def rational(c: Rat) -> "QPowerSum":
-        return QPowerSum.monomial(E_ZERO, c)
+    def monomial(c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, coef: Rat = 1) -> "QPowerSum":
+        """coef * q^(c2*s^2 + c1*s + c0)."""
+        coef, (n, d) = _rat(coef), _rat(c0)
+        return QPowerSum._raw({_rat(c2) + _rat(c1): (d, coef, {n: 1})} if coef[0] else {})
 
     def terms(self):
         """Every term as (c0, c1, c2, coefficient), all Fractions."""
@@ -298,10 +235,6 @@ class QPowerSum:
                 total = total + QPowerSum._raw({_sigma_add(sa, sb): _part_mul(pa, pb)})
         return total
 
-    def mul_monomial(self, mono: ExponentPoly, coef: Rat) -> "QPowerSum":
-        """Product with coef * q^mono, coef nonzero."""
-        return self._times(mono.key, _rat(coef))
-
     def _times(self, key: tuple, coef: tuple[int, int]) -> "QPowerSum":
         """Product with coef * q^E, E given by its int key and coef as an int pair."""
         s, (n, d) = key[:4], key[4:]
@@ -311,7 +244,7 @@ class QPowerSum:
         })
 
     def scale(self, r: Rat) -> "QPowerSum":
-        return self._times(E_ZERO.key, _rat(r)) if r else _QPS_ZERO
+        return self._times(_S0 + (0, 1), _rat(r)) if r else _QPS_ZERO
 
     def shift(self, beta: Rat) -> "QPowerSum":
         """Substitute s -> s + beta in every exponent (ring homomorphism)."""
@@ -418,11 +351,11 @@ class QFieldElem:
 
     @staticmethod
     def zero() -> "QFieldElem":
-        return _QFE_ZERO
+        return _ELEM_ZERO
 
     @staticmethod
     def one() -> "QFieldElem":
-        return _QFE_ONE
+        return _ELEM_ONE
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -471,7 +404,7 @@ class QFieldElem:
 
     def __mul__(self, other: "QFieldElem") -> "QFieldElem":
         if self.is_zero() or other.is_zero():
-            return _QFE_ZERO
+            return _ELEM_ZERO
         return QFieldElem(self.num * other.num, self.den * other.den)
 
     def inv(self) -> "QFieldElem":
@@ -504,7 +437,7 @@ class QFieldElem:
                 continue
             got = groups.get(x.den)
             groups[x.den] = x.num if got is None else got + x.num
-        total = _QFE_ZERO
+        total = _ELEM_ZERO
         for den, num in groups.items():
             total = total + QFieldElem(num, den)
         return total
@@ -523,12 +456,11 @@ class QFieldElem:
         return f"QFieldElem({self})"
 
 
-_QFE_ZERO = QFieldElem(_QPS_ZERO)
-_QFE_ONE = QFieldElem(_QPS_ONE)
+_ELEM_ZERO = QFieldElem(_QPS_ZERO)
+_ELEM_ONE = QFieldElem(_QPS_ONE)
 
 
-def qpow(expo: ExponentPoly | Rat, coef: Rat = 1) -> QFieldElem:
-    """The monomial coef * q^E(s); a plain rational when E is the zero poly."""
-    if not isinstance(expo, ExponentPoly):
-        expo = ExponentPoly.const(expo)
-    return QFieldElem(QPowerSum.monomial(expo, coef))
+def qpow(c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, coef: Rat = 1) -> QFieldElem:
+    """The monomial coef * q^(c2*s^2 + c1*s + c0); a plain rational when the
+    exponent is 0."""
+    return QFieldElem(QPowerSum.monomial(c0, c1, c2, coef))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from .errors import DegreeBoundExceeded
 from .partitions import EMPTY, Partition
-from .qfield import ExponentPoly, QFieldElem, QPowerSum
+from .qfield import QFieldElem, QPowerSum
 from .sparse import SparsePoly
 
 # A monomial in p_1, p_2, ... is the tuple of exponents (e1, e2, ..., ek)
@@ -195,9 +195,7 @@ def specialize_rho(k: int) -> QFieldElem:
     if k < 1:
         raise ValueError("power-sum index must be >= 1")
     half = Fraction(k, 2)
-    den = QPowerSum.monomial(ExponentPoly.const(half)) + QPowerSum.monomial(
-        ExponentPoly.const(-half), Fraction(-1)
-    )
+    den = QPowerSum.monomial(half) + QPowerSum.monomial(-half, coef=-1)
     return QFieldElem(QPowerSum.one(), den)
 
 
@@ -210,14 +208,10 @@ def specialize_nu_rho(nu: Partition, k: int) -> QFieldElem:
     if k < 1:
         raise ValueError("power-sum index must be >= 1")
     ell = nu.length
-    den = QPowerSum.one() + QPowerSum.monomial(
-        ExponentPoly.const(Fraction(-k)), Fraction(-1)
-    )
-    num = QPowerSum.monomial(ExponentPoly.const(Fraction(k) * (Fraction(1, 2) - (ell + 1))))
+    den = QPowerSum.one() + QPowerSum.monomial(-k, coef=-1)
+    num = QPowerSum.monomial(Fraction(k) * (Fraction(1, 2) - (ell + 1)))
     for i in range(1, ell + 1):
-        head = QPowerSum.monomial(
-            ExponentPoly.const(Fraction(k) * (nu.part(i) - i + Fraction(1, 2)))
-        )
+        head = QPowerSum.monomial(Fraction(k) * (nu.part(i) - i + Fraction(1, 2)))
         num = num + head * den
     return QFieldElem(num, den)
 
@@ -273,7 +267,7 @@ class Specialization:
                 common_den = common_den * self._power("d", k, max_e[k])
         num_total = QPowerSum.zero()
         for m, c in poly.coeffs.items():
-            term = QPowerSum.rational(c)
+            term = QPowerSum.monomial(coef=c)
             for k in range(1, top + 1):
                 e = m[k - 1] if k - 1 < len(m) else 0
                 if e:

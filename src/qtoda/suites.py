@@ -13,7 +13,7 @@ from .errors import RelationViolated
 from .opalg import LaxSession, check_LM_relation, cross_check_initial, expected_initial_lax, \
     initial_lax, initial_M, record_vanishing
 from .partitions import Partition, enumerate_partitions
-from .qfield import ExponentPoly, qpow
+from .qfield import qpow
 from .report import merge_checks, record_all, record_check
 from .schur import PowerSumRing, specialize_nu_rho
 from .vertex import SessionParams, VertexContext, tau_table
@@ -134,7 +134,7 @@ def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
     bad = []
     for nu, nubar in pairs_up_to(weight):
         lhs = ctx.vertex_def(nu, nubar)
-        pref = qpow(ExponentPoly.const(Fraction(nu.kappa() + nubar.kappa(), 2)))
+        pref = qpow(Fraction(nu.kappa() + nubar.kappa(), 2))
         rhs = (pref * ctx.gamma_matrix_element(nu, nubar)).scale(
             (-1) ** (nu.weight + nubar.weight)
         )
@@ -153,7 +153,7 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int) -> dict:
     for c in (Fraction(1, 2), Fraction(1, 3)):
         shifted = tau_table(a, b, sign, c, degree, ctx)
         bad = [] if shifted.cubic == base.cubic_shifted(c) else ["cubic prefactor mismatch"]
-        for key in base.exponents:
+        for key in base.prefactors:
             nu, nubar = Partition(key[0]), Partition(key[1])
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
                 bad.append(f"entry ({nu},{nubar})")
@@ -162,7 +162,7 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int) -> dict:
 
 
 def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
-    """Entry exponents re-derived independently from kappa and weights."""
+    """Entry prefactors q^E(s) re-derived independently from kappa and weights."""
     report = {"passed": True, "checks": []}
     ctx = VertexContext(degree)
     table = tau_table(a, b, sign, 0, degree, ctx)
@@ -171,13 +171,13 @@ def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
     scale = (tau + 1 / tau + 2) / 24
     cubic_ok = table.cubic == (Fraction(0), -scale, Fraction(0), 4 * scale)
     bad = [] if cubic_ok else ["cubic prefactor mismatch"]
-    for key, expo in table.exponents.items():
+    for key, pref in table.prefactors.items():
         nu, nubar = Partition(key[0]), Partition(key[1])
-        redo = ExponentPoly.of(
+        redo = qpow(
             c0=(tau + 1) * Fraction(nu.kappa(), 2) + (1 / tau + 1) * Fraction(nubar.kappa(), 2),
             c1=(tau + 1) * nu.weight + (1 / tau + 1) * nubar.weight,
         )
-        if expo != redo:
+        if pref != redo:
             bad.append(f"({nu},{nubar})")
     record_all(report, "tau_exponent_rederivation", bad)
     return report

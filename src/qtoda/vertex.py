@@ -11,7 +11,7 @@ expansion of the lattice tau function.  Its matrix elements are Schur
 values at the q^(-rho) continuation, evaluated as p_k -> -p_k at the one
 q^rho specialization.  The cubic part of the exponent is independent of
 the partition pair; it is factored out and recorded as a polynomial so
-that every stored exponent stays quadratic in s.
+that every stored prefactor q^E(s) has E quadratic in s.
 
 SessionParams, the lattice type shared by every layer above this one, is
 defined here, the lowest module that needs it.
@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import DegreeBoundExceeded, InvalidTau, NonCoprime
 from .partitions import EMPTY, Partition, enumerate_partitions
-from .qfield import ExponentPoly, QFieldElem, qpow
+from .qfield import QFieldElem, qpow
 from .schur import Monomial, PowerSumRing, Specialization
 
 
@@ -155,7 +155,7 @@ class VertexContext:
             total = total + self.skew_at(nu_c, eta, "rho") * self.skew_at(
                 nubar_c, eta, "rho"
             )
-        prefactor = qpow(ExponentPoly.const(Fraction(nu.kappa() + nubar.kappa(), 2)))
+        prefactor = qpow(Fraction(nu.kappa() + nubar.kappa(), 2))
         return prefactor * total
 
     def gamma_matrix_element(self, nu: Partition, nubar: Partition) -> QFieldElem:
@@ -189,7 +189,7 @@ class VertexContext:
             for nubar in parts:
                 s_nubar = self.ring.schur(nubar)
                 expo = Fraction(nu.kappa()) * tau / 2 + Fraction(nubar.kappa()) / tau / 2
-                coef = qpow(ExponentPoly.const(expo)) * self.vertex_def(nu, nubar)
+                coef = qpow(expo) * self.vertex_def(nu, nubar)
                 if coef.is_zero():
                     continue
                 for m1, c1 in s_nu.coeffs.items():
@@ -207,17 +207,18 @@ class VertexContext:
 class TauTable:
     """Exact coefficient table of the double Schur expansion.
 
-    entries[(nu, nubar)] = q^(E(s)) * gamma, with E the quadratic-in-s
-    exponent (kappa and weight terms, at the shifted coordinate s + c) and
-    gamma the vertex-operator matrix element.  The partition-independent
-    cubic exponent prefactor is recorded separately in `cubic`, as the
-    coefficients (c0, c1, c2, c3) of a polynomial in s.
+    entry(nu, nubar) = prefactors[key] * gammas[key], key = (nu, nubar):
+    the monomial q^(E(s)), E the quadratic-in-s exponent (kappa and weight
+    terms, at the shifted coordinate s + c), times gamma, the
+    vertex-operator matrix element.  The partition-independent cubic
+    exponent is recorded separately in `cubic`, as the coefficients
+    (c0, c1, c2, c3) of a polynomial in s.
     """
 
     tau: Fraction
     shift: Fraction
     max_deg: int
-    exponents: dict[tuple[tuple, tuple], ExponentPoly] = field(default_factory=dict)
+    prefactors: dict[tuple[tuple, tuple], QFieldElem] = field(default_factory=dict)
     gammas: dict[tuple[tuple, tuple], QFieldElem] = field(default_factory=dict)
     cubic: tuple[Fraction, Fraction, Fraction, Fraction] = (
         Fraction(0),
@@ -228,7 +229,7 @@ class TauTable:
 
     def entry(self, nu: Partition, nubar: Partition) -> QFieldElem:
         key = (nu.parts, nubar.parts)
-        return qpow(self.exponents[key]) * self.gammas[key]
+        return self.prefactors[key] * self.gammas[key]
 
     def cubic_at(self, s_val: Fraction) -> Fraction:
         c0, c1, c2, c3 = self.cubic
@@ -245,18 +246,19 @@ class TauTable:
             c3,
         )
 
-    def cubic_delta(self, alpha, beta) -> ExponentPoly:
-        """P(s+alpha) - P(s+beta) for the recorded cubic prefactor P.
+    def cubic_delta(self, alpha, beta) -> QFieldElem:
+        """The monomial q^(P(s+alpha) - P(s+beta)) for the recorded cubic
+        prefactor P.
 
-        The cubic terms cancel, so the result is an honest quadratic-in-s
-        exponent suitable for the coefficient field.
+        The cubic terms cancel, so the exponent is an honest quadratic in s,
+        and the monomial lies in the coefficient field.
         """
         pa = self.cubic_shifted(Fraction(alpha))
         pb = self.cubic_shifted(Fraction(beta))
         d3 = pa[3] - pb[3]
         if d3 != 0:
             raise ValueError("cubic prefactor difference is not quadratic")
-        return ExponentPoly.of(c0=pa[0] - pb[0], c1=pa[1] - pb[1], c2=pa[2] - pb[2])
+        return qpow(c0=pa[0] - pb[0], c1=pa[1] - pb[1], c2=pa[2] - pb[2])
 
 
 def tau_table(
@@ -298,12 +300,11 @@ def tau_table(
         for nubar in parts:
             if nu.weight + nubar.weight > max_deg:
                 continue
-            lin = ExponentPoly.of(
+            key = (nu.parts, nubar.parts)
+            table.prefactors[key] = qpow(
                 c0=(tau + 1) * (Fraction(nu.kappa(), 2) + shift * nu.weight)
                 + (tau_inv + 1) * (Fraction(nubar.kappa(), 2) + shift * nubar.weight),
                 c1=(tau + 1) * nu.weight + (tau_inv + 1) * nubar.weight,
             )
-            key = (nu.parts, nubar.parts)
-            table.exponents[key] = lin
             table.gammas[key] = ctx.gamma_matrix_element(nu, nubar)
     return table

@@ -93,12 +93,11 @@ def lax_diagonals(u: np.ndarray, a: int, b: int) -> dict[int, np.ndarray]:
     return {a: np.ones_like(u), -b: -u}
 
 
-def banded_mul(
-    x: dict[int, np.ndarray], y: dict[int, np.ndarray], n: int
-) -> dict[int, np.ndarray]:
+def banded_mul(x: dict[int, np.ndarray], y: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Product of cyclic banded matrices in diagonal form.
 
-    diag_o(x*y)[j] = sum over o1+o2=o of x_o1[j] * y_o2[(j+o1) mod n].
+    diag_o(x*y)[j] = sum over o1+o2=o of x_o1[j] * y_o2[(j+o1) mod n], n the
+    length of the last axis, along which np.roll wraps.
     """
     out: dict[int, np.ndarray] = {}
     for o1, v1 in x.items():
@@ -112,12 +111,12 @@ def banded_mul(
     return out
 
 
-def banded_power(diags: dict[int, np.ndarray], power: int, n: int) -> dict[int, np.ndarray]:
+def banded_power(diags: dict[int, np.ndarray], power: int) -> dict[int, np.ndarray]:
     if power < 1:
         raise ValueError("power must be >= 1")
     out = diags
     for _ in range(power - 1):
-        out = banded_mul(out, diags, n)
+        out = banded_mul(out, diags)
     return out
 
 
@@ -132,17 +131,15 @@ def diagonal_of(diags: dict[int, np.ndarray], n: int) -> np.ndarray:
     return total
 
 
-def _commutator(
-    x: dict[int, np.ndarray], y: dict[int, np.ndarray], n: int
-) -> dict[int, np.ndarray]:
+def _commutator(x: dict[int, np.ndarray], y: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """[x, y] = x*y - y*x of cyclic banded matrices in diagonal form."""
-    out = banded_mul(x, y, n)
-    for o, v in banded_mul(y, x, n).items():
+    out = banded_mul(x, y)
+    for o, v in banded_mul(y, x).items():
         out[o] = out[o] - v if o in out else -v
     return out
 
 
-def banded_transpose(diags: dict[int, np.ndarray], n: int) -> dict[int, np.ndarray]:
+def banded_transpose(diags: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return {-o: np.roll(v, o) for o, v in diags.items()}
 
 
@@ -204,7 +201,7 @@ def power_diagonal(u: np.ndarray, plan) -> np.ndarray:
     the gathered -u (a step of -b).  As 1*x = x bitwise, the first is the
     row below and the second, from the implicit all-ones row, the gathered
     -u.  A two-term sum commutes exactly, so the result is bitwise equal to
-    banded_power(lax_diagonals(u, a, b), k*(a+b), n)[0] on floats and
+    banded_power(lax_diagonals(u, a, b), k*(a+b))[0] on floats and
     equal on Fractions.
     """
     neg = -u
@@ -248,9 +245,9 @@ def _traces(u: np.ndarray, a: int, b: int, kmax: int) -> list[list]:
     total = sum if u.dtype == object else math.fsum
     columns = []
     with np.errstate(over="ignore", invalid="ignore"):  # callers check that each H_k is finite
-        base = banded_power(lax_diagonals(u, a, b), a + b, n)
+        base = banded_power(lax_diagonals(u, a, b), a + b)
         for k in range(1, kmax + 1):
-            power = base if k == 1 else banded_mul(power, base, n)
+            power = base if k == 1 else banded_mul(power, base)
             columns.append([total(row) for row in diagonal_of(power, n).tolist()])
     return [list(h) for h in zip(*columns)]
 
@@ -495,21 +492,21 @@ def duality_check(state: LatticeState, k: int = 1) -> dict:
     # dual band realization: -L^T has the (b, a) band profile and satisfies
     # the Lax equation with the dual (nonpositive-power) generator
     lax = lax_diagonals(u, a, b)
-    dual = {o: -v for o, v in banded_transpose(lax, n).items()}
+    dual = {o: -v for o, v in banded_transpose(lax).items()}
     record_check(
         report,
         "dual_band_profile",
         sorted(dual) == [-a, b],
         f"bands of -L^T: {sorted(dual)} (type ({b}, {a}) profile)",
     )
-    power = banded_power(dual, k * m, n)
+    power = banded_power(dual, k * m)
     sign_pow = (-1) ** (k * m)
     bhat = {o: -sign_pow * v for o, v in power.items() if o <= 0}
     ldot_dual = {b: np.roll(rhs, -b)}  # -(d/dt L)^T
     record_check(
         report,
         "dual_lax_equation",
-        banded_equal(_commutator(bhat, dual, n), ldot_dual, n),
+        banded_equal(_commutator(bhat, dual), ldot_dual, n),
         "d/dt(-L^T) = [Bhat, -L^T] with the dual projection generator",
     )
     return report

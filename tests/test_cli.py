@@ -17,7 +17,7 @@ from qtoda.cli import main
 from qtoda.errors import TruncationInsufficient
 from qtoda import opalg
 from qtoda.opalg import LaxSession, SitePoly
-from qtoda.qfield import ExponentPoly, qpow
+from qtoda.qfield import qpow
 from qtoda.volterra import LatticeState, flow_rhs, stencil_apply, symbolic_flow_stencil
 from qfield_oracle import count_s_parts
 
@@ -145,6 +145,29 @@ def test_laxcheck_rejects_negative_deg(monkeypatch, capsys):
     assert "--deg -1 must be >= 0 (0 skips the cross-check)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["tau", "--a", "1", "--b", "1", "--deg", "-1"], "tau_table"),
+    (["identities", "--weight", "-1"], "identity_suite"),
+    (["identities", "--weight-sym", "-1"], "identity_suite"),
+    (["identities", "--weight-schur", "-1"], "identity_suite"),
+], ids=["tau --deg", "--weight", "--weight-sym", "--weight-schur"])
+def test_a_negative_size_is_refused_by_its_option_name(monkeypatch, capsys, argv, stage):
+    monkeypatch.setattr(cli, stage, _fail_if_called)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {argv[-2]} -1 must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["schur", "--mu", "[1]", "--out"], "missing/x.json"),
+    (["simulate", "--t-end", "0.01", "--out-csv"], "."),
+], ids=["schur --out in a missing directory", "simulate --out-csv a directory"])
+def test_an_unwritable_output_path_exits_2_with_one_line(tmp_path, argv, target):
+    # exit 1 means a failed verification; a path that cannot be written is a usage error
+    done = run_cli(argv + [str(tmp_path / target)])
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), done.stderr
+
+
 @pytest.mark.parametrize("flow,deg", [(1, 2), (1, 1), (2, 3)])
 def test_laxcheck_rejects_deg_below_flow_plus_2(monkeypatch, capsys, flow, deg):
     # the cross-check needs a tau table of degree flow + 2 or more
@@ -166,7 +189,7 @@ def test_laxcheck_program_error_in_orlov_build_exits_2(monkeypatch):
 def test_laxcheck_wrong_closed_form_inverse_exits_2(monkeypatch, capsys):
     # a wrong closed form is a program error, caught by the session's certification
     h = opalg.complete_geometric
-    extra = qpow(ExponentPoly.const(1))
+    extra = qpow(1)
     monkeypatch.setattr(opalg, "complete_geometric", lambda n: h(n) + extra if n == 4 else h(n))
     assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4"]) == 2
     assert "W0 inverse: first offending coefficient at power -4: " in capsys.readouterr().err
@@ -180,7 +203,7 @@ def test_laxcheck_wrong_tau_table_entry_exits_2(monkeypatch, capsys):
     def damaged(*args, **kwargs):
         table = build(*args, **kwargs)
         key = ((table.max_deg,), ())
-        table.gammas[key] = table.gammas[key] + qpow(ExponentPoly.const(Fraction(1)))
+        table.gammas[key] = table.gammas[key] + qpow(Fraction(1))
         return table
 
     monkeypatch.setattr(opalg, "tau_table", damaged)

@@ -36,14 +36,14 @@ from qtoda.opalg import (
 )
 from qtoda.errors import RelationViolated
 from qtoda.partitions import Partition
-from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum, qpow
+from qtoda.qfield import QFieldElem, QPowerSum, qpow
 from qtoda.schur import PowerSumRing, Specialization, specialize_rho
 from qtoda.suites import laxcheck_suite
 from qtoda.vertex import VertexContext, tau_table
 from qfield_oracle import evaluate
 
 ONE = QFieldElem.one()
-QS = qpow(ExponentPoly.of(c1=1))  # q^s
+QS = qpow(c1=1)  # q^s
 
 
 def test_defining_relation():
@@ -79,7 +79,7 @@ def random_triangular(rng, step=Fraction(1), nterms=4):
     for n in range(1, nterms):
         c0 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
         c1 = Fraction(rng.randint(-2, 2))
-        coeffs[-n] = qpow(ExponentPoly.of(c0=c0, c1=c1), rng.choice([1, -1]))
+        coeffs[-n] = qpow(c0=c0, c1=c1, coef=rng.choice([1, -1]))
     return DiffOp(step, coeffs, floor=-(nterms - 1), ceil=None)
 
 
@@ -99,7 +99,7 @@ def test_inverse_of_identity():
 
 
 def test_inverse_geometric_series():
-    x = qpow(ExponentPoly.of(c0=Fraction(1, 2)))
+    x = qpow(c0=Fraction(1, 2))
     a = DiffOp(Fraction(1), {0: ONE, -1: -x})
     inv = op_inverse(a, -5)
     assert inv.coeff(0).is_one()
@@ -169,7 +169,7 @@ def test_window_arithmetic_conservative():
 def test_projections_refuse_only_an_uncertified_part():
     # at floor 0 every nonnegative index is known, and at ceil -1 every
     # negative one; one step further in, the part is no longer certified
-    full = {n: qpow(ExponentPoly.const(n)) for n in range(-3, 4)}
+    full = {n: qpow(n) for n in range(-3, 4)}
     nonneg = DiffOp(Fraction(1), full, floor=0).proj_nonneg()
     assert nonneg.coeffs == {n: full[n] for n in range(0, 4)} and nonneg.window() == (None, None)
     neg = DiffOp(Fraction(1), full, ceil=-1).proj_neg()
@@ -200,11 +200,11 @@ def test_window_soundness_random():
         for _ in range(2):
             T = rng.randint(2, 4)
             top = rng.randint(-1, 1)
-            pivot = ExponentPoly.of(c0=Fraction(rng.randint(-2, 2), 2))
-            coeffs = [qpow(pivot, rng.choice([1, -1]))]
+            pivot = Fraction(rng.randint(-2, 2), 2)
+            coeffs = [qpow(pivot, coef=rng.choice([1, -1]))]
             coeffs += [
-                qpow(ExponentPoly.of(c0=Fraction(rng.randint(-3, 3), rng.choice([1, 2])),
-                                     c1=Fraction(rng.randint(-2, 2))), rng.choice([1, -1]))
+                qpow(Fraction(rng.randint(-3, 3), rng.choice([1, 2])), Fraction(rng.randint(-2, 2)),
+                     coef=rng.choice([1, -1]))
                 if rng.random() < 0.8 else QFieldElem.zero()
                 for _ in range(T + 2)
             ]
@@ -233,8 +233,8 @@ def _random_full(rng, step):
     lo = rng.randint(-4, 1)
     hi = lo + rng.randint(0, 5)
     coeffs = {
-        n: qpow(ExponentPoly.of(c0=Fraction(rng.randint(-3, 3), 2), c1=rng.randint(-2, 2)),
-                Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
+        n: qpow(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2),
+                coef=Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
         for n in range(lo, hi + 1)
     }
     return DiffOp(step, coeffs)
@@ -308,8 +308,8 @@ def _completion(rng, full, cut):
     coeffs = dict(full.coeffs)
     for n in range(-8, 11):
         if (cut.floor is not None and n < cut.floor) or (cut.ceil is not None and n > cut.ceil):
-            extra = qpow(ExponentPoly.of(c0=Fraction(rng.randint(-9, 9), 4), c1=rng.randint(-2, 2)),
-                         rng.randint(2, 9))
+            extra = qpow(Fraction(rng.randint(-9, 9), 4), rng.randint(-2, 2),
+                         coef=rng.randint(2, 9))
             coeffs[n] = coeffs[n] + extra if n in coeffs else extra
     return DiffOp(full.step, coeffs)
 
@@ -506,11 +506,11 @@ def test_session_params_validation():
 
 
 def test_factor_series_leading_coefficients():
-    zero = ExponentPoly.const(0)
-    series = conjugated_series(zero, zero, _signed_elementary, True, 3)
+    one = QFieldElem.one()
+    series = conjugated_series(one, one, _signed_elementary, True, 3)
     assert series.window() == (-3, None)
-    geom_den = QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1))
-    expected = -QFieldElem(QPowerSum.monomial(ExponentPoly.const(Fraction(1, 2))), geom_den)
+    geom_den = QPowerSum.one() + QPowerSum.monomial(1, coef=-1)
+    expected = -QFieldElem(QPowerSum.monomial(Fraction(1, 2)), geom_den)
     assert series.coeff(-1) == expected
     assert series.coeff(0).is_one()
     assert elementary_geometric(0).is_one()
@@ -540,15 +540,15 @@ def test_build_path_identity(T):
     # the closed builders against the product q^left * (factor series) * q^right
     params = SessionParams(1, 2, 1, T=T)
     E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
-    zero = ExponentPoly.const(0)
+    one = QFieldElem.one()
     for closed, left, right, coef, lower in (
-        (build_W0(params), E1, -E1, _signed_elementary, True),
+        (build_W0(params), E1, E1.inv(), _signed_elementary, True),
         (build_W0bar(params), E1, E2, complete_geometric, False),
     ):
         product = (
-            DiffOp.monomial(Fraction(1), 0, qpow(left))
-            * conjugated_series(zero, zero, coef, lower, T)
-            * DiffOp.monomial(Fraction(1), 0, qpow(right))
+            DiffOp.monomial(Fraction(1), 0, left)
+            * conjugated_series(one, one, coef, lower, T)
+            * DiffOp.monomial(Fraction(1), 0, right)
         )
         assert closed.window() == product.window()
         assert (closed - product).is_zero_on_window()
@@ -559,7 +559,7 @@ def test_w0_leading_and_first_coefficient(params11):
     assert w0.coeff(0).is_one()
     tau = params11.tau
     # gauge conjugation multiplies the n=1 coefficient by q^((tau+1)(s-1))
-    gauge = qpow(ExponentPoly.of(c0=-(tau + 1), c1=tau + 1))
+    gauge = qpow(c0=-(tau + 1), c1=tau + 1)
     assert w0.coeff(-1) == gauge * -elementary_geometric(1)
 
 
@@ -576,9 +576,9 @@ def test_initial_M_closed_forms(params11):
     qm0, qm0bar = initial_M(params11)
     tau = params11.tau
     assert qm0.coeff(0) == QS
-    assert qm0.coeff(-1) == -qpow(ExponentPoly.of(c0=-tau - Fraction(3, 2), c1=tau + 2))
+    assert qm0.coeff(-1) == -qpow(c0=-tau - Fraction(3, 2), c1=tau + 2)
     assert qm0bar.coeff(0) == QS
-    assert qm0bar.coeff(1) == -qpow(ExponentPoly.of(c0=Fraction(1, 2), c1=-tau))
+    assert qm0bar.coeff(1) == -qpow(c0=Fraction(1, 2), c1=-tau)
     # nothing beyond the two closed-form terms
     assert qm0.indices() == [-1, 0] and qm0bar.indices() == [0, 1]
 
@@ -593,7 +593,7 @@ def test_lm_relation_negative_control(params11):
     session = LaxSession(params11)
     lfrac, lbarfrac = session.lax
     bad = dict(lfrac.coeffs)
-    bad[-5] = lfrac.coeff(-5) + qpow(ExponentPoly.const(Fraction(1)))
+    bad[-5] = lfrac.coeff(-5) + qpow(Fraction(1))
     session.lax = (DiffOp(lfrac.step, bad, lfrac.floor, lfrac.ceil), lbarfrac)
     rep = check_LM_relation(session)
     assert not rep["passed"]
@@ -607,7 +607,7 @@ def test_lm_relation_negative_control_bar(params11):
     session = LaxSession(params11)
     lfrac, lbarfrac = session.lax
     bad = dict(lbarfrac.coeffs)
-    bad[3] = lbarfrac.coeff(3) + qpow(ExponentPoly.const(Fraction(1)))
+    bad[3] = lbarfrac.coeff(3) + qpow(Fraction(1))
     session.lax = (lfrac, DiffOp(lbarfrac.step, bad, lbarfrac.floor, lbarfrac.ceil))
     rep = check_LM_relation(session)
     failing = [c for c in rep["checks"] if not c["passed"]]
@@ -644,7 +644,7 @@ def test_integer_grid_inverse_reindexes_to_refined_inverse(a, b, sign):
 def damaged_h4(monkeypatch):
     # h_4 gains q^1: a wrong closed form for the W0 inverse at power -4
     h = opalg.complete_geometric
-    extra = qpow(ExponentPoly.const(Fraction(1)))
+    extra = qpow(Fraction(1))
     monkeypatch.setattr(opalg, "complete_geometric", lambda n: h(n) + extra if n == 4 else h(n))
 
 
@@ -662,7 +662,7 @@ def test_orlov_names_the_power_of_a_damaged_inverse_coefficient():
     session = LaxSession(SessionParams(1, 1, 1, T=T))
     inv = session.w0_inv
     bad = dict(inv.coeffs)
-    bad[-T] = inv.coeff(-T) + qpow(ExponentPoly.const(Fraction(1)))
+    bad[-T] = inv.coeff(-T) + qpow(Fraction(1))
     session.w0_inv = DiffOp(inv.step, bad, inv.floor, inv.ceil)
     with pytest.raises(RelationViolated) as exc:
         session.orlov
@@ -698,7 +698,7 @@ def test_closed_form_checks_fail_on_a_wrong_expected_coefficient(monkeypatch, a,
     def damaged(params):
         good = expected(params)
         coeffs = dict(good.coeffs)
-        coeffs[params.down_index] = coeffs[params.down_index] + qpow(ExponentPoly.const(1))
+        coeffs[params.down_index] = coeffs[params.down_index] + qpow(1)
         return DiffOp(good.step, coeffs)
 
     monkeypatch.setattr(suites, "expected_initial_lax", damaged)
@@ -743,7 +743,7 @@ def test_orlov_checks_fail_when_the_closed_forms_are_violated(monkeypatch):
 
 
 def test_monomial_pow():
-    mono = DiffOp.monomial(Fraction(1, 2), 1, qpow(ExponentPoly.of(c1=-1)))
+    mono = DiffOp.monomial(Fraction(1, 2), 1, qpow(c1=-1))
     cubed = monomial_pow(mono, 3)
     assert cubed.indices() == [3]
     inv = monomial_pow(mono, -1)
@@ -765,7 +765,7 @@ def test_dressing_leading_values(dressing11):
     table, dressing = dressing11
     assert dressing.W.coeff(0).is_one()
     # wbar_0 at tau=1 is q^(2s^2 - 2s + 1/2), from the cubic prefactor ratio
-    expected = qpow(ExponentPoly.of(c0=Fraction(1, 2), c1=-2, c2=2))
+    expected = qpow(c0=Fraction(1, 2), c1=-2, c2=2)
     assert dressing.Wbar.coeff(0) == expected
 
 
@@ -824,7 +824,7 @@ def test_dressing_inverses_are_the_adjoint_tau_quotients(dressing11):
 def damage_entry(table, nu, nubar):
     # add q^1 to one gamma; the entry changes by q^(its exponent) * q
     key = (Partition(nu).parts, Partition(nubar).parts)
-    table.gammas[key] = table.gammas[key] + qpow(ExponentPoly.const(Fraction(1)))
+    table.gammas[key] = table.gammas[key] + qpow(Fraction(1))
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -858,7 +858,7 @@ def test_dressing_agreement_covers_every_coefficient(monkeypatch):
         def damaged(params, power=power):
             w0 = build(params)
             coeffs = dict(w0.coeffs)
-            coeffs[-power] = w0.coeff(-power) + qpow(ExponentPoly.const(Fraction(1)))
+            coeffs[-power] = w0.coeff(-power) + qpow(Fraction(1))
             return DiffOp(w0.step, coeffs, w0.floor, w0.ceil)
 
         monkeypatch.setattr(opalg, "build_W0", damaged)

@@ -9,53 +9,51 @@ from math import gcd
 import pytest
 
 from qtoda import qfield
-from qtoda.qfield import E_ZERO, ExponentPoly, QFieldElem, QPowerSum, qpow
+from qtoda.qfield import QFieldElem, QPowerSum, qpow
 from qfield_oracle import evaluate, expand, grid, ref_add, ref_mul, ref_shift, ref_str, value
 
 
 def rho_like(k):
     """1 / (q^(k/2) - q^(-k/2)) built from raw parts."""
     half = Fraction(k, 2)
-    den = QPowerSum.monomial(ExponentPoly.const(half)) + QPowerSum.monomial(
-        ExponentPoly.const(-half), Fraction(-1)
-    )
+    den = QPowerSum.monomial(half) + QPowerSum.monomial(-half, coef=-1)
     return QFieldElem(QPowerSum.one(), den)
 
 
 def test_qpow_identity_cases():
-    assert qpow(E_ZERO).is_one()
-    qs = qpow(ExponentPoly.of(c1=1))
-    assert (qs * qpow(ExponentPoly.of(c1=-1))).is_one()
+    assert qpow().is_one()
+    qs = qpow(c1=1)
+    assert (qs * qpow(c1=-1)).is_one()
 
 
 def test_qpow_quadratic_exponent_expansion():
     # (tau+1)(s-1/2)^2/2 at tau = 1 is s^2 - s + 1/4
-    E = ExponentPoly.of(c0=Fraction(1, 4), c1=-1, c2=1)
-    assert qpow(E) == qpow(E_ZERO) * qpow(E)  # sanity: one multiplication
-    assert str(E) == "s^2-s+1/4"
+    E = qpow(c0=Fraction(1, 4), c1=-1, c2=1)
+    assert E == qpow() * E  # sanity: one multiplication
+    assert str(E) == "q^(s^2-s+1/4)"
 
 
 def test_shift_s_examples():
-    qs = qpow(ExponentPoly.of(c1=1))
-    assert qs.shift(1) == qpow(ExponentPoly.const(1)) * qs
+    qs = qpow(c1=1)
+    assert qs.shift(1) == qpow(1) * qs
     assert QFieldElem.one().shift(Fraction(1, 2)).is_one()
-    sq = qpow(ExponentPoly.of(c2=1))
-    assert sq.shift(1) == qpow(ExponentPoly.of(c0=1, c1=2, c2=1))
+    sq = qpow(c2=1)
+    assert sq.shift(1) == qpow(c0=1, c1=2, c2=1)
 
 
 def test_shift_s_additivity():
-    x = rho_like(1) + qpow(ExponentPoly.of(c0=Fraction(1, 3), c1=2, c2=Fraction(1, 2)))
+    x = rho_like(1) + qpow(c0=Fraction(1, 3), c1=2, c2=Fraction(1, 2))
     a, b = Fraction(2, 3), Fraction(-1, 5)
     assert x.shift(a).shift(b) == x.shift(a + b)
 
 
 def test_eval_examples():
     assert evaluate(rho_like(1), 0, Fraction(1, 2), 2) == Fraction(-2, 3)  # q = 1/4
-    qs = qpow(ExponentPoly.of(c1=1))
+    qs = qpow(c1=1)
     assert evaluate(qs, 3, Fraction(1, 2), 1) == Fraction(1, 8)
     geom = QFieldElem(
         QPowerSum.one(),
-        QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1)),
+        QPowerSum.one() + QPowerSum.monomial(1, coef=-1),
     )
     assert evaluate(geom, 17, Fraction(1, 2), 1) == 2
     with pytest.raises(ValueError):  # q^(1/2) needs a grid of 2
@@ -64,15 +62,11 @@ def test_eval_examples():
 
 def test_eval_certifies_denominator():
     # q - q is a vanishing denominator for every q
-    den = QPowerSum.monomial(ExponentPoly.const(1)) + QPowerSum.monomial(
-        ExponentPoly.const(1), Fraction(-1)
-    )
+    den = QPowerSum.monomial(1) + QPowerSum.monomial(1, coef=-1)
     with pytest.raises(ZeroDivisionError):
         QFieldElem(QPowerSum.one(), den)
     # denominator that vanishes at the evaluation point only
-    near = QPowerSum.monomial(ExponentPoly.const(1)) + QPowerSum.monomial(
-        E_ZERO, Fraction(-1, 2)
-    )
+    near = QPowerSum.monomial(1) + QPowerSum.monomial(coef=Fraction(-1, 2))
     elem = QFieldElem(QPowerSum.one(), near)
     with pytest.raises(ZeroDivisionError):
         evaluate(elem, 0, Fraction(1, 2), 1)
@@ -82,17 +76,17 @@ def test_eval_certifies_denominator():
 def random_elem(rng):
     terms = []
     for _ in range(rng.randint(1, 3)):
-        expo = ExponentPoly.of(
-            c0=Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
-            c1=Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
-            c2=Fraction(rng.randint(-1, 1)),
-        )
-        terms.append((expo, Fraction(rng.randint(-3, 3) or 1)))
+        terms.append((
+            Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
+            Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
+            Fraction(rng.randint(-1, 1)),
+            Fraction(rng.randint(-3, 3) or 1),
+        ))
     num = QPowerSum(terms)
     den_terms = []
     for _ in range(rng.randint(1, 2)):
-        expo = ExponentPoly.of(c0=Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
-        den_terms.append((expo, Fraction(rng.randint(1, 3))))
+        c0 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        den_terms.append((c0, 0, 0, Fraction(rng.randint(1, 3))))
     den = QPowerSum(den_terms)
     if num.is_zero():
         num = QPowerSum.one()
@@ -138,10 +132,10 @@ def test_invert_q_involution():
 
 
 def test_canonical_text_form():
-    x = qpow(ExponentPoly.of(c0=Fraction(1, 2), c1=-1), Fraction(3, 2))
+    x = qpow(c0=Fraction(1, 2), c1=-1, coef=Fraction(3, 2))
     assert str(x) == "3/2*q^(-s+1/2)"
     y = QFieldElem(
-        QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(1), Fraction(-1)),
+        QPowerSum.one() + QPowerSum.monomial(1, coef=-1),
         QPowerSum.one(),
     )
     assert str(y) == "-q^(1) + 1"
@@ -179,10 +173,11 @@ POINTS = [(0, Fraction(2, 3)), (1, Fraction(-3, 2)), (-2, Fraction(5, 7)),
 
 
 def random_exponent(rng):
-    return ExponentPoly.of(
-        c0=Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
-        c1=rng.choice([0, 0, 1, -1, Fraction(1, 2)]),
-        c2=rng.choice([0, 0, 1, Fraction(-1, 3)]),
+    """(c0, c1, c2) of a random exponent."""
+    return (
+        Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
+        rng.choice([0, 0, 1, -1, Fraction(1, 2)]),
+        rng.choice([0, 0, 1, Fraction(-1, 3)]),
     )
 
 
@@ -194,10 +189,10 @@ def random_sum(rng, parts=3, size=3):
     """Up to `parts` s-parts of up to `size` terms each."""
     terms = []
     for _ in range(rng.randint(1, parts)):
-        s_part = random_exponent(rng)
+        _, c1, c2 = random_exponent(rng)
         for _ in range(rng.randint(1, size)):
             c0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-            terms.append((ExponentPoly.of(c0, s_part.c1, s_part.c2), random_coef(rng)))
+            terms.append((c0, c1, c2, random_coef(rng)))
     return QPowerSum(terms) if terms else QPowerSum.one()
 
 
@@ -238,13 +233,14 @@ def test_powersum_ops_match_both_references():
     for _ in range(30):
         x, y = random_sum(rng), random_sum(rng)
         mono, coef, beta = random_exponent(rng), random_coef(rng), rng.randint(-2, 2)
-        ex, ey, em = expand(x), expand(y), expand(QPowerSum.monomial(mono, coef))
-        L = grid(x, y, QPowerSum.monomial(mono))
+        ex, ey, em = expand(x), expand(y), expand(QPowerSum.monomial(*mono, coef))
+        L = grid(x, y, QPowerSum.monomial(*mono))
         cases = [
             (x * y, ref_mul(ex, ey), lambda vx, vy, vm, s, t: vx * vy),
             (x + y, ref_add(ex, ey), lambda vx, vy, vm, s, t: vx + vy),
             (x - y, ref_add(ex, ey, -1), lambda vx, vy, vm, s, t: vx - vy),
-            (x.mul_monomial(mono, coef), ref_mul(ex, em), lambda vx, vy, vm, s, t: vx * vm),
+            (x * QPowerSum.monomial(*mono, coef), ref_mul(ex, em),
+             lambda vx, vy, vm, s, t: vx * vm),
             (x.shift(beta), ref_shift(ex, Fraction(beta)), None),
             (x.negate_exponents(), {(-a, -b, -c): v for (a, b, c), v in ex.items()}, None),
         ]
@@ -254,7 +250,7 @@ def test_powersum_ops_match_both_references():
         assert x * y == y * x and hash(x * y) == hash(y * x)
         assert (x + y) - y == x
         for s, t in POINTS[:3]:
-            vx, vy, vm = (value(p, s, t, L) for p in (x, y, QPowerSum.monomial(mono, coef)))
+            vx, vy, vm = (value(p, s, t, L) for p in (x, y, QPowerSum.monomial(*mono, coef)))
             for got, _, op in cases:
                 if op is not None:
                     assert value(got, s, t, L) == op(vx, vy, vm, s, t)
@@ -298,7 +294,7 @@ def test_references_see_a_coefficient_damaged_by_one_seventh():
     x, y = random_sum(rng), random_sum(rng)
     good = x * y
     c0, c1, c2, _ = min(good.terms(), key=lambda t: (t[2], t[1], t[0]))
-    bad = good + QPowerSum.monomial(ExponentPoly.of(c0, c1, c2), Fraction(1, 7))
+    bad = good + QPowerSum.monomial(c0, c1, c2, Fraction(1, 7))
     assert expand(good) == ref_mul(expand(x), expand(y))
     assert expand(bad) != ref_mul(expand(x), expand(y))
     L = grid(x, y)
@@ -309,14 +305,14 @@ def test_references_see_a_coefficient_damaged_by_one_seventh():
 
 def long_sum(rng, size):
     """`size` terms on one random s-part, the c0 spread over a grid of 1, 2 or 3."""
-    s_part, d = random_exponent(rng), rng.choice([1, 2, 3])
-    return QPowerSum([(ExponentPoly.of(Fraction(k, d), s_part.c1, s_part.c2), random_coef(rng))
+    (_, c1, c2), d = random_exponent(rng), rng.choice([1, 2, 3])
+    return QPowerSum([(Fraction(k, d), c1, c2, random_coef(rng))
                       for k in rng.sample(range(-40, 41), size)])
 
 
 def without_top_term(p):
     """p, of one s-part and at least two terms, less its highest term."""
-    return QPowerSum([(ExponentPoly.of(c0, c1, c2), c) for c0, c1, c2, c in sorted(p.terms())[:-1]])
+    return QPowerSum(sorted(p.terms())[:-1])
 
 
 def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
@@ -345,7 +341,7 @@ def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
     # (1 - q^(n/2)) / (1 - q^(1/2)) is the n-term geometric sum; a numerator
     # that spans less than the denominator is no multiple of it
     def q(c0):
-        return QPowerSum.monomial(ExponentPoly.const(c0))
+        return QPowerSum.monomial(c0)
 
     for n in (12, 20, 40):
         geometric = sum((q(Fraction(k, 2)) for k in range(n)), QPowerSum.zero())
@@ -359,19 +355,19 @@ def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
         ab = a * b
         assert qfield._divide_exact(ab, b) == a
         c0, c1, c2, _ = rng.choice(list(ab.terms()))
-        near = ab + QPowerSum.monomial(ExponentPoly.of(c0, c1, c2), Fraction(1, 7))
+        near = ab + QPowerSum.monomial(c0, c1, c2, Fraction(1, 7))
         assert qfield._divide_exact(near, b) is None
-        shorter = without_top_term(b) * QPowerSum.monomial(random_exponent(rng), random_coef(rng))
+        shorter = without_top_term(b) * QPowerSum.monomial(*random_exponent(rng), random_coef(rng))
         assert qfield._divide_exact(shorter, b) is None
         assert qfield._divide_exact(without_top_term(ab), b) is None
 
     # every exact quotient's lowest exponent is min(num) - min(den), the
     # bound itself; here it is reached with den on a grid of 2, num on 6
-    a = QPowerSum([(ExponentPoly.of(Fraction(-7, 3), 1), 3), (ExponentPoly.of(Fraction(1, 2), 1), -2),
-                   (ExponentPoly.of(Fraction(5, 2), 1), 1)])
+    a = QPowerSum([(Fraction(-7, 3), 1, 0, 3), (Fraction(1, 2), 1, 0, -2),
+                   (Fraction(5, 2), 1, 0, 1)])
     b = q(Fraction(-1, 2)) + q(1) + q(Fraction(3, 2)).scale(-5)
     assert qfield._divide_exact(a * b, b) == a
-    below = QPowerSum.monomial(ExponentPoly.of(-3, 1))  # lower than every term of a * b
+    below = QPowerSum.monomial(-3, 1)  # lower than every term of a * b
     assert qfield._divide_exact(a * b + below, b) is None
 
 
@@ -383,14 +379,14 @@ def random_gridded_sum(rng, L):
     constant term; coefficients +-1 or multi-digit."""
     terms = []
     for _ in range(rng.randint(1, 3)):
-        s_part = random_exponent(rng)
+        _, c1, c2 = random_exponent(rng)
         for _ in range(rng.randint(1, 4)):
             coef = rng.choice([1, -1, Fraction(rng.choice([-1, 1]) * rng.randint(10, 10**5),
                                                rng.choice([1, 7, 97]))])
             c0 = Fraction(rng.randint(-3 * L, 3 * L), L)
-            terms.append((ExponentPoly.of(c0, s_part.c1, s_part.c2), coef))
+            terms.append((c0, c1, c2, coef))
     if rng.random() < 0.5:
-        terms.append((E_ZERO, rng.choice([1, -1, Fraction(-355, 113)])))
+        terms.append((0, 0, 0, rng.choice([1, -1, Fraction(-355, 113)])))
     return QPowerSum(terms)
 
 
@@ -422,30 +418,45 @@ def test_denominator_starts_at_the_unit_term():
     assert mixed > 5
 
 
-def test_parts_core_builds_no_exponent_poly(monkeypatch):
-    # str, shift, normalization and the division probe work on the int parts
+# -- the monomial inputs: terms() read back in, and qpow against the oracle ----
+
+
+def round_trips(build, p) -> bool:
+    """True when `build`, given p's (c0, c1, c2, coefficient) terms, gives p back."""
+    return build(p.terms()) == p
+
+
+def test_terms_read_back_in_give_the_same_sum():
     rng = random.Random(SEED + 6)
-    sums = [random_sum(rng, 3) for _ in range(10)]
-    singles = [random_sum(rng, 1) for _ in range(6)]
-    built, init, raw = [], ExponentPoly.__init__, ExponentPoly._raw
+    mixed = 0
+    for L in (1, 2, 3, 4, 16):
+        for _ in range(20):
+            x, y = random_gridded_sum(rng, L), random_gridded_sum(rng, L)
+            for p in (x, x * y, x - y):
+                assert round_trips(QPowerSum, p)
+            mixed += len(x.parts) > 1
+    assert round_trips(QPowerSum, QPowerSum.zero()) and QPowerSum([]).is_zero()
+    assert mixed > 30
 
-    def counting_init(self, *args, **kwargs):
-        built.append("init")
-        init(self, *args, **kwargs)
 
-    def counting_raw(key):
-        built.append("raw")
-        return raw(key)
+def test_qpow_agrees_with_the_oracle_evaluation():
+    rng = random.Random(SEED + 7)
+    for _ in range(40):
+        (c0, c1, c2), coef = random_exponent(rng), random_coef(rng)
+        x = qpow(c0, c1, c2, coef)
+        assert x.den.is_one() and len(x.num) == 1
+        L = grid(x.num)
+        for s, t in POINTS:
+            assert evaluate(x, s, t, L) == coef * t ** int(L * (c0 + c1 * s + c2 * s * s))
+    assert evaluate(qpow(coef=Fraction(-2, 3)), 5, Fraction(1, 2), 1) == Fraction(-2, 3)
 
-    monkeypatch.setattr(ExponentPoly, "__init__", counting_init)
-    monkeypatch.setattr(ExponentPoly, "_raw", staticmethod(counting_raw))
-    for x, y in zip(sums + singles, sums[1:] + singles[1:]):
-        q = QFieldElem(x, y)
-        str(q)
-        x.shift(2)
-        q.shift(Fraction(-3, 2))
-        qfield._divide_exact(x * y, y)
-        qfield._divide_exact(x * y + QPowerSum.one(), y)
-    assert built == []
-    ExponentPoly.const(1).shift(1)  # the counters see both constructors
-    assert built == ["init", "raw"]
+
+def test_a_constructor_that_drops_c2_fails_the_round_trip():
+    # negative control: the round trip sees a lost s^2 coefficient
+    def drops_c2(terms):
+        return QPowerSum([(c0, c1, 0, coef) for c0, c1, _, coef in terms])
+
+    rng = random.Random(SEED + 8)
+    p = QPowerSum([(Fraction(1, 2), 1, Fraction(-1, 3), 5)]) + random_gridded_sum(rng, 2)
+    assert round_trips(QPowerSum, p)
+    assert not round_trips(drops_c2, p)

@@ -8,7 +8,7 @@ import pytest
 from qtoda import schur
 from qtoda.errors import DegreeBoundExceeded
 from qtoda.partitions import EMPTY, Partition, enumerate_partitions
-from qtoda.qfield import ExponentPoly, QFieldElem, QPowerSum
+from qtoda.qfield import QFieldElem, QPowerSum
 from qtoda.suites import schur_structure_suite
 from qtoda.vertex import VertexContext, subpartitions
 from qtoda.schur import (
@@ -224,8 +224,7 @@ def test_specialize_rho_closed_form():
     half = Fraction(1, 2)
     raw = QFieldElem(
         QPowerSum.one(),
-        QPowerSum.monomial(ExponentPoly.const(half))
-        + QPowerSum.monomial(ExponentPoly.const(-half), Fraction(-1)),
+        QPowerSum.monomial(half) + QPowerSum.monomial(-half, coef=-1),
     )
     assert specialize_rho(1) == raw
 
@@ -233,9 +232,9 @@ def test_specialize_rho_closed_form():
 def test_specialize_nu_rho_examples():
     for k in (1, 2, 3):
         assert specialize_nu_rho(EMPTY, k) == specialize_rho(k)
-    geom_den = QPowerSum.one() + QPowerSum.monomial(ExponentPoly.const(-1), Fraction(-1))
-    expect = QFieldElem(QPowerSum.monomial(ExponentPoly.const(Fraction(1, 2)))) + QFieldElem(
-        QPowerSum.monomial(ExponentPoly.const(Fraction(-3, 2))), geom_den
+    geom_den = QPowerSum.one() + QPowerSum.monomial(-1, coef=-1)
+    expect = QFieldElem(QPowerSum.monomial(Fraction(1, 2))) + QFieldElem(
+        QPowerSum.monomial(Fraction(-3, 2)), geom_den
     )
     assert specialize_nu_rho(Partition((1,)), 1) == expect
 
@@ -247,14 +246,10 @@ def test_power_sum_special_point_relation():
     def reflected(nu: Partition, k: int) -> QFieldElem:
         nuc = nu.conjugate()
         ell = nuc.length
-        den = QPowerSum.one() + QPowerSum.monomial(
-            ExponentPoly.const(Fraction(k)), Fraction(-1)
-        )
-        num = QPowerSum.monomial(ExponentPoly.const(Fraction(k) * (ell + Fraction(1, 2))))
+        den = QPowerSum.one() + QPowerSum.monomial(Fraction(k), coef=-1)
+        num = QPowerSum.monomial(Fraction(k) * (ell + Fraction(1, 2)))
         for i in range(1, ell + 1):
-            head = QPowerSum.monomial(
-                ExponentPoly.const(-Fraction(k) * (nuc.part(i) - i + Fraction(1, 2)))
-            )
+            head = QPowerSum.monomial(-Fraction(k) * (nuc.part(i) - i + Fraction(1, 2)))
             num = num + head * den
         return QFieldElem(num, den)
 
@@ -290,7 +285,7 @@ def test_special_point_check_fails_on_a_wrong_nu_rho_value(monkeypatch):
 
     def shifted(nu, k):
         value = real(nu, k)
-        return value + qpow(ExponentPoly.const(1)) if nu.weight else value
+        return value + qpow(1) if nu.weight else value
 
     monkeypatch.setattr(suites, "specialize_nu_rho", shifted)
     report = schur_structure_suite(4)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qtoda.opalg import SitePoly
-from qtoda.qfield import E_ZERO, ExponentPoly, QPowerSum
+from qtoda.qfield import QPowerSum
 from qtoda.schur import PowerSumPoly
 from qfield_oracle import count_s_parts
 
@@ -35,14 +35,14 @@ def random_qpowersum(rng):
     terms = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.3:
-            expo = E_ZERO
+            expo = (0, 0, 0)
         else:
-            expo = ExponentPoly.of(
-                c0=Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
-                c1=Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
-                c2=rng.randint(-1, 1),
+            expo = (
+                Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])),
+                Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
+                rng.randint(-1, 1),
             )
-        terms.append((expo, _coef(rng)))
+        terms.append((*expo, _coef(rng)))
     return QPowerSum(terms)
 
 

@@ -225,10 +225,10 @@ def test_power_diagonal_bitwise_equals_banded_power(a, b, k):
     for n in (2 * m, 3 * m):
         u = np.random.default_rng(100 * a + 10 * b + k + n).uniform(0.5, 1.5, n)
         plan = path_plan(a, b, k, n)
-        expected = banded_power(lax_diagonals(u, a, b), k * m, n)[0]
+        expected = banded_power(lax_diagonals(u, a, b), k * m)[0]
         assert np.array_equal(power_diagonal(u, plan), expected), n
         exact = rational_state(a, b, n // m, seed=n + k).sites
-        expected = banded_power(lax_diagonals(exact, a, b), k * m, n)[0]
+        expected = banded_power(lax_diagonals(exact, a, b), k * m)[0]
         assert all(power_diagonal(exact, plan) == expected), n
 
 
@@ -263,7 +263,7 @@ def test_power_diagonal_bitwise_on_special_values(a, b, k):
         for n in (2 * m, 3 * m):
             plan = path_plan(a, b, k, n)
             for u in _special_states(n, 100 * a + 10 * b + k + n):
-                expected = banded_power(lax_diagonals(u, a, b), k * m, n)[0]
+                expected = banded_power(lax_diagonals(u, a, b), k * m)[0]
                 _assert_same_bits(power_diagonal(u, plan), expected)
 
 
@@ -305,10 +305,9 @@ def test_path_plan_keeps_exactly_the_rows_that_return(a, b, k):
 def _banded_rk4(state, k, dt, steps):
     """Classical RK4 over the flow read off banded_power (the reference)."""
     a, b = state.a, state.b
-    n = len(state.sites)
 
     def f(v):
-        d = banded_power(lax_diagonals(v, a, b), k * (a + b), n)[0]
+        d = banded_power(lax_diagonals(v, a, b), k * (a + b))[0]
         return v * (d - np.roll(d, b))
 
     u = state.sites.astype(float).copy()
@@ -348,9 +347,9 @@ def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
     a, b = state.a, state.b
     rhs = flow_rhs(LatticeState(a, b, u), k)
     lax = lax_diagonals(u, a, b)
-    power = banded_power(lax, k * (a + b), n)
+    power = banded_power(lax, k * (a + b))
     bk = {o: v for o, v in power.items() if o >= 0}
-    return banded_equal(volterra._commutator(bk, lax, n), {-b: -rhs}, n)
+    return banded_equal(volterra._commutator(bk, lax), {-b: -rhs}, n)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
@@ -389,8 +388,8 @@ def test_banded_algebra_roundtrips():
     state = rational_state(2, 1, 3, seed=8)
     diags = lax_diagonals(state.sites, 2, 1)
     n = len(state.sites)
-    sq = banded_mul(diags, diags, n)
-    assert banded_equal(banded_power(diags, 2, n), sq, n)
+    sq = banded_mul(diags, diags)
+    assert banded_equal(banded_power(diags, 2), sq, n)
     d = diagonal_of(sq, n)
     assert len(d) == n
 
@@ -569,7 +568,7 @@ def test_batched_traces_equal_per_row_traces(case):
     _check_batched_traces(traj, _traces_by_row(traj))
 
 
-def _banded_mul_along_states(x, y, n):
+def _banded_mul_along_states(x, y):
     """banded_mul rolling along axis 0, the recorded states, not the sites."""
     out = {}
     for o1, v1 in x.items():
