@@ -36,15 +36,31 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit_json(payload: dict, out: str | None):
+def _render_json(payload: dict) -> str:
     # generated_at first so it occupies its own (skippable) line
-    doc = {"generated_at": _timestamp(), "schema": 1}
-    doc.update(payload)
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    doc = {"generated_at": _timestamp(), "schema": 1, **payload}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(outputs: list[tuple[str | None, str]]):
+    """Write each (path, text), no path meaning stdout; a failure removes the files opened here."""
+    opened = []
+    try:
+        for path, text in outputs:
+            if not path:
+                print(text, end="")
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _emit_json(payload: dict, out: str | None):
+    _emit([(out, _render_json(payload))])
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -180,16 +196,11 @@ def cmd_simulate(args) -> int:
 
     csv_path = args.out_csv or f"simulate_a{args.a}_b{args.b}.csv"
     n = traj.states.shape[1]
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# generated_at={_timestamp()}\n")
-        head = ["time"] + [f"u_{j}" for j in range(n)] + [
-            f"H_{k}" for k in range(1, args.invariants + 1)
-        ]
-        fh.write(",".join(head) + "\n")
-        for idx, t in enumerate(traj.times):
-            row = [repr(float(t))] + [repr(float(x)) for x in traj.states[idx]]
-            row += [repr(float(h)) for h in series[idx]]
-            fh.write(",".join(row) + "\n")
+    head = ["time", *(f"u_{j}" for j in range(n)),
+            *(f"H_{k}" for k in range(1, args.invariants + 1))]
+    lines = [f"# generated_at={_timestamp()}", ",".join(head)]
+    for t, state, values in zip(traj.times, traj.states, series):
+        lines.append(",".join(repr(float(x)) for x in (t, *state, *values)))
 
     payload = {
         "a": args.a,
@@ -209,7 +220,8 @@ def cmd_simulate(args) -> int:
         ratio = max(drift) / max(drift_half) if max(drift_half) > 0 else None
         payload["half_step_max_relative_drift"] = max(drift_half)
         payload["order_check_ratio"] = ratio
-    _emit_json(payload, args.out)
+    # both texts are rendered before any file is opened; a failed write leaves neither file
+    _emit([(csv_path, "\n".join(lines) + "\n"), (args.out, _render_json(payload))])
     return EXIT_OK
 
 

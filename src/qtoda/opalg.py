@@ -635,13 +635,9 @@ def _dressed_power(w: DiffOp, w_inv: DiffOp, step, index: int) -> DiffOp:
     return w.with_step(step) * mono * w_inv.with_step(step)
 
 
-def _session(params: SessionParams | LaxSession) -> LaxSession:
-    return params if isinstance(params, LaxSession) else LaxSession(params)
-
-
-def initial_lax(params: SessionParams | LaxSession) -> tuple[DiffOp, DiffOp]:
+def initial_lax(session: LaxSession) -> tuple[DiffOp, DiffOp]:
     """Fractional powers of the two Lax operators at time zero, via dressing."""
-    return _session(params).lax
+    return session.lax
 
 
 def expected_initial_lax(params: SessionParams) -> DiffOp:
@@ -654,12 +650,12 @@ def expected_initial_lax(params: SessionParams) -> DiffOp:
     )
 
 
-def initial_M(params: SessionParams | LaxSession) -> tuple[DiffOp, DiffOp]:
+def initial_M(session: LaxSession) -> tuple[DiffOp, DiffOp]:
     """The verified closed forms of q^(M0) and q^(M0bar) (see LaxSession.orlov)."""
-    return _session(params).orlov
+    return session.orlov
 
 
-def check_LM_relation(params: SessionParams | LaxSession) -> dict:
+def check_LM_relation(session: LaxSession) -> dict:
     """Verify the supplementary Lax/Orlov monomial identities at time zero.
 
     Checks that (1) q^(-M0) L0^(1/(tau+1)) collapses to the monomial
@@ -671,7 +667,6 @@ def check_LM_relation(params: SessionParams | LaxSession) -> dict:
     are checked by multiplying back, L0^(1/(tau+1)) = q^(M0) * monomial,
     so q^(M0) is never inverted.
     """
-    session = _session(params)
     params = session.params
     tau = params.tau
     step = params.step

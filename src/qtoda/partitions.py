@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-
-from .errors import InvalidTau
 
 
 @dataclass(frozen=True)
@@ -66,16 +62,6 @@ class Partition:
         """kappa = sum_i part_i * (part_i - 2i + 1), 1-based rows."""
         return sum(p * (p - 2 * i + 1) for i, p in enumerate(self.parts, start=1))
 
-    def z_factor(self) -> int:
-        """Cycle-type factor prod_i i^(m_i) * m_i!."""
-        out = 1
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        for value, m in mult.items():
-            out *= value**m * factorial(m)
-        return out
-
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
@@ -84,36 +70,6 @@ class Partition:
 
 
 EMPTY = Partition()
-
-
-def pochhammer(a: Fraction, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1)."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def comb_factor(mu: Partition, mubar: Partition, tau: Fraction) -> tuple[int, Fraction]:
-    """Combinatorial prefactor attached to a pair of partitions.
-
-    Returns (p, v) encoding the value v * sqrt(-1)^p with v an exact
-    rational and p reduced mod 4, so no complex arithmetic is needed.
-    """
-    tau = Fraction(tau)
-    if tau == 0 or tau == -1:
-        raise InvalidTau(f"tau = {tau} is outside the allowed parameter range")
-    if mu.weight == 0 and mubar.weight == 0:
-        raise ValueError("at least one partition must be nonempty")
-    ell = mu.length + mubar.length
-    value = Fraction(-1) / (mu.z_factor() * mubar.z_factor())
-    value *= (tau * (tau + 1)) ** (ell - 1)
-    for p in mu.parts:
-        value *= pochhammer(p * tau, p - 1) / factorial(p)
-    tau_inv = 1 / tau
-    for p in mubar.parts:
-        value *= pochhammer(p * tau_inv, p - 1) / factorial(p)
-    return ell % 4, value
 
 
 def partitions_of(weight: int, max_part: int | None = None) -> tuple[Partition, ...]:

@@ -363,10 +363,6 @@ class QFieldElem:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def is_s_free(self) -> bool:
-        """True when no exponent depends on s (pure q^(rational) expression)."""
-        return all(s == _S0 for s in (*self.num.parts, *self.den.parts))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QFieldElem):
             return NotImplemented

@@ -126,12 +126,6 @@ class PowerSumRing:
         self._h_cache: dict[int, PowerSumPoly] = {}
         self._schur_cache: dict[tuple, PowerSumPoly] = {}
 
-    def complete_homogeneous(self, m: int) -> PowerSumPoly:
-        """S_m with generating function exp(sum_k p_k z^k / k); 0 for m < 0."""
-        if m > self.degree_bound:
-            raise DegreeBoundExceeded(f"S_{m} exceeds degree bound {self.degree_bound}")
-        return self._h(m)
-
     def _h(self, m: int) -> PowerSumPoly:
         # unbounded internal form: oversized determinants contain entries
         # above the session bound that cancel in the final value

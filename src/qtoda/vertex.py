@@ -27,7 +27,7 @@ from typing import Iterator
 from .errors import DegreeBoundExceeded, InvalidTau, NonCoprime
 from .partitions import EMPTY, Partition, enumerate_partitions
 from .qfield import QFieldElem, qpow
-from .schur import Monomial, PowerSumRing, Specialization
+from .schur import PowerSumRing, Specialization
 
 
 def subpartitions(limit: Partition) -> Iterator[Partition]:
@@ -148,59 +148,21 @@ class VertexContext:
         q^((kappa(nu)+kappa(nubar))/2) * sum_eta s_{nu'/eta}(q^rho) s_{nubar'/eta}(q^rho)
         """
         self._check(nu, nubar)
-        nu_c = nu.conjugate()
-        nubar_c = nubar.conjugate()
-        total = QFieldElem.zero()
-        for eta in subpartitions(nu_c.intersect(nubar_c)):
-            total = total + self.skew_at(nu_c, eta, "rho") * self.skew_at(
-                nubar_c, eta, "rho"
-            )
+        total = self._eta_sum(nu.conjugate(), nubar.conjugate(), "rho")
         prefactor = qpow(Fraction(nu.kappa() + nubar.kappa(), 2))
         return prefactor * total
 
     def gamma_matrix_element(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """sum_eta s_{nu/eta} s_{nubar/eta} at the q^(-rho) continuation."""
         self._check(nu, nubar)
+        return self._eta_sum(nu, nubar, "neg")
+
+    def _eta_sum(self, mu: Partition, nu: Partition, point: str) -> QFieldElem:
+        """sum over eta inside mu and nu of s_{mu/eta} * s_{nu/eta} at `point`."""
         total = QFieldElem.zero()
-        for eta in subpartitions(nu.intersect(nubar)):
-            total = total + self.skew_at(nu, eta, "neg") * self.skew_at(
-                nubar, eta, "neg"
-            )
+        for eta in subpartitions(mu.intersect(nu)):
+            total = total + self.skew_at(mu, eta, point) * self.skew_at(nu, eta, point)
         return total
-
-    def r_bullet(
-        self, tau: Fraction, max_deg: int
-    ) -> dict[tuple[Monomial, Monomial], QFieldElem]:
-        """Truncated double sum over |nu|, |nubar| <= max_deg.
-
-        Returns the coefficient of each monomial pair (in p and pbar).
-        """
-        tau = Fraction(tau)
-        if tau == 0:
-            raise InvalidTau("tau must be nonzero")
-        if 2 * max_deg > self.degree_bound:
-            raise DegreeBoundExceeded(
-                "r_bullet needs a context of degree >= 2 * max_deg"
-            )
-        out: dict[tuple[Monomial, Monomial], QFieldElem] = {}
-        parts = enumerate_partitions(max_deg)
-        for nu in parts:
-            s_nu = self.ring.schur(nu)
-            for nubar in parts:
-                s_nubar = self.ring.schur(nubar)
-                expo = Fraction(nu.kappa()) * tau / 2 + Fraction(nubar.kappa()) / tau / 2
-                coef = qpow(expo) * self.vertex_def(nu, nubar)
-                if coef.is_zero():
-                    continue
-                for m1, c1 in s_nu.coeffs.items():
-                    for m2, c2 in s_nubar.coeffs.items():
-                        key = (m1, m2)
-                        term = coef.scale(c1 * c2)
-                        if key in out:
-                            out[key] = out[key] + term
-                        else:
-                            out[key] = term
-        return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 @dataclass
@@ -230,11 +192,6 @@ class TauTable:
     def entry(self, nu: Partition, nubar: Partition) -> QFieldElem:
         key = (nu.parts, nubar.parts)
         return self.prefactors[key] * self.gammas[key]
-
-    def cubic_at(self, s_val: Fraction) -> Fraction:
-        c0, c1, c2, c3 = self.cubic
-        s = Fraction(s_val)
-        return c0 + c1 * s + c2 * s * s + c3 * s * s * s
 
     def cubic_shifted(self, e) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Coefficients (c0, c1, c2, c3) of P(s+e) for the recorded cubic P."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qtoda.opalg import (
+    LaxSession,
     SessionParams,
     check_LM_relation,
     cross_check_initial,
@@ -98,7 +99,8 @@ def test_criterion_4_initial_value_relation(a, b, sign):
     the supplementary monomial identity holds."""
     start = time.time()
     params = SessionParams(a, b, sign, T=8)
-    lfrac, lbarfrac = initial_lax(params)
+    session = LaxSession(params)
+    lfrac, lbarfrac = initial_lax(session)
     expected = expected_initial_lax(params)
     ok_closed = (
         (lfrac - expected).is_zero_on_window()
@@ -106,8 +108,8 @@ def test_criterion_4_initial_value_relation(a, b, sign):
     )
     total = lfrac + lbarfrac
     residuals = [(n, c) for n, c in total.coeffs.items() if not c.is_zero()]
-    initial_M(params)  # raises on any deviation from the closed forms
-    lm = check_LM_relation(params)
+    initial_M(session)  # raises on any deviation from the closed forms
+    lm = check_LM_relation(session)
     elapsed = time.time() - start
     report(
         4,

@@ -461,6 +461,21 @@ def test_simulate_nonfinite_invariant_prints_only_the_error(tmp_path):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("csv_name, report_name", [
+    ("run.csv", "missing/run.json"),
+    ("csvdir", "run.json"),
+], ids=["--out in a missing directory", "--out-csv a directory"])
+def test_simulate_write_failure_leaves_neither_file(tmp_path, capsys, csv_name, report_name):
+    # a usage error leaves no partial output: a failed write of either file removes the other
+    (tmp_path / "csvdir").mkdir()
+    code = main(["simulate", "--t-end", "0.01", "--out-csv", str(tmp_path / csv_name),
+                 "--out", str(tmp_path / report_name)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["csvdir"]
+    assert list((tmp_path / "csvdir").iterdir()) == []
+
+
 def test_simulate_zero_amplitude_constant_csv(tmp_path):
     csv = tmp_path / "run.csv"
     out = tmp_path / "run.json"

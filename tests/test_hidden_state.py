@@ -5,10 +5,15 @@ its cost from one run to the next, so no module reads the environment,
 memoizes through functools or keeps a module-level mutable container (a
 dict, list or set, literal or comprehension).  No module imports mpmath:
 the q-field is checked by exact evaluation, not by numeric evaluation.
+
+Every function and class has a caller elsewhere in the package, apart from
+a short allow-list of entry points that only the tests and the benchmark
+call, and no module imports a name it never uses.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,3 +90,88 @@ def test_mpmath_scan_sees_each_import_form():
     assert mpmath_imports("x.py", "def f():\n    from mpmath import mp\n") == ["x.py:2"]
     assert mpmath_imports("x.py", "import numpy, mpmath.libmp\n") == ["x.py:1"]
     assert mpmath_imports("x.py", "import numpy\nfrom fractions import Fraction\n") == []
+
+
+# defined in the package but called only from outside it
+ENTRY_POINTS = {
+    "op_inverse": "the tests' reference series inversion, and a benchmark span",
+    "symbolic_flow_stencil": "half of the exact oracle that benchmarks/child.py runs",
+    "stencil_apply": "the other half of the exact oracle that benchmarks/child.py runs",
+    "stationarity_check": "an acceptance check of the reduced flow equations",
+    "duality_check": "an acceptance check of the two-sided flow duality",
+}
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """How often each name occurs as a Name or as an attribute in the tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """Functions and classes (dunders excepted) that no code outside their own
+    body names, across every module of `sources` (file name -> text)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if refs[node.name] == referenced_names(node)[node.name]:
+                found.append(f"{name}:{node.lineno}: {node.name}")
+    return found
+
+
+def unused_imports(name: str, text: str) -> list[str]:
+    """Names that a module imports and never uses."""
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"{name}:{node.lineno}: {bound}")
+    return found
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted((SRC / "qtoda").glob("*.py"))}
+
+
+def test_every_definition_in_the_package_has_a_caller():
+    found = uncalled_definitions(package_sources())
+    exempt = [line for line in found if line.rsplit(" ", 1)[1] in ENTRY_POINTS]
+    assert [line for line in found if line not in exempt] == []
+    # an entry point that gains a caller in the package leaves the allow-list
+    assert sorted(line.rsplit(" ", 1)[1] for line in exempt) == sorted(ENTRY_POINTS)
+
+
+def test_no_module_in_the_package_imports_a_name_it_never_uses():
+    found = []
+    for name, text in package_sources().items():
+        found += unused_imports(name, text)
+    assert found == []
+
+
+def test_caller_and_import_scans_flag_dead_code():
+    # negative controls: an uncalled def, a def that only calls itself and an
+    # unused import are each seen; a def called from another module is not
+    sources = {
+        "a.py": "def used():\n    pass\n\n\ndef dead():\n    pass\n",
+        "b.py": "from a import used\n\n\ndef loop(n):\n    return loop(n - 1)\n\n\nused()\n",
+    }
+    assert uncalled_definitions(sources) == ["a.py:5: dead", "b.py:4: loop"]
+    assert unused_imports("c.py", "from __future__ import annotations\nimport math\nimport os.path\n"
+                          "os.path.join('x')\n") == ["c.py:2: math"]
+    assert unused_imports("d.py", "from fractions import Fraction as F\nF(1)\n") == []

@@ -564,7 +564,7 @@ def test_w0_leading_and_first_coefficient(params11):
 
 
 def test_initial_lax_closed_form(params11):
-    lf, lb = initial_lax(params11)
+    lf, lb = initial_lax(LaxSession(params11))
     expected = expected_initial_lax(params11)
     assert (lf - expected).is_zero_on_window()
     assert (lb + expected).is_zero_on_window()
@@ -573,7 +573,7 @@ def test_initial_lax_closed_form(params11):
 
 
 def test_initial_M_closed_forms(params11):
-    qm0, qm0bar = initial_M(params11)
+    qm0, qm0bar = initial_M(LaxSession(params11))
     tau = params11.tau
     assert qm0.coeff(0) == QS
     assert qm0.coeff(-1) == -qpow(c0=-tau - Fraction(3, 2), c1=tau + 2)
@@ -584,7 +584,7 @@ def test_initial_M_closed_forms(params11):
 
 
 def test_lm_relation_passes(params11):
-    rep = check_LM_relation(params11)
+    rep = check_LM_relation(LaxSession(params11))
     assert rep["passed"], rep
 
 

@@ -1,20 +1,15 @@
 """Partition combinatorics and scalar invariants."""
 
-from fractions import Fraction
-
 import pytest
 
-from qtoda.errors import InvalidTau
 from qtoda.partitions import (
     EMPTY,
     Partition,
-    comb_factor,
     enumerate_partitions,
     hook_height,
     hooks_of_size,
     is_vertical_strip,
     partitions_of,
-    pochhammer,
 )
 
 
@@ -42,32 +37,6 @@ def test_kappa_examples():
 def test_kappa_antisymmetric_under_conjugation():
     for nu in enumerate_partitions(8):
         assert nu.conjugate().kappa() == -nu.kappa()
-
-
-def test_z_factor_examples():
-    assert Partition((2, 1)).z_factor() == 2
-    assert Partition((1, 1, 1)).z_factor() == 6
-    assert EMPTY.z_factor() == 1
-
-
-def test_pochhammer():
-    assert pochhammer(Fraction(2), 3) == 24
-    assert pochhammer(Fraction(1, 2), 0) == 1
-
-
-def test_comb_factor_examples():
-    assert comb_factor(Partition((1,)), EMPTY, Fraction(1)) == (1, Fraction(-1))
-    # exchange symmetry at tau = 1
-    assert comb_factor(EMPTY, Partition((1,)), Fraction(1)) == (1, Fraction(-1))
-
-
-def test_comb_factor_errors():
-    with pytest.raises(InvalidTau):
-        comb_factor(Partition((1,)), EMPTY, Fraction(0))
-    with pytest.raises(InvalidTau):
-        comb_factor(Partition((1,)), EMPTY, Fraction(-1))
-    with pytest.raises(ValueError):
-        comb_factor(EMPTY, EMPTY, Fraction(1))
 
 
 def test_enumerate_examples():

@@ -30,12 +30,14 @@ def ring():
 
 
 def test_complete_homogeneous_examples(ring):
-    assert ring.complete_homogeneous(1) == P1
-    assert ring.complete_homogeneous(2) == (P1 * P1).scale(Fraction(1, 2)) + P2.scale(
+    # S_m is the one-row Schur polynomial s_(m); S_m for m < 0 is zero,
+    # and the one-row skew shape (1)/(2) is the single entry S_(-1)
+    assert ring.schur(Partition((1,))) == P1
+    assert ring.schur(Partition((2,))) == (P1 * P1).scale(Fraction(1, 2)) + P2.scale(
         Fraction(1, 2)
     )
-    assert ring.complete_homogeneous(-1).is_zero()
-    assert ring.complete_homogeneous(0) == PowerSumPoly.one()
+    assert ring.skew_schur(Partition((1,)), Partition((2,))).is_zero()
+    assert ring.schur(EMPTY) == PowerSumPoly.one()
 
 
 def test_schur_examples(ring):
@@ -216,8 +218,6 @@ def test_degree_bound_enforced():
     small = PowerSumRing(2)
     with pytest.raises(DegreeBoundExceeded):
         small.schur(Partition((3,)))
-    with pytest.raises(DegreeBoundExceeded):
-        small.complete_homogeneous(3)
 
 
 def test_specialize_rho_closed_form():

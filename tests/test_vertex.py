@@ -1,4 +1,4 @@
-"""Topological-vertex values, symmetries, generating function, tau table."""
+"""Topological-vertex values, symmetries, tau table."""
 
 from fractions import Fraction
 
@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from qtoda import suites
-from qtoda.errors import DegreeBoundExceeded, InvalidTau, NonCoprime
+from qtoda.errors import InvalidTau, NonCoprime
 from qtoda.partitions import EMPTY, Partition
 from qtoda.qfield import QFieldElem, qpow
-from qtoda.schur import specialize_rho
-from qtoda.suites import pairs_up_to, tau_exponent_suite, tau_shift_suite
+from qtoda.schur import PowerSumPoly, PowerSumRing, specialize_rho
+from qtoda.suites import identity_suite, pairs_up_to, tau_exponent_suite, tau_shift_suite
 from qtoda.vertex import SessionParams, VertexContext, subpartitions, tau_table
 from qtoda.volterra import LatticeState, symbolic_flow_stencil, symbolic_lax
 
@@ -43,8 +43,11 @@ def test_vertex_two_routes_cross_check(ctx):
 
 
 def test_vertex_values_are_s_free(ctx):
+    # no term of the numerator or the denominator has an exponent depending on s
     for nu, nubar in pairs_up_to(4):
-        assert ctx.vertex_def(nu, nubar).is_s_free()
+        value = ctx.vertex_def(nu, nubar)
+        for part in (value.num, value.den):
+            assert all(c1 == c2 == 0 for _, c1, c2, _ in part.terms()), (nu, nubar)
 
 
 def test_vertex_transposition_symmetry(ctx):
@@ -78,31 +81,6 @@ def test_gamma_links_back_to_vertex(ctx):
             (-1) ** (nu.weight + nubar.weight)
         )
         assert ctx.vertex_def(nu, nubar) == rhs, (nu, nubar)
-
-
-def test_r_bullet_truncations():
-    ctx = VertexContext(4)
-    table = ctx.r_bullet(Fraction(1), 0)
-    assert list(table) == [((), ())]
-    assert table[((), ())].is_one()
-
-
-def test_r_bullet_coefficients():
-    ctx = VertexContext(4)
-    table = ctx.r_bullet(Fraction(1), 2)
-    # coefficient of p1 (nu=(1), nubar=empty): kappa((1)) = 0, so just the vertex value
-    assert table[((1,), ())] == specialize_rho(1)
-    # coefficient of p1*pbar1 comes out of the defining route
-    w11 = VertexContext(2).vertex_def(Partition((1,)), Partition((1,)))
-    assert table[((1,), (1,))] == w11
-
-
-def test_r_bullet_validation():
-    ctx = VertexContext(2)
-    with pytest.raises(InvalidTau):
-        ctx.r_bullet(Fraction(0), 1)
-    with pytest.raises(DegreeBoundExceeded):
-        ctx.r_bullet(Fraction(1), 2)
 
 
 def test_tau_table_normalized_entry():
@@ -182,7 +160,9 @@ def test_tau_table_cubic_delta_is_quadratic():
     delta = table.cubic_delta(0, -1)
     # P(s) - P(s-1) for P = (tau+1/tau+2)(4s^3-s)/24 at tau=1: 2(s-1/2)^2
     assert delta == qpow(c0=Fraction(1, 2), c1=-2, c2=2)
-    assert table.cubic_at(1) - table.cubic_at(0) == sum(exponent_of(delta))
+    c0, c1, c2, c3 = table.cubic
+    cubic_at = [c0 + c1 * s + c2 * s**2 + c3 * s**3 for s in (0, 1)]
+    assert cubic_at[1] - cubic_at[0] == sum(exponent_of(delta))
 
 
 def test_tau_table_validation():
@@ -253,6 +233,73 @@ def test_shift_checks_fail_on_tables_that_do_not_shift(monkeypatch):
     rederived = tau_exponent_suite(1, 1, 1, 4)
     assert rederived["passed"]
     assert [c["name"] for c in rederived["checks"]] == ["tau_exponent_rederivation"]
+
+
+def _kappa_off_on_seven(monkeypatch):
+    # weight 7 is seen only by the kappa check
+    real = Partition.kappa
+    monkeypatch.setattr(Partition, "kappa", lambda nu: real(nu) + (nu == Partition((7,))))
+
+
+def _schur_gains_an_off_weight_term(monkeypatch):
+    real = PowerSumRing.schur
+
+    def off_weight(ring, mu, size=None):
+        poly = real(ring, mu, size)
+        return poly + PowerSumPoly.one() if mu == Partition((2, 1)) else poly
+
+    monkeypatch.setattr(PowerSumRing, "schur", off_weight)
+
+
+def _padded_determinants_negated(monkeypatch):
+    # only the size-independence check asks for a determinant larger than l(mu)
+    real = PowerSumRing._jacobi_trudi
+
+    def negated(ring, mu, nu, size):
+        poly = real(ring, mu, nu, size)
+        return -poly if size > max(mu.length, nu.length) else poly
+
+    monkeypatch.setattr(PowerSumRing, "_jacobi_trudi", negated)
+
+
+def _vertex_doubled_at_one_box(monkeypatch):
+    real = VertexContext.vertex_def
+
+    def doubled(ctx, nu, nubar):
+        value = real(ctx, nu, nubar)
+        return value.scale(2) if (nu, nubar) == (Partition((1,)), EMPTY) else value
+
+    monkeypatch.setattr(VertexContext, "vertex_def", doubled)
+
+
+def _q_inversion_left_out(monkeypatch):
+    monkeypatch.setattr(QFieldElem, "invert_q", lambda x: x)
+
+
+def _matrix_element_at_rho(monkeypatch):
+    # the matrix element taken at q^rho instead of its continuation q^(-rho)
+    monkeypatch.setattr(VertexContext, "gamma_matrix_element",
+                        lambda ctx, nu, nubar: ctx._eta_sum(nu, nubar, "rho"))
+
+
+@pytest.mark.parametrize("name, mutate, first", [
+    ("kappa_conjugation_w8", _kappa_off_on_seven, "[7]"),
+    ("weighted_homogeneity_w5", _schur_gains_an_off_weight_term, "[2,1]"),
+    ("determinant_size_independence_w5", _padded_determinants_negated, "[]"),
+    ("vertex_transposition_w5", _vertex_doubled_at_one_box, "([],[1])"),
+    ("vertex_q_inversion_w5", _q_inversion_left_out, "([],[1])"),
+    ("vertex_matrix_element_link_w4", _matrix_element_at_rho, "([],[1])"),
+])
+def test_identity_check_fails_under_its_mutation(monkeypatch, name, mutate, first):
+    """Negative control: each mutation fails its identity check, whose detail
+    names the first offender, and the report still lists every check."""
+    names = [c["name"] for c in identity_suite(6, 5, 5)["checks"]]
+    mutate(monkeypatch)
+    report = identity_suite(6, 5, 5)
+    assert [c["name"] for c in report["checks"]] == names
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert not report["passed"] and not check["passed"]
+    assert check["detail"].split("; ")[0] == first, check
 
 
 def test_tau_entries_link_to_generating_coefficients():
