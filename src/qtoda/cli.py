@@ -25,7 +25,7 @@ from .report import merge_checks
 from .schur import PowerSumRing
 from .suites import identity_suite, laxcheck_suite, tau_shift_suite
 from .vertex import SessionParams, VertexContext, tau_table
-from .volterra import integrate, invariant_drift, perturbed_constant_state
+from .volterra import integrate_runs, invariant_drift, perturbed_constant_state
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -179,22 +179,23 @@ def cmd_laxcheck(args) -> int:
 def cmd_simulate(args) -> int:
     if args.invariants < 1:
         raise ValueError(f"--invariants {args.invariants} must be >= 1")
+    csv_path = args.out_csv or f"simulate_a{args.a}_b{args.b}.csv"
+    if args.out and Path(args.out).resolve() == Path(csv_path).resolve():
+        raise ValueError(f"--out {args.out} and the CSV path {csv_path} are the same file")
     state = perturbed_constant_state(
         args.a, args.b, args.sites, base=args.base, amplitude=args.amplitude,
         wavelength=args.wavelength,
     )
-    traj = integrate(state, args.flows, args.t_end, args.dt, record_every=args.record_every)
+    runs = [(args.dt, args.record_every)]
+    if args.order_check:  # the dt/2 run shares the dt run's loop
+        runs.append((args.dt / 2, 2 * args.record_every))
+    traj, *half = integrate_runs(state, args.flows, args.t_end, runs)
     drift, series = invariant_drift(traj, args.invariants)
-    drift_half = None
-    if args.order_check:
-        traj_half = integrate(state, args.flows, args.t_end, args.dt / 2,
-                              record_every=2 * args.record_every)
-        drift_half, _ = invariant_drift(traj_half, args.invariants)
+    drift_half = invariant_drift(half[0], args.invariants)[0] if half else None
     for k, values in enumerate(zip(series[0], drift, drift_half or drift), start=1):
         if not all(math.isfinite(v) for v in values):  # checked before any file is written
             raise ValueError(f"invariant H_{k} is not finite: lower --base or --amplitude")
 
-    csv_path = args.out_csv or f"simulate_a{args.a}_b{args.b}.csv"
     n = traj.states.shape[1]
     head = ["time", *(f"u_{j}" for j in range(n)),
             *(f"H_{k}" for k in range(1, args.invariants + 1))]

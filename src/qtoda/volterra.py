@@ -13,8 +13,8 @@ onto nonnegative shift powers agree with the infinite periodic lattice and
 the whole construction is an exact algebra homomorphism down to the cyclic
 realization.
 
-The flows need only the offset-0 diagonal d.  flow_rhs and integrate sum it
-over lattice paths of k*b steps of +a and k*a of -b (path_plan,
+The flows need only the offset-0 diagonal d.  flow_rhs and integrate_runs sum
+it over lattice paths of k*b steps of +a and k*a of -b (path_plan,
 power_diagonal), storing only the partial products that can still return
 to offset 0 and are not the all-(+a) one, which is 1: each step is a
 gather of -u, an in-place multiply and an in-place add over row slices
@@ -22,6 +22,13 @@ fixed in the plan.  Every entry is the same two-product sum banded_mul
 forms, so d is bitwise equal to the diagonal of banded_power on floats and
 equal on Fractions.  The banded products, elementwise along the last
 axis, remain for the traces, the duality check and the tests' reference.
+
+integrate_runs advances several step sizes of one state (simulate's dt and
+dt/2) in one RK4 loop, so they share every numpy call: one copy of the
+lattice per run, side by side in one site array and each periodic on its
+own block, with per-site step sizes.  The copies are ordered by descending
+step count, so the loop shrinks to a prefix as runs end, and a NonFinite
+names the first run in argument order to fail, as one call per run would.
 
 The flows work elementwise over numpy arrays; object arrays of Fractions
 run the same code path exactly.  The oracle compares them on such a state
@@ -169,7 +176,14 @@ def _require_flow(k: int) -> None:
         raise UnsupportedFlow("flow index must be >= 1")
 
 
-def path_plan(a: int, b: int, k: int, n: int) -> list[tuple]:
+def _periodic_gather(offsets, n: int, copies: int) -> np.ndarray:
+    """Per offset o, the site (j + o) mod n + r*n of each site j of copy r,
+    for copies periodic lattices of n sites side by side in one array."""
+    sites = np.arange(copies * n)
+    return np.add.outer(offsets, sites) % n + (sites - sites % n)
+
+
+def path_plan(a: int, b: int, k: int, n: int, copies: int = 1) -> list[tuple]:
     """Gather indices and row slices of the path recursion for the k-th flow.
 
     After t of the k*(a+b) steps, row i of the band holds the paths with i
@@ -179,7 +193,9 @@ def path_plan(a: int, b: int, k: int, n: int) -> list[tuple]:
     (idx, down, below, up, prev), takes the band to t + 1 steps: idx holds,
     per new row reached by a step of -b, the sites (j + offset) mod n of
     its -u; new rows down step so from the stored rows below, and new rows
-    up by +a from the stored rows prev.
+    up by +a from the stored rows prev.  With copies > 1, idx gathers on
+    that many lattices of n sites side by side, each periodic on its own
+    block: site j of copy r is r*n + j.
     """
     ka, kb = k * a, k * b
     plan = []
@@ -187,7 +203,7 @@ def path_plan(a: int, b: int, k: int, n: int) -> list[tuple]:
         lo, hi, lo2 = max(0, t - ka), min(t, kb), max(0, t + 1 - ka)
         first = max(lo + 1, lo2)  # lowest new row also reached by a step of +a
         offsets = [i * a - (t - i) * b for i in range(lo2, hi + 1)]
-        plan.append((np.add.outer(offsets, np.arange(n)) % n,
+        plan.append((_periodic_gather(offsets, n, copies),
                      slice(min(t - 1, kb) - lo2 + 1), slice(lo2 - lo, None),
                      slice(first - lo2, hi - lo2 + 1), slice(first - 1 - lo, hi - lo)))
     return plan
@@ -274,20 +290,8 @@ def _all_finite(u: np.ndarray, zeros: np.ndarray) -> bool:
     return not math.isnan(u.dot(zeros))
 
 
-def integrate(
-    state: LatticeState,
-    k: int = 1,
-    t_end: float = 1.0,
-    dt: float = 1e-3,
-    record_every: int = 1,
-) -> Trajectory:
-    """Fixed-step classical fourth-order Runge-Kutta; deterministic.
-
-    t_end must be a finite nonnegative whole multiple of dt, so a run never
-    ends early; every input is checked before the first step.  Each step
-    rounds u + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) and the stage arguments
-    u + (0.5*dt)*k1, u + (0.5*dt)*k2, u + dt*k3 as written, into two buffers.
-    """
+def _step_count(k: int, t_end: float, dt: float, record_every: int) -> int:
+    """The number of steps of one run, once each of its inputs is checked."""
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} = {value} must be finite")
@@ -301,32 +305,96 @@ def integrate(
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")
-    u = state.sites.astype(float)  # a copy, updated in place
-    bad = np.flatnonzero(~np.isfinite(u))
-    if bad.size:
-        raise NonFinite(f"initial state is not finite: u_{bad[0]} = {u[bad[0]]}")
-    back = np.arange(len(u)) - state.b
-    plan = path_plan(state.a, state.b, k, len(u))
-    arg, acc, zeros = np.empty_like(u), np.empty_like(u), np.zeros_like(u)
+    return n_steps
 
-    times = [state.time]
-    states = [u.copy()]
+
+def integrate(
+    state: LatticeState,
+    k: int = 1,
+    t_end: float = 1.0,
+    dt: float = 1e-3,
+    record_every: int = 1,
+) -> Trajectory:
+    """Fixed-step classical fourth-order Runge-Kutta; deterministic.
+
+    t_end must be a finite nonnegative whole multiple of dt, so a run never
+    ends early; every input is checked before the first step.  This is the
+    one-run call of integrate_runs.
+    """
+    return integrate_runs(state, k, t_end, [(dt, record_every)])[0]
+
+
+def integrate_runs(
+    state: LatticeState, k: int, t_end: float, runs: list[tuple[float, int]]
+) -> list[Trajectory]:
+    """RK4 runs of one state to t_end, one per (dt, record_every) in runs.
+
+    Returns one Trajectory per run, in argument order.  Each step rounds
+    u + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) and the stage arguments
+    u + (0.5*dt)*k1, u + (0.5*dt)*k2, u + dt*k3 as written, into two
+    buffers.  The runs share one loop and every numpy call in it: a copy
+    of the n sites per run lies side by side with the others in one array,
+    each periodic on its own block (path_plan's copies), and 0.5*dt, dt and
+    dt/6 are arrays of each copy's own value.  An elementwise product
+    rounds as the scalar one, so every run is bitwise equal to the run made
+    alone.  The copies are ordered by descending step count, so the live
+    ones are a prefix: when a run ends, the loop goes on with views of the
+    prefix, copying nothing.
+
+    Every input of every run is checked before the first step.  A state
+    that leaves double range raises NonFinite naming the step of the first
+    run, in argument order, to leave it, as one integrate call per run
+    would.  The copies are independent (a copy's nans stay in its block),
+    so a copy that fails while a run before it is still going is noted and
+    the loop goes on until that run has ended or failed.
+    """
+    steps = [_step_count(k, t_end, dt, record_every) for dt, record_every in runs]
+    u0 = state.sites.astype(float)
+    bad = np.flatnonzero(~np.isfinite(u0))
+    if bad.size:
+        raise NonFinite(f"initial state is not finite: u_{bad[0]} = {u0[bad[0]]}")
+    n, copies = len(u0), len(runs)
+    order = sorted(range(copies), key=lambda r: -steps[r])  # copy c runs runs[order[c]]
+    dt = np.repeat(np.array([runs[r][0] for r in order], dtype=float), n)
+    plan = path_plan(state.a, state.b, k, n, copies)
+    whole = (np.tile(u0, copies), _periodic_gather([-state.b], n, copies)[0],
+             0.5 * dt, dt, dt / 6.0, np.empty_like(dt), np.empty_like(dt), np.zeros_like(dt))
+
+    def prefix(live):
+        m = live * n
+        return [(idx[:, :m], *rows) for idx, *rows in plan], *(x[:m] for x in whole)
+
+    live = copies
+    live_plan, u, back, half, full, sixth, arg, acc, zeros = prefix(live)
+    times = [[state.time] for _ in runs]
+    states = [[u0.copy()] for _ in runs]
+    failed: dict[int, int] = {}  # run -> the step at which its copy left double range
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            k1 = _rhs(u, back, plan)
-            k2 = _rhs(np.add(u, np.multiply(0.5 * dt, k1, out=arg), out=arg), back, plan)
+        for step in range(max(steps, default=0)):
+            if steps[order[live - 1]] == step:  # the last live copy has ended
+                live = sum(steps[r] > step for r in order)
+                live_plan, u, back, half, full, sixth, arg, acc, zeros = prefix(live)
+            k1 = _rhs(u, back, live_plan)
+            k2 = _rhs(np.add(u, np.multiply(half, k1, out=arg), out=arg), back, live_plan)
             np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
-            k3 = _rhs(np.add(u, np.multiply(0.5 * dt, k2, out=arg), out=arg), back, plan)
+            k3 = _rhs(np.add(u, np.multiply(half, k2, out=arg), out=arg), back, live_plan)
             np.add(acc, np.multiply(2.0, k3, out=arg), out=acc)
-            k4 = _rhs(np.add(u, np.multiply(dt, k3, out=arg), out=arg), back, plan)
+            k4 = _rhs(np.add(u, np.multiply(full, k3, out=arg), out=arg), back, live_plan)
             np.add(acc, k4, out=acc)
-            np.add(u, np.multiply(dt / 6.0, acc, out=acc), out=u)
+            np.add(u, np.multiply(sixth, acc, out=acc), out=u)
+            done = step + 1
             if not _all_finite(u, zeros):
-                raise NonFinite(f"state left double-precision range at step {step + 1}")
-            if (step + 1) % record_every == 0 or step + 1 == n_steps:
-                times.append(state.time + (step + 1) * dt)
-                states.append(u.copy())
-    return Trajectory(state.a, state.b, np.array(times), np.array(states))
+                for c in range(live):
+                    if not np.isfinite(u[c * n:(c + 1) * n]).all():
+                        failed.setdefault(order[c], done)
+            if failed and all(steps[r] <= done for r in range(min(failed))):
+                raise NonFinite(
+                    f"state left double-precision range at step {failed[min(failed)]}")
+            for c, r in enumerate(order[:live]):
+                if done % runs[r][1] == 0 or done == steps[r]:
+                    times[r].append(state.time + done * runs[r][0])
+                    states[r].append(u[c * n:(c + 1) * n].copy())
+    return [Trajectory(state.a, state.b, np.array(t), np.array(s)) for t, s in zip(times, states)]
 
 
 def invariant_drift(traj: Trajectory, kmax: int = 3) -> tuple[list[float], list[list[float]]]:

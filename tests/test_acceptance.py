@@ -32,7 +32,7 @@ from qtoda.vertex import VertexContext
 from qtoda.volterra import (
     LatticeState,
     flow_rhs,
-    integrate,
+    integrate_runs,
     invariant_drift,
     perturbed_constant_state,
     stationarity_check,
@@ -178,9 +178,9 @@ def test_criterion_7_conservation_and_order():
     the max drift.
     """
     state = perturbed_constant_state(1, 1, 12, base=1.0, amplitude=0.85, wavelength=12)
-    traj = integrate(state, 1, t_end=10.0, dt=1e-3, record_every=500)
+    # one loop for both step sizes, the call simulate --order-check makes
+    traj, traj_half = integrate_runs(state, 1, 10.0, [(1e-3, 500), (5e-4, 1000)])
     drift, _ = invariant_drift(traj, 3)
-    traj_half = integrate(state, 1, t_end=10.0, dt=5e-4, record_every=1000)
     drift_half, _ = invariant_drift(traj_half, 3)
     ratio = max(drift) / max(drift_half)
     report(

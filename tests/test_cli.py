@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtoda import cli
+from qtoda import cli, volterra
 from qtoda.cli import main
 from qtoda.errors import TruncationInsufficient
 from qtoda import opalg
@@ -407,7 +407,7 @@ def test_simulate_rejects_a_non_coprime_type(tmp_path, capsys):
 
 
 def test_simulate_rejects_invariants_zero_before_integrating(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "integrate", _fail_if_called)
+    monkeypatch.setattr(cli, "integrate_runs", _fail_if_called)
     code = main([
         "simulate", "--a", "1", "--b", "1", "--sites", "4", "--invariants", "0",
         "--out-csv", str(tmp_path / "run.csv"),
@@ -415,6 +415,41 @@ def test_simulate_rejects_invariants_zero_before_integrating(tmp_path, monkeypat
     assert code == 2
     assert "--invariants 0 must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("report, csv", [
+    ("x", ["--out-csv", "x"]),
+    ("x", ["--out-csv", "./sub/../x"]),
+    ("simulate_a1_b1.csv", []),  # the CSV's default path
+])
+def test_simulate_refuses_one_file_for_report_and_csv(tmp_path, monkeypatch, capsys,
+                                                      report, csv):
+    # the report would overwrite the CSV that it names
+    monkeypatch.setattr(cli, "integrate_runs", _fail_if_called)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code = main(["simulate", "--t-end", "0.01", "--out", report, *csv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "are the same file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+def test_order_check_runs_both_step_sizes_in_one_loop(tmp_path, monkeypatch):
+    # 4 stages x 20 steps: 10 steps on both 24-site lattices side by side,
+    # then 10 on the dt/2 one alone; a loop per step size makes 4 x (10 + 20)
+    sizes = []
+    rhs = volterra._rhs
+
+    def counted(u, back, plan):
+        sizes.append(len(u))
+        return rhs(u, back, plan)
+
+    monkeypatch.setattr(volterra, "_rhs", counted)
+    assert main(["simulate", "--t-end", "0.01", "--dt", "1e-3", "--order-check",
+                 "--out-csv", str(tmp_path / "run.csv"), "--out", str(tmp_path / "run.json")]) == 0
+    assert sizes == [48] * 40 + [24] * 40
 
 
 @pytest.mark.parametrize(

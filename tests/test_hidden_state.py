@@ -99,6 +99,7 @@ ENTRY_POINTS = {
     "stencil_apply": "the other half of the exact oracle that benchmarks/child.py runs",
     "stationarity_check": "an acceptance check of the reduced flow equations",
     "duality_check": "an acceptance check of the two-sided flow duality",
+    "integrate": "the one-run call of integrate_runs, which simulate makes for all its runs",
 }
 
 

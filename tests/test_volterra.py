@@ -23,6 +23,7 @@ from qtoda.volterra import (
     duality_check,
     flow_rhs,
     integrate,
+    integrate_runs,
     invariant_drift,
     lax_diagonals,
     path_plan,
@@ -324,15 +325,25 @@ def _banded_rk4(state, k, dt, steps):
 
 @pytest.mark.parametrize("a,b,k", [(1, 1, 1), (2, 3, 1), (1, 2, 2), (3, 4, 1)])
 def test_integrate_bitwise_equals_banded_rk4(a, b, k):
-    """The benchmark's types, a k = 2 flow and a wide type, each at dt and,
-    as --order-check reruns it, at dt/2."""
+    """The benchmark's types, a k = 2 flow and a wide type, each at dt and
+    at dt/2, alone and both in one integrate_runs call, as --order-check
+    makes it, recording every 3rd and every 6th step."""
     state = perturbed_constant_state(a, b, 6, amplitude=0.3)
-    for dt, steps in ((1e-3, 50), (5e-4, 100)):
+    runs = [(1e-3, 3), (5e-4, 6)]
+    together = integrate_runs(state, k, 0.05, runs)
+    assert len(together) == 2
+    for (dt, every), steps, run in zip(runs, (50, 100), together):
         traj = integrate(state, k, t_end=0.05, dt=dt)
         reference = _banded_rk4(state, k, dt, steps)
         assert len(traj.states) == len(reference) == steps + 1
         for step, (got, expected) in enumerate(zip(traj.states, reference)):
             assert np.array_equal(got, expected), (dt, step)
+        alone = integrate(state, k, 0.05, dt, every)
+        recorded = [*range(0, steps, every), steps]
+        assert np.array_equal(run.times, alone.times)
+        assert np.array_equal(run.times, [i * dt for i in recorded])
+        assert np.array_equal(run.states, alone.states)
+        assert np.array_equal(run.states, np.array(reference)[recorded])
 
 
 def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
@@ -459,18 +470,20 @@ def test_nonfinite_detection():
         integrate(bad, 1, 1.0, 1e-2)
 
 
-def _overflowing_rhs(kind, site, step):
-    """A stand-in for volterra._rhs: 0 except at the given step, where its
-    four stages (1e308, 1e308, -1e308, -1e308 for "nan") overflow the
-    weighted sum k1 + 2*k2 + 2*k3 + k4 at u[site] to +inf, -inf or inf - inf."""
+def _overflowing_rhs(kind, *hits):
+    """A stand-in for volterra._rhs: 0 except, for each (site, step) of
+    hits, at u[site] at that step, where its four stages (1e308, 1e308,
+    -1e308, -1e308 for "nan") overflow the weighted sum
+    k1 + 2*k2 + 2*k3 + k4 to +inf, -inf or inf - inf."""
     stages = {"+inf": [1e308] * 4, "-inf": [-1e308] * 4, "nan": [1e308] * 2 + [-1e308] * 2}
     calls = itertools.count()
 
     def rhs(u, back, plan):
         call = next(calls)
         out = np.zeros_like(u)
-        if call // 4 + 1 == step:
-            out[site] = stages[kind][call % 4]
+        for site, step in hits:
+            if call // 4 + 1 == step:
+                out[site] = stages[kind][call % 4]
         return out
 
     return rhs
@@ -490,17 +503,21 @@ def _isfinite_step(rhs, u, dt, steps):
     return None
 
 
+def _failing_step(call):
+    """The step that call's NonFinite names, or None when it returns."""
+    try:
+        call()
+    except NonFinite as err:
+        return int(re.fullmatch(r"state left double-precision range at step (\d+)", str(err))[1])
+    return None
+
+
 def _check_stops_where_isfinite_does(monkeypatch, kind, site):
     state = LatticeState(1, 1, np.ones(8))
-    expected = _isfinite_step(_overflowing_rhs(kind, site, 3), state.sites, 1.0, 5)
+    expected = _isfinite_step(_overflowing_rhs(kind, (site, 3)), state.sites, 1.0, 5)
     assert expected == 3
-    monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, site, 3))
-    try:
-        integrate(state, 1, t_end=5.0, dt=1.0)
-        got = None
-    except NonFinite as err:
-        got = int(re.fullmatch(r"state left double-precision range at step (\d+)", str(err))[1])
-    assert got == expected
+    monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, (site, 3)))
+    assert _failing_step(lambda: integrate(state, 1, t_end=5.0, dt=1.0)) == expected
 
 
 @pytest.mark.parametrize("site", [0, -1])
@@ -513,6 +530,31 @@ def test_finiteness_test_sees_a_check_that_misses_nan(monkeypatch):
     monkeypatch.setattr(volterra, "_all_finite", lambda u, zeros: not np.isinf(u).any())
     with pytest.raises(AssertionError):
         _check_stops_where_isfinite_does(monkeypatch, "nan", 0)
+
+
+@pytest.mark.parametrize("kind", ["+inf", "nan"])
+@pytest.mark.parametrize("dt_hits, half_hits, expected", [
+    ([(3, 4)], [(5, 2)], 4),  # the dt/2 copy fails first: the dt run's step is still named
+    ([(3, 4)], [(5, 7)], 4),
+    ([], [(5, 2)], 2),  # the dt/2 copy alone, before the dt run has ended at step 5
+    ([], [(5, 7)], 7),  # and after it has ended
+    ([(0, 5)], [], 5),
+])
+def test_nonfinite_names_the_first_run_in_argument_order(monkeypatch, kind, dt_hits,
+                                                         half_hits, expected):
+    """integrate_runs at (dt, dt/2) names the step that integrate at dt, then
+    integrate at dt/2, would name.  The loop runs the dt/2 copy (10 steps)
+    on sites 0..7 and the dt copy (5 steps) on sites 8..15."""
+    state = LatticeState(1, 1, np.ones(8))
+    sequential = None
+    for dt, hits in ((1.0, dt_hits), (0.5, half_hits)):
+        monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, *hits))
+        sequential = sequential or _failing_step(lambda: integrate(state, 1, 5.0, dt))
+    assert sequential == expected
+    hits = [(site + 8, step) for site, step in dt_hits] + half_hits
+    monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, *hits))
+    runs = [(1.0, 1), (0.5, 1)]
+    assert _failing_step(lambda: integrate_runs(state, 1, 5.0, runs)) == expected
 
 
 def test_nonfinite_start_is_named_before_a_step():
