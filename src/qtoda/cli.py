@@ -188,6 +188,8 @@ def cmd_simulate(args) -> int:
     )
     runs = [(args.dt, args.record_every)]
     if args.order_check:  # the dt/2 run shares the dt run's loop
+        if args.dt > 0 and not args.dt / 2:
+            raise ValueError(f"--dt {args.dt}: its half step for --order-check underflows to 0")
         runs.append((args.dt / 2, 2 * args.record_every))
     traj, *half = integrate_runs(state, args.flows, args.t_end, runs)
     drift, series = invariant_drift(traj, args.invariants)

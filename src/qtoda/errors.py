@@ -44,3 +44,7 @@ class UnsupportedFlow(QTodaError):
 
 class NonFinite(QTodaError):
     """A trajectory left the range of double precision."""
+
+
+class MixedSParts(QTodaError):
+    """Two q-power sums of different s-parts were added."""

@@ -7,14 +7,17 @@ add under multiplication, so the monomials form a totally ordered group,
 the linear combinations an integral domain, and the quotients a field.
 Everything is exact.
 
-A `QPowerSum` groups its terms by their s-part c2*s^2 + c1*s and stores
-each group as q^(c2*s^2 + c1*s) * c * P(q^(1/L)): L the smallest grid of
-the constant exponents c0, c the rational content, P a primitive integer
-Laurent polynomial with a positive leading coefficient.  The form is
-canonical, so equality and hashing are structural.  Products multiply the
-P's in ints with no gcd pass (Gauss's lemma); sums take one.
+Every term of a `QPowerSum` shares one s-part c2*s^2 + c1*s, as every
+sum the construction builds does: a q-monomial in s times an s-free
+function of q^(1/2).  It is stored as q^(c2*s^2 + c1*s) * c * P(q^(1/L)):
+L the smallest grid of the constant exponents c0, c the rational content,
+P a primitive integer Laurent polynomial with a positive leading
+coefficient.  The form is canonical, so equality and hashing are
+structural.  Products multiply the P's in ints with no gcd pass (Gauss's
+lemma); sums take one.  Adding two nonzero sums of different s-parts
+raises `MixedSParts`.
 
-Every operation, the text form included, works on these parts.  An
+Every operation, the text form included, works on this part.  An
 exponent enters only as the coefficients (c0, c1, c2) of a monomial,
 `qpow(c0, c1, c2, coef)` or `QPowerSum.monomial`, and `terms()` reads the
 same tuples back out.
@@ -22,10 +25,9 @@ same tuples back out.
 Equality of quotients is decided by cross multiplication; no gcd-style
 normalization is attempted.  The reductions applied are cheap ones that
 keep iterated arithmetic bounded: the smallest denominator term is divided
-out of both parts, and when each denominator has one s-part, sums try to
-reuse a common denominator through an exact-division probe, a pure
-function ended by an exact exponent bound and kept in no memo.  Otherwise
-they cross-multiply.
+out of both parts, and sums try to reuse a common denominator through an
+exact-division probe, a pure function ended by an exact exponent bound and
+kept in no memo.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
+from .errors import MixedSParts
 from .sparse import join_terms
 
 Rat = Union[int, Fraction]
@@ -85,7 +88,7 @@ def _expo_text(key: tuple) -> str:
     return text or "0"
 
 
-# -- the parts of a QPowerSum -------------------------------------------------
+# -- the part of a QPowerSum --------------------------------------------------
 # A part (L, c, P) holds the terms c * P[k] * q^(k/L) of one s-part: c is a
 # nonzero rational as a normalized int pair, P a nonempty primitive
 # {int: int} whose coefficient at the largest exponent is positive, and
@@ -93,11 +96,6 @@ def _expo_text(key: tuple) -> str:
 # (n2, d2, n1, d1) of c2*s^2 + c1*s: its coefficients as normalized int pairs.
 
 _S0 = (0, 1, 0, 1)
-
-
-def _s_order(s: tuple) -> tuple:
-    """Sort key (c2, c1) of an s-part."""
-    return Fraction(*s[:2]), Fraction(*s[2:])
 
 
 def _s_neg(s: tuple) -> tuple:
@@ -158,69 +156,73 @@ def _part_times_q(part: tuple, n: int, d: int) -> tuple:
 
 
 class QPowerSum:
-    """Finite Q-linear combination of monomials q^E(s), displayed by
-    descending E and stored as {s-part: (L, c, P)} (see the module
-    docstring).  Instances are immutable."""
+    """Finite Q-linear combination of monomials q^E(s) of one s-part,
+    displayed by descending E and stored as the s-part key `s` and the part
+    (L, c, P) (see the module docstring); zero has neither.  Instances are
+    immutable."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("s", "part", "_hash")
 
     def __init__(self, terms=()):
         """Sum of (c0, c1, c2, coefficient) terms, the form `terms()` reads out."""
-        self.parts = sum((QPowerSum.monomial(*t) for t in terms), _QPS_ZERO).parts
+        total = sum((QPowerSum.monomial(*t) for t in terms), _QPS_ZERO)
+        self.s, self.part = total.s, total.part
 
     @staticmethod
-    def _raw(parts: dict) -> "QPowerSum":
-        (new := object.__new__(QPowerSum)).parts = parts
+    def _raw(s: tuple | None, part: tuple | None) -> "QPowerSum":
+        new = object.__new__(QPowerSum)
+        new.s, new.part = s, part
         return new
 
     @staticmethod
     def zero() -> "QPowerSum":
-        return QPowerSum._raw({})
+        return QPowerSum._raw(None, None)
 
     @staticmethod
     def one() -> "QPowerSum":
-        return QPowerSum._raw({_S0: (1, (1, 1), {0: 1})})
+        return QPowerSum._raw(_S0, (1, (1, 1), {0: 1}))
 
     @staticmethod
     def monomial(c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, coef: Rat = 1) -> "QPowerSum":
         """coef * q^(c2*s^2 + c1*s + c0)."""
         coef, (n, d) = _rat(coef), _rat(c0)
-        return QPowerSum._raw({_rat(c2) + _rat(c1): (d, coef, {n: 1})} if coef[0] else {})
+        return QPowerSum._raw(_rat(c2) + _rat(c1), (d, coef, {n: 1})) if coef[0] else _QPS_ZERO
 
     def terms(self):
         """Every term as (c0, c1, c2, coefficient), all Fractions."""
-        for (n2, d2, n1, d1), (L, (n, d), P) in self.parts.items():
+        if self.part is not None:
+            (n2, d2, n1, d1), (L, (n, d), P) = self.s, self.part
             for k, v in P.items():
                 yield Fraction(k, L), Fraction(n1, d1), Fraction(n2, d2), Fraction(n * v, d)
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return self.part is None
 
     def is_one(self) -> bool:
-        return self.parts == _QPS_ONE.parts
+        return self.s == _S0 and self.part == _QPS_ONE.part
 
     def __len__(self) -> int:
-        return sum(len(P) for _, _, P in self.parts.values())
+        return len(self.part[2]) if self.part else 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPowerSum) and self.parts == other.parts
+        return isinstance(other, QPowerSum) and self.s == other.s and self.part == other.part
 
     def __hash__(self):
-        if not hasattr(self, "_hash"):  # computed once, as parts never change
-            parts = self.parts.items()
-            self._hash = hash(frozenset((s, L, c, frozenset(P.items())) for s, (L, c, P) in parts))
+        if not hasattr(self, "_hash"):  # computed once, as the part never changes
+            L, c, P = self.part or (0, 0, {})
+            self._hash = hash((self.s, L, c, frozenset(P.items())))
         return self._hash
 
     def __add__(self, other: "QPowerSum") -> "QPowerSum":
-        if not self.parts:
-            return other
-        parts = dict(self.parts)
-        for s, part in other.parts.items():
-            got = parts.pop(s, None)
-            total = part if got is None else _part_add(got, part)
-            if total is not None:
-                parts[s] = total
-        return QPowerSum._raw(parts)
+        if self.part is None or other.part is None:
+            return other if self.part is None else self
+        if self.s != other.s:
+            raise MixedSParts(
+                f"cannot add q-power sums of different s-parts "
+                f"{_expo_text(self.s + (0, 1))} and {_expo_text(other.s + (0, 1))}"
+            )
+        part = _part_add(self.part, other.part)
+        return _QPS_ZERO if part is None else QPowerSum._raw(self.s, part)
 
     def __neg__(self) -> "QPowerSum":
         return self.scale(-1)
@@ -229,49 +231,46 @@ class QPowerSum:
         return self + -other
 
     def __mul__(self, other: "QPowerSum") -> "QPowerSum":
-        total = _QPS_ZERO
-        for sa, pa in self.parts.items():
-            for sb, pb in other.parts.items():
-                total = total + QPowerSum._raw({_sigma_add(sa, sb): _part_mul(pa, pb)})
-        return total
+        if self.part is None or other.part is None:
+            return _QPS_ZERO
+        return QPowerSum._raw(_sigma_add(self.s, other.s), _part_mul(self.part, other.part))
 
     def _times(self, key: tuple, coef: tuple[int, int]) -> "QPowerSum":
-        """Product with coef * q^E, E given by its int key and coef as an int pair."""
-        s, (n, d) = key[:4], key[4:]
-        return QPowerSum._raw({
-            _sigma_add(t, s): _part_times_q((L, _rmul(c, coef), P), n, d)
-            for t, (L, c, P) in self.parts.items()
-        })
+        """Product of a nonzero sum with coef * q^E, E given by its int key
+        and coef as an int pair."""
+        (L, c, P), (n, d) = self.part, key[4:]
+        part = _part_times_q((L, _rmul(c, coef), P), n, d)
+        return QPowerSum._raw(_sigma_add(self.s, key[:4]), part)
 
     def scale(self, r: Rat) -> "QPowerSum":
-        return self._times(_S0 + (0, 1), _rat(r)) if r else _QPS_ZERO
+        return self._times(_S0 + (0, 1), _rat(r)) if r and self.part else _QPS_ZERO
 
     def shift(self, beta: Rat) -> "QPowerSum":
         """Substitute s -> s + beta in every exponent (ring homomorphism)."""
-        b, parts = _rat(beta), {}
-        for s, part in self.parts.items():
-            k = _shift_key(s + (0, 1), b)
-            parts[k[:4]] = _part_times_q(part, *k[4:])
-        return QPowerSum._raw(parts)
+        if self.part is None:
+            return self
+        k = _shift_key(self.s + (0, 1), _rat(beta))
+        return QPowerSum._raw(k[:4], _part_times_q(self.part, *k[4:]))
 
     def negate_exponents(self) -> "QPowerSum":
         """The involution q -> 1/q (negates every exponent)."""
-        parts = {}
-        for s, (L, c, P) in self.parts.items():
-            sg = 1 if P[min(P)] > 0 else -1  # the sign of the new leading coefficient
-            parts[_s_neg(s)] = (L, (c[0] * sg, c[1]), {-k: v * sg for k, v in P.items()})
-        return QPowerSum._raw(parts)
+        if self.part is None:
+            return self
+        L, c, P = self.part
+        sg = 1 if P[min(P)] > 0 else -1  # the sign of the new leading coefficient
+        part = (L, (c[0] * sg, c[1]), {-k: v * sg for k, v in P.items()})
+        return QPowerSum._raw(_s_neg(self.s), part)
 
     def __str__(self) -> str:
-        """Terms by descending (c2, c1, c0): the s-parts by (c2, c1), then
-        each P by its int key."""
+        """Terms by descending c0, the order of P's int keys."""
+        if self.part is None:
+            return "0"
+        s, (L, (n, d), P) = self.s, self.part
         terms = []
-        for s in sorted(self.parts, key=_s_order, reverse=True):
-            L, (n, d), P = self.parts[s]
-            for k in sorted(P, reverse=True):
-                a, b = _pair(n * P[k], d)
-                mono = None if s == _S0 and not k else f"q^({_expo_text(s + _pair(k, L))})"
-                terms.append((str(a) if b == 1 else f"{a}/{b}", mono))
+        for k in sorted(P, reverse=True):
+            a, b = _pair(n * P[k], d)
+            mono = None if s == _S0 and not k else f"q^({_expo_text(s + _pair(k, L))})"
+            terms.append((str(a) if b == 1 else f"{a}/{b}", mono))
         return join_terms(terms)
 
     def __repr__(self) -> str:
@@ -283,7 +282,7 @@ _QPS_ONE = QPowerSum.one()
 
 
 def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
-    """num/den when each side has one s-part and the division is exact, else None.
+    """num/den when the division is exact, else None.
 
     Leading-term elimination on the int P's, ended by an exact bound: an
     exact quotient's lowest term times den's lowest term is num's lowest
@@ -292,8 +291,7 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
     below low, after at most span(num) - span(den) + 1 steps.  By Gauss's
     lemma an exact quotient of primitive P's is primitive with int
     coefficients, so the first leading coefficient that does not divide
-    also ends it.  With several s-parts on either side it gives up, and
-    `QFieldElem.__add__` cross-multiplies.
+    also ends it.
     """
     if den.is_zero():
         return None
@@ -301,9 +299,7 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
         return num
     if num.is_zero():
         return _QPS_ZERO
-    if len(num.parts) != 1 or len(den.parts) != 1:
-        return None
-    ((sn, (Ln, cn, Pn)),), ((sd, (Ld, cd, Pd)),) = num.parts.items(), den.parts.items()
+    (Ln, cn, Pn), (Ld, cd, Pd) = num.part, den.part
     L = lcm(Ln, Ld)
     rem, Pd = dict(_regrid(Ln, Pn, L)), _regrid(Ld, Pd, L)
     lead_e, low = max(Pd), min(rem) - min(Pd)
@@ -321,7 +317,7 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
             rem[k] = rem.get(k, 0) - c * qc
             if not rem[k]:
                 del rem[k]
-    return QPowerSum._raw({_sigma_add(sn, _s_neg(sd)): _on_grid(L, _rdiv(cn, cd), quot)})
+    return QPowerSum._raw(_sigma_add(num.s, _s_neg(den.s)), _on_grid(L, _rdiv(cn, cd), quot))
 
 
 class QFieldElem:
@@ -339,9 +335,8 @@ class QFieldElem:
         if num.is_zero():
             den = _QPS_ONE
         elif not den.is_one():
-            # the smallest term c * q^(sigma + k/L) in the order (c2, c1, c0)
-            s = next(iter(den.parts)) if len(den.parts) == 1 else min(den.parts, key=_s_order)
-            L, (n, d), P = den.parts[s]
+            # the smallest term c * q^(sigma + k/L)
+            s, (L, (n, d), P) = den.s, den.part
             k = min(P)
             if not (s == _S0 and k == 0 and n * P[k] == d):
                 key, inv = _s_neg(s) + _pair(-k, L), _rdiv((1, 1), (n * P[k], d))

@@ -302,6 +302,8 @@ def _step_count(k: int, t_end: float, dt: float, record_every: int) -> int:
     if record_every < 1:
         raise ValueError(f"record_every = {record_every} must be >= 1")
     _require_flow(k)
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} overflows: too many steps")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end} is not a whole multiple of dt = {dt}")

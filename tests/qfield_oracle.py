@@ -7,8 +7,7 @@ into a plain {(c2, c1, c0): coefficient} dict of Fractions, and the `ref_*`
 functions are the ring operations on such dicts, and `ref_str` the text
 form.  All of them read an element only through `QPowerSum.terms()`, so
 they share no polynomial arithmetic or formatting with the code they
-check.  `count_s_parts` counts the sums with more than one s-part, on
-which the exact-division probe gives up and sums cross-multiply.
+check.
 """
 
 from fractions import Fraction
@@ -99,19 +98,3 @@ def ref_str(p) -> str:
             text += " - " + term[1:] if term.startswith("-") else " + " + term
     return text or "0"
 
-
-def count_s_parts(monkeypatch) -> dict:
-    """Count, from now on, every QPowerSum built ("sums") and those with more
-    than one s-part ("mixed"); monkeypatch undoes the counting."""
-    from qtoda.qfield import QPowerSum
-
-    built = {"sums": 0, "mixed": 0}
-    raw = QPowerSum._raw
-
-    def counting(parts):
-        built["sums"] += 1
-        built["mixed"] += len(parts) > 1
-        return raw(parts)
-
-    monkeypatch.setattr(QPowerSum, "_raw", staticmethod(counting))
-    return built

@@ -19,7 +19,6 @@ from qtoda import opalg
 from qtoda.opalg import LaxSession, SitePoly
 from qtoda.qfield import qpow
 from qtoda.volterra import LatticeState, flow_rhs, stencil_apply, symbolic_flow_stencil
-from qfield_oracle import count_s_parts
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
 REPO = Path(__file__).resolve().parents[1]
@@ -320,17 +319,22 @@ def test_traced_benchmark_run_ends_in_a_full_result_line(workload):
     assert not any(line.startswith("not reported") for line in lines)
 
 
-@pytest.mark.parametrize(
-    "name", ["laxcheck-a1-b1-t6", "laxcheck-a2-b1-neg-t6", "identities-w6", "tau-a1-b2-d7"]
-)
-def test_exact_benchmark_job_builds_no_sum_with_two_s_parts(name, tmp_path, monkeypatch):
-    # every QPowerSum of the exact jobs has one s-part, the fast path of the
-    # q-field core; test_sparse checks that the several-s-part path still runs
-    bench = load_benchmark("run")
-    (job,) = [j for jobs in bench.WORKLOADS.values() for j in jobs if j.name == name]
-    built = count_s_parts(monkeypatch)
-    assert main(list(job.argv) + ["--out", str(tmp_path / "out.json")]) == 0
-    assert built["sums"] > 1000 and built["mixed"] == 0
+@pytest.mark.parametrize("argv", [
+    "laxcheck --a 1 --b 2 --T 4 --deg 4",
+    "laxcheck --a 2 --b 3 --T 4 --deg 4",
+    "laxcheck --a 3 --b 1 --sign -1 --T 4 --deg 4",
+    "laxcheck --a 4 --b 3 --sign -1 --T 4 --deg 4",
+    "tau --a 1 --b 2 --deg 5 --shift=1/2",
+    "tau --a 3 --b 1 --sign -1 --deg 5 --shift=-2/5",
+    "laxcheck --a 1 --b 1 --T 5 --deg 6 --flow 3",
+])
+def test_exact_command_adds_no_sums_across_s_parts(argv, tmp_path):
+    # a QPowerSum holds one s-part and refuses a sum across two (MixedSParts,
+    # exit 2); these runs, beside the benchmark jobs, cover both signs,
+    # shifted tables and a higher flow, and each must pass
+    out = tmp_path / "out.json"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -367,6 +371,32 @@ def test_simulate_rejects_t_end_not_multiple_of_dt(tmp_path, capsys):
     ])
     assert code == 2
     assert "whole multiple" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_step_count_that_overflows(tmp_path, capsys):
+    # 1 / 1e-320 is inf, no step count; it used to end in an OverflowError
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", "--dt", "1e-320",
+        "--t-end", "1", "--out-csv", str(csv), "--out", str(report),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: t_end / dt = 1.0 / 1e-320 overflows: too many steps\n"
+    assert not csv.exists() and not report.exists()
+
+
+def test_simulate_order_check_names_a_dt_whose_half_underflows(tmp_path, capsys):
+    # the smallest positive double has no half; the check says so, not "dt must be positive"
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    code = main([
+        "simulate", "--a", "1", "--b", "1", "--sites", "4", "--dt", "5e-324",
+        "--t-end", "0", "--order-check", "--out-csv", str(csv), "--out", str(report),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --dt 5e-324: its half step for --order-check underflows to 0\n"
+    assert not csv.exists() and not report.exists()
 
 
 @pytest.mark.parametrize(

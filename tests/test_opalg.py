@@ -13,6 +13,7 @@ from qtoda.errors import (
     TruncationInsufficient,
 )
 from qtoda import opalg, suites
+from qtoda.cli import main
 from qtoda.opalg import (
     DiffOp,
     LaxSession,
@@ -74,21 +75,27 @@ def test_symbolic_square():
     assert sq.coeff(1).is_zero() and sq.coeff(-1).is_zero()
 
 
-def random_triangular(rng, step=Fraction(1), nterms=4):
+# The random operators are graded as those of the construction are: the
+# coefficient at index n has the s-part lam*n*s, with one lam per test case
+# shared by all its operands, so products and shifts stay within one s-part.
+LAMBDAS = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def random_triangular(rng, lam, step=Fraction(1), nterms=4):
     coeffs = {0: ONE}
     for n in range(1, nterms):
         c0 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-        c1 = Fraction(rng.randint(-2, 2))
-        coeffs[-n] = qpow(c0=c0, c1=c1, coef=rng.choice([1, -1]))
+        coeffs[-n] = qpow(c0=c0, c1=-lam * n, coef=rng.choice([1, -1]))
     return DiffOp(step, coeffs, floor=-(nterms - 1), ceil=None)
 
 
 def test_associativity_random():
     rng = random.Random(3)
     for _ in range(6):
-        a = random_triangular(rng, nterms=3)
-        b = random_triangular(rng, nterms=3)
-        c = random_triangular(rng, nterms=3)
+        lam = rng.choice(LAMBDAS)
+        a = random_triangular(rng, lam, nterms=3)
+        b = random_triangular(rng, lam, nterms=3)
+        c = random_triangular(rng, lam, nterms=3)
         assert ((a * b) * c - a * (b * c)).is_zero_on_window()
 
 
@@ -116,7 +123,7 @@ def test_inverse_window_stops_at_operand_truncation():
 def test_inverse_two_sided():
     rng = random.Random(9)
     for _ in range(5):
-        a = random_triangular(rng, nterms=4)
+        a = random_triangular(rng, rng.choice(LAMBDAS), nterms=4)
         inv = op_inverse(a, -6)
         left = a * inv
         right = inv * a
@@ -195,18 +202,19 @@ def test_window_soundness_random():
     rng = random.Random(11)
     for trial in range(12):
         lower = trial % 2 == 0
-        step = rng.choice([Fraction(1), Fraction(1, 2)])
+        sign = -1 if lower else 1
+        step, lam = rng.choice([Fraction(1), Fraction(1, 2)]), rng.choice(LAMBDAS)
         ops = []
         for _ in range(2):
             T = rng.randint(2, 4)
             top = rng.randint(-1, 1)
             pivot = Fraction(rng.randint(-2, 2), 2)
-            coeffs = [qpow(pivot, coef=rng.choice([1, -1]))]
+            coeffs = [qpow(pivot, lam * top, coef=rng.choice([1, -1]))]
             coeffs += [
-                qpow(Fraction(rng.randint(-3, 3), rng.choice([1, 2])), Fraction(rng.randint(-2, 2)),
+                qpow(Fraction(rng.randint(-3, 3), rng.choice([1, 2])), lam * (top + sign * n),
                      coef=rng.choice([1, -1]))
                 if rng.random() < 0.8 else QFieldElem.zero()
-                for _ in range(T + 2)
+                for n in range(1, T + 3)
             ]
             ops.append((triangular_to_depth(T, coeffs, top, lower, step),
                         triangular_to_depth(T + 2, coeffs, top, lower, step)))
@@ -228,12 +236,13 @@ def test_window_soundness_random():
                 got.coeff(lo - 1 if lower else hi + 1)
 
 
-def _random_full(rng, step):
-    """Exact operator with nonzero rational q-monomial coefficients on [lo, hi]."""
+def _random_full(rng, step, lam):
+    """Exact operator with nonzero rational q-monomial coefficients on [lo, hi],
+    the one at index n of s-part lam*n*s."""
     lo = rng.randint(-4, 1)
     hi = lo + rng.randint(0, 5)
     coeffs = {
-        n: qpow(Fraction(rng.randint(-3, 3), 2), rng.randint(-2, 2),
+        n: qpow(Fraction(rng.randint(-3, 3), 2), lam * n,
                 coef=Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)))
         for n in range(lo, hi + 1)
     }
@@ -262,8 +271,8 @@ def test_product_window_never_certifies_a_discarded_term():
     rng = random.Random(20)
     raised = products = widened = 0
     for trial in range(300):
-        step = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
-        full_a, full_b = _random_full(rng, step), _random_full(rng, step)
+        step, lam = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)]), rng.choice(LAMBDAS)
+        full_a, full_b = _random_full(rng, step, lam), _random_full(rng, step, lam)
         a, b = _random_truncation(rng, full_a), _random_truncation(rng, full_b)
         if (a.floor is not None and b.ceil is not None) or (
             a.ceil is not None and b.floor is not None
@@ -300,25 +309,24 @@ def test_product_window_never_certifies_a_discarded_term():
 STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
 
 
-def _completion(rng, full, cut):
-    """`full` (its terms lie in [-4, 6]) plus a nonzero term at every index
-    of [-8, 10] that `cut` discards: a second exact operator that `cut`
-    truncates, differing from `full` on every discarded index that the
-    checks below look at."""
+def _completion(rng, full, cut, lam):
+    """`full` (its terms lie in [-4, 6]) plus a nonzero term, of s-part
+    lam*n*s at index n, at every index of [-8, 10] that `cut` discards: a
+    second exact operator that `cut` truncates, differing from `full` on
+    every discarded index that the checks below look at."""
     coeffs = dict(full.coeffs)
     for n in range(-8, 11):
         if (cut.floor is not None and n < cut.floor) or (cut.ceil is not None and n > cut.ceil):
-            extra = qpow(Fraction(rng.randint(-9, 9), 4), rng.randint(-2, 2),
-                         coef=rng.randint(2, 9))
+            extra = qpow(Fraction(rng.randint(-9, 9), 4), lam * n, coef=rng.randint(2, 9))
             coeffs[n] = coeffs[n] + extra if n in coeffs else extra
     return DiffOp(full.step, coeffs)
 
 
-def _operand(rng, step):
+def _operand(rng, step, lam):
     """(truncated, untruncated, another completion of the truncated one)."""
-    full = _random_full(rng, step)
+    full = _random_full(rng, step, lam)
     cut = _random_truncation(rng, full)
-    return cut, full, _completion(rng, full, cut)
+    return cut, full, _completion(rng, full, cut, lam)
 
 
 def _schoolbook(x, y):
@@ -360,8 +368,8 @@ def test_difference_window_is_sound_and_tight():
     rng = random.Random(21)
     refused = 0
     for _ in range(120):
-        step = rng.choice(STEPS)
-        (a, fa, oa), (b, fb, ob) = _operand(rng, step), _operand(rng, step)
+        step, lam = rng.choice(STEPS), rng.choice(LAMBDAS)
+        (a, fa, oa), (b, fb, ob) = _operand(rng, step, lam), _operand(rng, step, lam)
 
         def minus(x, y):
             return DiffOp(step, {n: x.coeff(n) - y.coeff(n) for n in {*x.coeffs, *y.coeffs}})
@@ -378,7 +386,7 @@ def test_pow_int_window_is_sound_and_tight():
     rng = random.Random(22)
     whole = refused = 0
     for _ in range(90):
-        a, full, other = _operand(rng, rng.choice(STEPS))
+        a, full, other = _operand(rng, rng.choice(STEPS), rng.choice(LAMBDAS))
         k = rng.randint(1, 3)
         truth, other_k = full, other
         for _ in range(k - 1):
@@ -401,7 +409,7 @@ def test_with_step_window_is_sound_and_tight():
     rng = random.Random(23)
     refused = 0
     for _ in range(100):
-        a, full, other = _operand(rng, rng.choice(STEPS))
+        a, full, other = _operand(rng, rng.choice(STEPS), rng.choice(LAMBDAS))
         r = rng.choice([1, 2, 3])
         fine = a.step / r
 
@@ -419,7 +427,7 @@ def test_window_clamp_is_sound_and_tight(method):
     rng = random.Random(24)
     refused = 0
     for _ in range(100):
-        a, full, other = _operand(rng, rng.choice(STEPS))
+        a, full, other = _operand(rng, rng.choice(STEPS), rng.choice(LAMBDAS))
         edge = rng.randint(min(full.coeffs) - 2, max(full.coeffs) + 2)
         got = getattr(a, method)(edge)
         span = _span(full, got)
@@ -435,7 +443,7 @@ def test_projection_is_sound_and_tight(method):
     rng = random.Random(25)
     whole = refused = 0
     for _ in range(150):
-        a, full, other = _operand(rng, rng.choice(STEPS))
+        a, full, other = _operand(rng, rng.choice(STEPS), rng.choice(LAMBDAS))
         keep = (lambda n: n >= 0) if method == "proj_nonneg" else (lambda n: n < 0)
 
         def project(x):
@@ -467,8 +475,8 @@ def test_monomial_pow_is_exact_and_refuses_a_truncated_operand():
     rng = random.Random(26)
     witnessed = 0
     for _ in range(60):
-        step = rng.choice(STEPS)
-        full = _random_full(rng, step)
+        step, lam = rng.choice(STEPS), rng.choice(LAMBDAS)
+        full = _random_full(rng, step, lam)
         idx = rng.choice(sorted(full.coeffs))
         mono, k = DiffOp(step, {idx: full.coeffs[idx]}), rng.randint(-3, 3)
         got, expected = monomial_pow(mono, k), _monomial_power(step, idx, full.coeffs[idx], k)
@@ -482,7 +490,7 @@ def test_monomial_pow_is_exact_and_refuses_a_truncated_operand():
         with pytest.raises(ValueError):
             monomial_pow(cut, k)
         if k > 0:  # the power of another completion differs: the refusal is needed
-            other = _completion(rng, mono, cut)
+            other = _completion(rng, mono, cut, lam)
             other_k = other
             for _ in range(k - 1):
                 other_k = _schoolbook(other_k, other)
@@ -662,7 +670,8 @@ def test_orlov_names_the_power_of_a_damaged_inverse_coefficient():
     session = LaxSession(SessionParams(1, 1, 1, T=T))
     inv = session.w0_inv
     bad = dict(inv.coeffs)
-    bad[-T] = inv.coeff(-T) + qpow(Fraction(1))
+    c = inv.coeff(-T)
+    bad[-T] = c + c * qpow(Fraction(1))  # damaged inside c's own s-part
     session.w0_inv = DiffOp(inv.step, bad, inv.floor, inv.ceil)
     with pytest.raises(RelationViolated) as exc:
         session.orlov
@@ -692,13 +701,15 @@ def check_results(report):
 
 @pytest.mark.parametrize("a,b,sign", [(1, 1, 1), (2, 1, -1)])
 def test_closed_form_checks_fail_on_a_wrong_expected_coefficient(monkeypatch, a, b, sign):
-    # negative control: one coefficient of the expected closed form off by q^1
+    # negative control: one coefficient c of the expected closed form made
+    # c * (1 + q), a damage inside c's own s-part
     expected = suites.expected_initial_lax
 
     def damaged(params):
         good = expected(params)
         coeffs = dict(good.coeffs)
-        coeffs[params.down_index] = coeffs[params.down_index] + qpow(1)
+        c = coeffs[params.down_index]
+        coeffs[params.down_index] = c + c * qpow(1)
         return DiffOp(good.step, coeffs)
 
     monkeypatch.setattr(suites, "expected_initial_lax", damaged)
@@ -718,6 +729,25 @@ def test_closed_form_checks_fail_on_a_wrong_expected_coefficient(monkeypatch, a,
     for check in report["checks"][:2]:
         assert check["detail"].startswith(f"first offending coefficient at power {power}: ")
     assert not report["passed"]
+
+
+def test_laxcheck_refuses_a_damage_that_adds_across_s_parts(monkeypatch, tmp_path, capsys):
+    # negative control: c + q^1, with c = -q^(2*s-3/2), is no single-s-part
+    # q-power sum; the command stops with one error line and writes nothing
+    expected = suites.expected_initial_lax
+
+    def damaged(params):
+        good = expected(params)
+        coeffs = dict(good.coeffs)
+        coeffs[params.down_index] = coeffs[params.down_index] + qpow(1)
+        return DiffOp(good.step, coeffs)
+
+    monkeypatch.setattr(suites, "expected_initial_lax", damaged)
+    out = tmp_path / "lax.json"
+    assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot add q-power sums of different s-parts 2*s and 0\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_orlov_checks_fail_when_the_closed_forms_are_violated(monkeypatch):
@@ -858,7 +888,8 @@ def test_dressing_agreement_covers_every_coefficient(monkeypatch):
         def damaged(params, power=power):
             w0 = build(params)
             coeffs = dict(w0.coeffs)
-            coeffs[-power] = w0.coeff(-power) + qpow(Fraction(1))
+            c = w0.coeff(-power)
+            coeffs[-power] = c + c * qpow(Fraction(1))  # damaged inside c's own s-part
             return DiffOp(w0.step, coeffs, w0.floor, w0.ceil)
 
         monkeypatch.setattr(opalg, "build_W0", damaged)

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from qtoda import qfield
+from qtoda.errors import MixedSParts
 from qtoda.qfield import QFieldElem, QPowerSum, qpow
 from qfield_oracle import evaluate, expand, grid, ref_add, ref_mul, ref_shift, ref_str, value
 
@@ -42,7 +43,9 @@ def test_shift_s_examples():
 
 
 def test_shift_s_additivity():
-    x = rho_like(1) + qpow(c0=Fraction(1, 3), c1=2, c2=Fraction(1, 2))
+    # both terms of the s-part s^2/2 + 2*s
+    e = qpow(c1=2, c2=Fraction(1, 2))
+    x = rho_like(1) * e + qpow(c0=Fraction(1, 3), c1=2, c2=Fraction(1, 2))
     a, b = Fraction(2, 3), Fraction(-1, 5)
     assert x.shift(a).shift(b) == x.shift(a + b)
 
@@ -73,13 +76,18 @@ def test_eval_certifies_denominator():
     assert evaluate(elem, 0, Fraction(1, 3), 1) == -6
 
 
-def random_elem(rng):
+def random_s_part(rng):
+    """(c1, c2) of a random s-part c2*s^2 + c1*s."""
+    return Fraction(rng.randint(-2, 2), rng.choice([1, 2])), Fraction(rng.randint(-1, 1))
+
+
+def random_elem(rng, sigma):
+    """A numerator of the s-part sigma over an s-free denominator."""
     terms = []
     for _ in range(rng.randint(1, 3)):
         terms.append((
             Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])),
-            Fraction(rng.randint(-2, 2), rng.choice([1, 2])),
-            Fraction(rng.randint(-1, 1)),
+            *sigma,
             Fraction(rng.randint(-3, 3) or 1),
         ))
     num = QPowerSum(terms)
@@ -89,7 +97,7 @@ def random_elem(rng):
         den_terms.append((c0, 0, 0, Fraction(rng.randint(1, 3))))
     den = QPowerSum(den_terms)
     if num.is_zero():
-        num = QPowerSum.one()
+        num = QPowerSum.monomial(0, *sigma)
     if den.is_zero():
         den = QPowerSum.one()
     return QFieldElem(num, den)
@@ -98,7 +106,8 @@ def random_elem(rng):
 def test_field_axioms_random():
     rng = random.Random(20240819)
     for _ in range(40):
-        a, b, c = (random_elem(rng) for _ in range(3))
+        sigma = random_s_part(rng)
+        a, b, c = (random_elem(rng, sigma) for _ in range(3))
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
@@ -112,7 +121,8 @@ def test_eval_is_homomorphism():
     s, t = 2, Fraction(1, 3)
     checked = 0
     for _ in range(15):
-        a, b = random_elem(rng), random_elem(rng)
+        sigma = random_s_part(rng)
+        a, b = random_elem(rng, sigma), random_elem(rng, sigma)
         L = grid(a.num, a.den, b.num, b.den)
         try:
             va, vb = evaluate(a, s, t, L), evaluate(b, s, t, L)
@@ -127,7 +137,7 @@ def test_eval_is_homomorphism():
 def test_invert_q_involution():
     rng = random.Random(5)
     for _ in range(10):
-        a = random_elem(rng)
+        a = random_elem(rng, random_s_part(rng))
         assert a.invert_q().invert_q() == a
 
 
@@ -143,7 +153,8 @@ def test_canonical_text_form():
 
 def test_grouped_sum_matches_fold():
     rng = random.Random(11)
-    xs = [random_elem(rng) for _ in range(8)]
+    sigma = random_s_part(rng)
+    xs = [random_elem(rng, sigma) for _ in range(8)]
     folded = QFieldElem.zero()
     for x in xs:
         folded = folded + x
@@ -154,16 +165,24 @@ def test_power_sums_form_integral_domain():
     # ordered exponent group: the product of nonzero elements is nonzero
     rng = random.Random(23)
     for _ in range(30):
-        a, b = random_elem(rng), random_elem(rng)
+        a, b = random_elem(rng, random_s_part(rng)), random_elem(rng, random_s_part(rng))
         if a.num.is_zero() or b.num.is_zero():
             continue
         assert not (a.num * b.num).is_zero()
 
 
+def test_a_sum_across_two_s_parts_raises():
+    with pytest.raises(MixedSParts, match=r"^cannot add q-power sums of different "
+                                          r"s-parts s\^2 and 1/2\*s$"):
+        QPowerSum([(0, 0, 1, 1), (1, Fraction(1, 2), 0, 3)])
+    # zero adds to every s-part, and a sum that cancels is zero
+    qs = QPowerSum.monomial(c1=1)
+    assert QPowerSum.zero() + qs == qs + QPowerSum.zero() == qs
+    assert (qs - qs).is_zero() and (qs - qs) + QPowerSum.one() == QPowerSum.one()
 
 
 # -- the QPowerSum core against the evaluation homomorphism and a plain
-# Fraction reference, on operands with several s-parts and large coprime
+# Fraction reference, on operands of one shared s-part and large coprime
 # denominators ----------------------------------------------------------------
 
 SEED = 20261018
@@ -185,26 +204,30 @@ def random_coef(rng):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice(PRIMES))
 
 
-def random_sum(rng, parts=3, size=3):
-    """Up to `parts` s-parts of up to `size` terms each."""
-    terms = []
-    for _ in range(rng.randint(1, parts)):
-        _, c1, c2 = random_exponent(rng)
-        for _ in range(rng.randint(1, size)):
-            c0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-            terms.append((c0, c1, c2, random_coef(rng)))
-    return QPowerSum(terms) if terms else QPowerSum.one()
+def plus(s, t):
+    """The sum of two s-parts (c1, c2)."""
+    return s[0] + t[0], s[1] + t[1]
 
 
-def random_quotient(rng):
-    num, den = random_sum(rng, 2, 2), random_sum(rng, 2, 2)
+def random_sum(rng, sigma, size=9):
+    """Up to `size` terms, all of the s-part sigma = (c1, c2)."""
+    terms = [(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])), *sigma, random_coef(rng))
+             for _ in range(rng.randint(1, size))]
+    return QPowerSum(terms)
+
+
+def random_quotient(rng, sigma):
+    """A quotient whose num and den s-parts differ by sigma, the den's random."""
+    tau = random_exponent(rng)[1:]
+    num, den = random_sum(rng, plus(sigma, tau), 4), random_sum(rng, tau, 4)
     return QFieldElem(num, den if not den.is_zero() else QPowerSum.one())
 
 
 def assert_canonical(p):
-    """Each part (L, c, P): c a normalized nonzero pair, P primitive with a
+    """The part (L, c, P): c a normalized nonzero pair, P primitive with a
     positive leading coefficient, L the smallest grid of P's exponents."""
-    for L, (n, d), P in p.parts.values():
+    if p.part is not None:
+        L, (n, d), P = p.part
         assert P and n and d > 0 and gcd(n, d) == 1
         assert gcd(*P.values()) == 1 and P[max(P)] > 0
         assert L >= 1 and gcd(L, *P) == 1
@@ -231,7 +254,8 @@ def cross_equal(r, num: dict, den: dict) -> bool:
 def test_powersum_ops_match_both_references():
     rng = random.Random(SEED)
     for _ in range(30):
-        x, y = random_sum(rng), random_sum(rng)
+        sigma = random_exponent(rng)[1:]
+        x, y = random_sum(rng, sigma), random_sum(rng, sigma)
         mono, coef, beta = random_exponent(rng), random_coef(rng), rng.randint(-2, 2)
         ex, ey, em = expand(x), expand(y), expand(QPowerSum.monomial(*mono, coef))
         L = grid(x, y, QPowerSum.monomial(*mono))
@@ -261,7 +285,8 @@ def test_powersum_ops_match_both_references():
 def test_quotient_ops_match_both_references():
     rng = random.Random(SEED + 1)
     for _ in range(20):
-        x, y, z = (random_quotient(rng) for _ in range(3))
+        sigma = random_exponent(rng)[1:]
+        x, y, z = (random_quotient(rng, sigma) for _ in range(3))
         beta = rng.randint(-2, 2)
         xn, xd, yn, yd = expand(x.num), expand(x.den), expand(y.num), expand(y.den)
         zn, zd = expand(z.num), expand(z.den)
@@ -291,7 +316,7 @@ def test_quotient_ops_match_both_references():
 
 def test_references_see_a_coefficient_damaged_by_one_seventh():
     rng = random.Random(SEED + 2)
-    x, y = random_sum(rng), random_sum(rng)
+    x, y = (random_sum(rng, random_exponent(rng)[1:]) for _ in range(2))
     good = x * y
     c0, c1, c2, _ = min(good.terms(), key=lambda t: (t[2], t[1], t[0]))
     bad = good + QPowerSum.monomial(c0, c1, c2, Fraction(1, 7))
@@ -316,27 +341,25 @@ def without_top_term(p):
 
 
 def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
-    # one s-part on each side: the exact quotient, or None for a non-multiple;
-    # several: None, and a sum over such denominators cross-multiplies exactly
+    # a factor of the s-part lam*n*s over a denominator of the s-part lam*s,
+    # on one s-part at n = 1, on two otherwise: the exact quotient, or None
+    # for a non-multiple, and a sum over the two denominators agrees with
+    # both references
     rng = random.Random(SEED + 3)
-    one, several = QPowerSum.one(), 0
-    for parts in (1, 1, 2, 3) * 6:
-        a, b = random_sum(rng, parts), random_sum(rng, parts)
+    one = QPowerSum.one()
+    for n in (1, 1, 2, 3) * 6:
+        lam = rng.choice([-1, Fraction(1, 2), 1, 2])
+        a, b = random_sum(rng, (lam * n, 0)), random_sum(rng, (lam, 0))
         ab = a * b
-        if len(ab.parts) == len(b.parts) == 1:
-            assert qfield._divide_exact(ab, b) == a
-            if len(b) > 1:
-                assert qfield._divide_exact(ab + one, b) is None
-            continue
-        several += 1
-        assert qfield._divide_exact(ab, b) is None
+        assert qfield._divide_exact(ab, b) == a
+        if len(b) > 1:
+            assert qfield._divide_exact(ab + QPowerSum.monomial(0, lam * (n + 1)), b) is None
         x, y = QFieldElem(one, b), QFieldElem(a, ab)
         xn, xd, yn, yd = (expand(p) for p in (x.num, x.den, y.num, y.den))
         assert cross_equal(x + y, ref_add(ref_mul(xn, yd), ref_mul(yn, xd)), ref_mul(xd, yd))
         L = grid(x.num, x.den, y.num, y.den)
         for s, t, (vx, vy) in three_points([x, y], L):
             assert evaluate(x + y, s, t, L) == vx + vy
-    assert several >= 8
 
     # (1 - q^(n/2)) / (1 - q^(1/2)) is the n-term geometric sum; a numerator
     # that spans less than the denominator is no multiple of it
@@ -374,48 +397,50 @@ def test_divide_exact_recovers_a_factor_on_one_or_several_s_parts():
 # -- the text form and the normalized denominator, read through terms() -------
 
 
-def random_gridded_sum(rng, L):
-    """Up to three s-parts with every c0 on the grid 1/L, and sometimes a
-    constant term; coefficients +-1 or multi-digit."""
+def random_gridded_sum(rng, L, sigma):
+    """Up to twelve terms of the s-part sigma = (c1, c2), every c0 on the
+    grid 1/L, and sometimes one at c0 = 0, a constant term when sigma is 0;
+    coefficients +-1 or multi-digit."""
     terms = []
-    for _ in range(rng.randint(1, 3)):
-        _, c1, c2 = random_exponent(rng)
-        for _ in range(rng.randint(1, 4)):
-            coef = rng.choice([1, -1, Fraction(rng.choice([-1, 1]) * rng.randint(10, 10**5),
-                                               rng.choice([1, 7, 97]))])
-            c0 = Fraction(rng.randint(-3 * L, 3 * L), L)
-            terms.append((c0, c1, c2, coef))
+    for _ in range(rng.randint(1, 12)):
+        coef = rng.choice([1, -1, Fraction(rng.choice([-1, 1]) * rng.randint(10, 10**5),
+                                           rng.choice([1, 7, 97]))])
+        c0 = Fraction(rng.randint(-3 * L, 3 * L), L)
+        terms.append((c0, *sigma, coef))
     if rng.random() < 0.5:
-        terms.append((0, 0, 0, rng.choice([1, -1, Fraction(-355, 113)])))
+        terms.append((0, *sigma, rng.choice([1, -1, Fraction(-355, 113)])))
     return QPowerSum(terms)
 
 
 def test_str_matches_a_formatter_built_from_terms():
     rng = random.Random(SEED + 4)
-    mixed = 0
+    quadratic = constant = 0
     for L in (1, 2, 3, 4, 16):
         for _ in range(30):
-            x, y = random_gridded_sum(rng, L), random_gridded_sum(rng, L)
+            sigma = random_exponent(rng)[1:]
+            x, y = random_gridded_sum(rng, L, sigma), random_gridded_sum(rng, L, sigma)
             for p in (x, x * y, x - y, x - x):
                 assert str(p) == ref_str(p)
-            mixed += len(x.parts) > 1
+            quadratic += sigma[1] != 0
+            constant += any(not (c0 or c1 or c2) for c0, c1, c2, _ in x.terms())
     assert str(QPowerSum.zero()) == ref_str(QPowerSum.zero()) == "0"
-    assert mixed > 50
+    assert quadratic > 50 and constant > 10
 
 
 def test_denominator_starts_at_the_unit_term():
-    # the smallest denominator term in (c2, c1, c0) order is divided out of
-    # num and den, whatever the number of s-parts
+    # the smallest denominator term in c0 order is divided out of num and
+    # den, its s-part with it
     rng = random.Random(SEED + 5)
-    mixed = 0
-    for parts in (1, 2, 3) * 10:
-        num, den = random_sum(rng, parts), random_sum(rng, parts)
-        x, y = QFieldElem(num, den), random_quotient(rng)
+    s_dependent = 0
+    for _ in range(30):
+        sigma, tau = random_exponent(rng)[1:], random_exponent(rng)[1:]
+        num, den = random_sum(rng, plus(sigma, tau)), random_sum(rng, tau)
+        x, y = QFieldElem(num, den), random_quotient(rng, sigma)
         assert cross_equal(x, expand(num), expand(den))
         for r in (x, x * y, x + y, x.shift(1), x.invert_q(), x - x):
             assert min(r.den.terms(), key=lambda t: (t[2], t[1], t[0])) == (0, 0, 0, 1)
-        mixed += len(den.parts) > 1
-    assert mixed > 5
+        s_dependent += tau != (0, 0)
+    assert s_dependent > 5
 
 
 # -- the monomial inputs: terms() read back in, and qpow against the oracle ----
@@ -428,15 +453,16 @@ def round_trips(build, p) -> bool:
 
 def test_terms_read_back_in_give_the_same_sum():
     rng = random.Random(SEED + 6)
-    mixed = 0
+    quadratic = 0
     for L in (1, 2, 3, 4, 16):
         for _ in range(20):
-            x, y = random_gridded_sum(rng, L), random_gridded_sum(rng, L)
+            sigma = random_exponent(rng)[1:]
+            x, y = random_gridded_sum(rng, L, sigma), random_gridded_sum(rng, L, sigma)
             for p in (x, x * y, x - y):
                 assert round_trips(QPowerSum, p)
-            mixed += len(x.parts) > 1
+            quadratic += sigma[1] != 0
     assert round_trips(QPowerSum, QPowerSum.zero()) and QPowerSum([]).is_zero()
-    assert mixed > 30
+    assert quadratic > 30
 
 
 def test_qpow_agrees_with_the_oracle_evaluation():
@@ -457,6 +483,7 @@ def test_a_constructor_that_drops_c2_fails_the_round_trip():
         return QPowerSum([(c0, c1, 0, coef) for c0, c1, _, coef in terms])
 
     rng = random.Random(SEED + 8)
-    p = QPowerSum([(Fraction(1, 2), 1, Fraction(-1, 3), 5)]) + random_gridded_sum(rng, 2)
+    sigma = (1, Fraction(-1, 3))
+    p = QPowerSum([(Fraction(1, 2), *sigma, 5)]) + random_gridded_sum(rng, 2, sigma)
     assert round_trips(QPowerSum, p)
     assert not round_trips(drops_c2, p)
