@@ -14,8 +14,9 @@ L the smallest grid of the constant exponents c0, c the rational content,
 P a primitive integer Laurent polynomial with a positive leading
 coefficient.  The form is canonical, so equality and hashing are
 structural.  Products multiply the P's in ints with no gcd pass (Gauss's
-lemma); sums take one.  Adding two nonzero sums of different s-parts
-raises `MixedSParts`.
+lemma), and a one-term factor c*q^(k/L) is a shift of the other's
+exponents with its content scaled by c; sums take one gcd pass.  Adding
+two nonzero sums of different s-parts raises `MixedSParts`.
 
 Every operation, the text form included, works on this part.  An
 exponent enters only as the coefficients (c0, c1, c2) of a monomial,
@@ -121,10 +122,14 @@ def _on_grid(L: int, c: tuple, P: dict) -> tuple:
 
 def _part_mul(a: tuple, b: tuple) -> tuple:
     """Product of two parts.  By Gauss's lemma it is primitive, and its
-    leading coefficient is the product of the two positive ones: no gcd pass."""
+    leading coefficient is the product of the two positive ones: no gcd pass.
+    A one-term factor is c * q^(k/L) (its P is {k: 1}), so it is a shift."""
+    a, b = (a, b) if len(a[2]) >= len(b[2]) else (b, a)  # the shorter one outside
+    if len(b[2]) == 1:
+        (k,) = b[2]
+        return _part_times_q((a[0], _rmul(a[1], b[1]), a[2]), k, b[0])
     L = lcm(a[0], b[0])
     Pa, Pb, P = _regrid(a[0], a[2], L), _regrid(b[0], b[2], L), {}
-    Pa, Pb = (Pa, Pb) if len(Pa) >= len(Pb) else (Pb, Pa)  # the shorter one outside
     for kb, vb in Pb.items():
         for ka, va in Pa.items():
             k = ka + kb

@@ -214,12 +214,16 @@ class Specialization:
     """Point values p_k -> QFieldElem for k = 1..D, with a ring-hom evaluator.
 
     Values are held as (num, den) pairs and polynomials are evaluated over
-    a common denominator, which keeps the q-expression sizes bounded.
+    a common denominator, which keeps the q-expression sizes bounded.  For
+    as long as the specialization lives it keeps each power of a num or den
+    it has formed, and each monomial's product over the common denominator
+    per exponent caps, so no product is formed twice.
     """
 
     def __init__(self, values: dict[int, QFieldElem]):
         self.values = values
         self._pow_cache: dict[tuple[str, int, int], QPowerSum] = {}
+        self._product_cache: dict[tuple[Monomial, tuple[int, ...]], QPowerSum] = {}
 
     @staticmethod
     def rho(degree_bound: int) -> "Specialization":
@@ -242,6 +246,21 @@ class Specialization:
             self._pow_cache[key] = got
         return got
 
+    def _product(self, m: Monomial, caps: tuple[int, ...]) -> QPowerSum:
+        """prod_k n_k^(e_k) * d_k^(cap_k - e_k), the e_k read from m."""
+        key = (m, caps)
+        got = self._product_cache.get(key)
+        if got is None:
+            got = QPowerSum.one()
+            for k, cap in enumerate(caps, start=1):
+                e = m[k - 1] if k - 1 < len(m) else 0
+                if e:
+                    got = got * self._power("n", k, e)
+                if cap - e:
+                    got = got * self._power("d", k, cap - e)
+            self._product_cache[key] = got
+        return got
+
     def evaluate(self, poly: PowerSumPoly) -> QFieldElem:
         """Evaluate with every monomial expressed over one shared denominator."""
         if poly.is_zero():
@@ -250,24 +269,13 @@ class Specialization:
         for k in range(1, top + 1):
             if k not in self.values:
                 raise DegreeBoundExceeded(f"specialization lacks p_{k}")
-        max_e = {k: 0 for k in range(1, top + 1)}
+        caps = [0] * top
         for m in poly.coeffs:
-            for k, e in enumerate(m, start=1):
-                if e > max_e[k]:
-                    max_e[k] = e
-        common_den = QPowerSum.one()
-        for k in range(1, top + 1):
-            if max_e[k]:
-                common_den = common_den * self._power("d", k, max_e[k])
+            for i, e in enumerate(m):
+                if e > caps[i]:
+                    caps[i] = e
+        caps = tuple(caps)
         num_total = QPowerSum.zero()
         for m, c in poly.coeffs.items():
-            term = QPowerSum.monomial(coef=c)
-            for k in range(1, top + 1):
-                e = m[k - 1] if k - 1 < len(m) else 0
-                if e:
-                    term = term * self._power("n", k, e)
-                cofactor = max_e[k] - e
-                if cofactor:
-                    term = term * self._power("d", k, cofactor)
-            num_total = num_total + term
-        return QFieldElem(num_total, common_den)
+            num_total = num_total + self._product(m, caps).scale(c)
+        return QFieldElem(num_total, self._product((), caps))

@@ -144,11 +144,16 @@ def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
     return report
 
 
-def tau_shift_suite(a: int, b: int, sign: int, degree: int) -> dict:
+def tau_shift_suite(a: int, b: int, sign: int, degree: int,
+                    ctx: VertexContext | None = None) -> dict:
     """Shifted tables at c = 1/2 and 1/3 equal the unshifted table under
-    s -> s + c exactly, the global cubic prefactors matching as polynomials."""
+    s -> s + c exactly, the global cubic prefactors matching as polynomials.
+
+    The three tables share one context (a fresh one unless given), so each
+    matrix element gamma is computed once."""
     report = {"passed": True, "checks": []}
-    ctx = VertexContext(degree)
+    if ctx is None:
+        ctx = VertexContext(degree)
     base = tau_table(a, b, sign, 0, degree, ctx)
     for c in (Fraction(1, 2), Fraction(1, 3)):
         shifted = tau_table(a, b, sign, c, degree, ctx)
@@ -161,10 +166,10 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int) -> dict:
     return report
 
 
-def tau_exponent_suite(a: int, b: int, sign: int, degree: int) -> dict:
+def tau_exponent_suite(a: int, b: int, sign: int, degree: int,
+                       ctx: VertexContext | None = None) -> dict:
     """Entry prefactors q^E(s) re-derived independently from kappa and weights."""
     report = {"passed": True, "checks": []}
-    ctx = VertexContext(degree)
     table = tau_table(a, b, sign, 0, degree, ctx)
     tau = table.tau
     # unshifted cubic prefactor is scale * (4 s^3 - s)
@@ -188,10 +193,18 @@ def identity_suite(
     weight_symmetry: int = 5,
     weight_schur: int = 5,
     corrupt: bool = False,
+    shift_check: bool = False,
 ) -> dict:
-    """The full combinatorial identity suite behind `qtoda identities`."""
+    """The full combinatorial identity suite behind `qtoda identities`.
+
+    One VertexContext, its bound covering every suite, serves the vertex
+    suites, the tau exponent suite and, with shift_check, the tau shift
+    suite, so the session computes each vertex value and gamma once.
+    """
     report = {"passed": True, "checks": []}
-    ctx = VertexContext(max(weight_equality, weight_symmetry, 0))
+    exponent_degree = min(3, max(weight_equality, 1))
+    shift_degree = min(weight_equality, 4)
+    ctx = VertexContext(max(weight_equality, weight_symmetry, exponent_degree, shift_degree))
     for sub in (
         kappa_suite(8),
         schur_negation_suite(weight_schur),
@@ -199,9 +212,11 @@ def identity_suite(
         vertex_equality_suite(ctx, weight_equality, corrupt=corrupt),
         vertex_symmetry_suite(ctx, weight_symmetry),
         gamma_vertex_link_suite(ctx, min(4, weight_symmetry)),
-        tau_exponent_suite(1, 1, 1, min(3, max(weight_equality, 1))),
+        tau_exponent_suite(1, 1, 1, exponent_degree, ctx),
     ):
         merge_checks(report, sub)
+    if shift_check:
+        merge_checks(report, tau_shift_suite(1, 1, 1, shift_degree, ctx))
     return report
 
 

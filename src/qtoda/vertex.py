@@ -100,7 +100,15 @@ class SessionParams:
 
 
 class VertexContext:
-    """Caches for vertex evaluations up to a fixed total weight."""
+    """Caches for vertex evaluations up to a fixed total weight.
+
+    For as long as the context lives it keeps every value it has computed:
+    the q^(nu+rho) specialization per nu, s_{mu/eta} per (mu, eta, point),
+    and the vertex value W(nu, nubar) of `vertex_def` and the matrix
+    element gamma(nu, nubar) per pair, so one session computes each once.
+    A value does not depend on the degree bound, so one context with a
+    bound covering every caller serves them all.
+    """
 
     def __init__(self, degree_bound: int):
         self.degree_bound = degree_bound
@@ -108,6 +116,8 @@ class VertexContext:
         self.rho = Specialization.rho(degree_bound)
         self._nu_rho: dict[tuple, Specialization] = {}
         self._skew_at: dict[tuple, QFieldElem] = {}
+        self._vertex: dict[tuple, QFieldElem] = {}
+        self._gamma: dict[tuple, QFieldElem] = {}
 
     def _check(self, nu: Partition, nubar: Partition):
         if nu.weight + nubar.weight > self.degree_bound:
@@ -138,9 +148,14 @@ class VertexContext:
     def vertex_def(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """Defining form s_nu(q^rho) * s_nubar(q^(nu+rho))."""
         self._check(nu, nubar)
-        left = self.skew_at(nu, EMPTY, "rho")
-        right = self.nu_rho_specialization(nu).evaluate(self.ring.schur(nubar))
-        return left * right
+        key = (nu.parts, nubar.parts)
+        got = self._vertex.get(key)
+        if got is None:
+            left = self.skew_at(nu, EMPTY, "rho")
+            right = self.nu_rho_specialization(nu).evaluate(self.ring.schur(nubar))
+            got = left * right
+            self._vertex[key] = got
+        return got
 
     def vertex_hook(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """Finite-sum form over subdiagrams of the conjugates.
@@ -155,7 +170,12 @@ class VertexContext:
     def gamma_matrix_element(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """sum_eta s_{nu/eta} s_{nubar/eta} at the q^(-rho) continuation."""
         self._check(nu, nubar)
-        return self._eta_sum(nu, nubar, "neg")
+        key = (nu.parts, nubar.parts)
+        got = self._gamma.get(key)
+        if got is None:
+            got = self._eta_sum(nu, nubar, "neg")
+            self._gamma[key] = got
+        return got
 
     def _eta_sum(self, mu: Partition, nu: Partition, point: str) -> QFieldElem:
         """sum over eta inside mu and nu of s_{mu/eta} * s_{nu/eta} at `point`."""

@@ -399,6 +399,48 @@ def test_simulate_order_check_names_a_dt_whose_half_underflows(tmp_path, capsys)
     assert not csv.exists() and not report.exists()
 
 
+class _Integrated(Exception):
+    """Raised by a stand-in for integrate_runs: the run passed every check."""
+
+
+def _integrated(*args, **kwargs):
+    raise _Integrated
+
+
+@pytest.mark.parametrize("order_check", [False, True])
+@pytest.mark.parametrize("extra_steps, refused", [(0, False), (1, True)])
+def test_simulate_refuses_more_site_steps_than_its_limit(tmp_path, monkeypatch, capsys,
+                                                         order_check, extra_steps, refused):
+    # 8 refined sites at dt = 1e-3: the most steps within the limit, then one more;
+    # --order-check adds the dt/2 run's twice as many steps
+    monkeypatch.setattr(cli, "integrate_runs", _integrated)
+    per_step = 8 * (3 if order_check else 1)
+    steps = cli.MAX_SITE_STEPS // per_step + extra_steps
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    argv = ["simulate", "--sites", "4", "--dt", "1e-3", "--t-end", str(steps / 1000),
+            "--out-csv", str(csv), "--out", str(report)] + ["--order-check"] * order_check
+    if not refused:
+        with pytest.raises(_Integrated):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--dt 0.001" in err and f"--t-end {steps / 1000}" in err
+    assert f"{steps * per_step:.3g} site steps on 8 refined sites" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_refuses_a_run_that_would_never_end(tmp_path, monkeypatch, capsys):
+    # 1 / 1e-300 steps is finite, so only the limit stops it
+    monkeypatch.setattr(cli, "integrate_runs", _fail_if_called)
+    code = main(["simulate", "--t-end", "1", "--dt", "1e-300",
+                 "--out-csv", str(tmp_path / "run.csv"), "--out", str(tmp_path / "run.json")])
+    assert code == 2
+    assert "site steps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "option, name",
     [("--dt", "dt"), ("--t-end", "t_end")],

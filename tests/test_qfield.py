@@ -3,8 +3,9 @@ QPowerSum core (its text form included) against the references of
 qfield_oracle.py."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -487,3 +488,39 @@ def test_a_constructor_that_drops_c2_fails_the_round_trip():
     p = QPowerSum([(Fraction(1, 2), *sigma, 5)]) + random_gridded_sum(rng, 2, sigma)
     assert round_trips(QPowerSum, p)
     assert not round_trips(drops_c2, p)
+
+
+# -- a one-term factor: the shift path of the product ---------------------------
+
+
+def test_a_one_term_factor_multiplies_as_a_shift():
+    """x * m with m = coef * q^E one term, on the grids 1 to 16, against the
+    reference product and the evaluation homomorphism.  The cases include
+    negative and Fraction contents, s^2 s-parts, and exponents that fall to
+    a coarser grid (q^(j/L) * q^(r - j/L)).  A shift that skipped `_on_grid`
+    would leave those on the finer grid, and the canonical check fails."""
+    rng = random.Random(SEED + 9)
+    seen = Counter()
+    for L in range(1, 17):
+        for _ in range(12):
+            sigma, tau = random_exponent(rng)[1:], random_exponent(rng)[1:]
+            x = random_gridded_sum(rng, L, sigma)
+            j = rng.randint(-3 * L, 3 * L)
+            if rng.random() < 0.4:  # a one-term x whose exponent sum with m's is whole
+                x = QPowerSum.monomial(Fraction(j, L), *sigma, random_coef(rng))
+                j = rng.randint(-3, 3) * L - j
+            m = QPowerSum.monomial(Fraction(j, L), *tau, rng.choice([1, -1, random_coef(rng)]))
+            want, grid_l = ref_mul(expand(x), expand(m)), grid(x, m)
+            for got in (x * m, m * x):
+                assert expand(got) == want
+                assert_canonical(got)
+                for s, t in POINTS[:2]:
+                    assert value(got, s, t, grid_l) == value(x, s, t, grid_l) * value(m, s, t, grid_l)
+            got_l, (n, d) = (x * m).part[:2]
+            seen["coarser"] += got_l < lcm(x.part[0], m.part[0])
+            seen["quadratic"] += sigma[1] + tau[1] != 0
+            seen["negative"] += n < 0
+            seen["fraction"] += d > 1
+    assert min(seen.values()) > 20, seen
+    half = QPowerSum.monomial(Fraction(1, 2))
+    assert (half * half).part == (1, (1, 1), {1: 1}) and half * half == QPowerSum.monomial(1)

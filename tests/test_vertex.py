@@ -1,15 +1,19 @@
 """Topological-vertex values, symmetries, tau table."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qtoda import suites
+from qtoda.cli import main
 from qtoda.errors import InvalidTau, NonCoprime
 from qtoda.partitions import EMPTY, Partition
 from qtoda.qfield import QFieldElem, qpow
-from qtoda.schur import PowerSumPoly, PowerSumRing, specialize_rho
+from qtoda.report import merge_checks
+from qtoda.schur import PowerSumPoly, PowerSumRing, Specialization, specialize_rho
 from qtoda.suites import identity_suite, pairs_up_to, tau_exponent_suite, tau_shift_suite
 from qtoda.vertex import SessionParams, VertexContext, subpartitions, tau_table
 from qtoda.volterra import LatticeState, symbolic_flow_stencil, symbolic_lax
@@ -319,3 +323,131 @@ def test_tau_entries_link_to_generating_coefficients():
             assert at_zero == coeff.scale((-1) ** (nu.weight + nubar.weight)), (
                 a, b, sign, nu, nubar,
             )
+
+
+# -- one session computes each value once ---------------------------------------
+
+# the identities job of the vertex-identities benchmark workload
+IDENTITIES_JOB = ["identities", "--weight", "6", "--weight-sym", "5", "--weight-schur", "5",
+                  "--shift-check"]
+
+
+class _Forgetful(dict):
+    """A cache that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _count_identities_job(monkeypatch, tmp_path, forget=()):
+    """Run the identities job in-process, counting the VertexContexts built,
+    the vertex values W and matrix elements gamma computed per pair, and the
+    Specialization.evaluate calls per (point, shape); the context caches
+    named in `forget` keep nothing."""
+    counts = {"contexts": 0, "vertex": Counter(), "gamma": Counter(), "evaluated": Counter()}
+    frames = []  # what is being computed, innermost last
+    init, evaluate, eta_sum = VertexContext.__init__, Specialization.evaluate, VertexContext._eta_sum
+
+    def counted_init(ctx, degree_bound):
+        init(ctx, degree_bound)
+        counts["contexts"] += 1
+        for name in forget:
+            setattr(ctx, name, _Forgetful())
+
+    def framed(method, frame):
+        real = getattr(VertexContext, method)
+
+        def call(ctx, *args):
+            frames.append(frame(*args))
+            try:
+                return real(ctx, *args)
+            finally:
+                frames.pop()
+
+        monkeypatch.setattr(VertexContext, method, call)
+
+    def counted_evaluate(spec, poly):
+        frame = frames[-1] if frames else None
+        if frame and frame[0] == "W":  # the right factor: the one evaluation per W computed
+            counts["vertex"][frame[1:]] += 1
+        counts["evaluated"][(spec, frame)] += 1  # the spec is kept, so no id is reused
+        return evaluate(spec, poly)
+
+    def counted_eta_sum(ctx, mu, nu, point):
+        if point == "neg":
+            counts["gamma"][(mu.parts, nu.parts)] += 1
+        return eta_sum(ctx, mu, nu, point)
+
+    monkeypatch.setattr(VertexContext, "__init__", counted_init)
+    framed("vertex_def", lambda nu, nubar: ("W", nu.parts, nubar.parts))
+    framed("skew_at", lambda mu, eta, point: ("s", mu.parts, eta.parts, point))
+    monkeypatch.setattr(Specialization, "evaluate", counted_evaluate)
+    monkeypatch.setattr(VertexContext, "_eta_sum", counted_eta_sum)
+    assert main(IDENTITIES_JOB + ["--out", str(tmp_path / "report.json")]) == 0
+    return counts
+
+
+def _recomputed(counts) -> list[str]:
+    """The counts that show a value computed twice or a second context."""
+    bad = [] if counts["contexts"] == 1 else ["contexts"]
+    return bad + [k for k in ("vertex", "gamma", "evaluated") if max(counts[k].values()) > 1]
+
+
+def test_the_identities_job_computes_each_value_once(monkeypatch, tmp_path):
+    counts = _count_identities_job(monkeypatch, tmp_path)
+    assert _recomputed(counts) == []
+    # every pair of the weight-6 equality suite has its W, every gamma of the
+    # weight-4 shift tables is there
+    assert len(counts["vertex"]) == len(pairs_up_to(6))
+    assert len(counts["gamma"]) >= len(pairs_up_to(4))
+
+
+@pytest.mark.parametrize("cache, seen", [
+    ("_vertex", "vertex"), ("_gamma", "gamma"), ("_skew_at", "evaluated"),
+])
+def test_the_count_sees_a_context_cache_that_forgets(monkeypatch, tmp_path, cache, seen):
+    # negative control: a cache that keeps nothing computes its values again
+    assert seen in _recomputed(_count_identities_job(monkeypatch, tmp_path, forget=(cache,)))
+
+
+def test_the_count_sees_a_second_context(monkeypatch, tmp_path):
+    # negative control: a shift suite that builds its own context, as
+    # `identities --shift-check` once did, computes its gammas again
+    real = suites.tau_shift_suite
+    monkeypatch.setattr(suites, "tau_shift_suite",
+                        lambda a, b, sign, degree, ctx=None: real(a, b, sign, degree))
+    assert _recomputed(_count_identities_job(monkeypatch, tmp_path)) == ["contexts", "gamma"]
+
+
+# -- sharing a context changes no value ------------------------------------------
+
+
+def test_one_shared_context_gives_the_report_of_a_context_per_suite():
+    we, ws, wsch = 6, 5, 5
+    fresh = {"passed": True, "checks": []}
+    for sub in (
+        suites.kappa_suite(8),
+        suites.schur_negation_suite(wsch),
+        suites.schur_structure_suite(max(wsch, 4)),
+        suites.vertex_equality_suite(VertexContext(we), we),
+        suites.vertex_symmetry_suite(VertexContext(ws), ws),
+        suites.gamma_vertex_link_suite(VertexContext(4), min(4, ws)),
+        tau_exponent_suite(1, 1, 1, min(3, we)),
+        tau_shift_suite(1, 1, 1, min(we, 4)),
+    ):
+        merge_checks(fresh, sub)
+    shared = identity_suite(we, ws, wsch, shift_check=True)
+    assert json.dumps(shared, indent=2) == json.dumps(fresh, indent=2)
+
+
+def test_a_tau_table_on_a_warm_context_has_the_text_of_a_fresh_one():
+    warm = VertexContext(6)
+    for nu, nubar in pairs_up_to(6):
+        warm.vertex_def(nu, nubar), warm.vertex_hook(nu, nubar)
+    tau_table(2, 1, -1, Fraction(1, 3), 5, warm)
+    got, want = tau_table(1, 2, 1, 0, 5, warm), tau_table(1, 2, 1, 0, 5)
+    assert list(got.gammas) == list(want.gammas) and len(want.gammas) == len(pairs_up_to(5))
+    for key in want.gammas:
+        nu, nubar = Partition(key[0]), Partition(key[1])
+        assert str(got.gammas[key]) == str(want.gammas[key])
+        assert str(got.entry(nu, nubar)) == str(want.entry(nu, nubar))
