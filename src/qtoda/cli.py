@@ -24,7 +24,7 @@ from .partitions import Partition
 from .schur import PowerSumRing
 from .suites import identity_suite, laxcheck_suite
 from .vertex import SessionParams, VertexContext, tau_table
-from .volterra import integrate_runs, invariant_drift, perturbed_constant_state, site_steps
+from .volterra import integrate_runs, invariant_drift, perturbed_constant_state, step_counts
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,6 +34,10 @@ EXIT_USAGE = 2
 # rerun included: some minutes of RK4 on a small lattice, a few seconds on
 # thousands of sites.  A larger run is refused before it starts.
 MAX_SITE_STEPS = 10**8
+# The most values one simulate run may record, refined sites x recorded
+# states over all its runs: 80 MB as float64, before the CSV text.  A
+# larger trajectory is refused before it starts.
+MAX_RECORDED_VALUES = 10**7
 
 
 def _timestamp() -> str:
@@ -194,12 +198,21 @@ def cmd_simulate(args) -> int:
         if args.dt > 0 and not args.dt / 2:
             raise ValueError(f"--dt {args.dt}: its half step for --order-check underflows to 0")
         runs.append((args.dt / 2, 2 * args.record_every))
-    work = site_steps(state, args.flows, args.t_end, runs)
+    steps, sites = step_counts(args.flows, args.t_end, runs), len(state.sites)
+    work = sites * sum(steps)
     if work > MAX_SITE_STEPS:
         raise ValueError(
             f"--t-end {args.t_end} at --dt {args.dt} takes {work:.3g} site steps on "
-            f"{len(state.sites)} refined sites, more than {MAX_SITE_STEPS:.0e}: "
+            f"{sites} refined sites, more than {MAX_SITE_STEPS:.0e}: "
             "raise --dt or lower --t-end"
+        )
+    # a run records its first state, every record_every-th and its last
+    recorded = sites * sum(-(-n // every) + 1 for n, (_, every) in zip(steps, runs))
+    if recorded > MAX_RECORDED_VALUES:
+        raise ValueError(
+            f"--record-every {args.record_every} records {recorded:.3g} values on "
+            f"{sites} refined sites, more than {MAX_RECORDED_VALUES:.0e}: "
+            "raise --record-every or lower --t-end"
         )
     traj, *half = integrate_runs(state, args.flows, args.t_end, runs)
     drift, series = invariant_drift(traj, args.invariants)

@@ -15,10 +15,14 @@ P a primitive integer Laurent polynomial with a positive leading
 coefficient.  The form is canonical, so equality and hashing are
 structural.  Products multiply the P's in ints with no gcd pass (Gauss's
 lemma), and a one-term factor c*q^(k/L) is a shift of the other's
-exponents with its content scaled by c; sums take one gcd pass.  Adding
-two nonzero sums of different s-parts raises `MixedSParts`.
+exponents with its content scaled by c.  A sum of any number of terms,
+`QPowerSum.combine` (a + b and a - b are sums of two), takes one lcm of
+the grids and of the content denominators, one pass over the terms and
+one gcd pass.  Adding two nonzero sums of different s-parts raises
+`MixedSParts`.
 
-Every operation, the text form included, works on this part.  An
+Every operation works on this part.  The text form writes the s-part
+once per sum and reads each c0 = k/L and coefficient from the ints.  An
 exponent enters only as the coefficients (c0, c1, c2) of a monomial,
 `qpow(c0, c1, c2, coef)` or `QPowerSum.monomial`, and `terms()` reads the
 same tuples back out.
@@ -38,7 +42,6 @@ from math import gcd, lcm
 from typing import Union
 
 from .errors import MixedSParts
-from .sparse import join_terms
 
 Rat = Union[int, Fraction]
 
@@ -75,6 +78,12 @@ def _shift_key(key: tuple, b: tuple[int, int]) -> tuple:
     c2, c1, c0 = key[:2], key[2:4], key[4:]
     c2b = _rmul(c2, b)
     return c2 + _radd(*c1, *_rmul((2, 1), c2b)) + _radd(*c0, *_rmul(_radd(*c1, *c2b), b))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms as "n" or "n/d"."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _expo_text(key: tuple) -> str:
@@ -137,14 +146,9 @@ def _part_mul(a: tuple, b: tuple) -> tuple:
     return _on_grid(L, _rmul(a[1], b[1]), {k: v for k, v in P.items() if v})
 
 
-def _part_add(a: tuple, b: tuple) -> tuple | None:
-    """Sum of two parts of one s-part, with one gcd pass; None if they cancel."""
-    (x, dx), (y, dy) = a[1], b[1]
-    L, D = lcm(a[0], b[0]), lcm(dx, dy)
-    x, y = x * (D // dx), y * (D // dy)
-    P = {k: x * v for k, v in _regrid(a[0], a[2], L).items()}
-    for k, v in _regrid(b[0], b[2], L).items():
-        P[k] = P.get(k, 0) + y * v
+def _part_from_ints(L: int, D: int, P: dict) -> tuple | None:
+    """The part of the sum of P[k]/D * q^(k/L), P's values ints and D > 0:
+    one gcd pass, then the smallest grid; None if every value is zero."""
     P = {k: v for k, v in P.items() if v}
     if not P:
         return None
@@ -170,7 +174,7 @@ class QPowerSum:
 
     def __init__(self, terms=()):
         """Sum of (c0, c1, c2, coefficient) terms, the form `terms()` reads out."""
-        total = sum((QPowerSum.monomial(*t) for t in terms), _QPS_ZERO)
+        total = QPowerSum.combine((QPowerSum.monomial(*t), (1, 1)) for t in terms)
         self.s, self.part = total.s, total.part
 
     @staticmethod
@@ -192,6 +196,22 @@ class QPowerSum:
         """coef * q^(c2*s^2 + c1*s + c0)."""
         coef, (n, d) = _rat(coef), _rat(c0)
         return QPowerSum._raw(_rat(c2) + _rat(c1), (d, coef, {n: 1})) if coef[0] else _QPS_ZERO
+
+    @staticmethod
+    def laurent(P: dict, L: int = 1) -> "QPowerSum":
+        """The s-free sum of P[k] * q^(k/L), P's values ints."""
+        part = _part_from_ints(L, 1, P)
+        return _QPS_ZERO if part is None else QPowerSum._raw(_S0, part)
+
+    @staticmethod
+    def combine(pairs) -> "QPowerSum":
+        """The sum of c * x over the (x, c) pairs, c a nonzero int pair
+        (num, den > 0), in one pass; nonzero x of two s-parts raise
+        `MixedSParts`."""
+        items = [(x, c) for x, c in pairs if x.part is not None]
+        if len(items) == 1 and items[0][1] == (1, 1):
+            return items[0][0]
+        return _sum(items) if items else _QPS_ZERO
 
     def terms(self):
         """Every term as (c0, c1, c2, coefficient), all Fractions."""
@@ -221,19 +241,15 @@ class QPowerSum:
     def __add__(self, other: "QPowerSum") -> "QPowerSum":
         if self.part is None or other.part is None:
             return other if self.part is None else self
-        if self.s != other.s:
-            raise MixedSParts(
-                f"cannot add q-power sums of different s-parts "
-                f"{_expo_text(self.s + (0, 1))} and {_expo_text(other.s + (0, 1))}"
-            )
-        part = _part_add(self.part, other.part)
-        return _QPS_ZERO if part is None else QPowerSum._raw(self.s, part)
+        return _sum([(self, (1, 1)), (other, (1, 1))])
 
     def __neg__(self) -> "QPowerSum":
         return self.scale(-1)
 
     def __sub__(self, other: "QPowerSum") -> "QPowerSum":
-        return self + -other
+        if self.part is None or other.part is None:
+            return -other if self.part is None else self
+        return _sum([(self, (1, 1)), (other, (-1, 1))])
 
     def __mul__(self, other: "QPowerSum") -> "QPowerSum":
         if self.part is None or other.part is None:
@@ -267,16 +283,25 @@ class QPowerSum:
         return QPowerSum._raw(_s_neg(self.s), part)
 
     def __str__(self) -> str:
-        """Terms by descending c0, the order of P's int keys."""
+        """Terms by descending c0, the order of P's int keys, as "c*q^(E)",
+        "q^(E)", "-q^(E)" or, for E = 0, "c", joined by " + " and " - ".
+        The s-part's text is written once; each c0 = k/L and coefficient
+        is read from the ints."""
         if self.part is None:
             return "0"
         s, (L, (n, d), P) = self.s, self.part
-        terms = []
+        head = "" if s == _S0 else _expo_text(s + (0, 1))
+        out = []
         for k in sorted(P, reverse=True):
-            a, b = _pair(n * P[k], d)
-            mono = None if s == _S0 and not k else f"q^({_expo_text(s + _pair(k, L))})"
-            terms.append((str(a) if b == 1 else f"{a}/{b}", mono))
-        return join_terms(terms)
+            a = n * P[k]
+            body = coef = _ratio_text(abs(a), d)
+            if k or head:
+                c0 = _ratio_text(k, L) if k else ""
+                mono = f"q^({head}{'+' if head and k > 0 else ''}{c0})"
+                body = mono if coef == "1" else f"{coef}*{mono}"
+            sign = "-" if a < 0 else "+"
+            out.append(f" {sign} {body}" if out else body if a > 0 else "-" + body)
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"QPowerSum({self})"
@@ -284,6 +309,33 @@ class QPowerSum:
 
 _QPS_ZERO = QPowerSum.zero()
 _QPS_ONE = QPowerSum.one()
+
+
+def _sum(items: list) -> QPowerSum:
+    """The sum of c * x over the (x, c) items, x nonzero and of one s-part,
+    c a nonzero int pair: one lcm of the grids and of the denominators, one
+    pass over the terms and one gcd pass."""
+    s, L, D = items[0][0].s, 1, 1
+    for x, (_, cd) in items:
+        if x.s != s:
+            raise MixedSParts(
+                f"cannot add q-power sums of different s-parts "
+                f"{_expo_text(s + (0, 1))} and {_expo_text(x.s + (0, 1))}"
+            )
+        Li, (_, d), _ = x.part
+        if L % Li:
+            L = lcm(L, Li)
+        if D % (d * cd):
+            D = lcm(D, d * cd)
+    P = {}
+    for x, (cn, cd) in items:
+        Li, (n, d), Pi = x.part
+        m, r = n * cn * (D // (d * cd)), L // Li
+        for k, v in Pi.items():
+            k *= r
+            P[k] = P.get(k, 0) + m * v
+    part = _part_from_ints(L, D, P)
+    return _QPS_ZERO if part is None else QPowerSum._raw(s, part)
 
 
 def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
@@ -426,16 +478,15 @@ class QFieldElem:
 
     @staticmethod
     def sum(elems) -> "QFieldElem":
-        """Sum a collection, grouping equal denominators first."""
-        groups: dict[QPowerSum, QPowerSum] = {}
+        """Sum a collection: the numerators over each denominator in one
+        `QPowerSum.combine`, then the groups pairwise."""
+        groups: dict[QPowerSum, list] = {}
         for x in elems:
-            if x.is_zero():
-                continue
-            got = groups.get(x.den)
-            groups[x.den] = x.num if got is None else got + x.num
+            if not x.is_zero():
+                groups.setdefault(x.den, []).append((x.num, (1, 1)))
         total = _ELEM_ZERO
-        for den, num in groups.items():
-            total = total + QFieldElem(num, den)
+        for den, nums in groups.items():
+            total = total + QFieldElem(QPowerSum.combine(nums), den)
         return total
 
     # -- formatting --------------------------------------------------------------------

@@ -2,21 +2,30 @@
 
 S_mu is defined through the Jacobi-Trudi determinant det(S_{mu_i - i + j})
 of complete homogeneous pieces, where the S_m are generated by
-exp(sum_k p_k z^k / k).  Polynomials are exact (Fraction coefficients);
-a determinant over the polynomial ring is a cofactor expansion down the
-rows, with each minor computed once, so no step divides.
+exp(sum_k p_k z^k / k).  Polynomials are exact (Fraction coefficients).
+The determinant runs in ints: S_m = sum over mu of m of p_mu / z_mu
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2 and I.7), held
+as {multiplicities of mu: 1} in the basis p_mu / z_mu, in which the
+product of two basis elements is an int times a third.  The cofactor
+expansion down the rows computes each minor once, and each coefficient is
+divided by its z_mu once, at the end.
 
 The module also provides the closed-form principal specializations of the
-power sums used by the vertex: p_k at q^rho and at q^(nu+rho).  The
-rational continuation to q^(-rho) is p_k -> -p_k, so a value there is
-`negate_p()` evaluated at q^rho.
+power sums used by the vertex: p_k at q^rho and at q^(nu+rho), each an int
+Laurent polynomial in q^(1/2) over one in q.  The rational continuation to
+q^(-rho) is p_k -> -p_k, so a value there is `negate_p()` evaluated at
+q^rho.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from math import comb, factorial
+from typing import Callable
+
 from .errors import DegreeBoundExceeded
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, partitions_of
 from .qfield import QFieldElem, QPowerSum
 from .sparse import SparsePoly
 
@@ -35,6 +44,14 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _multiplicities(mu: Partition) -> Monomial:
+    """(m_1, m_2, ...): how often mu has each part, the monomial of p_mu."""
+    m = [0] * mu.part(1)
+    for p in mu.parts:
+        m[p - 1] += 1
+    return tuple(m)
 
 
 def _mono_weight(m: Monomial) -> int:
@@ -87,25 +104,54 @@ class PowerSumPoly(SparsePoly):
         return self.weighted_degrees() <= {degree}
 
 
-def _det(matrix: list[list[PowerSumPoly]]) -> PowerSumPoly:
-    """Cofactor expansion down the rows; the minor on the rows below row r
-    depends only on its column set, so each is computed once, and zero
-    entries are skipped."""
-    n = len(matrix)
-    minors: dict[tuple[int, ...], PowerSumPoly] = {}
+def _z(m: Monomial) -> int:
+    """z_mu = prod_i i^(m_i) * m_i!, mu of the multiplicities m."""
+    z = 1
+    for i, e in enumerate(m, start=1):
+        z *= i**e * factorial(e)
+    return z
 
-    def minor(cols: tuple[int, ...]) -> PowerSumPoly:
+
+def _basis_mul(a: dict, b: dict) -> dict:
+    """The product of two int combinations of the basis p_mu / z_mu, each
+    keyed by mu's multiplicity tuple: p_mu/z_mu * p_nu/z_nu is
+    prod_i C(m_i + n_i, m_i) * p_(mu+nu)/z_(mu+nu), an int multiple."""
+    if len(b) == 1 and b.get(()) == 1:
+        return a
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            c = c1 * c2
+            for x, y in zip(m1, m2):
+                if x and y:
+                    c *= comb(x + y, x)
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _det(matrix: list[list[dict]]) -> dict:
+    """Cofactor expansion down the rows of a matrix of int combinations of
+    the basis p_mu / z_mu (see `_basis_mul`); the minor on the rows below
+    row r depends only on its column set, so each is computed once, and
+    zero entries are skipped."""
+    n = len(matrix)
+    minors: dict[tuple[int, ...], dict] = {}
+
+    def minor(cols: tuple[int, ...]) -> dict:
         if not cols:
-            return PowerSumPoly.one()
+            return {(): 1}
         got = minors.get(cols)
         if got is None:
             row = matrix[n - len(cols)]
-            got = PowerSumPoly.zero()
+            got = {}
             for pos, j in enumerate(cols):
-                if row[j].is_zero():
+                if not row[j]:
                     continue
-                term = row[j] * minor(cols[:pos] + cols[pos + 1 :])
-                got = got - term if pos % 2 else got + term
+                sign = -1 if pos % 2 else 1
+                for m, c in _basis_mul(row[j], minor(cols[:pos] + cols[pos + 1 :])).items():
+                    got[m] = got.get(m, 0) + sign * c
+            got = {m: c for m, c in got.items() if c}
             minors[cols] = got
         return got
 
@@ -123,27 +169,21 @@ class PowerSumRing:
         if degree_bound < 0:
             raise ValueError("degree bound must be >= 0")
         self.degree_bound = degree_bound
-        self._h_cache: dict[int, PowerSumPoly] = {}
+        self._h_cache: dict[int, dict] = {}
         self._schur_cache: dict[tuple, PowerSumPoly] = {}
 
-    def _h(self, m: int) -> PowerSumPoly:
-        # unbounded internal form: oversized determinants contain entries
-        # above the session bound that cancel in the final value
+    def _h(self, m: int) -> dict:
+        """S_m = sum over mu of m of p_mu / z_mu, as {multiplicities of mu: 1}.
+
+        Unbounded: oversized determinants contain entries above the session
+        bound that cancel in the final value."""
         if m < 0:
-            return PowerSumPoly.zero()
+            return {}
         got = self._h_cache.get(m)
-        if got is not None:
-            return got
-        if m == 0:
-            poly = PowerSumPoly.one()
-        else:
-            # m*S_m = sum_{k=1}^{m} p_k S_{m-k}
-            acc = PowerSumPoly.zero()
-            for k in range(1, m + 1):
-                acc = acc + PowerSumPoly.p(k) * self._h(m - k)
-            poly = acc.scale(Fraction(1, m))
-        self._h_cache[m] = poly
-        return poly
+        if got is None:
+            got = {_multiplicities(mu): 1 for mu in partitions_of(m)}
+            self._h_cache[m] = got
+        return got
 
     def _jacobi_trudi(self, mu: Partition, nu: Partition, size: int) -> PowerSumPoly:
         matrix = [
@@ -153,7 +193,7 @@ class PowerSumRing:
             ]
             for i in range(1, size + 1)
         ]
-        return _det(matrix)
+        return PowerSumPoly._raw({m: Fraction(c, _z(m)) for m, c in _det(matrix).items()})
 
     def schur(self, mu: Partition, size: int | None = None) -> PowerSumPoly:
         """S_mu as a determinant of size >= l(mu); independent of the size."""
@@ -188,52 +228,61 @@ def specialize_rho(k: int) -> QFieldElem:
     """p_k at q^rho: the closed geometric form 1 / (q^(k/2) - q^(-k/2))."""
     if k < 1:
         raise ValueError("power-sum index must be >= 1")
-    half = Fraction(k, 2)
-    den = QPowerSum.monomial(half) + QPowerSum.monomial(-half, coef=-1)
-    return QFieldElem(QPowerSum.one(), den)
+    return QFieldElem(QPowerSum.one(), QPowerSum.laurent({k: 1, -k: -1}, 2))
 
 
 def specialize_nu_rho(nu: Partition, k: int) -> QFieldElem:
     """p_k at q^(nu+rho): finite head plus closed geometric tail.
 
     p_k = sum_{i<=l} q^(k(nu_i - i + 1/2)) + q^(k(1/2 - (l+1))) / (1 - q^(-k))
-    with l = l(nu).
+    with l = l(nu), over the denominator 1 - q^(-k); the numerator's
+    exponents are the ints k(2(nu_i - i) + 1) on the half-integer grid.
     """
     if k < 1:
         raise ValueError("power-sum index must be >= 1")
-    ell = nu.length
-    den = QPowerSum.one() + QPowerSum.monomial(-k, coef=-1)
-    num = QPowerSum.monomial(Fraction(k) * (Fraction(1, 2) - (ell + 1)))
-    for i in range(1, ell + 1):
-        head = QPowerSum.monomial(Fraction(k) * (nu.part(i) - i + Fraction(1, 2)))
-        num = num + head * den
-    return QFieldElem(num, den)
+    num = {-k * (2 * nu.length + 1): 1}
+    for i, part in enumerate(nu.parts, start=1):
+        e = k * (2 * (part - i) + 1)
+        num[e] = num.get(e, 0) + 1
+        num[e - 2 * k] = num.get(e - 2 * k, 0) - 1
+    return QFieldElem(QPowerSum.laurent(num, 2), QPowerSum.laurent({0: 1, -k: -1}))
 
 
 class Specialization:
-    """Point values p_k -> QFieldElem for k = 1..D, with a ring-hom evaluator.
+    """Point values p_k -> QFieldElem for k = 1..bound, with a ring-hom
+    evaluator.
 
-    Values are held as (num, den) pairs and polynomials are evaluated over
-    a common denominator, which keeps the q-expression sizes bounded.  For
-    as long as the specialization lives it keeps each power of a num or den
-    it has formed, and each monomial's product over the common denominator
-    per exponent caps, so no product is formed twice.
+    `point(k)` gives the value of p_k.  Each value is made when an
+    evaluation first reads it, so a p_k that no evaluated polynomial holds
+    is never made; a polynomial in a p_k past the bound raises
+    `DegreeBoundExceeded`.  Values are held as (num, den) pairs and
+    polynomials are evaluated over a common denominator, which keeps the
+    q-expression sizes bounded.  For as long as the specialization lives it
+    keeps each value, each power of a num or den it has formed, and each
+    monomial's product over the common denominator per exponent caps, so
+    nothing is formed twice.
     """
 
-    def __init__(self, values: dict[int, QFieldElem]):
-        self.values = values
+    def __init__(self, point: Callable[[int], QFieldElem], bound: int):
+        self.point = point
+        self.bound = bound
+        self._values: dict[int, QFieldElem] = {}
         self._pow_cache: dict[tuple[str, int, int], QPowerSum] = {}
         self._product_cache: dict[tuple[Monomial, tuple[int, ...]], QPowerSum] = {}
 
     @staticmethod
     def rho(degree_bound: int) -> "Specialization":
-        return Specialization({k: specialize_rho(k) for k in range(1, degree_bound + 1)})
+        return Specialization(specialize_rho, degree_bound)
 
     @staticmethod
     def nu_rho(nu: Partition, degree_bound: int) -> "Specialization":
-        return Specialization(
-            {k: specialize_nu_rho(nu, k) for k in range(1, degree_bound + 1)}
-        )
+        return Specialization(partial(specialize_nu_rho, nu), degree_bound)
+
+    def _value(self, k: int) -> QFieldElem:
+        got = self._values.get(k)
+        if got is None:
+            got = self._values[k] = self.point(k)
+        return got
 
     def _power(self, tag: str, k: int, e: int) -> QPowerSum:
         if e == 0:
@@ -241,7 +290,7 @@ class Specialization:
         key = (tag, k, e)
         got = self._pow_cache.get(key)
         if got is None:
-            base = self.values[k].num if tag == "n" else self.values[k].den
+            base = self._value(k).num if tag == "n" else self._value(k).den
             got = self._power(tag, k, e - 1) * base
             self._pow_cache[key] = got
         return got
@@ -266,16 +315,15 @@ class Specialization:
         if poly.is_zero():
             return QFieldElem.zero()
         top = poly.max_index()
-        for k in range(1, top + 1):
-            if k not in self.values:
-                raise DegreeBoundExceeded(f"specialization lacks p_{k}")
+        if top > self.bound:
+            raise DegreeBoundExceeded(f"specialization lacks p_{self.bound + 1}")
         caps = [0] * top
         for m in poly.coeffs:
             for i, e in enumerate(m):
                 if e > caps[i]:
                     caps[i] = e
         caps = tuple(caps)
-        num_total = QPowerSum.zero()
-        for m, c in poly.coeffs.items():
-            num_total = num_total + self._product(m, caps).scale(c)
+        num_total = QPowerSum.combine(
+            (self._product(m, caps), c.as_integer_ratio()) for m, c in poly.coeffs.items()
+        )
         return QFieldElem(num_total, self._product((), caps))

@@ -1,6 +1,5 @@
 """Exact sparse polynomials: the ring and formatting code of `SitePoly` and
-`PowerSumPoly`, and `join_terms`, the signed-term join that `QPowerSum`
-shares (it orders and formats its own terms).
+`PowerSumPoly`.
 
 A polynomial is a dict from monomials to nonzero `Fraction` coefficients.
 No zero coefficient is ever stored, so dict equality is equality of
@@ -29,16 +28,6 @@ from typing import Iterable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def join_terms(terms: Iterable[tuple[str, str | None]]) -> str:
-    """Join (coefficient text, monomial text) pairs, the monomial None for the
-    unit, as "c*mono", "mono", "-mono" or "c" with " + " and " - "; "0" if empty."""
-    chunks = []
-    for coef, mono in terms:
-        text = coef if mono is None else {"1": mono, "-1": "-" + mono}.get(coef, f"{coef}*{mono}")
-        chunks.append(text if not chunks else " - " + text[1:] if text[0] == "-" else " + " + text)
-    return "".join(chunks) or "0"
 
 
 class SparsePoly:
@@ -170,10 +159,15 @@ class SparsePoly:
     # -- formatting -----------------------------------------------------------
 
     def __str__(self) -> str:
-        """The terms in display order, through `join_terms`."""
+        """The terms in display order, as "c*mono", "mono", "-mono" or, for
+        the unit, "c", joined by " + " and " - "; "0" if there are none."""
         unit, mono_str, key = self._UNIT, self._mono_str, self._display_key
-        terms = sorted(self.coeffs.items(), key=lambda t: key(t[0]), reverse=self._DESCENDING)
-        return join_terms((str(c), None if m == unit else mono_str(m)) for m, c in terms)
+        chunks = []
+        for m, c in sorted(self.coeffs.items(), key=lambda t: key(t[0]), reverse=self._DESCENDING):
+            coef = str(c)
+            text = coef if m == unit else {"1": "", "-1": "-"}.get(coef, coef + "*") + mono_str(m)
+            chunks.append(text if not chunks else " - " + text[1:] if text[0] == "-" else " + " + text)
+        return "".join(chunks) or "0"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

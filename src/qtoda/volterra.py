@@ -310,10 +310,10 @@ def _step_count(k: int, t_end: float, dt: float, record_every: int) -> int:
     return n_steps
 
 
-def site_steps(state: LatticeState, k: int, t_end: float, runs: list[tuple[float, int]]) -> int:
-    """Refined sites times RK4 steps, summed over the (dt, record_every)
-    runs of integrate_runs, whose input checks it makes first."""
-    return len(state.sites) * sum(_step_count(k, t_end, dt, every) for dt, every in runs)
+def step_counts(k: int, t_end: float, runs: list[tuple[float, int]]) -> list[int]:
+    """The RK4 steps of each (dt, record_every) run of integrate_runs, whose
+    input checks it makes first."""
+    return [_step_count(k, t_end, dt, every) for dt, every in runs]
 
 
 def integrate(

@@ -431,6 +431,32 @@ def test_simulate_refuses_more_site_steps_than_its_limit(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("order_check", [False, True])
+@pytest.mark.parametrize("extra_steps, refused", [(0, False), (1, True)])
+def test_simulate_refuses_a_larger_recorded_trajectory_than_its_limit(
+        tmp_path, monkeypatch, capsys, order_check, extra_steps, refused):
+    # 8 refined sites at dt = 1e-3 with --record-every 1 keep 8 * (steps + 1)
+    # values per run (the dt/2 run, recording every 2nd of twice the steps,
+    # as many): the most steps within the limit, then one more
+    monkeypatch.setattr(cli, "integrate_runs", _integrated)
+    per_state = 8 * (2 if order_check else 1)
+    steps = cli.MAX_RECORDED_VALUES // per_state - 1 + extra_steps
+    assert 3 * 8 * steps < cli.MAX_SITE_STEPS  # within the step limit
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    argv = ["simulate", "--sites", "4", "--dt", "1e-3", "--t-end", str(steps / 1000),
+            "--record-every", "1", "--out-csv", str(csv), "--out", str(report)]
+    argv += ["--order-check"] * order_check
+    if not refused:
+        with pytest.raises(_Integrated):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --record-every 1 records ") and err.count("\n") == 1
+    assert f"{(steps + 1) * per_state:.3g} values on 8 refined sites" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_refuses_a_run_that_would_never_end(tmp_path, monkeypatch, capsys):
     # 1 / 1e-300 steps is finite, so only the limit stops it
     monkeypatch.setattr(cli, "integrate_runs", _fail_if_called)

@@ -530,7 +530,7 @@ def test_factor_series_matches_schur_column_values():
     ring = PowerSumRing(5)
     # the alphabet {q^(1/2), q^(3/2), ...} has p_k = q^(k/2)/(1-q^k), which is
     # exactly the reflected-point continuation value
-    spec = Specialization({k: -specialize_rho(k) for k in range(1, 6)})
+    spec = Specialization(lambda k: -specialize_rho(k), 5)
     for n in range(1, 5):
         column = Partition((1,) * n)
         row = Partition((n,))

@@ -3,6 +3,7 @@ QPowerSum core (its text form included) against the references of
 qfield_oracle.py."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -524,3 +525,161 @@ def test_a_one_term_factor_multiplies_as_a_shift():
     assert min(seen.values()) > 20, seen
     half = QPowerSum.monomial(Fraction(1, 2))
     assert (half * half).part == (1, (1, 1), {1: 1}) and half * half == QPowerSum.monomial(1)
+
+
+# -- the one-pass text form against the formatter it replaced -------------------
+
+
+def legacy_expo_text(key: tuple) -> str:
+    """The text of c2*s^2 + c1*s + c0 from its int key (n2, d2, n1, d1, n0, d0)."""
+    text = ""
+    for n, d, sym in zip(key[::2], key[1::2], ("s^2", "s", "")):
+        if n:
+            coef = str(n) if d == 1 else f"{n}/{d}"
+            if sym:
+                coef = {"1": "", "-1": "-"}.get(coef, coef + "*")
+            text += ("+" if text and n > 0 else "") + coef + sym
+    return text or "0"
+
+
+def legacy_join_terms(terms) -> str:
+    """(coefficient text, monomial text or None) pairs joined by " + " and " - "."""
+    chunks = []
+    for coef, mono in terms:
+        text = coef if mono is None else {"1": mono, "-1": "-" + mono}.get(coef, f"{coef}*{mono}")
+        chunks.append(text if not chunks else " - " + text[1:] if text[0] == "-" else " + " + text)
+    return "".join(chunks) or "0"
+
+
+def legacy_str(p) -> str:
+    """QPowerSum text as formatted term by term: one exponent text per term."""
+    if p.part is None:
+        return "0"
+    s, (L, (n, d), P) = p.s, p.part
+    terms = []
+    for k in sorted(P, reverse=True):
+        c, e = Fraction(n * P[k], d), Fraction(k, L)
+        mono = None if s == (0, 1, 0, 1) and not k else f"q^({legacy_expo_text(s + e.as_integer_ratio())})"
+        terms.append((str(c), mono))
+    return legacy_join_terms(terms)
+
+
+def text_cases():
+    """Seeded sums, products and differences on the grids 1 to 16, and a
+    tally of what they cover."""
+    rng = random.Random(SEED + 10)
+    cases, seen = [QPowerSum.zero()], Counter()
+    for L in range(1, 17):
+        for _ in range(8):
+            sigma = random_exponent(rng)[1:]
+            x, y = random_gridded_sum(rng, L, sigma), random_gridded_sum(rng, L, sigma)
+            cases += [x, x * y, x - y, x - x]
+    for p in cases:
+        terms = list(p.terms())
+        seen["zero"] += not terms
+        seen["s^2"] += any(c2 for *_, c2, _ in terms)
+        seen["s only"] += any(c1 and not c2 for _, c1, c2, _ in terms)
+        seen["+-1"] += any(abs(c) == 1 for *_, c in terms)
+        seen["fraction"] += any(c.denominator > 1 for *_, c in terms)
+        seen["c0 = 0 after an s-part"] += any(not c0 and (c1 or c2) for c0, c1, c2, _ in terms)
+        seen["constant"] += any(not (c0 or c1 or c2) for c0, c1, c2, _ in terms)
+        seen["c0 > 0 after an s-part"] += any(c0 > 0 and (c1 or c2) for c0, c1, c2, _ in terms)
+    return cases, seen
+
+
+def test_one_pass_text_matches_the_former_formatter():
+    cases, seen = text_cases()
+    assert [p for p in cases if str(p) != legacy_str(p)] == []
+    assert min(seen.values()) > 10, seen
+
+
+def test_the_text_check_sees_a_dropped_plus_before_c0():
+    # negative control: "q^(s+1/2)" printed as "q^(s1/2)"
+    def drops_plus(p):
+        return re.sub(r"(s|s\^2)\+(\d)", r"\1\2", str(p))
+
+    cases, _ = text_cases()
+    assert [p for p in cases if drops_plus(p) != legacy_str(p)]
+
+
+# -- the n-ary sum against the reference arithmetic -----------------------------
+
+
+def is_canonical(p) -> bool:
+    try:
+        assert_canonical(p)
+    except AssertionError:
+        return False
+    return True
+
+
+def combine_cases():
+    """Seeded (pairs, reference sum) cases: up to six sums of one s-part on
+    grids up to 16, with content denominators from 1 to 10007 and
+    coefficients of their own, and a sum that cancels to zero."""
+    rng = random.Random(SEED + 11)
+    cases = []
+    for L in range(1, 17):
+        for _ in range(6):
+            sigma = random_exponent(rng)[1:]
+            xs = [random_gridded_sum(rng, rng.randint(1, L), sigma)
+                  for _ in range(rng.randint(1, 6))]
+            cs = [(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice((1, 2, 3) + PRIMES))
+                  for _ in xs]
+            want = {}
+            for x, (n, d) in zip(xs, cs):
+                want = ref_add(want, {e: c * Fraction(n, d) for e, c in expand(x).items()})
+            cases.append((list(zip(xs, cs)), want))
+            # the same sum less itself: every term cancels
+            cases.append((list(zip(xs, cs)) + [(x, (-n, d)) for x, (n, d) in zip(xs, cs)], {}))
+    return cases
+
+
+def combine_failures(cases) -> list[str]:
+    """What goes wrong when each case is summed: a wrong value or a
+    non-canonical form."""
+    bad = []
+    for pairs, want in cases:
+        got = QPowerSum.combine(pairs)
+        if expand(got) != want:
+            bad.append(f"value {got}")
+        if not is_canonical(got):
+            bad.append(f"form {got.part}")
+    return bad
+
+
+def test_combine_matches_the_reference_sum():
+    cases = combine_cases()
+    assert combine_failures(cases) == []
+    assert sum(not want for _, want in cases) == len(cases) // 2
+    assert len({c[1] for pairs, _ in cases for _, c in pairs}) > 5
+    # the binary operators are sums of two
+    for pairs, _ in cases[::2]:
+        x, y = pairs[0][0], pairs[-1][0]
+        assert x + y == QPowerSum.combine([(x, (1, 1)), (y, (1, 1))])
+        assert x - y == QPowerSum.combine([(x, (1, 1)), (y, (-1, 1))])
+
+
+def test_combine_across_two_s_parts_raises():
+    x, y = QPowerSum.monomial(1, c1=1), QPowerSum.monomial(2, c1=2)
+    with pytest.raises(MixedSParts, match=r"^cannot add q-power sums of different s-parts s and 2\*s$"):
+        QPowerSum.combine([(x, (1, 1)), (QPowerSum.zero(), (1, 1)), (y, (3, 2))])
+    # zero sums are skipped, whatever their s-part
+    assert QPowerSum.combine([(QPowerSum.zero(), (1, 1)), (x, (2, 1))]) == x.scale(2)
+    assert QPowerSum.combine([]).is_zero()
+
+
+def test_the_combine_check_sees_a_skipped_gcd_pass(monkeypatch):
+    # negative control: a sum that keeps its common multiple inside P has
+    # the right value but not the canonical form
+    def no_gcd_pass(L, D, P):
+        P = {k: v for k, v in P.items() if v}
+        if not P:
+            return None
+        sign = 1 if P[max(P)] > 0 else -1
+        return qfield._on_grid(L, (sign, D), {k: sign * v for k, v in P.items()})
+
+    cases = combine_cases()
+    monkeypatch.setattr(qfield, "_part_from_ints", no_gcd_pass)
+    bad = combine_failures(cases)
+    assert bad and all(b.startswith("form") for b in bad)

@@ -160,7 +160,7 @@ def test_skew_schur_matches_the_coproduct_at_integer_points():
 def test_continuation_matches_explicit_negated_specialization():
     """q^(-rho) as p -> -p at q^rho against the explicit point p_k = -p_k(q^rho)."""
     ctx = VertexContext(6)
-    neg = Specialization({k: -specialize_rho(k) for k in range(1, 7)})
+    neg = Specialization(lambda k: -specialize_rho(k), 6)
     for mu in enumerate_partitions(6):
         for eta in subpartitions(mu):
             expected = neg.evaluate(ctx.ring.skew_schur(mu, eta))
@@ -180,24 +180,26 @@ def test_continuation_matches_explicit_negated_specialization():
 
 def test_size_independence_check_fails_on_a_wrong_padded_expansion(monkeypatch):
     """Negative control: a cofactor expansion that drops the signs (a
-    permanent) on matrices larger than l(mu) must fail the suite's check."""
+    permanent) on matrices larger than l(mu) must fail the suite's check.
+    The entries are int combinations of the basis p_mu / z_mu."""
 
     def permanent(matrix):
         if not matrix:
-            return PowerSumPoly.one()
-        total = PowerSumPoly.zero()
+            return {(): 1}
+        total = {}
         for j, entry in enumerate(matrix[0]):
-            if not entry.is_zero():
+            if entry:
                 rest = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-                total = total + entry * permanent(rest)
-        return total
+                for m, c in schur._basis_mul(entry, permanent(rest)).items():
+                    total[m] = total.get(m, 0) + c
+        return {m: c for m, c in total.items() if c}
 
     real = schur._det
 
     def mutated(matrix):
         # rows below l(mu) read (0, ..., 0, 1): only padded matrices change
         last = matrix[-1] if matrix else []
-        padded = last and all(e.is_zero() for e in last[:-1]) and last[-1] == PowerSumPoly.one()
+        padded = last and not any(last[:-1]) and last[-1] == {(): 1}
         return permanent(matrix) if padded else real(matrix)
 
     monkeypatch.setattr(schur, "_det", mutated)
@@ -207,6 +209,49 @@ def test_size_independence_check_fails_on_a_wrong_padded_expansion(monkeypatch):
     # one-row shapes give triangular padded matrices, where the permanent is
     # the determinant; (1, 1) is the first partition the mutation breaks
     assert check["detail"].split("; ")[0] == str(Partition((1, 1)))
+
+
+# -- the integer Jacobi-Trudi determinant against the Fraction one it replaced
+
+
+def _fraction_h(m: int, cache: dict) -> PowerSumPoly:
+    """S_m from m*S_m = sum_{k=1}^{m} p_k S_{m-k}, in Fractions."""
+    if m < 0:
+        return PowerSumPoly.zero()
+    if m not in cache:
+        acc = PowerSumPoly.one() if m == 0 else PowerSumPoly.zero()
+        for k in range(1, m + 1):
+            acc = acc + PowerSumPoly.p(k) * _fraction_h(m - k, cache)
+        cache[m] = acc if m == 0 else acc.scale(Fraction(1, m))
+    return cache[m]
+
+
+def _poly_det(matrix: list[list[PowerSumPoly]]) -> PowerSumPoly:
+    """Cofactor expansion along the first row over PowerSumPoly entries."""
+    if not matrix:
+        return PowerSumPoly.one()
+    total = PowerSumPoly.zero()
+    for j, entry in enumerate(matrix[0]):
+        if not entry.is_zero():
+            term = entry * _poly_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def fraction_skew_schur(mu: Partition, nu: Partition, cache: dict) -> PowerSumPoly:
+    size = max(mu.length, nu.length)
+    return _poly_det([[_fraction_h(mu.part(i) - nu.part(j) - i + j, cache)
+                       for j in range(1, size + 1)] for i in range(1, size + 1)])
+
+
+def test_integer_jacobi_trudi_matches_the_fraction_determinant():
+    # every skew shape mu/nu of weight <= 7, nu inside mu or not (then zero)
+    ring, cache = PowerSumRing(7), {}
+    shapes = enumerate_partitions(7)
+    pairs = [(mu, nu) for mu in shapes for nu in shapes if nu.weight <= mu.weight]
+    for mu, nu in pairs:
+        assert ring.skew_schur(mu, nu) == fraction_skew_schur(mu, nu, cache), (mu, nu)
+    assert sum(mu.contains(nu) for mu, nu in pairs) > 400
 
 
 def test_homogeneity(ring):
@@ -270,7 +315,7 @@ def test_specialization_evaluator_is_ring_hom(ring):
 def test_specialization_matches_direct_value():
     rho = Specialization.rho(4)
     assert rho.evaluate(PowerSumPoly.p(3)) == specialize_rho(3)
-    missing = Specialization({1: specialize_rho(1)})
+    missing = Specialization(specialize_rho, 1)
     with pytest.raises(DegreeBoundExceeded):
         missing.evaluate(PowerSumPoly.p(2))
 

@@ -1,7 +1,6 @@
 """The sparse-polynomial core behind SitePoly and PowerSumPoly, and the
 QPowerSum text form and ring operations, which its own integer core
-computes and which share only the signed-term join (`join_terms`) with
-SparsePoly.
+computes, sharing no code with SparsePoly.
 
 The golden strings pin the documented str() contract and the ring
 operations: each pair is str(x) and str(x * y - z) for seeded random x, y, z,

@@ -341,12 +341,15 @@ class _Forgetful(dict):
 
 def _count_identities_job(monkeypatch, tmp_path, forget=()):
     """Run the identities job in-process, counting the VertexContexts built,
-    the vertex values W and matrix elements gamma computed per pair, and the
-    Specialization.evaluate calls per (point, shape); the context caches
-    named in `forget` keep nothing."""
-    counts = {"contexts": 0, "vertex": Counter(), "gamma": Counter(), "evaluated": Counter()}
+    the vertex values W and matrix elements gamma computed per pair, the
+    Specialization.evaluate calls per (point, shape), and per Specialization
+    the p_k values it makes and the p_k its evaluated polynomials hold; the
+    context caches named in `forget` keep nothing."""
+    counts = {"contexts": 0, "vertex": Counter(), "gamma": Counter(), "evaluated": Counter(),
+              "made": {}, "read": {}}
     frames = []  # what is being computed, innermost last
     init, evaluate, eta_sum = VertexContext.__init__, Specialization.evaluate, VertexContext._eta_sum
+    spec_init = Specialization.__init__
 
     def counted_init(ctx, degree_bound):
         init(ctx, degree_bound)
@@ -366,7 +369,18 @@ def _count_identities_job(monkeypatch, tmp_path, forget=()):
 
         monkeypatch.setattr(VertexContext, method, call)
 
+    def counted_spec_init(spec, point, bound):
+        made = counts["made"][spec] = []
+        counts["read"][spec] = set()
+
+        def counted_point(k):
+            made.append(k)
+            return point(k)
+
+        spec_init(spec, counted_point, bound)
+
     def counted_evaluate(spec, poly):
+        counts["read"][spec] |= {k for m in poly.coeffs for k, e in enumerate(m, start=1) if e}
         frame = frames[-1] if frames else None
         if frame and frame[0] == "W":  # the right factor: the one evaluation per W computed
             counts["vertex"][frame[1:]] += 1
@@ -381,6 +395,7 @@ def _count_identities_job(monkeypatch, tmp_path, forget=()):
     monkeypatch.setattr(VertexContext, "__init__", counted_init)
     framed("vertex_def", lambda nu, nubar: ("W", nu.parts, nubar.parts))
     framed("skew_at", lambda mu, eta, point: ("s", mu.parts, eta.parts, point))
+    monkeypatch.setattr(Specialization, "__init__", counted_spec_init)
     monkeypatch.setattr(Specialization, "evaluate", counted_evaluate)
     monkeypatch.setattr(VertexContext, "_eta_sum", counted_eta_sum)
     assert main(IDENTITIES_JOB + ["--out", str(tmp_path / "report.json")]) == 0
@@ -393,9 +408,19 @@ def _recomputed(counts) -> list[str]:
     return bad + [k for k in ("vertex", "gamma", "evaluated") if max(counts[k].values()) > 1]
 
 
+def _unread_values(counts) -> list[tuple[int, list[int]]]:
+    """Per Specialization that makes a p_k no evaluated polynomial holds,
+    or one p_k twice: its bound and the p_k it made."""
+    return [(spec.bound, made) for spec, made in counts["made"].items()
+            if sorted(made) != sorted(counts["read"][spec])]
+
+
 def test_the_identities_job_computes_each_value_once(monkeypatch, tmp_path):
     counts = _count_identities_job(monkeypatch, tmp_path)
     assert _recomputed(counts) == []
+    # a Specialization makes each p_k that an evaluation reads, once, and no other
+    assert _unread_values(counts) == []
+    assert len(counts["made"]) > 10 and sum(map(len, counts["made"].values())) > 40
     # every pair of the weight-6 equality suite has its W, every gamma of the
     # weight-4 shift tables is there
     assert len(counts["vertex"]) == len(pairs_up_to(6))
@@ -408,6 +433,22 @@ def test_the_identities_job_computes_each_value_once(monkeypatch, tmp_path):
 def test_the_count_sees_a_context_cache_that_forgets(monkeypatch, tmp_path, cache, seen):
     # negative control: a cache that keeps nothing computes its values again
     assert seen in _recomputed(_count_identities_job(monkeypatch, tmp_path, forget=(cache,)))
+
+
+def test_the_count_sees_an_eager_specialization(monkeypatch, tmp_path):
+    # negative control: a q^(nu+rho) point that makes every p_k up to its
+    # bound when it is built, as Specialization.nu_rho once did
+    real = Specialization.nu_rho
+
+    def eager(nu, degree_bound):
+        spec = real(nu, degree_bound)
+        for k in range(1, degree_bound + 1):
+            spec._value(k)
+        return spec
+
+    monkeypatch.setattr(Specialization, "nu_rho", staticmethod(eager))
+    counts = _count_identities_job(monkeypatch, tmp_path)
+    assert _unread_values(counts) and _recomputed(counts) == []
 
 
 def test_the_count_sees_a_second_context(monkeypatch, tmp_path):
