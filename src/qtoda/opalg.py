@@ -53,7 +53,9 @@ def _merge_offsets(m1: tuple, m2: tuple) -> tuple:
 
 
 class SitePoly(SparsePoly):
-    """Polynomial in shifted samples u(s + r) with Fraction coefficients.
+    """Polynomial in shifted samples u(s + r) with rational coefficients,
+    ints where every input coefficient is an int (see `sparse`), so the
+    exact flow stencils are formed in int arithmetic.
 
     A monomial is a sorted tuple of int offsets i (with multiplicity), each
     the rational offset r = i / grid on the polynomial's own grid, a
@@ -122,7 +124,7 @@ class SitePoly(SparsePoly):
         """Every term as (tuple of rational offsets, coefficient), all Fractions."""
         grid = self.grid
         for m, c in self.coeffs.items():
-            yield tuple(Fraction(i, grid) for i in m), c
+            yield tuple(Fraction(i, grid) for i in m), Fraction(c)
 
     def _mono_str(self, m: tuple) -> str:
         return "*".join(f"u(s{_offset_str(i, self.grid)})" for i in m)
@@ -130,7 +132,7 @@ class SitePoly(SparsePoly):
     @staticmethod
     def u(offset=0) -> "SitePoly":
         r = Fraction(offset)
-        return SitePoly._raw({(r.numerator,): Fraction(1)}, r.denominator)
+        return SitePoly._raw({(r.numerator,): 1}, r.denominator)
 
     def shift(self, beta) -> "SitePoly":
         beta = Fraction(beta)

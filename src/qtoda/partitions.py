@@ -19,6 +19,14 @@ class Partition:
             raise ValueError(f"parts not non-increasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _raw(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap a tuple of positive non-increasing ints, without checking it:
+        for partitions built from valid ones."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "parts", parts)
+        return new
+
     @staticmethod
     def parse(text: str) -> "Partition":
         """Parse the CLI text form, e.g. "[3,1]" or "3,1" or "[]"."""
@@ -46,7 +54,7 @@ class Partition:
         for p in self.parts:
             for j in range(p):
                 cols[j] += 1
-        return Partition(tuple(cols))
+        return Partition._raw(tuple(cols))
 
     def contains(self, other: "Partition") -> bool:
         """Young-diagram inclusion: other[i] <= self[i] componentwise."""
@@ -56,7 +64,7 @@ class Partition:
 
     def intersect(self, other: "Partition") -> "Partition":
         n = min(self.length, other.length)
-        return Partition(tuple(min(self.parts[i], other.parts[i]) for i in range(n)))
+        return Partition._raw(tuple(min(self.parts[i], other.parts[i]) for i in range(n)))
 
     def kappa(self) -> int:
         """kappa = sum_i part_i * (part_i - 2i + 1), 1-based rows."""
@@ -80,7 +88,7 @@ def partitions_of(weight: int, max_part: int | None = None) -> tuple[Partition, 
     out = []
     for first in range(cap, 0, -1):
         for rest in partitions_of(weight - first, first):
-            out.append(Partition((first,) + rest.parts))
+            out.append(Partition._raw((first,) + rest.parts))
     return tuple(out)
 
 

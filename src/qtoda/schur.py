@@ -158,6 +158,24 @@ def _det(matrix: list[list[dict]]) -> dict:
     return minor(tuple(range(n)))
 
 
+def skew_diagram(mu: Partition, nu: Partition) -> tuple[tuple[int, int], ...] | None:
+    """The cells of mu/nu with its empty rows and columns deleted, as one
+    half-open column interval per remaining row; None when nu is not
+    contained in mu.
+
+    An empty row or column splits the diagram into two pieces that share
+    no row and no column, and S_{mu/nu} is the product of the pieces'
+    skew Schur polynomials wherever they sit, so deleting it keeps
+    S_{mu/nu}: two pairs with one diagram have one polynomial.
+    """
+    if not mu.contains(nu):
+        return None
+    rows = [(nu.part(i), p) for i, p in enumerate(mu.parts, start=1) if nu.part(i) < p]
+    filled = sorted({c for lo, hi in rows for c in range(lo, hi)})
+    rank = {c: i for i, c in enumerate(filled)}  # a filled column's place among them
+    return tuple((rank[lo], rank[lo] + hi - lo) for lo, hi in rows)
+
+
 class PowerSumRing:
     """Session-scoped ring of polynomials in p_1..p_D.
 
@@ -170,7 +188,7 @@ class PowerSumRing:
             raise ValueError("degree bound must be >= 0")
         self.degree_bound = degree_bound
         self._h_cache: dict[int, dict] = {}
-        self._schur_cache: dict[tuple, PowerSumPoly] = {}
+        self._schur_cache: dict[tuple | None, PowerSumPoly] = {}
 
     def _h(self, m: int) -> dict:
         """S_m = sum over mu of m of p_mu / z_mu, as {multiplicities of mu: 1}.
@@ -208,7 +226,7 @@ class PowerSumRing:
                 f"|mu| = {mu.weight} exceeds degree bound {self.degree_bound}"
             )
         if size is None:
-            key = (mu.parts, nu.parts)
+            key = skew_diagram(mu, nu)  # one diagram, one polynomial
             got = self._schur_cache.get(key)
             if got is None:
                 got = self._jacobi_trudi(mu, nu, max(mu.length, nu.length))

@@ -1,7 +1,12 @@
 """Exact sparse polynomials: the ring and formatting code of `SitePoly` and
 `PowerSumPoly`.
 
-A polynomial is a dict from monomials to nonzero `Fraction` coefficients.
+A polynomial is a dict from monomials to nonzero rational coefficients,
+each a Python int or a `Fraction`.  The ring operations start from int 0
+and 1 and keep an int scale factor an int, so int coefficients stay ints:
+a polynomial built from integers (every flow stencil) forms no `Fraction`.
+As 3 == Fraction(3), hash(3) == hash(Fraction(3)) and str(3) ==
+str(Fraction(3)), equality and text do not see which type a coefficient is.
 No zero coefficient is ever stored, so dict equality is equality of
 polynomials on one monomial basis.  Instances are treated as immutable
 after construction.
@@ -26,9 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class SparsePoly:
     """Finite sum of monomials with exact rational coefficients."""
@@ -48,7 +50,7 @@ class SparsePoly:
             terms = terms.items()
         acc: dict = {}
         for m, c in terms:
-            v = acc.get(m, _ZERO) + c
+            v = acc.get(m, 0) + c
             if v:
                 acc[m] = v
             elif m in acc:
@@ -72,7 +74,7 @@ class SparsePoly:
 
     @classmethod
     def one(cls):
-        return cls._raw({cls._UNIT: _ONE})
+        return cls._raw({cls._UNIT: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -95,7 +97,7 @@ class SparsePoly:
             a, b = b, a
         acc = dict(a)
         for m, c in b.items():
-            v = acc.get(m, _ZERO) + c
+            v = acc.get(m, 0) + c
             if v:
                 acc[m] = v
             elif m in acc:
@@ -110,7 +112,7 @@ class SparsePoly:
             return self
         acc = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            v = acc.get(m, _ZERO) - c
+            v = acc.get(m, 0) - c
             if v:
                 acc[m] = v
             elif m in acc:
@@ -132,14 +134,14 @@ class SparsePoly:
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = mono_mul(m1, m2)
-                v = acc.get(m, _ZERO) + c1 * c2
+                v = acc.get(m, 0) + c1 * c2
                 if v:
                     acc[m] = v
                 elif m in acc:
                     del acc[m]
         return self._new(acc)
 
-    def mul_monomial(self, mono, coef: Fraction):
+    def mul_monomial(self, mono, coef):
         """Product with coef * mono (no two terms can collide); 1 and -1 multiply nothing."""
         if mono == self._UNIT:
             return self if coef == 1 else self.scale(coef)
@@ -151,7 +153,8 @@ class SparsePoly:
         return self._new({mono_mul(m, mono): c * coef for m, c in items})
 
     def scale(self, r):
-        r = r if isinstance(r, Fraction) else Fraction(r)
+        """The product with the rational r; an int r keeps int coefficients ints."""
+        r = r if isinstance(r, (int, Fraction)) else Fraction(r)
         if not r:
             return self._new({})
         return self._new({m: c * r for m, c in self.coeffs.items()})

@@ -27,7 +27,7 @@ from typing import Iterator
 from .errors import DegreeBoundExceeded, InvalidTau, NonCoprime
 from .partitions import EMPTY, Partition, enumerate_partitions
 from .qfield import QFieldElem, qpow
-from .schur import PowerSumRing, Specialization
+from .schur import PowerSumRing, Specialization, skew_diagram
 
 
 def subpartitions(limit: Partition) -> Iterator[Partition]:
@@ -35,12 +35,12 @@ def subpartitions(limit: Partition) -> Iterator[Partition]:
 
     def rec(i: int, prev: int, acc: tuple[int, ...]):
         if i >= limit.length:
-            yield Partition(acc)
+            yield Partition._raw(acc)
             return
         cap = min(prev, limit.parts[i])
         for v in range(cap, -1, -1):
             if v == 0:
-                yield Partition(acc)
+                yield Partition._raw(acc)
                 return
             yield from rec(i + 1, v, acc + (v,))
 
@@ -103,11 +103,12 @@ class VertexContext:
     """Caches for vertex evaluations up to a fixed total weight.
 
     For as long as the context lives it keeps every value it has computed:
-    the q^(nu+rho) specialization per nu, s_{mu/eta} per (mu, eta, point),
-    and the vertex value W(nu, nubar) of `vertex_def` and the matrix
-    element gamma(nu, nubar) per pair, so one session computes each once.
-    A value does not depend on the degree bound, so one context with a
-    bound covering every caller serves them all.
+    the q^(nu+rho) specialization per nu, s_{mu/eta} per skew diagram
+    (`skew_diagram`) and point, and the vertex value W(nu, nubar) of
+    `vertex_def` and the matrix element gamma(nu, nubar) per pair, so one
+    session computes each once.  A value does not depend on the degree
+    bound, so one context with a bound covering every caller serves them
+    all.
     """
 
     def __init__(self, degree_bound: int):
@@ -135,7 +136,7 @@ class VertexContext:
 
     def skew_at(self, mu: Partition, eta: Partition, point: str) -> QFieldElem:
         """s_{mu/eta} at q^rho ("rho") or at its continuation q^(-rho) ("neg")."""
-        key = (mu.parts, eta.parts, point)
+        key = (skew_diagram(mu, eta), point)  # one diagram, one polynomial
         got = self._skew_at.get(key)
         if got is None:
             poly = self.ring.skew_schur(mu, eta)

@@ -220,6 +220,9 @@ def power_diagonal(u: np.ndarray, plan) -> np.ndarray:
     banded_power(lax_diagonals(u, a, b), k*(a+b))[0] on floats and
     equal on Fractions.
     """
+    # The sign stays on every gathered factor: summing over u and negating
+    # once is not bitwise equal on signed zeros, as (-0) + (+0) = +0 but
+    # -((+0) + (-0)) = -0.
     neg = -u
     band = neg[None]  # after one step: row 0 (-b); row 1 (+a) is implicit
     for idx, down, below, up, prev in plan:
@@ -376,20 +379,25 @@ def integrate_runs(
     live_plan, u, back, half, full, sixth, arg, acc, zeros = prefix(live)
     times = [[state.time] for _ in runs]
     states = [[u0.copy()] for _ in runs]
+    # copy c records after step due[c]: its next multiple of record_every, or
+    # its last step; inf once it has recorded its last state
+    due = [min(runs[r][1], steps[r]) or math.inf for r in order]
+    next_due = min(due, default=math.inf)
     failed: dict[int, int] = {}  # run -> the step at which its copy left double range
+    add, mul = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(max(steps, default=0)):
             if steps[order[live - 1]] == step:  # the last live copy has ended
                 live = sum(steps[r] > step for r in order)
                 live_plan, u, back, half, full, sixth, arg, acc, zeros = prefix(live)
             k1 = _rhs(u, back, live_plan)
-            k2 = _rhs(np.add(u, np.multiply(half, k1, out=arg), out=arg), back, live_plan)
-            np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
-            k3 = _rhs(np.add(u, np.multiply(half, k2, out=arg), out=arg), back, live_plan)
-            np.add(acc, np.multiply(2.0, k3, out=arg), out=acc)
-            k4 = _rhs(np.add(u, np.multiply(full, k3, out=arg), out=arg), back, live_plan)
-            np.add(acc, k4, out=acc)
-            np.add(u, np.multiply(sixth, acc, out=acc), out=u)
+            k2 = _rhs(add(u, mul(half, k1, arg), arg), back, live_plan)
+            add(k1, mul(2.0, k2, acc), acc)
+            k3 = _rhs(add(u, mul(half, k2, arg), arg), back, live_plan)
+            add(acc, mul(2.0, k3, arg), acc)
+            k4 = _rhs(add(u, mul(full, k3, arg), arg), back, live_plan)
+            add(acc, k4, acc)
+            add(u, mul(sixth, acc, acc), u)
             done = step + 1
             if not _all_finite(u, zeros):
                 for c in range(live):
@@ -398,10 +406,14 @@ def integrate_runs(
             if failed and all(steps[r] <= done for r in range(min(failed))):
                 raise NonFinite(
                     f"state left double-precision range at step {failed[min(failed)]}")
-            for c, r in enumerate(order[:live]):
-                if done % runs[r][1] == 0 or done == steps[r]:
-                    times[r].append(state.time + done * runs[r][0])
-                    states[r].append(u[c * n:(c + 1) * n].copy())
+            if done == next_due:
+                for c in range(live):
+                    if due[c] == done:
+                        r = order[c]
+                        times[r].append(state.time + done * runs[r][0])
+                        states[r].append(u[c * n:(c + 1) * n].copy())
+                        due[c] = min(done + runs[r][1], steps[r]) if done < steps[r] else math.inf
+                next_due = min(due)
     return [Trajectory(state.a, state.b, np.array(t), np.array(s)) for t, s in zip(times, states)]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, config file."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -234,6 +235,42 @@ def test_exact_benchmark_job_matches_its_reference(name, tmp_path):
     assert main(list(job.argv) + ["--out", str(out)]) == 0
     reference = (bench.REFERENCE / f"{name}.json").read_text(encoding="utf-8")
     assert bench.compare_to_reference(out.read_text(encoding="utf-8"), reference) is None
+
+
+# SHA-256 of the benchmark's simulate jobs' outputs (JSON report, CSV), as
+# written before SitePoly coefficients became ints.  A change meant to move
+# the flow outputs replaces them with the digests the failure message shows.
+SIMULATE_DIGESTS = {
+    "simulate-a1-b1": ("efecf9136aeccc6addbfb9b34b7a1d059819a95757b22f54115ff207e74e44ea",
+                       "00567ed8d2d58d82015cd1b3a544f4ff821df996f8f248ff8de300a90755ef9c"),
+    "simulate-a2-b3": ("0abce4e4b3cde061830ec876fa4bcb67cff874148c20ce27f4002c86ab87a10e",
+                       "4295fbc1e69bda9f5be25f7479ef7c7b995f1945069b87e9d80c3861b57e6f2c"),
+}
+REPORT_VOLATILE = ('  "generated_at": ', '  "csv": ')  # the timestamp and the CSV path
+CSV_VOLATILE = ("# generated_at=",)
+
+
+def _digest_without(path, volatile):
+    """SHA-256 of the file without its lines that start with a volatile prefix,
+    and how many lines that left out."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(volatile)]
+    return hashlib.sha256("".join(kept).encode()).hexdigest(), len(lines) - len(kept)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+def test_simulate_benchmark_job_outputs_are_pinned(name, tmp_path):
+    # the benchmark's simulate jobs, in-process: their outputs must stay
+    # byte-identical, apart from the volatile lines, across commits
+    bench = load_benchmark("run")
+    (job,) = [j for jobs in bench.WORKLOADS.values() for j in jobs if j.name == name]
+    report, csv = tmp_path / "report.json", tmp_path / "trajectory.csv"
+    assert main(list(job.argv) + ["--out", str(report), "--out-csv", str(csv)]) == 0
+    (report_digest, report_skipped), (csv_digest, csv_skipped) = (
+        _digest_without(report, REPORT_VOLATILE), _digest_without(csv, CSV_VOLATILE))
+    assert (report_skipped, csv_skipped) == (2, 1)  # only the volatile lines
+    assert (report_digest, csv_digest) == SIMULATE_DIGESTS[name], (
+        f"new digests {(report_digest, csv_digest)}")
 
 
 # A fresh interpreter loads benchmarks/tracing.py as load_benchmark does,

@@ -11,6 +11,7 @@ from qtoda.partitions import (
     is_vertical_strip,
     partitions_of,
 )
+from qtoda.vertex import subpartitions
 
 
 def test_conjugate_examples():
@@ -72,3 +73,22 @@ def test_text_round_trip():
     assert Partition.parse("[]") == EMPTY
     with pytest.raises(ValueError):
         Partition((1, 2))
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (3, -1), (-2,), (2, 3, 1), (1, 0, 2)])
+def test_malformed_parts_are_refused(parts):
+    # the checked constructors; only the program's own builders skip the checks
+    with pytest.raises(ValueError):
+        Partition(parts)
+    with pytest.raises(ValueError):
+        Partition.parse(",".join(map(str, parts)))
+
+
+def test_unchecked_builders_make_valid_partitions():
+    # every partition built without the checks equals the checked one of its parts
+    built = [p for w in range(8) for p in partitions_of(w)]
+    built += [p.conjugate() for p in built]
+    built += [p.intersect(q) for p in built[:40] for q in built[:40]]
+    built += [eta for p in enumerate_partitions(6) for eta in subpartitions(p)]
+    for p in built:
+        assert Partition(p.parts) == p

@@ -58,6 +58,68 @@ def test_skew_schur_examples(ring):
     assert ring.skew_schur(Partition((2, 1)), EMPTY) == ring.schur(Partition((2, 1)))
 
 
+def test_skew_diagram_examples():
+    d, P = schur.skew_diagram, Partition
+    assert d(P((2, 1)), P((1,))) == ((1, 2), (0, 1))
+    # an empty row, then an empty column, is deleted
+    assert d(P((2,)), P((1,))) == d(P((1, 1)), P((1,))) == d(P((3, 1)), P((3,))) == ((0, 1),)
+    assert d(P((4, 1)), P((2,))) == ((1, 3), (0, 1))
+    assert d(P((2, 2)), P((2, 2))) == d(EMPTY, EMPTY) == ()
+    assert d(P((1,)), P((2,))) is None and d(P((1,)), P((1, 1))) is None
+
+
+SOUNDNESS_WEIGHT = 9
+
+
+@pytest.fixture(scope="module")
+def skew_polys():
+    """S_{mu/nu} by its own determinant, for every pair of weight <= 9."""
+    ring = PowerSumRing(SOUNDNESS_WEIGHT)
+    parts = enumerate_partitions(SOUNDNESS_WEIGHT)
+    return {(mu, nu): ring.skew_schur(mu, nu, size=max(mu.length, nu.length))
+            for mu in parts for nu in parts}
+
+
+def _collisions(polys: dict, key) -> list:
+    """The pairs that share a key with an earlier pair of another polynomial."""
+    first: dict = {}
+    bad = []
+    for pair, poly in polys.items():
+        seen_pair, seen_poly = first.setdefault(key(*pair), (pair, poly))
+        if seen_poly != poly:
+            bad.append((seen_pair, pair))
+    return bad
+
+
+def test_skew_diagram_key_is_sound(skew_polys):
+    # the cache key of skew_schur and skew_at: one diagram, one polynomial
+    assert len(skew_polys) == 9409
+    assert len({schur.skew_diagram(*pair) for pair in skew_polys}) == 321
+    assert _collisions(skew_polys, schur.skew_diagram) == []
+
+
+def test_soundness_test_sees_a_key_that_drops_nu(skew_polys):
+    assert _collisions(skew_polys, lambda mu, nu: schur.skew_diagram(mu, EMPTY))
+
+
+def test_skew_schur_forms_one_determinant_per_diagram(monkeypatch):
+    ring = PowerSumRing(5)
+    calls, original = [], ring._jacobi_trudi
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ring, "_jacobi_trudi", counting)
+    parts = enumerate_partitions(5)
+    for mu in parts:
+        for nu in parts:
+            ring.skew_schur(mu, nu)
+    assert len(calls) == len({schur.skew_diagram(mu, nu) for mu in parts for nu in parts})
+    assert ring.skew_schur(Partition((2,)), Partition((1,))) is ring.skew_schur(
+        Partition((1, 1)), Partition((1,)))
+
+
 def test_determinant_size_independence(ring):
     for mu in enumerate_partitions(6):
         assert ring.schur(mu) == ring.schur(mu, size=mu.length + 2)

@@ -492,3 +492,16 @@ def test_a_tau_table_on_a_warm_context_has_the_text_of_a_fresh_one():
         nu, nubar = Partition(key[0]), Partition(key[1])
         assert str(got.gammas[key]) == str(want.gammas[key])
         assert str(got.entry(nu, nubar)) == str(want.entry(nu, nubar))
+
+
+def test_skew_at_shares_a_value_between_pairs_of_one_diagram():
+    # (2)/(1) and (1,1)/(1) are one cell; (3,1)/(3) keeps one cell after
+    # its empty row and columns are deleted
+    context = VertexContext(4)
+    one_cell = [(Partition((2,)), Partition((1,))), (Partition((1, 1)), Partition((1,))),
+                (Partition((3, 1)), Partition((3,))), (Partition((1,)), EMPTY)]
+    for point in ("rho", "neg"):
+        values = [context.skew_at(mu, eta, point) for mu, eta in one_cell]
+        assert all(v is values[0] for v in values)
+    assert context.skew_at(Partition((1,)), EMPTY, "rho") == -context.skew_at(
+        Partition((1,)), EMPTY, "neg")

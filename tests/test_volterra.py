@@ -346,6 +346,58 @@ def test_integrate_bitwise_equals_banded_rk4(a, b, k):
         assert np.array_equal(run.states, np.array(reference)[recorded])
 
 
+# Record bookkeeping: (dt, steps to t_end = 0.012) and record intervals that
+# divide 12, 6, 3 or 24 steps, do not divide them, or exceed them.
+RECORD_DTS = [(1e-3, 12), (2e-3, 6), (4e-3, 3), (5e-4, 24)]
+RECORD_EVERY = [1, 2, 3, 5, 7, 13, 30]
+
+
+def _record_cases():
+    """1-3 runs each; runs with equal step counts and every interval kind."""
+    rng = np.random.default_rng(7)
+    cases = [[(1e-3, 1)], [(1e-3, 5), (1e-3, 3)], [(2e-3, 7), (2e-3, 7), (5e-4, 30)]]
+    for _ in range(24):
+        picks = rng.integers(len(RECORD_DTS), size=rng.integers(1, 4))
+        cases.append([(RECORD_DTS[i][0], int(rng.choice(RECORD_EVERY))) for i in picks])
+    return cases
+
+
+def _reference_records(state, runs, last_state=True):
+    """Per run, the recorded times and states of a plain RK4 loop under the
+    rule done % every == 0 or done == steps (without the last-step clause
+    when last_state is False)."""
+    out = []
+    for dt, every in runs:
+        steps = dict(RECORD_DTS)[dt]
+        states = _banded_rk4(state, 1, dt, steps)
+        done = [d for d in range(steps + 1)
+                if d == 0 or d % every == 0 or (last_state and d == steps)]
+        out.append(([state.time + d * dt for d in done], [states[d] for d in done]))
+    return out
+
+
+def _records_differ(trajs, reference):
+    return any(not (np.array_equal(t.times, times) and np.array_equal(t.states, states))
+               for t, (times, states) in zip(trajs, reference))
+
+
+def test_recorded_states_follow_the_every_or_last_step_rule():
+    state = perturbed_constant_state(1, 1, 2, amplitude=0.3)
+    state.time = 0.25
+    for runs in _record_cases():
+        trajs = integrate_runs(state, 1, 0.012, runs)
+        assert len(trajs) == len(runs)
+        assert not _records_differ(trajs, _reference_records(state, runs)), runs
+
+
+def test_record_test_sees_bookkeeping_that_skips_a_last_state():
+    # 12 steps recorded every 5th: the last state (step 12) is no multiple
+    state = perturbed_constant_state(1, 1, 2, amplitude=0.3)
+    runs = [(1e-3, 5), (2e-3, 2)]
+    trajs = integrate_runs(state, 1, 0.012, runs)
+    assert _records_differ(trajs, _reference_records(state, runs, last_state=False))
+
+
 def lax_equation_residual(state: LatticeState, k: int = 1) -> bool:
     """Exact check of the matrix Lax equation d/dt L = [B, L] on the lattice.
 
