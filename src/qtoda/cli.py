@@ -134,8 +134,8 @@ def cmd_tau(args) -> int:
     _require_sizes(("--deg", args.deg))
     table = tau_table(args.a, args.b, args.sign, args.shift, args.deg)
     entries = {}
-    for key in sorted(table.prefactors):
-        nu, nubar = Partition(key[0]), Partition(key[1])
+    for key in sorted(table.pairs):
+        nu, nubar = table.pairs[key]
         entries[f"{nu}|{nubar}"] = str(table.entry(nu, nubar))
     payload = {
         "a": args.a,

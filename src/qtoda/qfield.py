@@ -82,6 +82,8 @@ def _shift_key(key: tuple, b: tuple[int, int]) -> tuple:
 
 def _ratio_text(n: int, d: int) -> str:
     """n/d, d > 0, in lowest terms as "n" or "n/d"."""
+    if d == 1:
+        return str(n)
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 

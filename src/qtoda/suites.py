@@ -62,10 +62,12 @@ def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
     return report
 
 
-def schur_negation_suite(weight: int) -> dict:
-    """p -> -p on straight and skew Schur polynomials, symbolically."""
+def schur_negation_suite(weight: int, ring: PowerSumRing | None = None) -> dict:
+    """p -> -p on straight and skew Schur polynomials, symbolically, in
+    `ring` (a fresh one unless given; its bound must cover the weight)."""
     report = {"passed": True, "checks": []}
-    ring = PowerSumRing(weight)
+    if ring is None:
+        ring = PowerSumRing(weight)
     bad = []
     for mu in enumerate_partitions(weight):
         lhs = ring.schur(mu).negate_p()
@@ -88,10 +90,12 @@ def schur_negation_suite(weight: int) -> dict:
     return report
 
 
-def schur_structure_suite(weight: int) -> dict:
-    """Determinant-size independence, homogeneity, special-point relation."""
+def schur_structure_suite(weight: int, ring: PowerSumRing | None = None) -> dict:
+    """Determinant-size independence, homogeneity, special-point relation, in
+    `ring` (a fresh one unless given; its bound must cover the weight)."""
     report = {"passed": True, "checks": []}
-    ring = PowerSumRing(weight)
+    if ring is None:
+        ring = PowerSumRing(weight)
     bad = []
     for mu in enumerate_partitions(weight):
         if ring.schur(mu) != ring.schur(mu, size=mu.length + 2):
@@ -158,8 +162,7 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int,
     for c in (Fraction(1, 2), Fraction(1, 3)):
         shifted = tau_table(a, b, sign, c, degree, ctx)
         bad = [] if shifted.cubic == base.cubic_shifted(c) else ["cubic prefactor mismatch"]
-        for key in base.prefactors:
-            nu, nubar = Partition(key[0]), Partition(key[1])
+        for nu, nubar in base.pairs.values():
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
                 bad.append(f"entry ({nu},{nubar})")
         record_all(report, f"tau_shift_c={c}", bad)
@@ -177,7 +180,7 @@ def tau_exponent_suite(a: int, b: int, sign: int, degree: int,
     cubic_ok = table.cubic == (Fraction(0), -scale, Fraction(0), 4 * scale)
     bad = [] if cubic_ok else ["cubic prefactor mismatch"]
     for key, pref in table.prefactors.items():
-        nu, nubar = Partition(key[0]), Partition(key[1])
+        nu, nubar = table.pairs[key]
         redo = qpow(
             c0=(tau + 1) * Fraction(nu.kappa(), 2) + (1 / tau + 1) * Fraction(nubar.kappa(), 2),
             c1=(tau + 1) * nu.weight + (1 / tau + 1) * nubar.weight,
@@ -199,16 +202,19 @@ def identity_suite(
 
     One VertexContext, its bound covering every suite, serves the vertex
     suites, the tau exponent suite and, with shift_check, the tau shift
-    suite, so the session computes each vertex value and gamma once.
+    suite, and its ring serves the two Schur suites, so the session
+    computes each vertex value, gamma and Schur determinant once.
     """
     report = {"passed": True, "checks": []}
     exponent_degree = min(3, max(weight_equality, 1))
     shift_degree = min(weight_equality, 4)
-    ctx = VertexContext(max(weight_equality, weight_symmetry, exponent_degree, shift_degree))
+    structure_degree = max(weight_schur, 4)
+    # the exponent (<= 3) and shift (<= weight_equality) degrees are covered
+    ctx = VertexContext(max(weight_equality, weight_symmetry, structure_degree))
     for sub in (
         kappa_suite(8),
-        schur_negation_suite(weight_schur),
-        schur_structure_suite(max(weight_schur, 4)),
+        schur_negation_suite(weight_schur, ctx.ring),
+        schur_structure_suite(structure_degree, ctx.ring),
         vertex_equality_suite(ctx, weight_equality, corrupt=corrupt),
         vertex_symmetry_suite(ctx, weight_symmetry),
         gamma_vertex_link_suite(ctx, min(4, weight_symmetry)),

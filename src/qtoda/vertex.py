@@ -103,12 +103,15 @@ class VertexContext:
     """Caches for vertex evaluations up to a fixed total weight.
 
     For as long as the context lives it keeps every value it has computed:
-    the q^(nu+rho) specialization per nu, s_{mu/eta} per skew diagram
-    (`skew_diagram`) and point, and the vertex value W(nu, nubar) of
-    `vertex_def` and the matrix element gamma(nu, nubar) per pair, so one
+    the q^(nu+rho) specialization per nu; s_{mu/eta} per skew diagram
+    (`skew_diagram`) and point, filed also under the pair (mu, eta) so the
+    diagram is formed once per pair; the vertex value W(nu, nubar) of
+    `vertex_def` per pair; and the eta-sum behind the hook form and the
+    matrix element gamma per unordered pair and point, since
+    sum_eta s_{mu/eta} s_{nu/eta} is symmetric in mu and nu.  So one
     session computes each once.  A value does not depend on the degree
     bound, so one context with a bound covering every caller serves them
-    all.
+    all, the Schur suites included through `ring`.
     """
 
     def __init__(self, degree_bound: int):
@@ -118,7 +121,7 @@ class VertexContext:
         self._nu_rho: dict[tuple, Specialization] = {}
         self._skew_at: dict[tuple, QFieldElem] = {}
         self._vertex: dict[tuple, QFieldElem] = {}
-        self._gamma: dict[tuple, QFieldElem] = {}
+        self._eta: dict[tuple, QFieldElem] = {}
 
     def _check(self, nu: Partition, nubar: Partition):
         if nu.weight + nubar.weight > self.degree_bound:
@@ -136,12 +139,16 @@ class VertexContext:
 
     def skew_at(self, mu: Partition, eta: Partition, point: str) -> QFieldElem:
         """s_{mu/eta} at q^rho ("rho") or at its continuation q^(-rho) ("neg")."""
-        key = (skew_diagram(mu, eta), point)  # one diagram, one polynomial
-        got = self._skew_at.get(key)
+        pair = (mu.parts, eta.parts, point)
+        got = self._skew_at.get(pair)
         if got is None:
-            poly = self.ring.skew_schur(mu, eta)
-            got = self.rho.evaluate(poly if point == "rho" else poly.negate_p())
-            self._skew_at[key] = got
+            key = (skew_diagram(mu, eta), point)  # one diagram, one polynomial
+            got = self._skew_at.get(key)
+            if got is None:
+                poly = self.ring.skew_schur(mu, eta)
+                got = self.rho.evaluate(poly if point == "rho" else poly.negate_p())
+                self._skew_at[key] = got
+            self._skew_at[pair] = got
         return got
 
     # -- the three vertex-side evaluations --------------------------------
@@ -171,36 +178,39 @@ class VertexContext:
     def gamma_matrix_element(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """sum_eta s_{nu/eta} s_{nubar/eta} at the q^(-rho) continuation."""
         self._check(nu, nubar)
-        key = (nu.parts, nubar.parts)
-        got = self._gamma.get(key)
-        if got is None:
-            got = self._eta_sum(nu, nubar, "neg")
-            self._gamma[key] = got
-        return got
+        return self._eta_sum(nu, nubar, "neg")
 
     def _eta_sum(self, mu: Partition, nu: Partition, point: str) -> QFieldElem:
-        """sum over eta inside mu and nu of s_{mu/eta} * s_{nu/eta} at `point`."""
-        total = QFieldElem.zero()
-        for eta in subpartitions(mu.intersect(nu)):
-            total = total + self.skew_at(mu, eta, point) * self.skew_at(nu, eta, point)
-        return total
+        """sum over eta inside mu and nu of s_{mu/eta} * s_{nu/eta} at `point`,
+        kept per unordered pair: the sum is symmetric in mu and nu."""
+        a, b = mu.parts, nu.parts
+        key = (a, b, point) if a <= b else (b, a, point)
+        got = self._eta.get(key)
+        if got is None:
+            got = QFieldElem.zero()
+            for eta in subpartitions(mu.intersect(nu)):
+                got = got + self.skew_at(mu, eta, point) * self.skew_at(nu, eta, point)
+            self._eta[key] = got
+        return got
 
 
 @dataclass
 class TauTable:
     """Exact coefficient table of the double Schur expansion.
 
-    entry(nu, nubar) = prefactors[key] * gammas[key], key = (nu, nubar):
-    the monomial q^(E(s)), E the quadratic-in-s exponent (kappa and weight
-    terms, at the shifted coordinate s + c), times gamma, the
-    vertex-operator matrix element.  The partition-independent cubic
-    exponent is recorded separately in `cubic`, as the coefficients
-    (c0, c1, c2, c3) of a polynomial in s.
+    entry(nu, nubar) = prefactors[key] * gammas[key], key = (nu.parts,
+    nubar.parts): the monomial q^(E(s)), E the quadratic-in-s exponent
+    (kappa and weight terms, at the shifted coordinate s + c), times gamma,
+    the vertex-operator matrix element.  `pairs` maps each key to the
+    partitions (nu, nubar) the table was built from, so no caller rebuilds
+    them.  The partition-independent cubic exponent is recorded separately
+    in `cubic`, as the coefficients (c0, c1, c2, c3) of a polynomial in s.
     """
 
     tau: Fraction
     shift: Fraction
     max_deg: int
+    pairs: dict[tuple[tuple, tuple], tuple[Partition, Partition]] = field(default_factory=dict)
     prefactors: dict[tuple[tuple, tuple], QFieldElem] = field(default_factory=dict)
     gammas: dict[tuple[tuple, tuple], QFieldElem] = field(default_factory=dict)
     cubic: tuple[Fraction, Fraction, Fraction, Fraction] = (
@@ -256,6 +266,9 @@ def tau_table(
     multiplied by the vertex-operator matrix element at q^(-rho); the
     (nu, nubar)-independent cubic (tau + 1/tau + 2)(4(s+c)^3 - (s+c))/24 is
     recorded on the side and is what normalizes the (empty, empty) entry to 1.
+    Each side's (c0, c1) terms are formed once per partition, so an entry's
+    exponent is two sums; gamma comes from `ctx` (a fresh context unless
+    given), which keeps it per unordered pair.
     """
     tau = SessionParams(a, b, sign).tau
     shift = Fraction(shift)
@@ -274,15 +287,20 @@ def tau_table(
     table.cubic = (c0, c1, c2, c3)
 
     parts = enumerate_partitions(max_deg)
-    for nu in parts:
-        for nubar in parts:
+
+    def side(factor: Fraction) -> list[tuple[Partition, Fraction, Fraction]]:
+        """(p, c0, c1), c0 = factor * (kappa(p)/2 + c|p|) and c1 = factor * |p|,
+        for each partition p."""
+        return [(p, factor * (Fraction(p.kappa(), 2) + shift * p.weight), factor * p.weight)
+                for p in parts]
+
+    right = side(tau_inv + 1)
+    for nu, a0, a1 in side(tau + 1):
+        for nubar, b0, b1 in right:
             if nu.weight + nubar.weight > max_deg:
-                continue
+                break  # parts run by weight
             key = (nu.parts, nubar.parts)
-            table.prefactors[key] = qpow(
-                c0=(tau + 1) * (Fraction(nu.kappa(), 2) + shift * nu.weight)
-                + (tau_inv + 1) * (Fraction(nubar.kappa(), 2) + shift * nubar.weight),
-                c1=(tau + 1) * nu.weight + (tau_inv + 1) * nubar.weight,
-            )
+            table.pairs[key] = (nu, nubar)
+            table.prefactors[key] = qpow(c0=a0 + b0, c1=a1 + b1)
             table.gammas[key] = ctx.gamma_matrix_element(nu, nubar)
     return table

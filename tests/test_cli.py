@@ -237,6 +237,20 @@ def test_exact_benchmark_job_matches_its_reference(name, tmp_path):
     assert bench.compare_to_reference(out.read_text(encoding="utf-8"), reference) is None
 
 
+@pytest.mark.parametrize("argv, golden", [
+    # the Schur weight above every vertex weight, and every vertex weight 0:
+    # the one ring of the run must cover the Schur suites all the same
+    (["identities", "--weight", "2", "--weight-sym", "1", "--weight-schur", "6"],
+     "identities-w2-s1-schur6.json"),
+    (["identities", "--weight", "0"], "identities-w0.json"),
+])
+def test_identities_at_the_bounds_of_its_ring_keep_their_report(argv, golden, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    want = (REPO / "tests" / "golden" / golden).read_text(encoding="utf-8")
+    assert strip_timestamp_json(out.read_text(encoding="utf-8")) == strip_timestamp_json(want)
+
+
 # SHA-256 of the benchmark's simulate jobs' outputs (JSON report, CSV), as
 # written before SitePoly coefficients became ints.  A change meant to move
 # the flow outputs replaces them with the digests the failure message shows.

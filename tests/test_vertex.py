@@ -10,10 +10,10 @@ import pytest
 from qtoda import suites
 from qtoda.cli import main
 from qtoda.errors import InvalidTau, NonCoprime
-from qtoda.partitions import EMPTY, Partition
+from qtoda.partitions import EMPTY, Partition, enumerate_partitions
 from qtoda.qfield import QFieldElem, qpow
 from qtoda.report import merge_checks
-from qtoda.schur import PowerSumPoly, PowerSumRing, Specialization, specialize_rho
+from qtoda.schur import PowerSumPoly, PowerSumRing, Specialization, skew_diagram, specialize_rho
 from qtoda.suites import identity_suite, pairs_up_to, tau_exponent_suite, tau_shift_suite
 from qtoda.vertex import SessionParams, VertexContext, subpartitions, tau_table
 from qtoda.volterra import LatticeState, symbolic_flow_stencil, symbolic_lax
@@ -339,17 +339,25 @@ class _Forgetful(dict):
         pass
 
 
+def _unordered(mu: Partition, nu: Partition, point: str) -> tuple:
+    return (*sorted((mu.parts, nu.parts)), point)
+
+
 def _count_identities_job(monkeypatch, tmp_path, forget=()):
-    """Run the identities job in-process, counting the VertexContexts built,
-    the vertex values W and matrix elements gamma computed per pair, the
+    """Run the identities job in-process, counting the VertexContexts and
+    PowerSumRings built, the vertex values W computed per pair, the eta-sums
+    computed per unordered pair and point, the Jacobi-Trudi determinants
+    computed per skew diagram on the cached (size=None) path, the
     Specialization.evaluate calls per (point, shape), and per Specialization
     the p_k values it makes and the p_k its evaluated polynomials hold; the
     context caches named in `forget` keep nothing."""
-    counts = {"contexts": 0, "vertex": Counter(), "gamma": Counter(), "evaluated": Counter(),
-              "made": {}, "read": {}}
+    counts = {"contexts": 0, "rings": 0, "calls": Counter(), "vertex": Counter(),
+              "eta": Counter(), "determinants": Counter(), "evaluated": Counter(), "made": {},
+              "read": {}}
     frames = []  # what is being computed, innermost last
     init, evaluate, eta_sum = VertexContext.__init__, Specialization.evaluate, VertexContext._eta_sum
-    spec_init = Specialization.__init__
+    spec_init, ring_init = Specialization.__init__, PowerSumRing.__init__
+    skew_schur, jacobi_trudi = PowerSumRing.skew_schur, PowerSumRing._jacobi_trudi
 
     def counted_init(ctx, degree_bound):
         init(ctx, degree_bound)
@@ -357,10 +365,15 @@ def _count_identities_job(monkeypatch, tmp_path, forget=()):
         for name in forget:
             setattr(ctx, name, _Forgetful())
 
+    def counted_ring_init(ring, degree_bound):
+        ring_init(ring, degree_bound)
+        counts["rings"] += 1
+
     def framed(method, frame):
         real = getattr(VertexContext, method)
 
         def call(ctx, *args):
+            counts["calls"][method] += 1
             frames.append(frame(*args))
             try:
                 return real(ctx, *args)
@@ -388,24 +401,44 @@ def _count_identities_job(monkeypatch, tmp_path, forget=()):
         return evaluate(spec, poly)
 
     def counted_eta_sum(ctx, mu, nu, point):
-        if point == "neg":
-            counts["gamma"][(mu.parts, nu.parts)] += 1
-        return eta_sum(ctx, mu, nu, point)
+        before = counts["calls"]["skew_at"]
+        try:
+            return eta_sum(ctx, mu, nu, point)
+        finally:
+            if counts["calls"]["skew_at"] > before:  # it read its terms, so it computed the sum
+                counts["eta"][_unordered(mu, nu, point)] += 1
+
+    def counted_skew_schur(ring, mu, nu, size=None):
+        frames.append(("S", size))
+        try:
+            return skew_schur(ring, mu, nu, size)
+        finally:
+            frames.pop()
+
+    def counted_jacobi_trudi(ring, mu, nu, size):
+        if frames and frames[-1] == ("S", None):
+            counts["determinants"][skew_diagram(mu, nu)] += 1
+        return jacobi_trudi(ring, mu, nu, size)
 
     monkeypatch.setattr(VertexContext, "__init__", counted_init)
+    monkeypatch.setattr(PowerSumRing, "__init__", counted_ring_init)
     framed("vertex_def", lambda nu, nubar: ("W", nu.parts, nubar.parts))
     framed("skew_at", lambda mu, eta, point: ("s", mu.parts, eta.parts, point))
     monkeypatch.setattr(Specialization, "__init__", counted_spec_init)
     monkeypatch.setattr(Specialization, "evaluate", counted_evaluate)
     monkeypatch.setattr(VertexContext, "_eta_sum", counted_eta_sum)
+    monkeypatch.setattr(PowerSumRing, "skew_schur", counted_skew_schur)
+    monkeypatch.setattr(PowerSumRing, "_jacobi_trudi", counted_jacobi_trudi)
     assert main(IDENTITIES_JOB + ["--out", str(tmp_path / "report.json")]) == 0
     return counts
 
 
 def _recomputed(counts) -> list[str]:
-    """The counts that show a value computed twice or a second context."""
-    bad = [] if counts["contexts"] == 1 else ["contexts"]
-    return bad + [k for k in ("vertex", "gamma", "evaluated") if max(counts[k].values()) > 1]
+    """The counts that show a value computed twice, a second context or a
+    second ring."""
+    bad = [k for k in ("contexts", "rings") if counts[k] != 1]
+    return bad + [k for k in ("vertex", "eta", "determinants", "evaluated")
+                  if max(counts[k].values()) > 1]
 
 
 def _unread_values(counts) -> list[tuple[int, list[int]]]:
@@ -421,14 +454,22 @@ def test_the_identities_job_computes_each_value_once(monkeypatch, tmp_path):
     # a Specialization makes each p_k that an evaluation reads, once, and no other
     assert _unread_values(counts) == []
     assert len(counts["made"]) > 10 and sum(map(len, counts["made"].values())) > 40
-    # every pair of the weight-6 equality suite has its W, every gamma of the
-    # weight-4 shift tables is there
-    assert len(counts["vertex"]) == len(pairs_up_to(6))
-    assert len(counts["gamma"]) >= len(pairs_up_to(4))
+    # every pair of the weight-6 equality suite has its W and its hook-form
+    # eta-sum (over the conjugates, at q^rho), every gamma of the weight-4
+    # shift tables its eta-sum at q^(-rho); one per unordered pair
+    pairs = pairs_up_to(6)
+    assert len(counts["vertex"]) == len(pairs)
+    hooks = {_unordered(nu.conjugate(), nubar.conjugate(), "rho") for nu, nubar in pairs}
+    gammas = {_unordered(nu, nubar, "neg") for nu, nubar in pairs_up_to(4)}
+    assert set(counts["eta"]) == hooks | gammas
+    # the Schur suites share the context's ring: every partition up to the
+    # Schur weight has its one determinant there
+    assert {skew_diagram(mu, EMPTY) for mu in enumerate_partitions(5)} <= set(
+        counts["determinants"])
 
 
 @pytest.mark.parametrize("cache, seen", [
-    ("_vertex", "vertex"), ("_gamma", "gamma"), ("_skew_at", "evaluated"),
+    ("_vertex", "vertex"), ("_eta", "eta"), ("_skew_at", "evaluated"),
 ])
 def test_the_count_sees_a_context_cache_that_forgets(monkeypatch, tmp_path, cache, seen):
     # negative control: a cache that keeps nothing computes its values again
@@ -453,11 +494,80 @@ def test_the_count_sees_an_eager_specialization(monkeypatch, tmp_path):
 
 def test_the_count_sees_a_second_context(monkeypatch, tmp_path):
     # negative control: a shift suite that builds its own context, as
-    # `identities --shift-check` once did, computes its gammas again
+    # `identities --shift-check` once did, computes its gammas again in a
+    # second ring
     real = suites.tau_shift_suite
     monkeypatch.setattr(suites, "tau_shift_suite",
                         lambda a, b, sign, degree, ctx=None: real(a, b, sign, degree))
-    assert _recomputed(_count_identities_job(monkeypatch, tmp_path)) == ["contexts", "gamma"]
+    assert _recomputed(_count_identities_job(monkeypatch, tmp_path)) == [
+        "contexts", "rings", "eta", "determinants"]
+
+
+@pytest.mark.parametrize("suite", ["schur_negation_suite", "schur_structure_suite"])
+def test_the_count_sees_a_schur_suite_with_its_own_ring(monkeypatch, tmp_path, suite):
+    # negative control: a Schur suite that builds its own ring, as both did
+    # before they took the context's, computes its determinants again
+    real = getattr(suites, suite)
+    monkeypatch.setattr(suites, suite, lambda weight, ring=None: real(weight))
+    assert _recomputed(_count_identities_job(monkeypatch, tmp_path)) == [
+        "rings", "determinants"]
+
+
+# QFieldElem products, rings, Jacobi-Trudi determinants and checked Partition
+# constructions of the benchmark's exact vertex jobs, at most their counts
+# when the eta-sums were first kept per unordered pair
+TAU_JOB = ["tau", "--a", "1", "--b", "2", "--deg", "7"]
+WORK_CEILINGS = [
+    (TAU_JOB, {"products": 518, "checked partitions": 0}),
+    (IDENTITIES_JOB, {"products": 639, "rings": 1, "determinants": 60, "checked partitions": 0}),
+]
+
+
+def _work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
+    """Run a job in-process and return the counts above their ceilings."""
+    counts = Counter()
+
+    def counted(name, cls, method):
+        real = getattr(cls, method)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, call)
+
+    counted("products", QFieldElem, "__mul__")
+    counted("rings", PowerSumRing, "__init__")
+    counted("determinants", PowerSumRing, "_jacobi_trudi")
+    counted("checked partitions", Partition, "__post_init__")
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert counts["products"] > 100  # the count sees the job's products
+    return {k: counts[k] for k, most in ceilings.items() if counts[k] > most}
+
+
+@pytest.mark.parametrize("argv, ceilings", WORK_CEILINGS)
+def test_the_exact_vertex_jobs_stay_within_their_work_counts(monkeypatch, tmp_path, argv,
+                                                             ceilings):
+    assert _work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) == {}
+
+
+def _eta_sum_per_ordered_pair(ctx, mu, nu, point):
+    """The eta-sum kept per ordered pair, so (mu, nu) and (nu, mu) are two sums."""
+    key = (mu.parts, nu.parts, point)
+    got = ctx._eta.get(key)
+    if got is None:
+        got = QFieldElem.zero()
+        for eta in subpartitions(mu.intersect(nu)):
+            got = got + ctx.skew_at(mu, eta, point) * ctx.skew_at(nu, eta, point)
+        ctx._eta[key] = got
+    return got
+
+
+@pytest.mark.parametrize("argv, ceilings", WORK_CEILINGS)
+def test_the_work_counts_see_an_ordered_pair_key(monkeypatch, tmp_path, argv, ceilings):
+    # negative control: the eta-sum computed once per order of its pair
+    monkeypatch.setattr(VertexContext, "_eta_sum", _eta_sum_per_ordered_pair)
+    assert "products" in _work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
 
 
 # -- sharing a context changes no value ------------------------------------------
@@ -505,3 +615,41 @@ def test_skew_at_shares_a_value_between_pairs_of_one_diagram():
         assert all(v is values[0] for v in values)
     assert context.skew_at(Partition((1,)), EMPTY, "rho") == -context.skew_at(
         Partition((1,)), EMPTY, "neg")
+
+
+def _sharing_mismatches() -> list[str]:
+    """Where sharing eta-sums between (mu, nu) and (nu, mu) changes a text.
+
+    Two fresh contexts take each eta-sum of the pairs up to weight 6, the
+    first in the order (mu, nu) and the points rho then neg, the second in
+    the order (nu, mu) and the points neg then rho.  Tau tables built on the
+    first then have the text of tables whose gammas come from a fresh
+    context."""
+    bad = []
+    first, second = VertexContext(6), VertexContext(6)
+    for mu, nu in pairs_up_to(6):
+        one = {point: str(first._eta_sum(mu, nu, point)) for point in ("rho", "neg")}
+        other = {point: str(second._eta_sum(nu, mu, point)) for point in ("neg", "rho")}
+        bad += [f"({mu},{nu}) at {p}" for p in one if one[p] != other[p]]
+    for args in ((2, 3, 1, 0, 6), (3, 1, -1, Fraction(1, 2), 5)):
+        shared, fresh = tau_table(*args, ctx=first), tau_table(*args)
+        assert list(shared.pairs) == list(fresh.pairs)
+        bad += [f"tau{args} entry {key}" for key, (nu, nubar) in fresh.pairs.items()
+                if str(shared.entry(nu, nubar)) != str(fresh.entry(nu, nubar))]
+    return bad
+
+
+def test_an_eta_sum_shared_by_its_two_orders_keeps_its_text():
+    assert _sharing_mismatches() == []
+
+
+def test_the_sharing_check_sees_an_eta_sum_key_without_its_point(monkeypatch):
+    # negative control: the value filed first for a pair, whatever its point
+    real = VertexContext._eta_sum
+
+    def pointless(ctx, mu, nu, point):
+        first_points = ctx.__dict__.setdefault("first_points", {})
+        return real(ctx, mu, nu, first_points.setdefault(_unordered(mu, nu, ""), point))
+
+    monkeypatch.setattr(VertexContext, "_eta_sum", pointless)
+    assert _sharing_mismatches()
