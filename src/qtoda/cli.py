@@ -10,7 +10,6 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import sys
@@ -357,6 +356,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         if idx + 1 == len(argv):
             parser.error("--config needs a path")
         path = argv[idx + 1]
+    import configparser  # here, so that a run with no --config never imports it
+
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
         parser.error(f"cannot read config file {path}")

@@ -210,7 +210,8 @@ class DiffOp:
     __slots__ = ("step", "coeffs", "floor", "ceil", "zero_coeff")
 
     def __init__(self, step, coeffs: dict[int, object], floor=None, ceil=None, zero=None):
-        step = Fraction(step)
+        if not isinstance(step, Fraction):
+            step = Fraction(step)
         if step <= 0:
             raise ValueError("step must be positive")
         self.step = step
@@ -516,14 +517,12 @@ def _require_inverse(label: str, w: DiffOp, w_inv: DiffOp) -> None:
 
 
 def _q_factorial_den(n: int) -> QPowerSum:
-    """prod_{k=1}^{n} (1 - q^k) as a QPowerSum."""
-    out = QPowerSum.one()
+    """prod_{k=1}^{n} (1 - q^k) as a QPowerSum, multiplied out in ints."""
+    P = {0: 1}
     for k in range(1, n + 1):
-        out = out * (
-            QPowerSum.one()
-            + QPowerSum.monomial(k, coef=-1)
-        )
-    return out
+        for e, v in list(P.items()):
+            P[e + k] = P.get(e + k, 0) - v
+    return QPowerSum.laurent(P)
 
 
 def elementary_geometric(n: int) -> QFieldElem:

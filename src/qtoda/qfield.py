@@ -32,7 +32,11 @@ normalization is attempted.  The reductions applied are cheap ones that
 keep iterated arithmetic bounded: the smallest denominator term is divided
 out of both parts, and sums try to reuse a common denominator through an
 exact-division probe, a pure function ended by an exact exponent bound and
-kept in no memo.
+kept in no memo.  So every denominator is s-free with smallest term 1.
+
+A step whose result equals an operand returns that operand, not a copy:
+the shift of an s-free sum or quotient, a product with the unit, a scaling
+by 1.  Callers may rely on that identity; nothing may mutate a sum.
 """
 
 from __future__ import annotations
@@ -269,8 +273,9 @@ class QPowerSum:
         return self._times(_S0 + (0, 1), _rat(r)) if r and self.part else _QPS_ZERO
 
     def shift(self, beta: Rat) -> "QPowerSum":
-        """Substitute s -> s + beta in every exponent (ring homomorphism)."""
-        if self.part is None:
+        """Substitute s -> s + beta in every exponent (ring homomorphism); an
+        s-free sum is returned as it is."""
+        if self.part is None or self.s == _S0:
             return self
         k = _shift_key(self.s + (0, 1), _rat(beta))
         return QPowerSum._raw(k[:4], _part_times_q(self.part, *k[4:]))
@@ -383,7 +388,13 @@ class QFieldElem:
     """Quotient of two QPowerSum values; den is nonzero.
 
     Stored with the smallest denominator term divided out of both num and
-    den, so a monomial denominator always reduces to 1.
+    den, so a monomial denominator always reduces to 1.  After `__init__`
+    every denominator is s-free and its smallest term is 1 (zero is 0/1).
+    Negation, scaling and shifts keep that denominator, and sums and
+    products form theirs from such denominators (a product of two is one
+    too), so they build through `_raw` with no new normalization.  A step
+    whose result equals an operand returns that operand: the shift of an
+    s-free element, a product with the unit, a scaling by 1.
     """
 
     __slots__ = ("num", "den")
@@ -402,6 +413,18 @@ class QFieldElem:
                 num, den = num._times(key, inv), den._times(key, inv)
         self.num = num
         self.den = den
+
+    @staticmethod
+    def _raw(num: QPowerSum, den: QPowerSum) -> "QFieldElem":
+        """num/den as given: den must already be s-free with smallest term 1."""
+        new = object.__new__(QFieldElem)
+        new.num, new.den = num, den
+        return new
+
+    @staticmethod
+    def _over(num: QPowerSum, den: QPowerSum) -> "QFieldElem":
+        """num/den for a den already s-free with smallest term 1."""
+        return QFieldElem._raw(num, den) if num.part is not None else _ELEM_ZERO
 
     @staticmethod
     def zero() -> "QFieldElem":
@@ -435,27 +458,30 @@ class QFieldElem:
         if other.is_zero():
             return self
         if self.den == other.den:
-            return QFieldElem(self.num + other.num, self.den)
+            return QFieldElem._over(self.num + other.num, self.den)
         t = _divide_exact(other.den, self.den)
         if t is not None:
-            return QFieldElem(self.num * t + other.num, other.den)
+            return QFieldElem._over(self.num * t + other.num, other.den)
         t = _divide_exact(self.den, other.den)
         if t is not None:
-            return QFieldElem(self.num + other.num * t, self.den)
-        return QFieldElem(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return QFieldElem._over(self.num + other.num * t, self.den)
+        return QFieldElem._over(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "QFieldElem":
-        return QFieldElem(-self.num, self.den)
+        return QFieldElem._raw(-self.num, self.den)
 
     def __sub__(self, other: "QFieldElem") -> "QFieldElem":
         return self + (-other)
 
     def __mul__(self, other: "QFieldElem") -> "QFieldElem":
+        if other.num.is_one() and other.den.is_one():
+            return self
+        if self.num.is_one() and self.den.is_one():
+            return other
         if self.is_zero() or other.is_zero():
             return _ELEM_ZERO
-        return QFieldElem(self.num * other.num, self.den * other.den)
+        # a product of two unit-led s-free dens is one, and of nonzero nums nonzero
+        return QFieldElem._raw(self.num * other.num, self.den * other.den)
 
     def inv(self) -> "QFieldElem":
         if self.num.is_zero():
@@ -466,13 +492,14 @@ class QFieldElem:
         return self * other.inv()
 
     def scale(self, r: Rat) -> "QFieldElem":
-        return QFieldElem(self.num.scale(r), self.den)
+        if r == 1:
+            return self
+        return QFieldElem._raw(self.num.scale(r), self.den) if r else _ELEM_ZERO
 
     def shift(self, beta: Rat) -> "QFieldElem":
-        """Substitute s -> s + beta throughout."""
-        if not beta:
-            return self
-        return QFieldElem(self.num.shift(beta), self.den.shift(beta))
+        """Substitute s -> s + beta throughout; the s-free den stays."""
+        num = self.num.shift(beta) if beta else self.num
+        return self if num is self.num else QFieldElem._raw(num, self.den)
 
     def invert_q(self) -> "QFieldElem":
         """Apply the involution q -> 1/q."""
@@ -488,7 +515,7 @@ class QFieldElem:
                 groups.setdefault(x.den, []).append((x.num, (1, 1)))
         total = _ELEM_ZERO
         for den, nums in groups.items():
-            total = total + QFieldElem(QPowerSum.combine(nums), den)
+            total = total + QFieldElem._over(QPowerSum.combine(nums), den)
         return total
 
     # -- formatting --------------------------------------------------------------------

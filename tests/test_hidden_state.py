@@ -8,7 +8,8 @@ the q-field is checked by exact evaluation, not by numeric evaluation.
 
 Every function and class has a caller elsewhere in the package, apart from
 a short allow-list of entry points that only the tests and the benchmark
-call, and no module imports a name it never uses.
+call, no module imports a name it never uses, and no statement follows a
+return, raise, continue or break in its own block.
 """
 
 import ast
@@ -176,3 +177,61 @@ def test_caller_and_import_scans_flag_dead_code():
     assert unused_imports("c.py", "from __future__ import annotations\nimport math\nimport os.path\n"
                           "os.path.join('x')\n") == ["c.py:2: math"]
     assert unused_imports("d.py", "from fractions import Fraction as F\nF(1)\n") == []
+
+
+def unreachable_statements(name: str, text: str) -> list[str]:
+    """Statements that follow a return, raise, continue or break in the same
+    block, so that no run reaches them."""
+    ends = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            for stmt, after in zip(block, block[1:]):
+                if isinstance(stmt, ends):
+                    found.append(f"{name}:{after.lineno}: after {type(stmt).__name__.lower()}")
+    return found
+
+
+def test_no_statement_in_the_package_follows_a_return_raise_continue_or_break():
+    found = []
+    for name, text in package_sources().items():
+        found += unreachable_statements(name, text)
+    assert found == []
+
+
+def test_unreachable_scan_sees_a_statement_after_each_jump():
+    # negative control: a dead loop after a return, and a statement after a
+    # raise, a continue and a break, in a function, a loop, an else and a
+    # handler; a jump that ends its block is not flagged
+    source = (
+        "def f(n):\n"
+        "    out = 1\n"
+        "    return out\n"
+        "    for k in range(n):\n"
+        "        out *= k\n"
+        "\n"
+        "\n"
+        "def g(xs):\n"
+        "    for x in xs:\n"
+        "        if x:\n"
+        "            continue\n"
+        "            x += 1\n"
+        "        else:\n"
+        "            break\n"
+        "            x -= 1\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "        xs = []\n"
+        "    return xs\n"
+    )
+    assert unreachable_statements("x.py", source) == [
+        "x.py:4: after return", "x.py:12: after continue", "x.py:15: after break",
+        "x.py:20: after raise",
+    ]
+    ends_its_block = "def f(x):\n    if x:\n        return 1\n    return 2\n"
+    assert unreachable_statements("y.py", ends_its_block) == []

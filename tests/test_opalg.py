@@ -1,6 +1,7 @@
 """Difference-operator algebra, factorization route, tau-quotient route."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from qtoda.errors import (
     InvalidTau,
     TruncationInsufficient,
 )
-from qtoda import opalg, suites
+from qtoda import opalg, qfield, suites
 from qtoda.cli import main
 from qtoda.opalg import (
     DiffOp,
@@ -40,8 +41,9 @@ from qtoda.partitions import Partition
 from qtoda.qfield import QFieldElem, QPowerSum, qpow
 from qtoda.schur import PowerSumRing, Specialization, specialize_rho
 from qtoda.suites import laxcheck_suite
-from qtoda.vertex import VertexContext, tau_table
+from qtoda.vertex import TauTable, VertexContext, tau_table
 from qfield_oracle import evaluate
+from test_qfield import shift_by_key
 
 ONE = QFieldElem.one()
 QS = qpow(c1=1)  # q^s
@@ -695,6 +697,52 @@ def test_laxcheck_suite_never_calls_op_inverse(monkeypatch, tau_degree):
     assert calls == []
 
 
+# Part products and copies made by shifting an s-free sum in the benchmark's
+# laxcheck jobs, at most their counts once no-op q-field steps returned their
+# operand and (q;q)_n was multiplied out in ints
+LAX_WORK_CEILINGS = [
+    (["laxcheck", "--a", "1", "--b", "1", "--T", "6", "--deg", "4"],
+     {"part products": 986, "s-free shift copies": 0}),
+    (["laxcheck", "--a", "2", "--b", "1", "--sign", "-1", "--T", "6"],
+     {"part products": 478, "s-free shift copies": 0}),
+]
+
+
+def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
+    """Run a job in-process and return the counts above their ceilings."""
+    counts = Counter()
+    part_mul, shift = qfield._part_mul, QPowerSum.shift
+
+    def counted_part_mul(a, b):
+        counts["part products"] += 1
+        return part_mul(a, b)
+
+    def counted_shift(p, beta):
+        got = shift(p, beta)
+        counts["shifts"] += 1
+        counts["s-free shift copies"] += p.s == (0, 1, 0, 1) and got is not p
+        return got
+
+    monkeypatch.setattr(qfield, "_part_mul", counted_part_mul)
+    monkeypatch.setattr(QPowerSum, "shift", counted_shift)
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert counts["part products"] > 100 and counts["shifts"] > 100  # the counts see the job
+    return {k: counts[k] for k, most in ceilings.items() if counts[k] > most}
+
+
+@pytest.mark.parametrize("argv, ceilings", LAX_WORK_CEILINGS)
+def test_the_laxcheck_jobs_stay_within_their_work_counts(monkeypatch, tmp_path, argv, ceilings):
+    assert _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) == {}
+
+
+@pytest.mark.parametrize("argv, ceilings", LAX_WORK_CEILINGS)
+def test_the_lax_work_counts_see_a_shift_that_copies_an_s_free_sum(monkeypatch, tmp_path, argv,
+                                                                   ceilings):
+    # negative control: every sum shifted through its exponent key, as before
+    monkeypatch.setattr(QPowerSum, "shift", shift_by_key)
+    assert "s-free shift copies" in _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
+
+
 def check_results(report):
     return [(c["name"], c["passed"]) for c in report["checks"]]
 
@@ -913,3 +961,92 @@ def test_cross_check_higher_flow():
     params = SessionParams(1, 1, 1, T=5)
     report = cross_check_initial(params, max_deg=5, flow_k=2)
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
+# -- each cross_check_initial check fails under a targeted mutation ---------------
+# At (a, b, sign) = (1, 1, 1) the surviving powers of the W side's fractional
+# Lax power sit at grid indices up = 1 and down = -1, and the barred side's
+# are the same two; each mutation damages one thing the check reads.
+CROSS_PARAMS = SessionParams(1, 1, 1, T=5)
+
+
+def _dressed_power_damaged(monkeypatch, index, n, damage):
+    """The fractional power of grid index `index` with its coefficient at n
+    replaced by damage(coefficient)."""
+    real = opalg._dressed_power
+
+    def damaged(w, w_inv, step, idx):
+        op = real(w, w_inv, step, idx)
+        if idx != index:
+            return op
+        coeffs = dict(op.coeffs)
+        coeffs[n] = damage(op.coeff(n))
+        return DiffOp(op.step, coeffs, op.floor, op.ceil)
+
+    monkeypatch.setattr(opalg, "_dressed_power", damaged)
+
+
+def _projection_drops(monkeypatch, method, n):
+    """A projection that leaves out its coefficient at n and keeps its window."""
+    real = getattr(DiffOp, method)
+
+    def dropped(op):
+        got = real(op)
+        return DiffOp(got.step, {k: c for k, c in got.coeffs.items() if k != n},
+                      got.floor, got.ceil)
+
+    monkeypatch.setattr(DiffOp, method, dropped)
+
+
+def _wbar_leading_power_doubled(monkeypatch):
+    _dressed_power_damaged(monkeypatch, -1, 1, lambda c: c.scale(2))
+
+
+def _wbar_gauged_by_q_to_the_s(monkeypatch):
+    # a diagonal gauge g(s) = q^s on the tau-route Wbar conjugates its
+    # fractional power, which moves pbar_0 but not wbar_0(s) / wbar_0(s + x)
+    real = TauTable.cubic_delta
+    monkeypatch.setattr(TauTable, "cubic_delta", lambda table, a, b: real(table, a, b) * QS)
+
+
+def _w_side_p1_doubled(monkeypatch):
+    _dressed_power_damaged(monkeypatch, 1, -1, lambda c: c.scale(2))
+
+
+def _wbar_side_pbar0_doubled(monkeypatch):
+    _dressed_power_damaged(monkeypatch, -1, -1, lambda c: c.scale(2))
+
+
+def _w_side_gains_a_power(monkeypatch):
+    _dressed_power_damaged(monkeypatch, 1, 2, lambda c: ONE)
+
+
+@pytest.mark.parametrize("name, mutate, detail", [
+    ("coefficient_relation_pbar1", _wbar_leading_power_doubled,
+     "pbar_1 = (2*q^(1) - 2) / (-q^(1) + 1)"),
+    ("coefficient_relation_pbar0", _wbar_gauged_by_q_to_the_s, "pbar_0 = q^(2*s-1)"),
+    ("p1_from_w1", _w_side_p1_doubled, "p_1 = w_1(s) - w_1(s + 1/(tau+1))"),
+    ("pbar0_from_wbar0", _wbar_side_pbar0_doubled, "pbar_0 = wbar_0(s) / wbar_0(s - tau/(tau+1))"),
+    ("two_surviving_powers", _w_side_gains_a_power,
+     "nonzero powers: ['-1/2', '1/2', '1'] on window (-7, None)"),
+    ("lax_equation_flow", lambda mp: _projection_drops(mp, "proj_nonneg", 0),
+     "window (-2, None); first offending coefficient at power -1: "),
+    ("sato_equation_flow", lambda mp: _projection_drops(mp, "proj_neg", -1),
+     "window (-3, None); first offending coefficient at power -3: "),
+])
+def test_cross_check_fails_under_its_mutation(monkeypatch, name, mutate, detail):
+    """Negative control: each mutation fails its cross check, whose detail is
+    as given (its start, for a residual), and the report still lists every
+    check."""
+    report = cross_check_initial(CROSS_PARAMS, max_deg=4)
+    names = [c["name"] for c in report["checks"]]
+    assert report["passed"] and name in names
+    mutate(monkeypatch)
+    report = cross_check_initial(CROSS_PARAMS, max_deg=4)
+    assert [c["name"] for c in report["checks"]] == names
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert not report["passed"] and not check["passed"]
+    if detail.endswith(": "):
+        assert check["detail"].startswith(detail) and len(check["detail"]) > len(detail), check
+    else:
+        assert check["detail"] == detail, check

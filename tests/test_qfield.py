@@ -683,3 +683,107 @@ def test_the_combine_check_sees_a_skipped_gcd_pass(monkeypatch):
     monkeypatch.setattr(qfield, "_part_from_ints", no_gcd_pass)
     bad = combine_failures(cases)
     assert bad and all(b.startswith("form") for b in bad)
+
+
+# -- no-op steps return their operand, and every denominator stays unit-led ------
+
+
+def unit_led(x) -> bool:
+    """x's den is s-free and its smallest term is 1."""
+    if x.den.s != (0, 1, 0, 1):
+        return False
+    _, (n, d), P = x.den.part
+    return min(P) == 0 and n * P[0] == d
+
+
+def shift_by_key(p, beta):
+    """The shift of every sum through the exponent key, as it was before an
+    s-free sum was returned unchanged."""
+    if p.part is None:
+        return p
+    k = qfield._shift_key(p.s + (0, 1), qfield._rat(beta))
+    return QPowerSum._raw(k[:4], qfield._part_times_q(p.part, *k[4:]))
+
+
+def fast_path_cases():
+    """Seeded operands: sums of random s-parts, s-free ones among them, and
+    pairs of quotients of one s-part over s-dependent and s-free
+    denominators, with the unit and zero."""
+    rng = random.Random(SEED + 12)
+    sums, pairs = [], []
+    for _ in range(30):
+        sigma = random_exponent(rng)[1:]
+        sums += [random_sum(rng, sigma), random_sum(rng, (0, 0))]
+        pairs.append((random_quotient(rng, sigma), random_quotient(rng, sigma)))
+    one, zero = QFieldElem.one(), QFieldElem.zero()
+    pairs += [(one, QFieldElem(sums[1])), (zero, pairs[0][0]), (pairs[1][1], zero)]
+    return sums, pairs
+
+
+def shift_failures(sums) -> list[str]:
+    """Shifts that differ from the key route in structure, or that build a
+    new object for an s-free sum."""
+    bad = []
+    for p in sums:
+        for beta in (1, -2, Fraction(1, 2), Fraction(-2, 3)):
+            got, want = p.shift(beta), shift_by_key(p, beta)
+            if (got.s, got.part) != (want.s, want.part):
+                bad.append(f"value {p} at {beta}")
+            if p.s == (0, 1, 0, 1) and got is not p:
+                bad.append(f"copy {p} at {beta}")
+    return bad
+
+
+def test_a_shift_matches_the_key_route_and_keeps_an_s_free_sum():
+    sums, _ = fast_path_cases()
+    assert shift_failures(sums) == []
+    assert QPowerSum.zero().shift(1).is_zero()
+    s_free = sum(p.s == (0, 1, 0, 1) for p in sums)
+    assert s_free >= 30 and len(sums) - s_free >= 15
+
+
+def test_the_shift_check_sees_a_fast_path_that_keeps_an_s_dependent_sum(monkeypatch):
+    # negative control: every sum returned unchanged, whatever its s-part
+    sums, _ = fast_path_cases()
+    monkeypatch.setattr(QPowerSum, "shift", lambda p, beta: p)
+    bad = shift_failures(sums)
+    assert bad and all(b.startswith("value") for b in bad)
+
+
+def test_every_quotient_step_keeps_a_unit_led_denominator():
+    _, pairs = fast_path_cases()
+    for x, y in pairs:
+        results = [x + y, x - y, x * y, -x, x.invert_q(), QFieldElem.sum([x, y, x]),
+                   x.scale(0), x.scale(1), x.scale(-1), x.scale(Fraction(2, 3))]
+        results += [x.shift(beta) for beta in (0, 1, Fraction(-1, 2))]
+        if not x.is_zero():
+            results += [x.inv(), y / x]
+        for r in results:
+            assert unit_led(r), (x, y, r)
+
+
+def test_no_op_quotient_steps_return_their_operand():
+    _, pairs = fast_path_cases()
+    one = QFieldElem.one()
+    unit = QFieldElem(QPowerSum.one(), QPowerSum.one())  # equal to one, not the same object
+    assert unit is not one
+    for x in (x for pair in pairs for x in pair):
+        assert x * one is x and one * x is x
+        assert x * unit is x and (unit * x is x or x is one)
+        assert x.scale(1) is x and x.shift(0) is x
+        for beta in (1, Fraction(-1, 2)):
+            shifted = x.shift(beta)
+            assert shifted.den is x.den
+            assert (shifted is x) == (x.num.s in (None, (0, 1, 0, 1)))
+
+
+def test_q_factorial_denominator_is_the_product_of_its_factors():
+    from qtoda.opalg import _q_factorial_den
+
+    want = QPowerSum.one()
+    for n in range(13):
+        if n:
+            want = want * (QPowerSum.one() + QPowerSum.monomial(n, coef=-1))
+        got = _q_factorial_den(n)
+        assert (got.s, got.part) == (want.s, want.part), n
+        assert_canonical(got)
