@@ -10,6 +10,7 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -23,7 +24,15 @@ from .partitions import Partition
 from .schur import PowerSumRing
 from .suites import identity_suite, laxcheck_suite
 from .vertex import SessionParams, VertexContext, tau_table
-from .volterra import integrate_runs, invariant_drift, perturbed_constant_state, step_counts
+from .volterra import (
+    RK4_STABILITY_RADIUS,
+    conserved_quantities,
+    integrate_runs,
+    invariant_drift,
+    perturbed_constant_state,
+    rk4_unstable_rate,
+    step_counts,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -182,6 +191,14 @@ def cmd_laxcheck(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
+def _require_finite_invariants(*columns: list[float]) -> None:
+    """Refuse, before any file is written, an invariant H_k whose figures
+    (the k-th of each column) are not all finite."""
+    for k, values in enumerate(zip(*columns), start=1):
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"invariant H_{k} is not finite: lower --base or --amplitude")
+
+
 def cmd_simulate(args) -> int:
     if args.invariants < 1:
         raise ValueError(f"--invariants {args.invariants} must be >= 1")
@@ -213,12 +230,21 @@ def cmd_simulate(args) -> int:
             f"{sites} refined sites, more than {MAX_RECORDED_VALUES:.0e}: "
             "raise --record-every or lower --t-end"
         )
+    # refused before the first step: a start that is not finite, then a
+    # step above RK4's stability limit, unless the state's invariants
+    # overflow, which names the state as the cause
+    rho = rk4_unstable_rate(state, args.flows, args.dt)
+    if rho is not None:
+        _require_finite_invariants(conserved_quantities(state, args.invariants))
+        raise ValueError(
+            f"--dt {args.dt} is above RK4's stability limit 2*sqrt(2)/rho = "
+            f"{RK4_STABILITY_RADIUS / rho:.4g}, rho = {rho:.4g} being the spectral radius of "
+            "the flow's Jacobian at the initial state: lower --dt"
+        )
     traj, *half = integrate_runs(state, args.flows, args.t_end, runs)
     drift, series = invariant_drift(traj, args.invariants)
     drift_half = invariant_drift(half[0], args.invariants)[0] if half else None
-    for k, values in enumerate(zip(series[0], drift, drift_half or drift), start=1):
-        if not all(math.isfinite(v) for v in values):  # checked before any file is written
-            raise ValueError(f"invariant H_{k} is not finite: lower --base or --amplitude")
+    _require_finite_invariants(series[0], drift, drift_half or drift)
 
     n = traj.states.shape[1]
     head = ["time", *(f"u_{j}" for j in range(n)),
@@ -383,12 +409,19 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _apply_config(parser, argv)
     args = parser.parse_args(argv)
+    # The commands build no reference cycles, so reference counting frees
+    # all they drop and the cyclic collector would only search in vain.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (QTodaError, ValueError, ZeroDivisionError, OSError) as exc:
         # an unwritable output path is a usage error too, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

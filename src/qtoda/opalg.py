@@ -525,16 +525,20 @@ def _q_factorial_den(n: int) -> QPowerSum:
     return QPowerSum.laurent(P)
 
 
-def elementary_geometric(n: int) -> QFieldElem:
-    """e_n of the alphabet {q^(1/2), q^(3/2), ...}: q^(n^2/2) / prod(1-q^k)."""
-    num = QPowerSum.monomial(Fraction(n * n, 2))
-    return QFieldElem(num, _q_factorial_den(n))
-
-
 def complete_geometric(n: int) -> QFieldElem:
-    """h_n of the same alphabet: q^(n/2) / prod(1-q^k)."""
+    """h_n of the alphabet {q^(1/2), q^(3/2), ...}: q^(n/2) / prod(1-q^k)."""
     num = QPowerSum.monomial(Fraction(n, 2))
     return QFieldElem(num, _q_factorial_den(n))
+
+
+def _elementary_from(h: QFieldElem, n: int) -> QFieldElem:
+    """e_n = q^(n(n-1)/2) h_n, from h_n: the two share prod(1-q^k)."""
+    return h * qpow(Fraction(n * (n - 1), 2))
+
+
+def elementary_geometric(n: int) -> QFieldElem:
+    """e_n of the same alphabet: q^(n^2/2) / prod(1-q^k)."""
+    return _elementary_from(complete_geometric(n), n)
 
 
 def _gauge_exponent(tau: Fraction) -> QFieldElem:
@@ -577,23 +581,31 @@ class LaxSession:
     """The time-zero operators of one session, each computed once.
 
     W0, W0bar and their closed-form inverses are built once on the integer
-    grid, each inverse certified by an exact product.  The fractional Lax
-    powers reindex them onto the refined grid, and the Orlov-type closed
-    forms are verified against the same inverses.  A session lives for one
-    suite call and never mutates an operator it has handed out.
+    grid from one h_n and one e_n per n, each inverse certified by an exact
+    product.  The fractional Lax powers reindex them onto the refined grid,
+    and the Orlov-type closed forms are verified against the same inverses.
+    A session lives for one suite call and never mutates an operator it has
+    handed out.
     """
 
     def __init__(self, params: SessionParams):
-        if params.T < 2:
+        T = params.T
+        if T < 2:
             raise TruncationInsufficient("need T >= 2 for the initial Lax and Orlov operators")
         self.params = params
         E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
-        # Euler's q-exponential identities invert both middle products in closed form
-        self.w0 = build_W0(params)
-        self.w0_inv = conjugated_series(E1, E1.inv(), complete_geometric, True, params.T + 1)
-        self.wbar0 = build_W0bar(params)
-        self.wbar0_inv = conjugated_series(E2.inv(), E1.inv(), _signed_elementary, False,
-                                           params.T + 1)
+        E1_inv = E1.inv()
+        # every series below reads h_n and e_n for n <= T + 1, each formed
+        # once here, so each prod(1-q^k) is multiplied out once per session
+        h = [complete_geometric(n) for n in range(T + 2)]
+        signed_e = [_elementary_from(x, n).scale((-1) ** n) for n, x in enumerate(h)]
+        # W0 and W0bar as build_W0 and build_W0bar make them, and their
+        # inverses: Euler's q-exponential identities invert both middle
+        # products in closed form
+        self.w0 = conjugated_series(E1, E1_inv, signed_e.__getitem__, True, T)
+        self.w0_inv = conjugated_series(E1, E1_inv, h.__getitem__, True, T + 1)
+        self.wbar0 = conjugated_series(E1, E2, h.__getitem__, False, T)
+        self.wbar0_inv = conjugated_series(E2.inv(), E1_inv, signed_e.__getitem__, False, T + 1)
         _require_inverse("W0 inverse", self.w0, self.w0_inv)
         _require_inverse("W0bar inverse", self.wbar0, self.wbar0_inv)
 
@@ -804,8 +816,13 @@ def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressi
     return TauDressing(W=W, W_inv=W_inv, dW=dW, Wbar=Wbar, Wbar_inv=Wbar_inv)
 
 
-def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1) -> dict:
+def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1,
+                        session: LaxSession | None = None) -> dict:
     """Cross-check the tau-quotient route against the factorization route.
+
+    W0 and W0bar are the session's when it is given and its truncation
+    covers max_deg (their coefficients up to max_deg do not depend on it),
+    else they are built to max_deg.
 
     (i) the tau-derived dressing coefficients match the closed factorization
     forms (the second operator up to a recorded diagonal gauge);
@@ -834,9 +851,11 @@ def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1) ->
     record_check(report, "truncation_stability", stable)
 
     # (i) dressing coefficients against the factorization closed forms
-    fparams = replace(params, T=max_deg)
-    w0 = build_W0(fparams)
-    wbar0 = build_W0bar(fparams)
+    if session is not None and session.params.T >= max_deg:
+        w0, wbar0 = session.w0, session.wbar0
+    else:
+        fparams = replace(params, T=max_deg)
+        w0, wbar0 = build_W0(fparams), build_W0bar(fparams)
     bad = [n for n in range(max_deg + 1) if dressing.W.coeff(-n) != w0.coeff(-n)]
     record_check(
         report,

@@ -149,7 +149,9 @@ def _part_mul(a: tuple, b: tuple) -> tuple:
         for ka, va in Pa.items():
             k = ka + kb
             P[k] = P.get(k, 0) + va * vb
-    return _on_grid(L, _rmul(a[1], b[1]), {k: v for k, v in P.items() if v})
+    if 0 in P.values():  # a scan in C; most products cancel no term
+        P = {k: v for k, v in P.items() if v}
+    return _on_grid(L, _rmul(a[1], b[1]), P)
 
 
 def _part_from_ints(L: int, D: int, P: dict) -> tuple | None:
@@ -260,6 +262,10 @@ class QPowerSum:
     def __mul__(self, other: "QPowerSum") -> "QPowerSum":
         if self.part is None or other.part is None:
             return _QPS_ZERO
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         return QPowerSum._raw(_sigma_add(self.s, other.s), _part_mul(self.part, other.part))
 
     def _times(self, key: tuple, coef: tuple[int, int]) -> "QPowerSum":
@@ -301,9 +307,9 @@ class QPowerSum:
         out = []
         for k in sorted(P, reverse=True):
             a = n * P[k]
-            body = coef = _ratio_text(abs(a), d)
+            body = coef = str(abs(a)) if d == 1 else _ratio_text(abs(a), d)
             if k or head:
-                c0 = _ratio_text(k, L) if k else ""
+                c0 = "" if not k else str(k) if L == 1 else _ratio_text(k, L)
                 mono = f"q^({head}{'+' if head and k > 0 else ''}{c0})"
                 body = mono if coef == "1" else f"{coef}*{mono}"
             sign = "-" if a < 0 else "+"
@@ -355,7 +361,7 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
     below low, after at most span(num) - span(den) + 1 steps.  By Gauss's
     lemma an exact quotient of primitive P's is primitive with int
     coefficients, so the first leading coefficient that does not divide
-    also ends it.
+    also ends it.  A num of smaller span than den fails before any step.
     """
     if den.is_zero():
         return None
@@ -364,9 +370,12 @@ def _divide_exact(num: QPowerSum, den: QPowerSum) -> QPowerSum | None:
     if num.is_zero():
         return _QPS_ZERO
     (Ln, cn, Pn), (Ld, cd, Pd) = num.part, den.part
+    top_n, bottom_n, top_d, bottom_d = max(Pn), min(Pn), max(Pd), min(Pd)
+    if (top_n - bottom_n) * Ld < (top_d - bottom_d) * Ln:
+        return None  # an exact quotient times den spans at least den's span
     L = lcm(Ln, Ld)
     rem, Pd = dict(_regrid(Ln, Pn, L)), _regrid(Ld, Pd, L)
-    lead_e, low = max(Pd), min(rem) - min(Pd)
+    lead_e, low = top_d * (L // Ld), bottom_n * (L // Ln) - bottom_d * (L // Ld)
     lead_c, rest = Pd[lead_e], [(e, c) for e, c in Pd.items() if e != lead_e]
     quot = {}
     while rem:

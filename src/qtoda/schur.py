@@ -112,50 +112,63 @@ def _z(m: Monomial) -> int:
     return z
 
 
-def _basis_mul(a: dict, b: dict) -> dict:
+def _basis_mul(a: dict, b: dict, table: dict) -> dict:
     """The product of two int combinations of the basis p_mu / z_mu, each
     keyed by mu's multiplicity tuple: p_mu/z_mu * p_nu/z_nu is
-    prod_i C(m_i + n_i, m_i) * p_(mu+nu)/z_(mu+nu), an int multiple."""
+    prod_i C(m_i + n_i, m_i) * p_(mu+nu)/z_(mu+nu), an int multiple.
+    `table` keeps, per mu and nu, the pair (mu+nu, that int), so each is
+    formed once for as long as the table lives."""
     if len(b) == 1 and b.get(()) == 1:
         return a
     out: dict = {}
     for m1, c1 in a.items():
+        row = table.get(m1)
+        if row is None:
+            row = table[m1] = {}
         for m2, c2 in b.items():
-            c = c1 * c2
-            for x, y in zip(m1, m2):
-                if x and y:
-                    c *= comb(x + y, x)
-            m = _mono_mul(m1, m2)
-            out[m] = out.get(m, 0) + c
+            got = row.get(m2)
+            if got is None:
+                f = 1
+                for x, y in zip(m1, m2):
+                    if x and y:
+                        f *= comb(x + y, x)
+                got = row[m2] = (_mono_mul(m1, m2), f)
+            m, f = got
+            out[m] = out.get(m, 0) + c1 * c2 * f
     return {m: c for m, c in out.items() if c}
 
 
-def _det(matrix: list[list[dict]]) -> dict:
-    """Cofactor expansion down the rows of a matrix of int combinations of
-    the basis p_mu / z_mu (see `_basis_mul`); the minor on the rows below
-    row r depends only on its column set, so each is computed once, and
-    zero entries are skipped."""
-    n = len(matrix)
-    minors: dict[tuple[int, ...], dict] = {}
+def _minor(matrix: list[list[dict]], cols: tuple[int, ...], minors: dict, table: dict) -> dict:
+    """The minor of `matrix` on its last len(cols) rows and the columns
+    cols, by cofactor expansion down its first row, skipping zero entries;
+    each minor is kept in `minors` under its column set, so it is computed
+    once.  A module-level function, not a closure over itself: a closure
+    that calls itself is a reference cycle, and would leave the whole
+    `minors` table to the cyclic collector."""
+    if not cols:
+        return {(): 1}
+    got = minors.get(cols)
+    if got is None:
+        row = matrix[len(matrix) - len(cols)]
+        got = {}
+        for pos, j in enumerate(cols):
+            if not row[j]:
+                continue
+            sign = -1 if pos % 2 else 1
+            rest = _minor(matrix, cols[:pos] + cols[pos + 1 :], minors, table)
+            for m, c in _basis_mul(row[j], rest, table).items():
+                got[m] = got.get(m, 0) + sign * c
+        got = {m: c for m, c in got.items() if c}
+        minors[cols] = got
+    return got
 
-    def minor(cols: tuple[int, ...]) -> dict:
-        if not cols:
-            return {(): 1}
-        got = minors.get(cols)
-        if got is None:
-            row = matrix[n - len(cols)]
-            got = {}
-            for pos, j in enumerate(cols):
-                if not row[j]:
-                    continue
-                sign = -1 if pos % 2 else 1
-                for m, c in _basis_mul(row[j], minor(cols[:pos] + cols[pos + 1 :])).items():
-                    got[m] = got.get(m, 0) + sign * c
-            got = {m: c for m, c in got.items() if c}
-            minors[cols] = got
-        return got
 
-    return minor(tuple(range(n)))
+def _det(matrix: list[list[dict]], table: dict) -> dict:
+    """The determinant of a matrix of int combinations of the basis
+    p_mu / z_mu (see `_basis_mul`, whose `table` it passes on): the minor on
+    the rows below row r depends only on its column set, so each is
+    computed once."""
+    return _minor(matrix, tuple(range(len(matrix))), {}, table)
 
 
 def skew_diagram(mu: Partition, nu: Partition) -> tuple[tuple[int, int], ...] | None:
@@ -180,7 +193,9 @@ class PowerSumRing:
     """Session-scoped ring of polynomials in p_1..p_D.
 
     The degree bound D caps the weight of any Schur index; it is fixed by
-    the largest partition the enclosing computation needs.
+    the largest partition the enclosing computation needs.  For as long as
+    the ring lives it keeps each S_m, each product of two basis elements
+    (`_basis_mul`) and each Schur polynomial per skew diagram.
     """
 
     def __init__(self, degree_bound: int):
@@ -188,6 +203,7 @@ class PowerSumRing:
             raise ValueError("degree bound must be >= 0")
         self.degree_bound = degree_bound
         self._h_cache: dict[int, dict] = {}
+        self._mul_table: dict[Monomial, dict] = {}  # see `_basis_mul`
         self._schur_cache: dict[tuple | None, PowerSumPoly] = {}
 
     def _h(self, m: int) -> dict:
@@ -211,7 +227,8 @@ class PowerSumRing:
             ]
             for i in range(1, size + 1)
         ]
-        return PowerSumPoly._raw({m: Fraction(c, _z(m)) for m, c in _det(matrix).items()})
+        det = _det(matrix, self._mul_table)
+        return PowerSumPoly._raw({m: Fraction(c, _z(m)) for m, c in det.items()})
 
     def schur(self, mu: Partition, size: int | None = None) -> PowerSumPoly:
         """S_mu as a determinant of size >= l(mu); independent of the size."""

@@ -269,7 +269,7 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
         record_check(report, "orlov_closed_forms", False, str(exc))
     merge_checks(report, check_LM_relation(session))
     if tau_degree:
-        cc = cross_check_initial(params, max_deg=tau_degree, flow_k=flow_k)
+        cc = cross_check_initial(params, max_deg=tau_degree, flow_k=flow_k, session=session)
         merge_checks(report, cc, prefix="tau_")
         report["gauge"] = cc.get("gauge")
     return report

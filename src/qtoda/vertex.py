@@ -32,22 +32,19 @@ from .schur import PowerSumRing, Specialization, skew_diagram
 
 def subpartitions(limit: Partition) -> Iterator[Partition]:
     """All partitions eta with eta_i <= limit_i componentwise."""
+    return _subpartitions(limit.parts, 0, limit.part(1), ())
 
-    def rec(i: int, prev: int, acc: tuple[int, ...]):
-        if i >= limit.length:
-            yield Partition._raw(acc)
-            return
-        cap = min(prev, limit.parts[i])
-        for v in range(cap, -1, -1):
-            if v == 0:
-                yield Partition._raw(acc)
-                return
-            yield from rec(i + 1, v, acc + (v,))
 
-    if limit.length == 0:
-        yield EMPTY
-        return
-    yield from rec(0, limit.parts[0], ())
+def _subpartitions(parts: tuple[int, ...], i: int, prev: int,
+                   acc: tuple[int, ...]) -> Iterator[Partition]:
+    """The partitions acc + (v_i, v_(i+1), ...) with v_i <= prev and each
+    v_j <= parts[j], largest first.  A module-level generator, not a closure
+    over itself, which would be a reference cycle left to the cyclic
+    collector."""
+    if i < len(parts):
+        for v in range(min(prev, parts[i]), 0, -1):
+            yield from _subpartitions(parts, i + 1, v, acc + (v,))
+    yield Partition._raw(acc)
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,83 @@ def flow_rhs(state: LatticeState, k: int = 1) -> np.ndarray:
     return _rhs(u, np.arange(len(u)) - state.b, path_plan(state.a, state.b, k, len(u)))
 
 
+# RK4 keeps a linear mode of rate lambda bounded when dt*|lambda| <= 2*sqrt(2)
+# on the imaginary axis, where the Volterra-type flows put most of theirs
+# (on the negative real axis the bound is 2.785, a little less).
+RK4_STABILITY_RADIUS = 2 * math.sqrt(2)
+# The most refined sites whose Jacobian rk4_unstable_rate forms: its
+# eigenvalues take time as the cube of the size, about 0.25 s at this one.
+MAX_JACOBIAN_SITES = 512
+
+
+def _finite_sites(state: LatticeState) -> np.ndarray:
+    """The sites as floats; NonFinite names the first that is not finite."""
+    u0 = state.sites.astype(float)
+    bad = np.flatnonzero(~np.isfinite(u0))
+    if bad.size:
+        raise NonFinite(f"initial state is not finite: u_{bad[0]} = {u0[bad[0]]}")
+    return u0
+
+
+def _flow_jacobian(state: LatticeState, k: int) -> np.ndarray:
+    """The Jacobian of flow_rhs(., k) at the state.
+
+    Column i is Im f(u + i*h*e_i) / h, a complex step through the flow's
+    own path recursion: no difference is taken, so with h far below the
+    state's scale the column is exact up to rounding.  The columns are
+    formed on copies of the lattice side by side (path_plan's copies), at
+    most 4096 sites at a time.
+    """
+    u = _finite_sites(state)
+    n = len(u)
+    h = 1e-20 * (np.abs(u).max() or 1.0)
+    copies = min(n, max(1, 4096 // n))
+    plan = path_plan(state.a, state.b, k, n, copies)
+    back = _periodic_gather([-state.b], n, copies)[0]
+    jac = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, copies):
+            cols = np.arange(first, min(first + copies, n))
+            stepped = np.tile(u, copies).astype(complex)
+            stepped[np.arange(len(cols)) * n + cols] += h * 1j
+            d = power_diagonal(stepped, plan)
+            f = stepped * (d - d[back])  # as _rhs forms it
+            jac[:, cols] = f.imag.reshape(copies, n)[:len(cols)].T / h
+    return jac
+
+
+def _spectral_radius(jac: np.ndarray) -> float:
+    """The largest modulus of an eigenvalue; inf when an entry is not finite."""
+    if not np.isfinite(jac).all():
+        return math.inf
+    return float(np.abs(np.linalg.eigvals(jac)).max())
+
+
+def rk4_unstable_rate(state: LatticeState, k: int, dt: float) -> float | None:
+    """rho, the spectral radius of the Jacobian of flow_rhs(., k) at the
+    state, when dt*rho > RK4_STABILITY_RADIUS, so that RK4 at step dt lets
+    a linear mode grow; None when it does not, or on more than
+    MAX_JACOBIAN_SITES refined sites.  A state that is not finite raises
+    NonFinite, as integrate_runs does.
+
+    d_j sums N = C(k(a+b), ka) paths, each a product of ka values of -u,
+    so with U the largest |u_j| each row of the Jacobian sums in absolute
+    value to at most 2N(1 + ka)U^(ka), a bound on rho: the Jacobian and its
+    eigenvalues are formed only when dt times that bound is above the limit.
+    """
+    u = _finite_sites(state)
+    top, ka = float(np.abs(u).max()), k * state.a
+    if len(u) > MAX_JACOBIAN_SITES or top == 0:  # a zero state has a zero Jacobian
+        return None
+    # dt times the bound, in logs: the path count alone can pass the float range
+    paths = math.comb(k * (state.a + state.b), ka)
+    if (math.log(dt * 2 * (1 + ka)) + math.log(paths) + ka * math.log(top)
+            <= math.log(RK4_STABILITY_RADIUS)):
+        return None
+    rho = _spectral_radius(_flow_jacobian(state, k))
+    return rho if dt * rho > RK4_STABILITY_RADIUS else None
+
+
 def _traces(u: np.ndarray, a: int, b: int, kmax: int) -> list[list]:
     """H_1..H_kmax of each row of u, from one banded pass over all rows."""
     if kmax < 1:
@@ -360,10 +437,7 @@ def integrate_runs(
     the loop goes on until that run has ended or failed.
     """
     steps = [_step_count(k, t_end, dt, record_every) for dt, record_every in runs]
-    u0 = state.sites.astype(float)
-    bad = np.flatnonzero(~np.isfinite(u0))
-    if bad.size:
-        raise NonFinite(f"initial state is not finite: u_{bad[0]} = {u0[bad[0]]}")
+    u0 = _finite_sites(state)
     n, copies = len(u0), len(runs)
     order = sorted(range(copies), key=lambda r: -steps[r])  # copy c runs runs[order[c]]
     dt = np.repeat(np.array([runs[r][0] for r in order], dtype=float), n)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, config file."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -7,18 +8,21 @@ import math
 import os
 import subprocess
 import sys
+import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtoda import cli, volterra
+from qtoda import cli, schur, volterra
 from qtoda.cli import main
 from qtoda.errors import TruncationInsufficient
 from qtoda import opalg
 from qtoda.opalg import LaxSession, SitePoly
-from qtoda.qfield import qpow
+from qtoda.qfield import QFieldElem, qpow
+from qtoda.vertex import VertexContext
 from qtoda.volterra import LatticeState, flow_rhs, stencil_apply, symbolic_flow_stencil
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
@@ -285,6 +289,103 @@ def test_simulate_benchmark_job_outputs_are_pinned(name, tmp_path):
     assert (report_skipped, csv_skipped) == (2, 1)  # only the volatile lines
     assert (report_digest, csv_digest) == SIMULATE_DIGESTS[name], (
         f"new digests {(report_digest, csv_digest)}")
+
+
+# -- the commands leave no reference cycles ---------------------------------------
+
+
+def _cycles_left_by(run) -> Counter:
+    """What a gc.collect() after run() finds, with the cyclic collector paused
+    while it runs: each function by its qualified name, anything else by its
+    type.  The objects are freed before this returns."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collection finds in gc.garbage
+    try:
+        run()
+        gc.collect()
+        return Counter(obj.__qualname__ if isinstance(obj, types.FunctionType)
+                       else type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+        if enabled:
+            gc.enable()
+
+
+def _benchmark_argv(tmp_path) -> dict:
+    """The argv of each exact and simulate job of the benchmark, writing into tmp_path."""
+    argv = {}
+    for jobs in load_benchmark("run").WORKLOADS.values():
+        for job in jobs:
+            out = ["--out", str(tmp_path / "report.json")]
+            if job.command == "simulate":
+                out += ["--out-csv", str(tmp_path / "run.csv")]
+            if job.check != "oracle":
+                argv[job.name] = list(job.argv) + out
+    return argv
+
+
+def _command_cycles(argv) -> Counter:
+    """The cycles a command function leaves, beyond those of the one
+    json.dumps(indent=2) call that writes its report (its encoder's
+    closures call each other)."""
+    args = cli.build_parser().parse_args(argv)
+    report = _cycles_left_by(lambda: json.dumps({"report": [1]}, indent=2))
+    assert report  # the baseline sees the encoder's closures
+    return _cycles_left_by(lambda: args.func(args)) - report
+
+
+def test_the_benchmark_commands_leave_no_reference_cycles(tmp_path):
+    jobs = _benchmark_argv(tmp_path)
+    assert len(jobs) == 6  # four exact jobs and two simulate jobs
+    for name, argv in jobs.items():
+        assert _command_cycles(argv) == Counter(), name
+
+
+def test_the_cycle_guard_sees_a_determinant_that_closes_over_itself(monkeypatch, tmp_path):
+    # negative control: a _det built on a closure that calls itself, as
+    # Jacobi-Trudi determinants once were
+    real = schur._det
+
+    def closed_over(matrix, table):
+        def det(depth):
+            return det(depth - 1) if depth else real(matrix, table)
+
+        return det(1)
+
+    monkeypatch.setattr(schur, "_det", closed_over)
+    left = _command_cycles(_benchmark_argv(tmp_path)["identities-w6"])
+    assert left["test_the_cycle_guard_sees_a_determinant_that_closes_over_itself."
+                "<locals>.closed_over.<locals>.det"] == 60  # one per determinant
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_the_callers_state(monkeypatch, caller_enabled):
+    # exit 0, exit 1 (a failed check) and exit 2 (bad input); the collector
+    # is paused while the command runs
+    seen = []
+    real = VertexContext.vertex_hook
+
+    def hook(ctx, nu, nubar):
+        seen.append(gc.isenabled())
+        wrong = nu.weight == 2
+        return QFieldElem.zero() if wrong else real(ctx, nu, nubar)
+
+    monkeypatch.setattr(VertexContext, "vertex_hook", hook)
+    was = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        for argv, code in ((["vertex", "--nu", "[1]", "--nubar", "[]"], 0),
+                           (["vertex", "--nu", "[2]", "--nubar", "[]"], 1),
+                           (["tau", "--a", "1", "--b", "1", "--deg", "-1"], 2)):
+            assert main(argv) == code
+            assert gc.isenabled() is caller_enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 # A fresh interpreter loads benchmarks/tracing.py as load_benchmark does,
@@ -599,6 +700,52 @@ def test_order_check_runs_both_step_sizes_in_one_loop(tmp_path, monkeypatch):
     assert main(["simulate", "--t-end", "0.01", "--dt", "1e-3", "--order-check",
                  "--out-csv", str(tmp_path / "run.csv"), "--out", str(tmp_path / "run.json")]) == 0
     assert sizes == [48] * 40 + [24] * 40
+
+
+# Flows whose default --dt 1e-3 is above RK4's stability limit at the
+# default state, each with a step just below it (2.016e-4 and 3.442e-4)
+STIFF_FLOWS = [(["--a", "2", "--b", "3", "--flows", "3"], "2e-4"),
+               (["--a", "3", "--b", "4", "--flows", "2"], "2.5e-4")]
+
+
+def _stiff_outcomes(tmp_path, capsys) -> list:
+    """Per stiff flow to t = 0.1: the exit code, the files written and the
+    start of the error at the default dt, then the exit code at the small one."""
+    csv, report = tmp_path / "run.csv", tmp_path / "run.json"
+    out = []
+    for flow, small in STIFF_FLOWS:
+        argv = ["simulate", *flow, "--t-end", "0.1", "--out-csv", str(csv), "--out", str(report)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(argv)
+        written = sorted(p.name for p in tmp_path.iterdir())
+        err = capsys.readouterr().err
+        out.append((code, written, err[:55], main(argv + ["--dt", small])))
+        csv.unlink(missing_ok=True)
+        report.unlink(missing_ok=True)
+    return out
+
+
+STIFF_OUTCOMES = [(2, [], "error: --dt 0.001 is above RK4's stability limit 2*sqrt", 0)] * 2
+
+
+def test_simulate_refuses_a_step_above_rk4s_stability_limit(tmp_path, capsys):
+    assert _stiff_outcomes(tmp_path, capsys) == STIFF_OUTCOMES
+    main(["simulate", *STIFF_FLOWS[0][0], "--t-end", "0.1", "--out-csv", str(tmp_path / "x.csv")])
+    assert capsys.readouterr().err == (
+        "error: --dt 0.001 is above RK4's stability limit 2*sqrt(2)/rho = 0.0002016, "
+        "rho = 1.403e+04 being the spectral radius of the flow's Jacobian at the initial "
+        "state: lower --dt\n")
+
+
+@pytest.mark.parametrize("factor", [10, 0.1])
+def test_the_stability_test_sees_a_spectral_radius_off_by_ten(monkeypatch, tmp_path, capsys,
+                                                              factor):
+    # negative control: an estimate 10 times too large refuses the small
+    # steps, one 10 times too small lets the default step run until it
+    # leaves double range
+    real = volterra._spectral_radius
+    monkeypatch.setattr(volterra, "_spectral_radius", lambda jac: factor * real(jac))
+    assert _stiff_outcomes(tmp_path, capsys) != STIFF_OUTCOMES
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,10 @@ Every function and class has a caller elsewhere in the package, apart from
 a short allow-list of entry points that only the tests and the benchmark
 call, no module imports a name it never uses, and no statement follows a
 return, raise, continue or break in its own block.
+
+No nested function refers to its own name: such a closure holds a cell that
+holds the function, a reference cycle that only the cyclic collector frees,
+and the command line runs with that collector paused.
 """
 
 import ast
@@ -235,3 +239,74 @@ def test_unreachable_scan_sees_a_statement_after_each_jump():
     ]
     ends_its_block = "def f(x):\n    if x:\n        return 1\n    return 2\n"
     assert unreachable_statements("y.py", ends_its_block) == []
+
+
+def self_referring_closures(name: str, text: str) -> list[str]:
+    """Functions defined inside another function that name themselves, each
+    a closure over its own cell: a reference cycle."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for outer in ast.walk(ast.parse(text)):
+        if not isinstance(outer, defs):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, defs):
+                continue
+            if any(isinstance(node, ast.Name) and node.id == inner.name
+                   for stmt in inner.body for node in ast.walk(stmt)):
+                found.append(f"{name}:{inner.lineno}: {inner.name}")
+    return sorted(set(found))
+
+
+def test_no_nested_function_in_the_package_refers_to_itself():
+    found = []
+    for name, text in package_sources().items():
+        found += self_referring_closures(name, text)
+    assert found == []
+
+
+def test_closure_scan_flags_a_nested_function_that_refers_to_itself():
+    # negative control: a memoized recursion and a recursive generator, each
+    # a closure over itself, are seen; recursion at module level, a method
+    # calling itself through self, and nested functions that call each other
+    # only one way are not
+    source = (
+        "def det(matrix):\n"
+        "    minors = {}\n"
+        "\n"
+        "    def minor(cols):\n"
+        "        if cols not in minors:\n"
+        "            minors[cols] = sum(minor(cols[1:]) for _ in cols)\n"
+        "        return minors[cols]\n"
+        "\n"
+        "    return minor(tuple(range(len(matrix))))\n"
+        "\n"
+        "\n"
+        "def walk(limit):\n"
+        "    def rec(i):\n"
+        "        yield i\n"
+        "        yield from rec(i + 1)\n"
+        "\n"
+        "    yield from rec(0)\n"
+    )
+    assert self_referring_closures("x.py", source) == ["x.py:13: rec", "x.py:4: minor"]
+    clean = (
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "\n"
+        "\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        return 1 + sum(c.size() for c in self.children)\n"
+        "\n"
+        "\n"
+        "def outer(xs):\n"
+        "    def leaf(x):\n"
+        "        return x\n"
+        "\n"
+        "    def node(x):\n"
+        "        return leaf(x)\n"
+        "\n"
+        "    return [node(x) for x in xs]\n"
+    )
+    assert self_referring_closures("y.py", clean) == []

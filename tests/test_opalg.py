@@ -699,12 +699,14 @@ def test_laxcheck_suite_never_calls_op_inverse(monkeypatch, tau_degree):
 
 # Part products and copies made by shifting an s-free sum in the benchmark's
 # laxcheck jobs, at most their counts once no-op q-field steps returned their
-# operand and (q;q)_n was multiplied out in ints
+# operand and (q;q)_n was multiplied out in ints; and the operator series
+# built (W0, W0bar and their inverses, once each) and the (q;q)_n formed
+# again for an n, at most their counts once the session formed each once
 LAX_WORK_CEILINGS = [
     (["laxcheck", "--a", "1", "--b", "1", "--T", "6", "--deg", "4"],
-     {"part products": 986, "s-free shift copies": 0}),
+     {"part products": 986, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0}),
     (["laxcheck", "--a", "2", "--b", "1", "--sign", "-1", "--T", "6"],
-     {"part products": 478, "s-free shift copies": 0}),
+     {"part products": 478, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0}),
 ]
 
 
@@ -712,6 +714,17 @@ def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
     """Run a job in-process and return the counts above their ceilings."""
     counts = Counter()
     part_mul, shift = qfield._part_mul, QPowerSum.shift
+    series, q_factorial = opalg.conjugated_series, opalg._q_factorial_den
+    formed = Counter()
+
+    def counted_series(*args):
+        counts["series"] += 1
+        return series(*args)
+
+    def counted_q_factorial(n):
+        counts["repeated (q;q)_n"] += n in formed
+        formed[n] += 1
+        return q_factorial(n)
 
     def counted_part_mul(a, b):
         counts["part products"] += 1
@@ -725,8 +738,11 @@ def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
 
     monkeypatch.setattr(qfield, "_part_mul", counted_part_mul)
     monkeypatch.setattr(QPowerSum, "shift", counted_shift)
+    monkeypatch.setattr(opalg, "conjugated_series", counted_series)
+    monkeypatch.setattr(opalg, "_q_factorial_den", counted_q_factorial)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert counts["part products"] > 100 and counts["shifts"] > 100  # the counts see the job
+    assert sorted(formed) == list(range(8))  # (q;q)_0 .. (q;q)_(T+1) at T = 6
     return {k: counts[k] for k, most in ceilings.items() if counts[k] > most}
 
 
@@ -741,6 +757,35 @@ def test_the_lax_work_counts_see_a_shift_that_copies_an_s_free_sum(monkeypatch, 
     # negative control: every sum shifted through its exponent key, as before
     monkeypatch.setattr(QPowerSum, "shift", shift_by_key)
     assert "s-free shift copies" in _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
+
+
+def test_the_lax_work_counts_see_a_cross_check_that_builds_its_own_series(monkeypatch, tmp_path):
+    # negative control: a cross-check that is not handed the session builds
+    # W0 and W0bar again, and their (q;q)_n with them
+    argv, ceilings = LAX_WORK_CEILINGS[0]
+    real = suites.cross_check_initial
+    monkeypatch.setattr(suites, "cross_check_initial",
+                        lambda params, max_deg, flow_k, session: real(params, max_deg, flow_k))
+    over = _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
+    assert over == {"series": 6, "repeated (q;q)_n": 10}
+
+
+def test_the_lax_work_counts_see_a_session_that_forms_each_series_coefficient(monkeypatch,
+                                                                             tmp_path):
+    # negative control: a session whose four series each form their own h_n
+    # or e_n, as build_W0 and build_W0bar do
+    argv, ceilings = LAX_WORK_CEILINGS[1]
+
+    def per_series(self, params):
+        E1, E2 = opalg._gauge_exponent(params.tau), opalg._gauge_exponent(1 / params.tau)
+        self.params, T = params, params.T
+        self.w0, self.wbar0 = opalg.build_W0(params), opalg.build_W0bar(params)
+        self.w0_inv = opalg.conjugated_series(E1, E1.inv(), opalg.complete_geometric, True, T + 1)
+        self.wbar0_inv = opalg.conjugated_series(E2.inv(), E1.inv(), opalg._signed_elementary,
+                                                 False, T + 1)
+
+    monkeypatch.setattr(LaxSession, "__init__", per_series)
+    assert "repeated (q;q)_n" in _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
 
 
 def check_results(report):

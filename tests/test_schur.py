@@ -245,24 +245,24 @@ def test_size_independence_check_fails_on_a_wrong_padded_expansion(monkeypatch):
     permanent) on matrices larger than l(mu) must fail the suite's check.
     The entries are int combinations of the basis p_mu / z_mu."""
 
-    def permanent(matrix):
+    def permanent(matrix, table):
         if not matrix:
             return {(): 1}
         total = {}
         for j, entry in enumerate(matrix[0]):
             if entry:
                 rest = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-                for m, c in schur._basis_mul(entry, permanent(rest)).items():
+                for m, c in schur._basis_mul(entry, permanent(rest, table), table).items():
                     total[m] = total.get(m, 0) + c
         return {m: c for m, c in total.items() if c}
 
     real = schur._det
 
-    def mutated(matrix):
+    def mutated(matrix, table):
         # rows below l(mu) read (0, ..., 0, 1): only padded matrices change
         last = matrix[-1] if matrix else []
         padded = last and not any(last[:-1]) and last[-1] == {(): 1}
-        return permanent(matrix) if padded else real(matrix)
+        return permanent(matrix, table) if padded else real(matrix, table)
 
     monkeypatch.setattr(schur, "_det", mutated)
     report = schur_structure_suite(4)

@@ -29,6 +29,7 @@ from qtoda.volterra import (
     path_plan,
     perturbed_constant_state,
     power_diagonal,
+    rk4_unstable_rate,
     stationarity_check,
     stencil_apply,
     symbolic_flow_stencil,
@@ -724,3 +725,55 @@ def test_duality_zero_state_sees_a_nonzero_flow(monkeypatch):
     assert not rep["passed"]
     failed = {c["name"] for c in rep["checks"] if not c["passed"]}
     assert "reflection_time_reversal" in failed
+
+
+# -- the spectral radius behind simulate's step limit -------------------------------
+
+
+def test_spectral_radius_of_a_constant_volterra_lattice():
+    # u_j' = u_j (u_(j+1) - u_(j-1)) at u = c has the circulant Jacobian
+    # -c (S - S^-1), of eigenvalues -2ic sin(2 pi m / n): rho = 2c on 24 sites
+    jac = volterra._flow_jacobian(LatticeState(1, 1, np.full(24, 1.5)), 1)
+    assert volterra._spectral_radius(jac) == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("a, b, k, amplitude", [(1, 1, 1, 0.85), (2, 3, 1, 0.3), (2, 3, 3, 0.1)])
+def test_flow_jacobian_matches_central_differences(a, b, k, amplitude):
+    state = perturbed_constant_state(a, b, 4, amplitude=amplitude)
+    u, h = state.sites, 1e-6
+    columns = []
+    for i in range(len(u)):
+        step = np.zeros_like(u)
+        step[i] = h
+        columns.append((flow_rhs(LatticeState(a, b, u + step), k)
+                        - flow_rhs(LatticeState(a, b, u - step), k)) / (2 * h))
+    reference = np.array(columns).T
+    jac = volterra._flow_jacobian(state, k)
+    assert np.abs(jac - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+def test_rk4_unstable_rate_names_rho_only_above_the_limit():
+    # the third flow of (2, 3) at the default state: rho = 1.403e4, so the
+    # limit is 2.016e-4; the path-count bound (1.2e5) alone would refuse 2e-4
+    state = perturbed_constant_state(2, 3, 12)
+    assert rk4_unstable_rate(state, 3, 1e-3) == pytest.approx(14030.39, rel=1e-6)
+    assert rk4_unstable_rate(state, 3, 2.02e-4) is not None
+    assert rk4_unstable_rate(state, 3, 2e-4) is None
+    assert rk4_unstable_rate(state, 3, 1e-5) is None
+    assert rk4_unstable_rate(LatticeState(1, 1, np.zeros(8)), 1, 1e3) is None
+
+
+@pytest.mark.parametrize("a, b, k, amplitude", [(1, 1, 1, 0.85), (2, 3, 1, 0.3), (2, 3, 3, 0.1),
+                                                 (3, 4, 2, 0.1), (1, 2, 3, 0.5)])
+def test_the_path_count_bound_covers_every_row_of_the_jacobian(a, b, k, amplitude):
+    state = perturbed_constant_state(a, b, 3, amplitude=amplitude)
+    jac = volterra._flow_jacobian(state, k)
+    bound = 2 * math.comb(k * (a + b), k * a) * (1 + k * a) * np.abs(state.sites).max() ** (k * a)
+    assert np.abs(jac).sum(axis=1).max() <= bound
+
+
+def test_rk4_unstable_rate_edge_cases():
+    assert rk4_unstable_rate(LatticeState(1, 1, np.full(24, 1e200)), 3, 1e-3) == math.inf
+    assert rk4_unstable_rate(perturbed_constant_state(1, 1, 257), 1, 1e3) is None  # 514 sites
+    with pytest.raises(NonFinite, match="initial state is not finite: u_1 = nan"):
+        rk4_unstable_rate(LatticeState(1, 1, np.array([1.0, np.nan, 1.0, 1.0])), 1, 1e-3)
