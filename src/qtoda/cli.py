@@ -140,7 +140,7 @@ def _require_sizes(*options: tuple[str, int]) -> None:
 
 def cmd_tau(args) -> int:
     _require_sizes(("--deg", args.deg))
-    table = tau_table(args.a, args.b, args.sign, args.shift, args.deg)
+    table = tau_table(args.a, args.b, args.sign, args.shift, args.deg, VertexContext(args.deg))
     entries = {}
     for key in sorted(table.pairs):
         nu, nubar = table.pairs[key]

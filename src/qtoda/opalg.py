@@ -751,9 +751,9 @@ def _hook_sign_sum(table: TauTable, k: int) -> QFieldElem:
     return total
 
 
-def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressing:
-    """Dressing coefficients at time zero, their inverses, and the flow_k
-    time derivative of W.
+def dressing_from_tau(table: TauTable, flow_k: int = 1) -> TauDressing:
+    """Dressing coefficients at time zero, to the table's degree, their
+    inverses, and the flow_k time derivative of W.
 
     The quotient of shifted tau functions is expanded by the one-variable
     substitution t_j -> t_j - z^(-j)/j (and its barred mirror); at time zero
@@ -771,15 +771,10 @@ def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressi
     RelationViolated.  The time derivative along the flow of index flow_k
     follows from the degree-flow_k part of the table (hook shapes only).
     """
-    if order < 1:
-        raise TruncationInsufficient("order must be >= 1")
-    if order > table.max_deg:
-        raise TruncationInsufficient(
-            f"order {order} exceeds the table degree {table.max_deg}"
-        )
     if flow_k < 1 or flow_k > table.max_deg:
         raise TruncationInsufficient("flow index outside the table degree")
     k = flow_k
+    order = table.max_deg
     ns = range(order + 1)
 
     w = {-n: table.entry(_column(n), EMPTY).shift(-1).scale((-1) ** n) for n in ns}
@@ -791,7 +786,7 @@ def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressi
     # d/dt_k of the tau-quotient coefficients at t = 0
     dk_den = _hook_sign_sum(table, k).shift(-1)
     dw: dict[int, QFieldElem] = {}
-    dw_order = min(order, table.max_deg - k)
+    dw_order = order - k
     for n in range(dw_order + 1):
         acc = QFieldElem.zero()
         for nu in partitions_of(n + k):
@@ -816,13 +811,13 @@ def dressing_from_tau(table: TauTable, order: int, flow_k: int = 1) -> TauDressi
     return TauDressing(W=W, W_inv=W_inv, dW=dW, Wbar=Wbar, Wbar_inv=Wbar_inv)
 
 
-def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1,
-                        session: LaxSession | None = None) -> dict:
-    """Cross-check the tau-quotient route against the factorization route.
+def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> dict:
+    """Cross-check the tau-quotient route against the factorization route,
+    for the type (a, b, sign) of the session's parameters.
 
-    W0 and W0bar are the session's when it is given and its truncation
-    covers max_deg (their coefficients up to max_deg do not depend on it),
-    else they are built to max_deg.
+    W0 and W0bar are the session's when its truncation T covers max_deg
+    (their coefficients up to max_deg do not depend on it), else they are
+    built to max_deg.
 
     (i) the tau-derived dressing coefficients match the closed factorization
     forms (the second operator up to a recorded diagonal gauge);
@@ -834,15 +829,16 @@ def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1,
     if max_deg < flow_k + 2:
         raise TruncationInsufficient("table degree too small for the flow check")
 
-    report: dict = {"passed": True, "checks": [], "max_deg": max_deg, "flow_k": flow_k}
+    report: dict = {"passed": True, "checks": []}
 
+    params = session.params
     ctx = VertexContext(max_deg)
     table = tau_table(params.a, params.b, params.sign, 0, max_deg, ctx)
-    dressing = dressing_from_tau(table, order=max_deg, flow_k=flow_k)
+    dressing = dressing_from_tau(table, flow_k)
 
     # truncation stability: a smaller table must reproduce the same coefficients
     table_prev = tau_table(params.a, params.b, params.sign, 0, max_deg - 1, ctx)
-    dressing_prev = dressing_from_tau(table_prev, order=max_deg - 1, flow_k=flow_k)
+    dressing_prev = dressing_from_tau(table_prev, flow_k)
     stable = all(
         dressing.W.coeff(-n) == dressing_prev.W.coeff(-n) for n in range(max_deg)
     ) and all(
@@ -851,7 +847,7 @@ def cross_check_initial(params: SessionParams, max_deg: int, flow_k: int = 1,
     record_check(report, "truncation_stability", stable)
 
     # (i) dressing coefficients against the factorization closed forms
-    if session is not None and session.params.T >= max_deg:
+    if params.T >= max_deg:
         w0, wbar0 = session.w0, session.wbar0
     else:
         fparams = replace(params, T=max_deg)

@@ -31,10 +31,9 @@ def pairs_up_to(total_weight: int) -> list[tuple[Partition, Partition]]:
 
 def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False) -> dict:
     """Defining form against the hook-type finite sum, all pairs up to weight."""
-    report = {"passed": True, "checks": [], "pairs": 0}
+    report = {"passed": True, "checks": []}
     bad = []
     for nu, nubar in pairs_up_to(weight):
-        report["pairs"] += 1
         lhs = ctx.vertex_def(nu, nubar)
         rhs = ctx.vertex_hook(nu, nubar)
         if corrupt and (nu.parts, nubar.parts) == ((1,), ()):
@@ -47,10 +46,9 @@ def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False
 
 def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
     """Transposition symmetry and the q -> 1/q inversion symmetry."""
-    report = {"passed": True, "checks": [], "pairs": 0}
+    report = {"passed": True, "checks": []}
     bad_t, bad_q = [], []
     for nu, nubar in pairs_up_to(weight):
-        report["pairs"] += 1
         w = ctx.vertex_def(nu, nubar)
         if not (w == ctx.vertex_def(nubar, nu)):
             bad_t.append(f"({nu},{nubar})")
@@ -62,12 +60,10 @@ def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
     return report
 
 
-def schur_negation_suite(weight: int, ring: PowerSumRing | None = None) -> dict:
+def schur_negation_suite(weight: int, ring: PowerSumRing) -> dict:
     """p -> -p on straight and skew Schur polynomials, symbolically, in
-    `ring` (a fresh one unless given; its bound must cover the weight)."""
+    `ring`, which the caller owns; its bound must cover the weight."""
     report = {"passed": True, "checks": []}
-    if ring is None:
-        ring = PowerSumRing(weight)
     bad = []
     for mu in enumerate_partitions(weight):
         lhs = ring.schur(mu).negate_p()
@@ -90,12 +86,10 @@ def schur_negation_suite(weight: int, ring: PowerSumRing | None = None) -> dict:
     return report
 
 
-def schur_structure_suite(weight: int, ring: PowerSumRing | None = None) -> dict:
+def schur_structure_suite(weight: int, ring: PowerSumRing) -> dict:
     """Determinant-size independence, homogeneity, special-point relation, in
-    `ring` (a fresh one unless given; its bound must cover the weight)."""
+    `ring`, which the caller owns; its bound must cover the weight."""
     report = {"passed": True, "checks": []}
-    if ring is None:
-        ring = PowerSumRing(weight)
     bad = []
     for mu in enumerate_partitions(weight):
         if ring.schur(mu) != ring.schur(mu, size=mu.length + 2):
@@ -148,16 +142,13 @@ def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
     return report
 
 
-def tau_shift_suite(a: int, b: int, sign: int, degree: int,
-                    ctx: VertexContext | None = None) -> dict:
+def tau_shift_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) -> dict:
     """Shifted tables at c = 1/2 and 1/3 equal the unshifted table under
     s -> s + c exactly, the global cubic prefactors matching as polynomials.
 
-    The three tables share one context (a fresh one unless given), so each
-    matrix element gamma is computed once."""
+    The three tables share `ctx`, which the caller owns (its bound must
+    cover the degree), so each matrix element gamma is computed once."""
     report = {"passed": True, "checks": []}
-    if ctx is None:
-        ctx = VertexContext(degree)
     base = tau_table(a, b, sign, 0, degree, ctx)
     for c in (Fraction(1, 2), Fraction(1, 3)):
         shifted = tau_table(a, b, sign, c, degree, ctx)
@@ -169,9 +160,9 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int,
     return report
 
 
-def tau_exponent_suite(a: int, b: int, sign: int, degree: int,
-                       ctx: VertexContext | None = None) -> dict:
-    """Entry prefactors q^E(s) re-derived independently from kappa and weights."""
+def tau_exponent_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) -> dict:
+    """Entry prefactors q^E(s) re-derived independently from kappa and
+    weights, on a table whose gammas come from the caller's `ctx`."""
     report = {"passed": True, "checks": []}
     table = tau_table(a, b, sign, 0, degree, ctx)
     tau = table.tau
@@ -269,7 +260,7 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
         record_check(report, "orlov_closed_forms", False, str(exc))
     merge_checks(report, check_LM_relation(session))
     if tau_degree:
-        cc = cross_check_initial(params, max_deg=tau_degree, flow_k=flow_k, session=session)
+        cc = cross_check_initial(session, tau_degree, flow_k)
         merge_checks(report, cc, prefix="tau_")
         report["gauge"] = cc.get("gauge")
     return report

@@ -246,14 +246,7 @@ class TauTable:
         return qpow(c0=pa[0] - pb[0], c1=pa[1] - pb[1], c2=pa[2] - pb[2])
 
 
-def tau_table(
-    a: int,
-    b: int,
-    sign: int = 1,
-    shift=0,
-    max_deg: int = 4,
-    ctx: VertexContext | None = None,
-) -> TauTable:
+def tau_table(a: int, b: int, sign: int, shift, max_deg: int, ctx: VertexContext) -> TauTable:
     """Build the coefficient table for tau = sign * b/a, shifted by c.
 
     The type (a, b, sign) is validated by SessionParams.
@@ -264,13 +257,12 @@ def tau_table(
     (nu, nubar)-independent cubic (tau + 1/tau + 2)(4(s+c)^3 - (s+c))/24 is
     recorded on the side and is what normalizes the (empty, empty) entry to 1.
     Each side's (c0, c1) terms are formed once per partition, so an entry's
-    exponent is two sums; gamma comes from `ctx` (a fresh context unless
-    given), which keeps it per unordered pair.
+    exponent is two sums; gamma comes from `ctx`, which the caller builds
+    and owns (its bound must cover max_deg) and which keeps it per
+    unordered pair.
     """
     tau = SessionParams(a, b, sign).tau
     shift = Fraction(shift)
-    if ctx is None:
-        ctx = VertexContext(max_deg)
     table = TauTable(tau=tau, shift=shift, max_deg=max_deg)
 
     tau_inv = 1 / tau

@@ -295,9 +295,8 @@ def _flow_jacobian(state: LatticeState, k: int) -> np.ndarray:
             cols = np.arange(first, min(first + copies, n))
             stepped = np.tile(u, copies).astype(complex)
             stepped[np.arange(len(cols)) * n + cols] += h * 1j
-            d = power_diagonal(stepped, plan)
-            f = stepped * (d - d[back])  # as _rhs forms it
-            jac[:, cols] = f.imag.reshape(copies, n)[:len(cols)].T / h
+            f = _rhs(stepped, back, plan).imag
+            jac[:, cols] = f.reshape(copies, n)[:len(cols)].T / h
     return jac
 
 

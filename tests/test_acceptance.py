@@ -56,7 +56,7 @@ def test_criterion_1_vertex_equality():
     report(
         1,
         rep["passed"] and elapsed < 120,
-        f"vertex defining == hook form on {rep['pairs']} pairs "
+        f"vertex defining == hook form on {len(pairs_up_to(6))} pairs "
         f"(weight <= 6) in {elapsed:.1f}s",
     )
 
@@ -65,7 +65,7 @@ def test_criterion_2_vertex_symmetries():
     """Transposition and q -> 1/q inversion symmetries, |nu|+|nubar| <= 5."""
     ctx = VertexContext(5)
     rep = vertex_symmetry_suite(ctx, 5)
-    report(2, rep["passed"], f"both symmetries exact on {rep['pairs']} pairs (weight <= 5)")
+    report(2, rep["passed"], f"both symmetries exact on {len(pairs_up_to(5))} pairs (weight <= 5)")
 
 
 def test_criterion_3_schur_negation():
@@ -127,7 +127,7 @@ def test_criterion_5_tau_factorization_cross_check(a, b):
     window."""
     start = time.time()
     params = SessionParams(a, b, 1, T=6)
-    rep = cross_check_initial(params, max_deg=6)
+    rep = cross_check_initial(LaxSession(params), 6)
     elapsed = time.time() - start
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
     report(
@@ -207,8 +207,8 @@ def test_criterion_8_negative_parameter_structure():
 def test_criterion_9_coordinate_shift():
     """Shifted tau tables equal the unshifted table under s -> s + c for
     c in {1/2, 1/3}, exactly, at degree <= 4, global prefactor included."""
-    rep = tau_shift_suite(1, 1, 1, 4)
-    rep2 = tau_shift_suite(1, 2, 1, 4)
+    rep = tau_shift_suite(1, 1, 1, 4, VertexContext(4))
+    rep2 = tau_shift_suite(1, 2, 1, 4, VertexContext(4))
     ok = rep["passed"] and rep2["passed"]
     report(9, ok, "tables at c = 1/2, 1/3 are exact coordinate shifts "
                   "(types (1,1) and (1,2), degree 4)")

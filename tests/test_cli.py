@@ -689,11 +689,13 @@ def test_simulate_refuses_one_file_for_report_and_csv(tmp_path, monkeypatch, cap
 def test_order_check_runs_both_step_sizes_in_one_loop(tmp_path, monkeypatch):
     # 4 stages x 20 steps: 10 steps on both 24-site lattices side by side,
     # then 10 on the dt/2 one alone; a loop per step size makes 4 x (10 + 20)
+    # only integrate_runs' calls: the stability test's Jacobian shares _rhs
     sizes = []
     rhs = volterra._rhs
 
     def counted(u, back, plan):
-        sizes.append(len(u))
+        if sys._getframe(1).f_code is volterra.integrate_runs.__code__:
+            sizes.append(len(u))
         return rhs(u, back, plan)
 
     monkeypatch.setattr(volterra, "_rhs", counted)

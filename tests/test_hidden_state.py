@@ -14,6 +14,10 @@ return, raise, continue or break in its own block.
 No nested function refers to its own name: such a closure holds a cell that
 holds the function, a reference cycle that only the cyclic collector frees,
 and the command line runs with that collector paused.
+
+No parameter typed as a session object (a VertexContext, PowerSumRing or
+LaxSession) has a default: the caller that owns the object hands it over,
+so a callee cannot build a second one when the argument is left out.
 """
 
 import ast
@@ -310,3 +314,54 @@ def test_closure_scan_flags_a_nested_function_that_refers_to_itself():
         "    return [node(x) for x in xs]\n"
     )
     assert self_referring_closures("y.py", clean) == []
+
+
+SESSION_OBJECT = re.compile(r"\b(VertexContext|PowerSumRing|LaxSession)\b")
+
+
+def defaulted_session_parameters(name: str, text: str) -> list[str]:
+    """Parameters with a default whose annotation names a session object."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        for arg in defaulted:
+            if arg.annotation and SESSION_OBJECT.search(ast.unparse(arg.annotation)):
+                found.append(f"{name}:{arg.lineno}: {node.name}({arg.arg})")
+    return found
+
+
+def test_no_session_object_parameter_in_the_package_has_a_default():
+    found = []
+    for name, text in package_sources().items():
+        found += defaulted_session_parameters(name, text)
+    assert found == []
+
+
+def test_session_parameter_scan_flags_a_defaulted_session_object():
+    # negative control: an optional context, a keyword-only ring, a quoted
+    # and a dotted session type are seen; a required one and a defaulted
+    # parameter of another type are not
+    source = (
+        "def f(ctx: VertexContext | None = None):\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "def g(ctx: VertexContext):\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "def h(weight: int, *, ring: 'PowerSumRing' = None, flow_k: int = 1):\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "def k(session: opalg.LaxSession = None, degree: int = 4):\n"
+        "    pass\n"
+    )
+    assert defaulted_session_parameters("x.py", source) == [
+        "x.py:1: f(ctx)", "x.py:9: h(ring)", "x.py:13: k(session)"]
+    assert defaulted_session_parameters("y.py", "def g(ctx: VertexContext):\n    pass\n") == []

@@ -1,5 +1,6 @@
 """Difference-operator algebra, factorization route, tau-quotient route."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -760,14 +761,14 @@ def test_the_lax_work_counts_see_a_shift_that_copies_an_s_free_sum(monkeypatch, 
 
 
 def test_the_lax_work_counts_see_a_cross_check_that_builds_its_own_series(monkeypatch, tmp_path):
-    # negative control: a cross-check that is not handed the session builds
-    # W0 and W0bar again, and their (q;q)_n with them
+    # negative control: a cross-check handed a second session of the same
+    # parameters builds the operator series again, and their (q;q)_n with them
     argv, ceilings = LAX_WORK_CEILINGS[0]
     real = suites.cross_check_initial
-    monkeypatch.setattr(suites, "cross_check_initial",
-                        lambda params, max_deg, flow_k, session: real(params, max_deg, flow_k))
+    monkeypatch.setattr(suites, "cross_check_initial", lambda session, max_deg, flow_k:
+                        real(LaxSession(session.params), max_deg, flow_k))
     over = _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
-    assert over == {"series": 6, "repeated (q;q)_n": 10}
+    assert over == {"series": 8, "repeated (q;q)_n": 8}
 
 
 def test_the_lax_work_counts_see_a_session_that_forms_each_series_coefficient(monkeypatch,
@@ -881,7 +882,7 @@ def dressing11():
     params = SessionParams(1, 1, 1, T=4)
     ctx = VertexContext(4)
     table = tau_table(1, 1, 1, 0, 4, ctx)
-    return table, dressing_from_tau(table, order=4)
+    return table, dressing_from_tau(table)
 
 
 def test_dressing_leading_values(dressing11):
@@ -899,18 +900,18 @@ def test_dressing_derivative_of_constant_coefficient(dressing11):
 
 def test_dressing_truncation_stability():
     ctx = VertexContext(3)
-    small = dressing_from_tau(tau_table(1, 1, 1, 0, 1, ctx), order=1)
-    big = dressing_from_tau(tau_table(1, 1, 1, 0, 3, ctx), order=3)
+    small = dressing_from_tau(tau_table(1, 1, 1, 0, 1, ctx))
+    big = dressing_from_tau(tau_table(1, 1, 1, 0, 3, ctx))
     assert small.W.coeff(-1) == big.W.coeff(-1)
     assert small.Wbar.coeff(1) == big.Wbar.coeff(1)
 
 
 def test_dressing_trivial_table_is_identity():
-    table = tau_table(1, 1, 1, 0, 3)
+    table = tau_table(1, 1, 1, 0, 3, VertexContext(3))
     for key in table.gammas:
         if key != ((), ()):
             table.gammas[key] = QFieldElem.zero()
-    dressing = dressing_from_tau(table, order=3)
+    dressing = dressing_from_tau(table)
     assert dressing.W.coeff(0).is_one()
     for n in range(1, 4):
         assert dressing.W.coeff(-n).is_zero()
@@ -926,12 +927,6 @@ def test_dressing_matches_factorization(dressing11):
     for n in range(5):
         assert dressing.W.coeff(-n) == w0.coeff(-n), n
         assert dressing.Wbar.coeff(n) == wbar0.coeff(n), n
-
-
-def test_dressing_order_validation(dressing11):
-    table, _ = dressing11
-    with pytest.raises(TruncationInsufficient):
-        dressing_from_tau(table, order=9)
 
 
 def test_dressing_inverses_are_the_adjoint_tau_quotients(dressing11):
@@ -953,10 +948,10 @@ def damage_entry(table, nu, nubar):
 @pytest.mark.parametrize("d", [2, 4])
 def test_dressing_certifies_the_w_inverse(d):
     # entry((d), empty) enters W^-1 at its deepest power -d and W not at all
-    table = tau_table(1, 1, 1, 0, d)
+    table = tau_table(1, 1, 1, 0, d, VertexContext(d))
     damage_entry(table, (d,), ())
     with pytest.raises(RelationViolated) as exc:
-        dressing_from_tau(table, order=d)
+        dressing_from_tau(table)
     assert exc.value.power == -d
     assert str(exc.value).startswith(
         f"tau-route W inverse: first offending coefficient at power {-d}: "
@@ -964,47 +959,71 @@ def test_dressing_certifies_the_w_inverse(d):
 
 
 def test_dressing_certifies_the_wbar_inverse():
-    table = tau_table(1, 2, 1, 0, 4)
+    table = tau_table(1, 2, 1, 0, 4, VertexContext(4))
     damage_entry(table, (), (1, 1))
     with pytest.raises(RelationViolated) as exc:
-        dressing_from_tau(table, order=4)
+        dressing_from_tau(table)
     assert exc.value.power == 2
     assert str(exc.value).startswith(
         "tau-route Wbar inverse: first offending coefficient at power 2: "
     )
 
 
-def test_dressing_agreement_covers_every_coefficient(monkeypatch):
-    # power 2 lies inside the old n <= min(4, d) range, power 5 only in n <= d
-    build = opalg.build_W0
-    for power in (2, 5):
-        def damaged(params, power=power):
-            w0 = build(params)
-            coeffs = dict(w0.coeffs)
-            c = w0.coeff(-power)
-            coeffs[-power] = c + c * qpow(Fraction(1))  # damaged inside c's own s-part
-            return DiffOp(w0.step, coeffs, w0.floor, w0.ceil)
+def _w0_damaged_at(w0: DiffOp, power: int) -> DiffOp:
+    """W0 with its coefficient c at Lam^-power made c * (1 + q), a damage
+    inside c's own s-part."""
+    coeffs = dict(w0.coeffs)
+    c = w0.coeff(-power)
+    coeffs[-power] = c + c * qpow(Fraction(1))
+    return DiffOp(w0.step, coeffs, w0.floor, w0.ceil)
 
-        monkeypatch.setattr(opalg, "build_W0", damaged)
-        report = cross_check_initial(SessionParams(1, 1, 1, T=5), max_deg=5)
-        check = next(c for c in report["checks"] if c["name"] == "dressing_agreement")
+
+def _dressing_agreement(report: dict) -> dict:
+    return next(c for c in report["checks"] if c["name"] == "dressing_agreement")
+
+
+def test_dressing_agreement_covers_every_coefficient():
+    # power 2 lies inside the old n <= min(4, d) range, power 5 only in n <= d
+    for power in (2, 5):
+        session = LaxSession(SessionParams(1, 1, 1, T=5))
+        session.w0 = _w0_damaged_at(session.w0, power)
+        check = _dressing_agreement(cross_check_initial(session, 5))
         assert not check["passed"]
         assert check["detail"] == f"first mismatch at Lam^-{power}"
 
 
+def _laxcheck_below_the_tau_degree(tmp_path) -> dict:
+    """The tau_dressing_agreement check of `laxcheck` at T = 4 and degree 6,
+    where the cross-check builds W0 to the degree itself."""
+    out = tmp_path / "report.json"
+    main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "6", "--out", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))
+    return next(c for c in report["checks"] if c["name"] == "tau_dressing_agreement")
+
+
+def test_a_session_below_the_tau_degree_checks_every_coefficient(tmp_path):
+    check = _laxcheck_below_the_tau_degree(tmp_path)
+    assert check["passed"] and check["detail"] == "coefficients 0..6 equal"
+
+
+def test_the_agreement_below_the_tau_degree_sees_a_w0_damaged_past_t(monkeypatch, tmp_path):
+    # negative control: W0 damaged at Lam^-6, a power the session's T = 4 does not reach
+    build = opalg.build_W0
+    monkeypatch.setattr(opalg, "build_W0", lambda params: _w0_damaged_at(build(params), 6))
+    check = _laxcheck_below_the_tau_degree(tmp_path)
+    assert not check["passed"] and check["detail"] == "first mismatch at Lam^-6"
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 3)])
 def test_cross_check_initial(a, b):
-    params = SessionParams(a, b, 1, T=5)
-    report = cross_check_initial(params, max_deg=5)
+    report = cross_check_initial(LaxSession(SessionParams(a, b, 1, T=5)), 5)
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
     assert report["gauge_is_identity"]
-    agreement = next(c for c in report["checks"] if c["name"] == "dressing_agreement")
-    assert agreement["detail"] == "coefficients 0..5 equal"
+    assert _dressing_agreement(report)["detail"] == "coefficients 0..5 equal"
 
 
 def test_cross_check_higher_flow():
-    params = SessionParams(1, 1, 1, T=5)
-    report = cross_check_initial(params, max_deg=5, flow_k=2)
+    report = cross_check_initial(LaxSession(SessionParams(1, 1, 1, T=5)), 5, flow_k=2)
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
 
 
@@ -1083,11 +1102,12 @@ def test_cross_check_fails_under_its_mutation(monkeypatch, name, mutate, detail)
     """Negative control: each mutation fails its cross check, whose detail is
     as given (its start, for a residual), and the report still lists every
     check."""
-    report = cross_check_initial(CROSS_PARAMS, max_deg=4)
+    session = LaxSession(CROSS_PARAMS)
+    report = cross_check_initial(session, 4)
     names = [c["name"] for c in report["checks"]]
     assert report["passed"] and name in names
     mutate(monkeypatch)
-    report = cross_check_initial(CROSS_PARAMS, max_deg=4)
+    report = cross_check_initial(session, 4)
     assert [c["name"] for c in report["checks"]] == names
     check = next(c for c in report["checks"] if c["name"] == name)
     assert not report["passed"] and not check["passed"]

@@ -265,7 +265,7 @@ def test_size_independence_check_fails_on_a_wrong_padded_expansion(monkeypatch):
         return permanent(matrix, table) if padded else real(matrix, table)
 
     monkeypatch.setattr(schur, "_det", mutated)
-    report = schur_structure_suite(4)
+    report = schur_structure_suite(4, PowerSumRing(4))
     check = next(c for c in report["checks"] if c["name"] == "determinant_size_independence_w4")
     assert report["passed"] is False and check["passed"] is False
     # one-row shapes give triangular padded matrices, where the permanent is
@@ -395,7 +395,7 @@ def test_special_point_check_fails_on_a_wrong_nu_rho_value(monkeypatch):
         return value + qpow(1) if nu.weight else value
 
     monkeypatch.setattr(suites, "specialize_nu_rho", shifted)
-    report = schur_structure_suite(4)
+    report = schur_structure_suite(4, PowerSumRing(4))
     assert report["passed"] is False
     assert {c["name"]: c["passed"] for c in report["checks"]} == {
         "determinant_size_independence_w4": True,

@@ -88,7 +88,7 @@ def test_gamma_links_back_to_vertex(ctx):
 
 
 def test_tau_table_normalized_entry():
-    table = tau_table(1, 1, 1, 0, 2)
+    table = tau_table(1, 1, 1, 0, 2, VertexContext(2))
     assert table.entry(EMPTY, EMPTY).is_one()
 
 
@@ -102,15 +102,15 @@ def exponent_of(mono):
 
 def test_tau_table_entry_example():
     # entry ((1), empty) at tau=1, c=0: q^(2s) * (-1/(q^(1/2)-q^(-1/2)))
-    table = tau_table(1, 1, 1, 0, 3)
+    table = tau_table(1, 1, 1, 0, 3, VertexContext(3))
     expected = -qpow(c1=2) * specialize_rho(1)
     assert table.entry(Partition((1,)), EMPTY) == expected
 
 
 def test_tau_table_shift_linear_rule():
     deg = 3
-    base = tau_table(1, 2, 1, 0, deg)
-    shifted = tau_table(1, 2, 1, Fraction(1, 2), deg)
+    base = tau_table(1, 2, 1, 0, deg, VertexContext(deg))
+    shifted = tau_table(1, 2, 1, Fraction(1, 2), deg, VertexContext(deg))
     tau = base.tau
     for key in base.prefactors:
         nu, nubar = Partition(key[0]), Partition(key[1])
@@ -133,7 +133,7 @@ def test_tau_table_exponent_rederivation():
     """Entry prefactors agree with an independent reconstruction from the
     partition invariants (kappa, weight), including the cubic prefactor."""
     for (a, b, sign) in [(1, 1, 1), (1, 2, 1), (2, 1, -1)]:
-        table = tau_table(a, b, sign, 0, 3)
+        table = tau_table(a, b, sign, 0, 3, VertexContext(3))
         tau = table.tau
         for key, pref in table.prefactors.items():
             nu, nubar = Partition(key[0]), Partition(key[1])
@@ -150,7 +150,7 @@ def test_tau_table_exponent_rederivation():
 def test_tau_table_exponent_denominators_bounded():
     for (a, b) in [(1, 2), (2, 3)]:
         bound = 24 * a * b * (a + b)
-        table = tau_table(a, b, 1, 0, 3)
+        table = tau_table(a, b, 1, 0, 3, VertexContext(3))
         for pref in table.prefactors.values():
             c0, c1, _ = exponent_of(pref)
             assert bound % c0.denominator == 0
@@ -160,7 +160,7 @@ def test_tau_table_exponent_denominators_bounded():
 
 
 def test_tau_table_cubic_delta_is_quadratic():
-    table = tau_table(1, 1, 1, 0, 2)
+    table = tau_table(1, 1, 1, 0, 2, VertexContext(2))
     delta = table.cubic_delta(0, -1)
     # P(s) - P(s-1) for P = (tau+1/tau+2)(4s^3-s)/24 at tau=1: 2(s-1/2)^2
     assert delta == qpow(c0=Fraction(1, 2), c1=-2, c2=2)
@@ -171,9 +171,9 @@ def test_tau_table_cubic_delta_is_quadratic():
 
 def test_tau_table_validation():
     with pytest.raises(NonCoprime):
-        tau_table(2, 2, 1, 0, 2)
+        tau_table(2, 2, 1, 0, 2, VertexContext(2))
     with pytest.raises(InvalidTau):
-        tau_table(1, 1, -1, 0, 2)
+        tau_table(1, 1, -1, 0, 2, VertexContext(2))
 
 
 # (a, b, sign) and the error every layer must raise for it (None: accepted)
@@ -205,7 +205,7 @@ def test_every_layer_validates_the_lattice_type_alike(a, b, sign, error):
     with the same exception class and message."""
     builders = {
         "SessionParams": lambda: SessionParams(a, b, sign),
-        "tau_table": lambda: tau_table(a, b, sign, 0, 1),
+        "tau_table": lambda: tau_table(a, b, sign, 0, 1, VertexContext(1)),
         "symbolic_lax": lambda: symbolic_lax(a, b, sign),
     }
     if sign == 1:
@@ -228,13 +228,13 @@ def test_shift_checks_fail_on_tables_that_do_not_shift(monkeypatch):
         return table
 
     monkeypatch.setattr(suites, "tau_table", unshifted_prefactors)
-    report = tau_shift_suite(1, 1, 1, 4)
+    report = tau_shift_suite(1, 1, 1, 4, VertexContext(4))
     assert not report["passed"]
     for check in report["checks"]:
         assert check["name"] in ("tau_shift_c=1/2", "tau_shift_c=1/3"), check
         assert not check["passed"] and check["detail"].startswith("entry ([],[1]);"), check
     assert len(report["checks"]) == 2
-    rederived = tau_exponent_suite(1, 1, 1, 4)
+    rederived = tau_exponent_suite(1, 1, 1, 4, VertexContext(4))
     assert rederived["passed"]
     assert [c["name"] for c in rederived["checks"]] == ["tau_exponent_rederivation"]
 
@@ -493,22 +493,22 @@ def test_the_count_sees_an_eager_specialization(monkeypatch, tmp_path):
 
 
 def test_the_count_sees_a_second_context(monkeypatch, tmp_path):
-    # negative control: a shift suite that builds its own context, as
-    # `identities --shift-check` once did, computes its gammas again in a
+    # negative control: a shift suite handed a second context, as
+    # `identities --shift-check` once built, computes its gammas again in a
     # second ring
     real = suites.tau_shift_suite
-    monkeypatch.setattr(suites, "tau_shift_suite",
-                        lambda a, b, sign, degree, ctx=None: real(a, b, sign, degree))
+    monkeypatch.setattr(suites, "tau_shift_suite", lambda a, b, sign, degree, ctx:
+                        real(a, b, sign, degree, VertexContext(degree)))
     assert _recomputed(_count_identities_job(monkeypatch, tmp_path)) == [
         "contexts", "rings", "eta", "determinants"]
 
 
 @pytest.mark.parametrize("suite", ["schur_negation_suite", "schur_structure_suite"])
 def test_the_count_sees_a_schur_suite_with_its_own_ring(monkeypatch, tmp_path, suite):
-    # negative control: a Schur suite that builds its own ring, as both did
+    # negative control: a Schur suite handed a ring of its own, as both built
     # before they took the context's, computes its determinants again
     real = getattr(suites, suite)
-    monkeypatch.setattr(suites, suite, lambda weight, ring=None: real(weight))
+    monkeypatch.setattr(suites, suite, lambda weight, ring: real(weight, PowerSumRing(weight)))
     assert _recomputed(_count_identities_job(monkeypatch, tmp_path)) == [
         "rings", "determinants"]
 
@@ -578,13 +578,13 @@ def test_one_shared_context_gives_the_report_of_a_context_per_suite():
     fresh = {"passed": True, "checks": []}
     for sub in (
         suites.kappa_suite(8),
-        suites.schur_negation_suite(wsch),
-        suites.schur_structure_suite(max(wsch, 4)),
+        suites.schur_negation_suite(wsch, PowerSumRing(wsch)),
+        suites.schur_structure_suite(max(wsch, 4), PowerSumRing(max(wsch, 4))),
         suites.vertex_equality_suite(VertexContext(we), we),
         suites.vertex_symmetry_suite(VertexContext(ws), ws),
         suites.gamma_vertex_link_suite(VertexContext(4), min(4, ws)),
-        tau_exponent_suite(1, 1, 1, min(3, we)),
-        tau_shift_suite(1, 1, 1, min(we, 4)),
+        tau_exponent_suite(1, 1, 1, min(3, we), VertexContext(min(3, we))),
+        tau_shift_suite(1, 1, 1, min(we, 4), VertexContext(min(we, 4))),
     ):
         merge_checks(fresh, sub)
     shared = identity_suite(we, ws, wsch, shift_check=True)
@@ -596,7 +596,7 @@ def test_a_tau_table_on_a_warm_context_has_the_text_of_a_fresh_one():
     for nu, nubar in pairs_up_to(6):
         warm.vertex_def(nu, nubar), warm.vertex_hook(nu, nubar)
     tau_table(2, 1, -1, Fraction(1, 3), 5, warm)
-    got, want = tau_table(1, 2, 1, 0, 5, warm), tau_table(1, 2, 1, 0, 5)
+    got, want = tau_table(1, 2, 1, 0, 5, warm), tau_table(1, 2, 1, 0, 5, VertexContext(5))
     assert list(got.gammas) == list(want.gammas) and len(want.gammas) == len(pairs_up_to(5))
     for key in want.gammas:
         nu, nubar = Partition(key[0]), Partition(key[1])
@@ -632,7 +632,7 @@ def _sharing_mismatches() -> list[str]:
         other = {point: str(second._eta_sum(nu, mu, point)) for point in ("neg", "rho")}
         bad += [f"({mu},{nu}) at {p}" for p in one if one[p] != other[p]]
     for args in ((2, 3, 1, 0, 6), (3, 1, -1, Fraction(1, 2), 5)):
-        shared, fresh = tau_table(*args, ctx=first), tau_table(*args)
+        shared, fresh = tau_table(*args, first), tau_table(*args, VertexContext(args[4]))
         assert list(shared.pairs) == list(fresh.pairs)
         bad += [f"tau{args} entry {key}" for key, (nu, nubar) in fresh.pairs.items()
                 if str(shared.entry(nu, nubar)) != str(fresh.entry(nu, nubar))]
