@@ -19,7 +19,7 @@ for the symbolic reduction checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable
@@ -531,16 +531,6 @@ def complete_geometric(n: int) -> QFieldElem:
     return QFieldElem(num, _q_factorial_den(n))
 
 
-def _elementary_from(h: QFieldElem, n: int) -> QFieldElem:
-    """e_n = q^(n(n-1)/2) h_n, from h_n: the two share prod(1-q^k)."""
-    return h * qpow(Fraction(n * (n - 1), 2))
-
-
-def elementary_geometric(n: int) -> QFieldElem:
-    """e_n of the same alphabet: q^(n^2/2) / prod(1-q^k)."""
-    return _elementary_from(complete_geometric(n), n)
-
-
 def _gauge_exponent(tau: Fraction) -> QFieldElem:
     """The monomial q^((tau+1)(s-1/2)^2/2)."""
     half = (tau + 1) / 2
@@ -561,31 +551,16 @@ def conjugated_series(left: QFieldElem, right: QFieldElem,
     return DiffOp(Fraction(1), coeffs, floor=-T if lower else None, ceil=None if lower else T)
 
 
-def _signed_elementary(n: int) -> QFieldElem:
-    return elementary_geometric(n).scale((-1) ** n)
-
-
-def build_W0(params: SessionParams) -> DiffOp:
-    """W0 = q^E prod_i(1 - q^(i-1/2) Lam^-1) q^-E on the integer grid, leading coefficient 1."""
-    E = _gauge_exponent(params.tau)
-    return conjugated_series(E, E.inv(), _signed_elementary, True, params.T)
-
-
-def build_W0bar(params: SessionParams) -> DiffOp:
-    """W0bar = q^E1 prod_i(1 - q^(i-1/2) Lam)^-1 q^E2 on the integer grid."""
-    E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
-    return conjugated_series(E1, E2, complete_geometric, False, params.T)
-
-
 class LaxSession:
     """The time-zero operators of one session, each computed once.
 
-    W0, W0bar and their closed-form inverses are built once on the integer
-    grid from one h_n and one e_n per n, each inverse certified by an exact
-    product.  The fractional Lax powers reindex them onto the refined grid,
-    and the Orlov-type closed forms are verified against the same inverses.
-    A session lives for one suite call and never mutates an operator it has
-    handed out.
+    W0 = q^E1 prod_i(1 - q^(i-1/2) Lam^-1) q^-E1 and
+    W0bar = q^E1 prod_i(1 - q^(i-1/2) Lam)^-1 q^E2 and their closed-form
+    inverses are built once on the integer grid from one h_n and one e_n
+    per n, each inverse certified by an exact product.  The fractional Lax
+    powers reindex them onto the refined grid, and the Orlov-type closed
+    forms are verified against the same inverses.  A session lives for one
+    suite call and never mutates an operator it has handed out.
     """
 
     def __init__(self, params: SessionParams):
@@ -595,19 +570,41 @@ class LaxSession:
         self.params = params
         E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
         E1_inv = E1.inv()
-        # every series below reads h_n and e_n for n <= T + 1, each formed
-        # once here, so each prod(1-q^k) is multiplied out once per session
-        h = [complete_geometric(n) for n in range(T + 2)]
-        signed_e = [_elementary_from(x, n).scale((-1) ** n) for n, x in enumerate(h)]
-        # W0 and W0bar as build_W0 and build_W0bar make them, and their
-        # inverses: Euler's q-exponential identities invert both middle
-        # products in closed form
-        self.w0 = conjugated_series(E1, E1_inv, signed_e.__getitem__, True, T)
-        self.w0_inv = conjugated_series(E1, E1_inv, h.__getitem__, True, T + 1)
-        self.wbar0 = conjugated_series(E1, E2, h.__getitem__, False, T)
-        self.wbar0_inv = conjugated_series(E2.inv(), E1_inv, signed_e.__getitem__, False, T + 1)
+        self._gauges = E1, E1_inv, E2
+        self._h: list[QFieldElem] = []
+        self._signed_e: list[QFieldElem] = []
+        h, signed_e = self._coefficients(T + 1)
+        # W0, W0bar and their inverses: Euler's q-exponential identities
+        # invert both middle products in closed form
+        self.w0, self.wbar0 = self._series(T)
+        self.w0_inv = conjugated_series(E1, E1_inv, h, True, T + 1)
+        self.wbar0_inv = conjugated_series(E2.inv(), E1_inv, signed_e, False, T + 1)
         _require_inverse("W0 inverse", self.w0, self.w0_inv)
         _require_inverse("W0bar inverse", self.wbar0, self.wbar0_inv)
+
+    def _coefficients(self, top: int) -> tuple[Callable, Callable]:
+        """h_n and (-1)^n e_n for n <= top, as lookups; each is formed once
+        per session, so each prod(1-q^k) is multiplied out once."""
+        h, signed_e = self._h, self._signed_e
+        for n in range(len(h), top + 1):
+            h.append(complete_geometric(n))
+            # e_n = q^(n(n-1)/2) h_n: the two share prod(1-q^k)
+            signed_e.append((h[n] * qpow(Fraction(n * (n - 1), 2))).scale((-1) ** n))
+        return h.__getitem__, signed_e.__getitem__
+
+    def _series(self, degree: int) -> tuple[DiffOp, DiffOp]:
+        E1, E1_inv, E2 = self._gauges
+        h, signed_e = self._coefficients(degree)
+        return (conjugated_series(E1, E1_inv, signed_e, True, degree),
+                conjugated_series(E1, E2, h, False, degree))
+
+    def dressing_to(self, degree: int) -> tuple[DiffOp, DiffOp]:
+        """W0 and W0bar through Lam^-degree and Lam^degree: the session's own
+        when its T covers the degree (their coefficients up to T do not
+        depend on it), else formed to the degree from the same h_n."""
+        if degree <= self.params.T:
+            return self.w0, self.wbar0
+        return self._series(degree)
 
     @cached_property
     def lax(self) -> tuple[DiffOp, DiffOp]:
@@ -815,9 +812,7 @@ def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> d
     """Cross-check the tau-quotient route against the factorization route,
     for the type (a, b, sign) of the session's parameters.
 
-    W0 and W0bar are the session's when its truncation T covers max_deg
-    (their coefficients up to max_deg do not depend on it), else they are
-    built to max_deg.
+    W0 and W0bar through max_deg come from the session (LaxSession.dressing_to).
 
     (i) the tau-derived dressing coefficients match the closed factorization
     forms (the second operator up to a recorded diagonal gauge);
@@ -847,11 +842,7 @@ def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> d
     record_check(report, "truncation_stability", stable)
 
     # (i) dressing coefficients against the factorization closed forms
-    if params.T >= max_deg:
-        w0, wbar0 = session.w0, session.wbar0
-    else:
-        fparams = replace(params, T=max_deg)
-        w0, wbar0 = build_W0(fparams), build_W0bar(fparams)
+    w0, wbar0 = session.dressing_to(max_deg)
     bad = [n for n in range(max_deg + 1) if dressing.W.coeff(-n) != w0.coeff(-n)]
     record_check(
         report,

@@ -89,7 +89,7 @@ def perturbed_constant_state(
         raise ValueError("wavelength must be nonzero")
     n = coarse_sites * (a + b)
     j = np.arange(n)
-    with np.errstate(invalid="ignore"):  # inf * sin(0); integrate names the non-finite start
+    with np.errstate(invalid="ignore"):  # inf * sin(0); integrate_runs names the non-finite start
         return LatticeState(a, b, base + amplitude * np.sin(2 * np.pi * j / wavelength))
 
 
@@ -395,26 +395,11 @@ def step_counts(k: int, t_end: float, runs: list[tuple[float, int]]) -> list[int
     return [_step_count(k, t_end, dt, every) for dt, every in runs]
 
 
-def integrate(
-    state: LatticeState,
-    k: int = 1,
-    t_end: float = 1.0,
-    dt: float = 1e-3,
-    record_every: int = 1,
-) -> Trajectory:
-    """Fixed-step classical fourth-order Runge-Kutta; deterministic.
-
-    t_end must be a finite nonnegative whole multiple of dt, so a run never
-    ends early; every input is checked before the first step.  This is the
-    one-run call of integrate_runs.
-    """
-    return integrate_runs(state, k, t_end, [(dt, record_every)])[0]
-
-
 def integrate_runs(
     state: LatticeState, k: int, t_end: float, runs: list[tuple[float, int]]
 ) -> list[Trajectory]:
-    """RK4 runs of one state to t_end, one per (dt, record_every) in runs.
+    """Fixed-step classical fourth-order Runge-Kutta runs of one state to
+    t_end, one per (dt, record_every) in runs; deterministic.
 
     Returns one Trajectory per run, in argument order.  Each step rounds
     u + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) and the stage arguments
@@ -428,10 +413,11 @@ def integrate_runs(
     ones are a prefix: when a run ends, the loop goes on with views of the
     prefix, copying nothing.
 
-    Every input of every run is checked before the first step.  A state
-    that leaves double range raises NonFinite naming the step of the first
-    run, in argument order, to leave it, as one integrate call per run
-    would.  The copies are independent (a copy's nans stay in its block),
+    Every input of every run is checked before the first step: t_end must
+    be a finite nonnegative whole multiple of each dt, so a run never ends
+    early.  A state that leaves double range raises NonFinite naming the
+    step of the first run, in argument order, to leave it, as one call per
+    run would.  The copies are independent (a copy's nans stay in its block),
     so a copy that fails while a run before it is still going is noted and
     the loop goes on until that run has ended or failed.
     """

@@ -18,6 +18,9 @@ and the command line runs with that collector paused.
 No parameter typed as a session object (a VertexContext, PowerSumRing or
 LaxSession) has a default: the caller that owns the object hands it over,
 so a callee cannot build a second one when the argument is left out.
+
+W0, W0bar and their inverses have one builder: no code in the package
+names `conjugated_series` outside its own definition and `LaxSession`.
 """
 
 import ast
@@ -108,7 +111,6 @@ ENTRY_POINTS = {
     "stencil_apply": "the other half of the exact oracle that benchmarks/child.py runs",
     "stationarity_check": "an acceptance check of the reduced flow equations",
     "duality_check": "an acceptance check of the two-sided flow duality",
-    "integrate": "the one-run call of integrate_runs, which simulate makes for all its runs",
 }
 
 
@@ -365,3 +367,52 @@ def test_session_parameter_scan_flags_a_defaulted_session_object():
     assert defaulted_session_parameters("x.py", source) == [
         "x.py:1: f(ctx)", "x.py:9: h(ring)", "x.py:13: k(session)"]
     assert defaulted_session_parameters("y.py", "def g(ctx: VertexContext):\n    pass\n") == []
+
+
+SERIES_OWNERS = ("conjugated_series", "LaxSession")
+
+
+def series_built_outside_the_session(name: str, text: str) -> list[str]:
+    """Places that name conjugated_series (a call, an attribute or an import)
+    outside its own definition and the LaxSession class."""
+    found = []
+    for stmt in ast.parse(text).body:
+        if getattr(stmt, "name", None) in SERIES_OWNERS:
+            continue
+        for node in ast.walk(stmt):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named == "conjugated_series":
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_only_the_lax_session_builds_the_dressing_series():
+    found = []
+    for name, text in package_sources().items():
+        found += series_built_outside_the_session(name, text)
+    assert found == []
+
+
+def test_series_scan_flags_a_builder_outside_the_session():
+    # negative control: a module-level function that calls the builder, a
+    # dotted call and an import in another module are seen; the definition
+    # and a LaxSession method that calls it are not
+    source = (
+        "def conjugated_series(left, right, coef, lower, T):\n"
+        "    return conjugated_series\n"
+        "\n"
+        "\n"
+        "def build_W0(params):\n"
+        "    return conjugated_series(1, 1, abs, True, params.T)\n"
+        "\n"
+        "\n"
+        "class LaxSession:\n"
+        "    def _series(self, degree):\n"
+        "        return conjugated_series(1, 1, abs, True, degree)\n"
+    )
+    assert series_built_outside_the_session("x.py", source) == ["x.py:6"]
+    other = ("from .opalg import conjugated_series\nfrom . import opalg\n"
+             "W = opalg.conjugated_series\n")
+    assert series_built_outside_the_session("y.py", other) == ["y.py:1", "y.py:3"]

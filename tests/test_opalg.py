@@ -22,15 +22,11 @@ from qtoda.opalg import (
     SessionParams,
     SitePoly,
     _gauge_exponent,
-    _signed_elementary,
-    build_W0,
-    build_W0bar,
     check_LM_relation,
     complete_geometric,
     conjugated_series,
     cross_check_initial,
     dressing_from_tau,
-    elementary_geometric,
     expected_initial_lax,
     initial_M,
     initial_lax,
@@ -48,6 +44,12 @@ from test_qfield import shift_by_key
 
 ONE = QFieldElem.one()
 QS = qpow(c1=1)  # q^s
+
+
+def signed_elementary(n: int) -> QFieldElem:
+    """(-1)^n e_n of the alphabet {q^(1/2), q^(3/2), ...}, from its h_n:
+    e_n = q^(n(n-1)/2) h_n."""
+    return (complete_geometric(n) * qpow(Fraction(n * (n - 1), 2))).scale((-1) ** n)
 
 
 def test_defining_relation():
@@ -119,7 +121,7 @@ def test_inverse_geometric_series():
 
 def test_inverse_window_stops_at_operand_truncation():
     # the requested depth -5 lies below W0's own floor -4, so -4 is certified
-    w0 = build_W0(SessionParams(1, 1, 1, T=4))
+    w0 = LaxSession(SessionParams(1, 1, 1, T=4)).w0
     assert op_inverse(w0, -5, side="top").window() == (-4, None)
 
 
@@ -518,27 +520,33 @@ def test_session_params_validation():
 
 def test_factor_series_leading_coefficients():
     one = QFieldElem.one()
-    series = conjugated_series(one, one, _signed_elementary, True, 3)
+    series = conjugated_series(one, one, signed_elementary, True, 3)
     assert series.window() == (-3, None)
     geom_den = QPowerSum.one() + QPowerSum.monomial(1, coef=-1)
     expected = -QFieldElem(QPowerSum.monomial(Fraction(1, 2)), geom_den)
     assert series.coeff(-1) == expected
     assert series.coeff(0).is_one()
-    assert elementary_geometric(0).is_one()
+    assert signed_elementary(0).is_one()
 
 
 def test_factor_series_matches_schur_column_values():
-    """Independent route: e_n and h_n of the geometric alphabet are the
+    """Independent route: e_n and h_n of the geometric alphabet, as the
+    session's W0 and W0bar carry them inside their gauges, are the
     single-column / single-row Schur values at the reflected point."""
     ring = PowerSumRing(5)
     # the alphabet {q^(1/2), q^(3/2), ...} has p_k = q^(k/2)/(1-q^k), which is
     # exactly the reflected-point continuation value
     spec = Specialization(lambda k: -specialize_rho(k), 5)
+    params = SessionParams(1, 2, 1, T=4)
+    session = LaxSession(params)
+    E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
     for n in range(1, 5):
         column = Partition((1,) * n)
         row = Partition((n,))
-        assert spec.evaluate(ring.schur(column)) == elementary_geometric(n)
-        assert spec.evaluate(ring.schur(row)) == complete_geometric(n)
+        e_n = (session.w0.coeff(-n) / (E1 * E1.inv().shift(-n))).scale((-1) ** n)
+        h_n = session.wbar0.coeff(n) / (E1 * E2.shift(n))
+        assert spec.evaluate(ring.schur(column)) == e_n
+        assert spec.evaluate(ring.schur(row)) == h_n == complete_geometric(n)
 
 
 @pytest.fixture(scope="module")
@@ -548,13 +556,14 @@ def params11():
 
 @pytest.mark.parametrize("T", [4, 8])
 def test_build_path_identity(T):
-    # the closed builders against the product q^left * (factor series) * q^right
+    # the session's W0 and W0bar against the product q^left * (factor series) * q^right
     params = SessionParams(1, 2, 1, T=T)
+    session = LaxSession(params)
     E1, E2 = _gauge_exponent(params.tau), _gauge_exponent(1 / params.tau)
     one = QFieldElem.one()
     for closed, left, right, coef, lower in (
-        (build_W0(params), E1, E1.inv(), _signed_elementary, True),
-        (build_W0bar(params), E1, E2, complete_geometric, False),
+        (session.w0, E1, E1.inv(), signed_elementary, True),
+        (session.wbar0, E1, E2, complete_geometric, False),
     ):
         product = (
             DiffOp.monomial(Fraction(1), 0, left)
@@ -566,12 +575,12 @@ def test_build_path_identity(T):
 
 
 def test_w0_leading_and_first_coefficient(params11):
-    w0 = build_W0(params11)
+    w0 = LaxSession(params11).w0
     assert w0.coeff(0).is_one()
     tau = params11.tau
     # gauge conjugation multiplies the n=1 coefficient by q^((tau+1)(s-1))
     gauge = qpow(c0=-(tau + 1), c1=tau + 1)
-    assert w0.coeff(-1) == gauge * -elementary_geometric(1)
+    assert w0.coeff(-1) == gauge * signed_elementary(1)
 
 
 def test_initial_lax_closed_form(params11):
@@ -702,13 +711,21 @@ def test_laxcheck_suite_never_calls_op_inverse(monkeypatch, tau_degree):
 # laxcheck jobs, at most their counts once no-op q-field steps returned their
 # operand and (q;q)_n was multiplied out in ints; and the operator series
 # built (W0, W0bar and their inverses, once each) and the (q;q)_n formed
-# again for an n, at most their counts once the session formed each once
+# again for an n, at most their counts once the session formed each once.
+# The third job's cross-check reads W0 and W0bar past T from its session:
+# two series more, from the same h_n extended to the degree
 LAX_WORK_CEILINGS = [
     (["laxcheck", "--a", "1", "--b", "1", "--T", "6", "--deg", "4"],
      {"part products": 986, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0}),
     (["laxcheck", "--a", "2", "--b", "1", "--sign", "-1", "--T", "6"],
      {"part products": 478, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0}),
+    (["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "6"],
+     {"s-free shift copies": 0, "series": 6, "repeated (q;q)_n": 0}),
 ]
+
+
+def _option(argv: list[str], name: str, default: int) -> int:
+    return int(argv[argv.index(name) + 1]) if name in argv else default
 
 
 def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
@@ -743,7 +760,9 @@ def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
     monkeypatch.setattr(opalg, "_q_factorial_den", counted_q_factorial)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert counts["part products"] > 100 and counts["shifts"] > 100  # the counts see the job
-    assert sorted(formed) == list(range(8))  # (q;q)_0 .. (q;q)_(T+1) at T = 6
+    # (q;q)_0 .. (q;q)_(T+1), and on to the tau degree when the cross-check reaches past T
+    T, deg = _option(argv, "--T", 6), _option(argv, "--deg", 0)
+    assert sorted(formed) == list(range(max(T + 2, deg + 1)))
     return {k: counts[k] for k, most in ceilings.items() if counts[k] > most}
 
 
@@ -773,16 +792,17 @@ def test_the_lax_work_counts_see_a_cross_check_that_builds_its_own_series(monkey
 
 def test_the_lax_work_counts_see_a_session_that_forms_each_series_coefficient(monkeypatch,
                                                                              tmp_path):
-    # negative control: a session whose four series each form their own h_n
-    # or e_n, as build_W0 and build_W0bar do
+    # negative control: a session whose four series each form their own h_n or e_n
     argv, ceilings = LAX_WORK_CEILINGS[1]
 
     def per_series(self, params):
         E1, E2 = opalg._gauge_exponent(params.tau), opalg._gauge_exponent(1 / params.tau)
         self.params, T = params, params.T
-        self.w0, self.wbar0 = opalg.build_W0(params), opalg.build_W0bar(params)
-        self.w0_inv = opalg.conjugated_series(E1, E1.inv(), opalg.complete_geometric, True, T + 1)
-        self.wbar0_inv = opalg.conjugated_series(E2.inv(), E1.inv(), opalg._signed_elementary,
+        h = opalg.complete_geometric
+        self.w0 = opalg.conjugated_series(E1, E1.inv(), signed_elementary, True, T)
+        self.wbar0 = opalg.conjugated_series(E1, E2, h, False, T)
+        self.w0_inv = opalg.conjugated_series(E1, E1.inv(), h, True, T + 1)
+        self.wbar0_inv = opalg.conjugated_series(E2.inv(), E1.inv(), signed_elementary,
                                                  False, T + 1)
 
     monkeypatch.setattr(LaxSession, "__init__", per_series)
@@ -921,12 +941,25 @@ def test_dressing_trivial_table_is_identity():
 
 def test_dressing_matches_factorization(dressing11):
     _, dressing = dressing11
-    params = SessionParams(1, 1, 1, T=4)
-    w0 = build_W0(params)
-    wbar0 = build_W0bar(params)
+    session = LaxSession(SessionParams(1, 1, 1, T=4))
+    w0, wbar0 = session.w0, session.wbar0
     for n in range(5):
         assert dressing.W.coeff(-n) == w0.coeff(-n), n
         assert dressing.Wbar.coeff(n) == wbar0.coeff(n), n
+
+
+def test_the_session_hands_w0_and_wbar0_to_any_degree():
+    # its own pair through T; past T the pair of a session at the degree,
+    # equal to its own on every coefficient they share
+    session = LaxSession(SessionParams(1, 2, 1, T=3))
+    w0, wbar0 = session.dressing_to(3)
+    assert w0 is session.w0 and wbar0 is session.wbar0
+    longer, longer_bar = session.dressing_to(6)
+    assert longer.window() == (-6, None) and longer_bar.window() == (None, 6)
+    for n in range(4):
+        assert longer.coeff(-n) == w0.coeff(-n) and longer_bar.coeff(n) == wbar0.coeff(n)
+    at_degree = LaxSession(SessionParams(1, 2, 1, T=6))
+    assert longer.coeffs == at_degree.w0.coeffs and longer_bar.coeffs == at_degree.wbar0.coeffs
 
 
 def test_dressing_inverses_are_the_adjoint_tau_quotients(dressing11):
@@ -994,7 +1027,7 @@ def test_dressing_agreement_covers_every_coefficient():
 
 def _laxcheck_below_the_tau_degree(tmp_path) -> dict:
     """The tau_dressing_agreement check of `laxcheck` at T = 4 and degree 6,
-    where the cross-check builds W0 to the degree itself."""
+    where the session forms W0 past its T for the cross-check."""
     out = tmp_path / "report.json"
     main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "6", "--out", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -1008,8 +1041,13 @@ def test_a_session_below_the_tau_degree_checks_every_coefficient(tmp_path):
 
 def test_the_agreement_below_the_tau_degree_sees_a_w0_damaged_past_t(monkeypatch, tmp_path):
     # negative control: W0 damaged at Lam^-6, a power the session's T = 4 does not reach
-    build = opalg.build_W0
-    monkeypatch.setattr(opalg, "build_W0", lambda params: _w0_damaged_at(build(params), 6))
+    dressing_to = LaxSession.dressing_to
+
+    def damaged(session, degree):
+        w0, wbar0 = dressing_to(session, degree)
+        return _w0_damaged_at(w0, 6), wbar0
+
+    monkeypatch.setattr(LaxSession, "dressing_to", damaged)
     check = _laxcheck_below_the_tau_degree(tmp_path)
     assert not check["passed"] and check["detail"] == "first mismatch at Lam^-6"
 

@@ -22,7 +22,6 @@ from qtoda.volterra import (
     diagonal_of,
     duality_check,
     flow_rhs,
-    integrate,
     integrate_runs,
     invariant_drift,
     lax_diagonals,
@@ -334,12 +333,12 @@ def test_integrate_bitwise_equals_banded_rk4(a, b, k):
     together = integrate_runs(state, k, 0.05, runs)
     assert len(together) == 2
     for (dt, every), steps, run in zip(runs, (50, 100), together):
-        traj = integrate(state, k, t_end=0.05, dt=dt)
+        traj = integrate_runs(state, k, 0.05, [(dt, 1)])[0]
         reference = _banded_rk4(state, k, dt, steps)
         assert len(traj.states) == len(reference) == steps + 1
         for step, (got, expected) in enumerate(zip(traj.states, reference)):
             assert np.array_equal(got, expected), (dt, step)
-        alone = integrate(state, k, 0.05, dt, every)
+        alone = integrate_runs(state, k, 0.05, [(dt, every)])[0]
         recorded = [*range(0, steps, every), steps]
         assert np.array_equal(run.times, alone.times)
         assert np.array_equal(run.times, [i * dt for i in recorded])
@@ -459,7 +458,7 @@ def test_banded_algebra_roundtrips():
 
 
 def test_integration_zero_data_stays_zero():
-    traj = integrate(LatticeState(1, 1, np.zeros(12)), 1, t_end=0.5, dt=1e-2)
+    traj = integrate_runs(LatticeState(1, 1, np.zeros(12)), 1, 0.5, [(1e-2, 1)])[0]
     assert np.all(traj.states == 0.0)
 
 
@@ -467,7 +466,7 @@ def test_integration_validates_the_flow_before_a_step():
     # t_end = 0 takes no step, so only an up-front check can raise
     state = LatticeState(1, 1, np.ones(8))
     with pytest.raises(UnsupportedFlow, match="flow index"):
-        integrate(state, 0, t_end=0.0)
+        integrate_runs(state, 0, 0.0, [(1e-3, 1)])[0]
 
 
 def test_flows_reject_a_non_coprime_type_before_a_step():
@@ -479,28 +478,28 @@ def test_flows_reject_a_non_coprime_type_before_a_step():
 def test_integration_rejects_negative_end_time_and_record_interval():
     state = LatticeState(1, 1, np.ones(8))
     with pytest.raises(ValueError, match="must not be negative"):
-        integrate(state, 1, t_end=-1.0)
+        integrate_runs(state, 1, -1.0, [(1e-3, 1)])[0]
     with pytest.raises(ValueError, match="record_every"):
-        integrate(state, 1, t_end=0.0, record_every=0)
+        integrate_runs(state, 1, 0.0, [(1e-3, 0)])[0]
 
 
 def test_integration_rejects_truncated_end_time():
     with pytest.raises(ValueError, match="whole multiple"):
-        integrate(LatticeState(1, 1, np.zeros(4)), 1, t_end=1.0, dt=0.3)
+        integrate_runs(LatticeState(1, 1, np.zeros(4)), 1, 1.0, [(0.3, 1)])[0]
 
 
 def test_integration_determinism():
     state = perturbed_constant_state(1, 1, 8)
-    t1 = integrate(state, 1, 0.5, 1e-3)
-    t2 = integrate(state, 1, 0.5, 1e-3)
+    t1 = integrate_runs(state, 1, 0.5, [(1e-3, 1)])[0]
+    t2 = integrate_runs(state, 1, 0.5, [(1e-3, 1)])[0]
     assert np.array_equal(t1.states, t2.states)
 
 
 def test_translation_equivariance():
     state = perturbed_constant_state(1, 1, 8, amplitude=0.3)
     rolled = LatticeState(1, 1, np.roll(state.sites, 1))
-    t1 = integrate(state, 1, 0.3, 1e-3)
-    t2 = integrate(rolled, 1, 0.3, 1e-3)
+    t1 = integrate_runs(state, 1, 0.3, [(1e-3, 1)])[0]
+    t2 = integrate_runs(rolled, 1, 0.3, [(1e-3, 1)])[0]
     assert np.array_equal(np.roll(t1.states[-1], 1), t2.states[-1])
 
 
@@ -508,11 +507,11 @@ def test_time_reversal_via_reflection():
     """Reflected data runs the flow backwards: integrating the reflected
     state forward, then reflecting back, undoes the evolution."""
     state = perturbed_constant_state(1, 1, 8, amplitude=0.4)
-    fwd = integrate(state, 1, 1.0, 1e-3)
+    fwd = integrate_runs(state, 1, 1.0, [(1e-3, 1)])[0]
     end = fwd.states[-1]
     sigma = [(1 - j) % len(end) for j in range(len(end))]
     mirrored = LatticeState(1, 1, end[sigma])
-    back = integrate(mirrored, 1, 1.0, 1e-3)
+    back = integrate_runs(mirrored, 1, 1.0, [(1e-3, 1)])[0]
     recovered = back.states[-1][sigma]
     assert np.max(np.abs(recovered - state.sites)) < 1e-9
 
@@ -520,7 +519,7 @@ def test_time_reversal_via_reflection():
 def test_nonfinite_detection():
     bad = LatticeState(1, 1, np.array([1e200, 1e200, -1e200, -1e200] * 2))
     with pytest.raises(NonFinite):
-        integrate(bad, 1, 1.0, 1e-2)
+        integrate_runs(bad, 1, 1.0, [(1e-2, 1)])[0]
 
 
 def _overflowing_rhs(kind, *hits):
@@ -570,7 +569,7 @@ def _check_stops_where_isfinite_does(monkeypatch, kind, site):
     expected = _isfinite_step(_overflowing_rhs(kind, (site, 3)), state.sites, 1.0, 5)
     assert expected == 3
     monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, (site, 3)))
-    assert _failing_step(lambda: integrate(state, 1, t_end=5.0, dt=1.0)) == expected
+    assert _failing_step(lambda: integrate_runs(state, 1, 5.0, [(1.0, 1)])[0]) == expected
 
 
 @pytest.mark.parametrize("site", [0, -1])
@@ -595,14 +594,14 @@ def test_finiteness_test_sees_a_check_that_misses_nan(monkeypatch):
 ])
 def test_nonfinite_names_the_first_run_in_argument_order(monkeypatch, kind, dt_hits,
                                                          half_hits, expected):
-    """integrate_runs at (dt, dt/2) names the step that integrate at dt, then
-    integrate at dt/2, would name.  The loop runs the dt/2 copy (10 steps)
+    """integrate_runs at (dt, dt/2) names the step that a run at dt alone,
+    then a run at dt/2 alone, would name.  The loop runs the dt/2 copy (10 steps)
     on sites 0..7 and the dt copy (5 steps) on sites 8..15."""
     state = LatticeState(1, 1, np.ones(8))
     sequential = None
     for dt, hits in ((1.0, dt_hits), (0.5, half_hits)):
         monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, *hits))
-        sequential = sequential or _failing_step(lambda: integrate(state, 1, 5.0, dt))
+        sequential = sequential or _failing_step(lambda: integrate_runs(state, 1, 5.0, [(dt, 1)]))
     assert sequential == expected
     hits = [(site + 8, step) for site, step in dt_hits] + half_hits
     monkeypatch.setattr(volterra, "_rhs", _overflowing_rhs(kind, *hits))
@@ -614,14 +613,14 @@ def test_nonfinite_start_is_named_before_a_step():
     # t_end = 0 takes no step, so only the up-front check can raise
     bad = LatticeState(1, 1, np.array([1.0, np.inf, 1.0, 1.0]))
     with pytest.raises(NonFinite, match="initial state is not finite: u_1 = inf"):
-        integrate(bad, 1, t_end=0.0)
+        integrate_runs(bad, 1, 0.0, [(1e-3, 1)])[0]
     with pytest.raises(ValueError, match="wavelength"):
         perturbed_constant_state(1, 1, 4, wavelength=0)
 
 
 def test_conservation_drift_small():
     state = perturbed_constant_state(1, 1, 12)
-    traj = integrate(state, 1, t_end=2.0, dt=1e-3, record_every=250)
+    traj = integrate_runs(state, 1, 2.0, [(1e-3, 250)])[0]
     drift, series = invariant_drift(traj, 3)
     assert max(drift) < 1e-10
     assert len(series[0]) == 3
@@ -639,9 +638,11 @@ def _trace_trajectory(case):
         rows[1, 0], rows[2, -1], rows[3, 5], rows[4, 2] = np.inf, -np.inf, np.nan, 1e200
         return Trajectory(1, 2, np.arange(5.0), rows)
     if case == "blocks":
-        return integrate(perturbed_constant_state(1, 1, 6, amplitude=0.3), 1, 0.6, 1e-3)
+        state = perturbed_constant_state(1, 1, 6, amplitude=0.3)
+        return integrate_runs(state, 1, 0.6, [(1e-3, 1)])[0]
     a, b, k = case
-    return integrate(perturbed_constant_state(a, b, 6, amplitude=0.3), k, 0.05, 1e-3, 10)
+    state = perturbed_constant_state(a, b, 6, amplitude=0.3)
+    return integrate_runs(state, k, 0.05, [(1e-3, 10)])[0]
 
 
 def _traces_by_row(traj):
