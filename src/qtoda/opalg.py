@@ -39,7 +39,7 @@ from .partitions import (
     partitions_of,
 )
 from .qfield import QFieldElem, QPowerSum, qpow
-from .report import record_check
+from .report import check, make_report
 from .sparse import SparsePoly
 from .vertex import SessionParams, TauTable, VertexContext, tau_table
 
@@ -490,13 +490,13 @@ def _offence(residual: DiffOp) -> tuple | None:
     return power, str(c), f"first offending coefficient at power {power}: {c}"
 
 
-def record_vanishing(report: dict, name: str, residual: DiffOp, show_window: bool = False) -> None:
-    """Record that `residual` is zero on its certified window, which must be non-empty."""
+def vanishing_check(name: str, residual: DiffOp, show_window: bool = False) -> dict:
+    """The check that `residual` is zero on its certified window, which must be non-empty."""
     offence = _offence(residual)
     shown = [offence[2]] if offence else []
     if show_window and not (offence and offence[0] is None):
         shown.insert(0, f"window {residual.window()}")
-    record_check(report, name, offence is None, "; ".join(shown))
+    return check(name, offence is None, "; ".join(shown))
 
 
 def require_vanishing(label: str, residual: DiffOp) -> None:
@@ -680,14 +680,11 @@ def check_LM_relation(session: LaxSession) -> dict:
     params = session.params
     tau = params.tau
     step = params.step
-    report: dict = {"passed": True, "checks": []}
-
     try:
         qm0, qm0bar = session.orlov
     except RelationViolated as exc:
-        record_check(report, "initial_orlov_closed_forms", False, str(exc))
-        return report
-    record_check(report, "initial_orlov_closed_forms", True)
+        return make_report([check("initial_orlov_closed_forms", False, str(exc))])
+    checks = [check("initial_orlov_closed_forms", True)]
 
     lfrac, lbarfrac = session.lax
     target = DiffOp.monomial(step, params.up_index, qpow(c1=-1))
@@ -700,7 +697,7 @@ def check_LM_relation(session: LaxSession) -> dict:
         ("orlov_monomial_collapse", lfrac, qm0, target),
         ("orlov_monomial_collapse_bar", lbarfrac, qm0bar, target_bar),
     ):
-        record_vanishing(report, name, lax - qm.with_step(step) * mono)
+        checks.append(vanishing_check(name, lax - qm.with_step(step) * mono))
 
     m = params.refinement
     big = monomial_pow(target, m)  # integral-power realization of the step monomial
@@ -712,8 +709,8 @@ def check_LM_relation(session: LaxSession) -> dict:
         * target_bar.coeffs[params.down_index],
     )
     rhs = monomial_pow(rhs_base, params.a * m)
-    record_vanishing(report, "integerized_power_identity", lhs - rhs)
-    return report
+    checks.append(vanishing_check("integerized_power_identity", lhs - rhs))
+    return make_report(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +821,6 @@ def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> d
     if max_deg < flow_k + 2:
         raise TruncationInsufficient("table degree too small for the flow check")
 
-    report: dict = {"passed": True, "checks": []}
-
     params = session.params
     ctx = VertexContext(max_deg)
     table = tau_table(params.a, params.b, params.sign, 0, max_deg, ctx)
@@ -839,30 +834,26 @@ def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> d
     ) and all(
         dressing.Wbar.coeff(n) == dressing_prev.Wbar.coeff(n) for n in range(max_deg)
     )
-    record_check(report, "truncation_stability", stable)
+    checks = [check("truncation_stability", stable)]
 
     # (i) dressing coefficients against the factorization closed forms
     w0, wbar0 = session.dressing_to(max_deg)
     bad = [n for n in range(max_deg + 1) if dressing.W.coeff(-n) != w0.coeff(-n)]
-    record_check(
-        report,
+    checks.append(check(
         "dressing_agreement",
         not bad,
         f"first mismatch at Lam^-{bad[0]}" if bad else f"coefficients 0..{max_deg} equal",
-    )
+    ))
     gauge = dressing.Wbar.coeff(0) / wbar0.coeff(0)
     bad_bar = [
         n for n in range(max_deg + 1) if dressing.Wbar.coeff(n) != gauge * wbar0.coeff(n)
     ]
-    record_check(
-        report,
+    checks.append(check(
         "dressing_agreement_bar",
         not bad_bar,
         f"recorded diagonal gauge: {gauge}"
         + ("" if not bad_bar else f"; first mismatch at Lam^{bad_bar[0]}"),
-    )
-    report["gauge"] = str(gauge)
-    report["gauge_is_identity"] = gauge.is_one()
+    ))
 
     # (ii) the fractional powers from the tau route cancel coefficientwise
     step = params.step
@@ -871,38 +862,35 @@ def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> d
     W, W_inv = dressing.W, dressing.W_inv
     lfrac = _dressed_power(W, W_inv, step, params.up_index)
     lbarfrac = _dressed_power(dressing.Wbar, dressing.Wbar_inv, step, params.down_index)
-    record_vanishing(report, "fractional_powers_cancel", lfrac + lbarfrac, show_window=True)
+    checks.append(vanishing_check("fractional_powers_cancel", lfrac + lbarfrac, show_window=True))
 
     surviving = sorted(lfrac.coeffs)
-    record_check(
-        report,
+    checks.append(check(
         "two_surviving_powers",
         surviving == sorted([params.up_index, params.down_index]),
         f"nonzero powers: {[str(n * step) for n in surviving]} on window {lfrac.window()}",
-    )
+    ))
     # lbarfrac is (pbar_0 + pbar_1 Lam + ...) Lam^(-tau/(tau+1)) itself
     p1 = lfrac.coeff(params.down_index)
     pbar0 = lbarfrac.coeff(params.down_index)
     pbar1 = lbarfrac.coeff(params.up_index)
-    record_check(report, "coefficient_relation_pbar1", pbar1 == -one, f"pbar_1 = {pbar1}")
-    record_check(report, "coefficient_relation_pbar0", pbar0 == -p1, f"pbar_0 = {pbar0}")
+    checks.append(check("coefficient_relation_pbar1", pbar1 == -one, f"pbar_1 = {pbar1}"))
+    checks.append(check("coefficient_relation_pbar0", pbar0 == -p1, f"pbar_0 = {pbar0}"))
 
     alpha = Fraction(params.a, m)
     w1 = dressing.W.coeff(-1)
-    record_check(
-        report,
+    checks.append(check(
         "p1_from_w1",
         p1 == w1 - w1.shift(alpha),
         "p_1 = w_1(s) - w_1(s + 1/(tau+1))",
-    )
+    ))
     alphabar = Fraction(params.down_index, m)
     w0bar_c = dressing.Wbar.coeff(0)
-    record_check(
-        report,
+    checks.append(check(
         "pbar0_from_wbar0",
         pbar0 == w0bar_c / w0bar_c.shift(alphabar),
         "pbar_0 = wbar_0(s) / wbar_0(s - tau/(tau+1))",
-    )
+    ))
 
     # (iii) the Lax equation for the flow_k time at t = 0, on the integer grid
     k = flow_k
@@ -912,7 +900,7 @@ def cross_check_initial(session: LaxSession, max_deg: int, flow_k: int = 1) -> d
     X = dressing.dW * W_inv
     lhs = X * L - L * X
     rhs = Bk * L - L * Bk
-    record_vanishing(report, "lax_equation_flow", lhs - rhs, show_window=True)
+    checks.append(vanishing_check("lax_equation_flow", lhs - rhs, show_window=True))
     sato = dressing.dW + Lk.proj_neg() * W
-    record_vanishing(report, "sato_equation_flow", sato, show_window=True)
-    return report
+    checks.append(vanishing_check("sato_equation_flow", sato, show_window=True))
+    return make_report(checks, gauge=str(gauge))

@@ -1,19 +1,16 @@
-"""The one way a verification suite records a check in its report."""
+"""The one report format: a check is a value, and a report passes when every check does."""
 
 
-def record_check(report: dict, name: str, ok: bool, detail: str = "") -> None:
-    """Append {name, passed, detail} to report["checks"]; a failure fails the report."""
-    report["checks"].append({"name": name, "passed": bool(ok), "detail": detail})
-    if not ok:
-        report["passed"] = False
+def check(name: str, ok: bool, detail: str = "") -> dict:
+    """The check {name, passed, detail}."""
+    return {"name": name, "passed": bool(ok), "detail": detail}
 
 
-def record_all(report: dict, name: str, failures: list, shown: int = 3) -> None:
-    """Record a check that passes when `failures` is empty; show the first `shown`."""
-    record_check(report, name, not failures, "; ".join(failures[:shown]))
+def check_all(name: str, failures: list, shown: int = 3) -> dict:
+    """A check that passes when `failures` is empty; its detail shows the first `shown`."""
+    return check(name, not failures, "; ".join(failures[:shown]))
 
 
-def merge_checks(report: dict, sub: dict, prefix: str = "") -> None:
-    """Re-record every check of a sub-report in `report`, names prefixed."""
-    for chk in sub["checks"]:
-        record_check(report, prefix + chk["name"], chk["passed"], chk["detail"])
+def make_report(checks: list, **fields) -> dict:
+    """{"passed", "checks", **fields}, passed exactly when every check passed."""
+    return {"passed": all(c["passed"] for c in checks), "checks": checks, **fields}

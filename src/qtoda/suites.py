@@ -1,8 +1,9 @@
 """Aggregated machine-verification suites behind the CLI commands.
 
-Each suite returns a plain-dict report: {"passed": bool, "checks": [...]},
-every check carrying a name, a pass flag, and a counterexample string when
-it fails.  The functions are also what the acceptance tests call.
+Each suite returns a report of `qtoda.report`: {"passed": bool, "checks":
+[...]}, every check carrying a name, a pass flag, and a counterexample
+string when it fails; a parent joins the check lists of its sub-reports.
+The functions are also what the acceptance tests call.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from fractions import Fraction
 
 from .errors import RelationViolated
 from .opalg import LaxSession, check_LM_relation, cross_check_initial, expected_initial_lax, \
-    initial_lax, initial_M, record_vanishing
+    initial_lax, initial_M, vanishing_check
 from .partitions import Partition, enumerate_partitions
 from .qfield import qpow
-from .report import merge_checks, record_all, record_check
+from .report import check, check_all, make_report
 from .schur import PowerSumRing, specialize_nu_rho
 from .vertex import SessionParams, VertexContext, tau_table
 
@@ -31,7 +32,6 @@ def pairs_up_to(total_weight: int) -> list[tuple[Partition, Partition]]:
 
 def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False) -> dict:
     """Defining form against the hook-type finite sum, all pairs up to weight."""
-    report = {"passed": True, "checks": []}
     bad = []
     for nu, nubar in pairs_up_to(weight):
         lhs = ctx.vertex_def(nu, nubar)
@@ -40,13 +40,11 @@ def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False
             rhs = -rhs
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar}): {lhs} != {rhs}")
-    record_all(report, f"vertex_def_equals_hook_w{weight}", bad, shown=2)
-    return report
+    return make_report([check_all(f"vertex_def_equals_hook_w{weight}", bad, shown=2)])
 
 
 def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
     """Transposition symmetry and the q -> 1/q inversion symmetry."""
-    report = {"passed": True, "checks": []}
     bad_t, bad_q = [], []
     for nu, nubar in pairs_up_to(weight):
         w = ctx.vertex_def(nu, nubar)
@@ -55,22 +53,20 @@ def vertex_symmetry_suite(ctx: VertexContext, weight: int) -> dict:
         flipped = ctx.vertex_def(nu.conjugate(), nubar.conjugate()).invert_q()
         if not (w == flipped.scale((-1) ** (nu.weight + nubar.weight))):
             bad_q.append(f"({nu},{nubar})")
-    record_all(report, f"vertex_transposition_w{weight}", bad_t)
-    record_all(report, f"vertex_q_inversion_w{weight}", bad_q)
-    return report
+    return make_report([check_all(f"vertex_transposition_w{weight}", bad_t),
+                        check_all(f"vertex_q_inversion_w{weight}", bad_q)])
 
 
 def schur_negation_suite(weight: int, ring: PowerSumRing) -> dict:
     """p -> -p on straight and skew Schur polynomials, symbolically, in
     `ring`, which the caller owns; its bound must cover the weight."""
-    report = {"passed": True, "checks": []}
     bad = []
     for mu in enumerate_partitions(weight):
         lhs = ring.schur(mu).negate_p()
         rhs = ring.schur(mu.conjugate()).scale((-1) ** mu.weight)
         if not (lhs == rhs):
             bad.append(str(mu))
-    record_all(report, f"schur_negation_w{weight}", bad)
+    checks = [check_all(f"schur_negation_w{weight}", bad)]
     bad = []
     for mu in enumerate_partitions(weight):
         for nu in enumerate_partitions(mu.weight):
@@ -82,25 +78,24 @@ def schur_negation_suite(weight: int, ring: PowerSumRing) -> dict:
             )
             if not (lhs == rhs):
                 bad.append(f"{mu}/{nu}")
-    record_all(report, f"skew_schur_negation_w{weight}", bad)
-    return report
+    checks.append(check_all(f"skew_schur_negation_w{weight}", bad))
+    return make_report(checks)
 
 
 def schur_structure_suite(weight: int, ring: PowerSumRing) -> dict:
     """Determinant-size independence, homogeneity, special-point relation, in
     `ring`, which the caller owns; its bound must cover the weight."""
-    report = {"passed": True, "checks": []}
     bad = []
     for mu in enumerate_partitions(weight):
         if ring.schur(mu) != ring.schur(mu, size=mu.length + 2):
             bad.append(str(mu))
-    record_all(report, f"determinant_size_independence_w{weight}", bad)
+    checks = [check_all(f"determinant_size_independence_w{weight}", bad)]
     bad = [
         str(mu)
         for mu in enumerate_partitions(weight)
         if not ring.schur(mu).is_homogeneous(mu.weight)
     ]
-    record_all(report, f"weighted_homogeneity_w{weight}", bad)
+    checks.append(check_all(f"weighted_homogeneity_w{weight}", bad))
     bad = []
     for nu in enumerate_partitions(min(4, weight)):
         for k in range(1, 5):
@@ -108,12 +103,11 @@ def schur_structure_suite(weight: int, ring: PowerSumRing) -> dict:
             rhs = -specialize_nu_rho(nu.conjugate(), k).invert_q()
             if not (lhs == rhs):
                 bad.append(f"({nu}, k={k})")
-    record_all(report, "power_sum_special_points", bad)
-    return report
+    checks.append(check_all("power_sum_special_points", bad))
+    return make_report(checks)
 
 
 def kappa_suite(weight: int = 8) -> dict:
-    report = {"passed": True, "checks": []}
     bad = [
         str(nu)
         for nu in enumerate_partitions(weight)
@@ -121,14 +115,12 @@ def kappa_suite(weight: int = 8) -> dict:
         or nu.conjugate().weight != nu.weight
         or (nu.parts and nu.conjugate().length != nu.parts[0])
     ]
-    record_all(report, f"kappa_conjugation_w{weight}", bad)
-    return report
+    return make_report([check_all(f"kappa_conjugation_w{weight}", bad)])
 
 
 def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
     """Vertex values against the matrix-element route at the reflected point:
     W(nu,nubar) = (-1)^(|nu|+|nubar|) q^((kappa(nu)+kappa(nubar))/2) * gamma."""
-    report = {"passed": True, "checks": []}
     bad = []
     for nu, nubar in pairs_up_to(weight):
         lhs = ctx.vertex_def(nu, nubar)
@@ -138,8 +130,7 @@ def gamma_vertex_link_suite(ctx: VertexContext, weight: int) -> dict:
         )
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar})")
-    record_all(report, f"vertex_matrix_element_link_w{weight}", bad)
-    return report
+    return make_report([check_all(f"vertex_matrix_element_link_w{weight}", bad)])
 
 
 def tau_shift_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) -> dict:
@@ -148,22 +139,21 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) 
 
     The three tables share `ctx`, which the caller owns (its bound must
     cover the degree), so each matrix element gamma is computed once."""
-    report = {"passed": True, "checks": []}
     base = tau_table(a, b, sign, 0, degree, ctx)
+    checks = []
     for c in (Fraction(1, 2), Fraction(1, 3)):
         shifted = tau_table(a, b, sign, c, degree, ctx)
         bad = [] if shifted.cubic == base.cubic_shifted(c) else ["cubic prefactor mismatch"]
         for nu, nubar in base.pairs.values():
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
                 bad.append(f"entry ({nu},{nubar})")
-        record_all(report, f"tau_shift_c={c}", bad)
-    return report
+        checks.append(check_all(f"tau_shift_c={c}", bad))
+    return make_report(checks)
 
 
 def tau_exponent_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) -> dict:
     """Entry prefactors q^E(s) re-derived independently from kappa and
     weights, on a table whose gammas come from the caller's `ctx`."""
-    report = {"passed": True, "checks": []}
     table = tau_table(a, b, sign, 0, degree, ctx)
     tau = table.tau
     # unshifted cubic prefactor is scale * (4 s^3 - s)
@@ -178,8 +168,7 @@ def tau_exponent_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContex
         )
         if pref != redo:
             bad.append(f"({nu},{nubar})")
-    record_all(report, "tau_exponent_rederivation", bad)
-    return report
+    return make_report([check_all("tau_exponent_rederivation", bad)])
 
 
 def identity_suite(
@@ -196,13 +185,12 @@ def identity_suite(
     suite, and its ring serves the two Schur suites, so the session
     computes each vertex value, gamma and Schur determinant once.
     """
-    report = {"passed": True, "checks": []}
     exponent_degree = min(3, max(weight_equality, 1))
     shift_degree = min(weight_equality, 4)
     structure_degree = max(weight_schur, 4)
     # the exponent (<= 3) and shift (<= weight_equality) degrees are covered
     ctx = VertexContext(max(weight_equality, weight_symmetry, structure_degree))
-    for sub in (
+    subs = [
         kappa_suite(8),
         schur_negation_suite(weight_schur, ctx.ring),
         schur_structure_suite(structure_degree, ctx.ring),
@@ -210,11 +198,10 @@ def identity_suite(
         vertex_symmetry_suite(ctx, weight_symmetry),
         gamma_vertex_link_suite(ctx, min(4, weight_symmetry)),
         tau_exponent_suite(1, 1, 1, exponent_degree, ctx),
-    ):
-        merge_checks(report, sub)
+    ]
     if shift_check:
-        merge_checks(report, tau_shift_suite(1, 1, 1, shift_degree, ctx))
-    return report
+        subs.append(tau_shift_suite(1, 1, 1, shift_degree, ctx))
+    return make_report([chk for sub in subs for chk in sub["checks"]])
 
 
 def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k: int = 1) -> dict:
@@ -227,40 +214,31 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
     One LaxSession serves every check, so each time-zero operator is
     computed once.
     """
-    report = {
-        "passed": True,
-        "checks": [],
-        "a": params.a,
-        "b": params.b,
-        "sign": params.sign,
-        "tau": str(params.tau),
-        "T": params.T,
-        "residuals": {},
-    }
     session = LaxSession(params)
     lfrac, lbarfrac = initial_lax(session)
     expected = expected_initial_lax(params)
-    record_vanishing(report, "initial_fractional_power_closed_form", lfrac - expected)
-    record_vanishing(report, "initial_fractional_power_closed_form_bar", lbarfrac + expected)
     total = lfrac + lbarfrac
-    report["residuals"]["fractional_sum_window"] = [
-        str(total.window()[0] * params.step if total.window()[0] is not None else None),
-        str(total.window()[1] * params.step if total.window()[1] is not None else None),
+    checks = [
+        vanishing_check("initial_fractional_power_closed_form", lfrac - expected),
+        vanishing_check("initial_fractional_power_closed_form_bar", lbarfrac + expected),
+        vanishing_check("fractional_powers_cancel", total, show_window=True),
     ]
-    lo = total.floor if total.floor is not None else min(total.coeffs, default=0)
-    hi = total.ceil if total.ceil is not None else max(total.coeffs, default=0)
-    report["residuals"]["fractional_sum"] = {
-        str(n * params.step): str(total.coeff(n)) for n in range(lo, hi + 1)
-    }
-    record_vanishing(report, "fractional_powers_cancel", total, show_window=True)
     try:
         initial_M(session)
-        record_check(report, "orlov_closed_forms", True)
+        checks.append(check("orlov_closed_forms", True))
     except RelationViolated as exc:
-        record_check(report, "orlov_closed_forms", False, str(exc))
-    merge_checks(report, check_LM_relation(session))
+        checks.append(check("orlov_closed_forms", False, str(exc)))
+    checks += check_LM_relation(session)["checks"]
+    tau_fields = {}
     if tau_degree:
         cc = cross_check_initial(session, tau_degree, flow_k)
-        merge_checks(report, cc, prefix="tau_")
-        report["gauge"] = cc.get("gauge")
-    return report
+        checks += [{**chk, "name": "tau_" + chk["name"]} for chk in cc["checks"]]
+        tau_fields["gauge"] = cc["gauge"]
+    lo = total.floor if total.floor is not None else min(total.coeffs, default=0)
+    hi = total.ceil if total.ceil is not None else max(total.coeffs, default=0)
+    residuals = {
+        "fractional_sum_window": [str(n if n is None else n * params.step) for n in total.window()],
+        "fractional_sum": {str(n * params.step): str(total.coeff(n)) for n in range(lo, hi + 1)},
+    }
+    return make_report(checks, a=params.a, b=params.b, sign=params.sign, tau=str(params.tau),
+                       T=params.T, residuals=residuals, **tau_fields)

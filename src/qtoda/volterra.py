@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NonFinite, UnsupportedFlow
 from .opalg import DiffOp, SitePoly
-from .report import record_check
+from .report import check, make_report
 from .vertex import SessionParams
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ from .vertex import SessionParams
 
 @dataclass
 class LatticeState:
-    """Field values on the refined periodic lattice at a moment in time.
+    """Field values on the refined periodic lattice.
 
     sites[j] is u at s = j/m with m = a + b (positive sign); the length
     must be a multiple of m (the coarse circumference times m).  The type
@@ -65,7 +65,6 @@ class LatticeState:
     a: int
     b: int
     sites: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         m = self.refinement  # raises NonCoprime unless a, b are positive and coprime
@@ -436,7 +435,7 @@ def integrate_runs(
 
     live = copies
     live_plan, u, back, half, full, sixth, arg, acc, zeros = prefix(live)
-    times = [[state.time] for _ in runs]
+    times = [[0.0] for _ in runs]
     states = [[u0.copy()] for _ in runs]
     # copy c records after step due[c]: its next multiple of record_every, or
     # its last step; inf once it has recorded its last state
@@ -469,7 +468,7 @@ def integrate_runs(
                 for c in range(live):
                     if due[c] == done:
                         r = order[c]
-                        times[r].append(state.time + done * runs[r][0])
+                        times[r].append(done * runs[r][0])
                         states[r].append(u[c * n:(c + 1) * n].copy())
                         due[c] = min(done + runs[r][1], steps[r]) if done < steps[r] else math.inf
                 next_due = min(due)
@@ -563,8 +562,6 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
     verified symbolically with an undetermined coefficient function.
     """
     params = SessionParams(a, b, -1)  # raises unless a > b >= 1 are coprime
-    report: dict = {"passed": True, "checks": [], "a": a, "b": b, "tau": str(params.tau)}
-
     m = params.refinement
     lax = symbolic_lax(a, b, -1)
     power = lax.pow_int(m)
@@ -572,25 +569,21 @@ def stationarity_check(a: int, b: int, max_k: int = 3) -> dict:
     powers = sorted(power.indices())
     physical = [Fraction(n, m) for n in powers]
     expected = [Fraction(j) for j in range(b, a + 1)]
-    record_check(
-        report,
+    checks = [check(
         "band_profile",
         physical == expected,
         f"shift powers of the (a-b)-th power: {[str(x) for x in physical]}",
-    )
-    report["band"] = {
-        str(Fraction(n, m)): str(power.coeffs[n]) for n in powers
-    }
+    )]
     for k in range(1, max_k + 1):
         big = power.pow_int(k)
         comm = big * lax - lax * big
-        record_check(
-            report,
+        checks.append(check(
             f"commutator_k{k}",
             comm.is_zero_on_window() and comm.is_exact(),
             "flow generator commutes exactly",
-        )
-    return report
+        ))
+    band = {str(Fraction(n, m)): str(power.coeffs[n]) for n in powers}
+    return make_report(checks, a=a, b=b, tau=str(params.tau), band=band)
 
 
 def duality_check(state: LatticeState, k: int = 1) -> dict:
@@ -607,12 +600,6 @@ def duality_check(state: LatticeState, k: int = 1) -> dict:
     shape.  All identities are checked in exact rational arithmetic.
     """
     a, b = state.a, state.b
-    report: dict = {
-        "passed": True,
-        "checks": [],
-        "relabeling": f"sigma(j) = ({b} - j) mod n; dual realization -L^T; sign -1",
-    }
-
     u = np.array([Fraction(x) for x in state.sites.tolist()], dtype=object)
     n = len(u)
     m = state.refinement
@@ -624,36 +611,34 @@ def duality_check(state: LatticeState, k: int = 1) -> dict:
     u_ref = np.array([u[sigma[j]] for j in range(n)], dtype=object)
     rhs_ref = flow_rhs(LatticeState(a, b, u_ref), k)
     expected = np.array([-rhs[sigma[j]] for j in range(n)], dtype=object)
-    record_check(
-        report,
+    checks = [check(
         "reflection_time_reversal",
         bool(np.all(rhs_ref == expected)),
         "rhs[u o sigma] = -(rhs[u]) o sigma",
-    )
+    )]
 
     # invariants are reflection-invariant
     h = conserved_quantities(exact, 2)
     h_ref = conserved_quantities(LatticeState(a, b, u_ref), 2)
-    record_check(report, "invariants_under_relabeling", h == h_ref, f"H_1, H_2 = {h}")
+    checks.append(check("invariants_under_relabeling", h == h_ref, f"H_1, H_2 = {h}"))
 
     # dual band realization: -L^T has the (b, a) band profile and satisfies
     # the Lax equation with the dual (nonpositive-power) generator
     lax = lax_diagonals(u, a, b)
     dual = {o: -v for o, v in banded_transpose(lax).items()}
-    record_check(
-        report,
+    checks.append(check(
         "dual_band_profile",
         sorted(dual) == [-a, b],
         f"bands of -L^T: {sorted(dual)} (type ({b}, {a}) profile)",
-    )
+    ))
     power = banded_power(dual, k * m)
     sign_pow = (-1) ** (k * m)
     bhat = {o: -sign_pow * v for o, v in power.items() if o <= 0}
     ldot_dual = {b: np.roll(rhs, -b)}  # -(d/dt L)^T
-    record_check(
-        report,
+    checks.append(check(
         "dual_lax_equation",
         banded_equal(_commutator(bhat, dual), ldot_dual, n),
         "d/dt(-L^T) = [Bhat, -L^T] with the dual projection generator",
-    )
-    return report
+    ))
+    relabeling = f"sigma(j) = ({b} - j) mod n; dual realization -L^T; sign -1"
+    return make_report(checks, relabeling=relabeling)

@@ -21,6 +21,10 @@ so a callee cannot build a second one when the argument is left out.
 
 W0, W0bar and their inverses have one builder: no code in the package
 names `conjugated_series` outside its own definition and `LaxSession`.
+
+Only `report.py` writes the report format: no other module builds a dict
+literal with a "passed" or "checks" key or assigns to `x["passed"]` or
+`x["checks"]`, so a report's pass flag is always derived from its checks.
 """
 
 import ast
@@ -416,3 +420,44 @@ def test_series_scan_flags_a_builder_outside_the_session():
     other = ("from .opalg import conjugated_series\nfrom . import opalg\n"
              "W = opalg.conjugated_series\n")
     assert series_built_outside_the_session("y.py", other) == ["y.py:1", "y.py:3"]
+
+
+REPORT_KEYS = ("passed", "checks")
+
+
+def report_writes(name: str, text: str) -> list[str]:
+    """Dict literals with a "passed" or "checks" key, and assignments to
+    x["passed"] or x["checks"]; reads of those keys are not writes."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice.value] if isinstance(node.slice, ast.Constant) else []
+        else:
+            continue
+        found += [(node.lineno, key) for key in keys if key in REPORT_KEYS]
+    return [f"{name}:{line}: {key}" for line, key in sorted(found)]
+
+
+def test_only_the_report_module_writes_the_report_format():
+    found = []
+    for name, text in package_sources().items():
+        if name != "report.py":
+            found += report_writes(name, text)
+    assert found == []
+
+
+def test_report_scan_flags_a_report_built_by_hand():
+    # negative control: a report literal, a flag set beside its checks and a
+    # check list replaced are seen; reading the flag and other keys are not
+    source = (
+        "report = {\"passed\": True, \"checks\": []}\n"
+        "if not ok:\n"
+        "    report[\"passed\"] = False\n"
+        "report[\"checks\"] += more\n"
+    )
+    assert report_writes("x.py", source) == [
+        "x.py:1: checks", "x.py:1: passed", "x.py:3: passed", "x.py:4: checks"]
+    clean = "code = 0 if report[\"passed\"] else 1\nrow = {\"name\": n, \"detail\": d}\n"
+    assert report_writes("cli.py", clean) == []

@@ -1056,7 +1056,7 @@ def test_the_agreement_below_the_tau_degree_sees_a_w0_damaged_past_t(monkeypatch
 def test_cross_check_initial(a, b):
     report = cross_check_initial(LaxSession(SessionParams(a, b, 1, T=5)), 5)
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
-    assert report["gauge_is_identity"]
+    assert report["gauge"] == "1"
     assert _dressing_agreement(report)["detail"] == "coefficients 0..5 equal"
 
 

@@ -1,9 +1,11 @@
 """The README's "Library layout" table names only what the package has.
 
-Every backticked CamelCase name and every called name (`name()` or
-`.name(...)`) in a row of the table must be a global of some qtoda module,
-an attribute of one of the package's classes, or a builtin, so a row cannot
-go on citing a class or method the code has lost.
+Every backticked CamelCase name, every bare backticked snake_case name and
+every called name (`name()` or `.name(...)`) in a row of the table must be
+a global of some qtoda module, an attribute of one of the package's
+classes, or a builtin, so a row cannot go on citing a class, function or
+method the code has lost; a bare snake_case name may also be a parameter
+name of a package function (`t_end`).
 """
 
 import builtins
@@ -15,6 +17,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 CAMEL = re.compile(r"[A-Z]\w*[a-z]\w*")  # a class-style name: Partition, QPowerSum
 CALLED = re.compile(r"([A-Za-z_]\w*)\(")
+SNAKE = re.compile(r"_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+")  # a bare name: t_end, merge_checks
 
 
 def layout_rows() -> list[str]:
@@ -24,25 +27,48 @@ def layout_rows() -> list[str]:
     return [line for line in section.splitlines() if line.startswith("| `qtoda.")]
 
 
+def package_definitions() -> list:
+    """(module globals, the classes and functions each module defines) per qtoda module."""
+    out = []
+    for path in sorted((REPO / "src" / "qtoda").glob("*.py")):
+        module = importlib.import_module(f"qtoda.{path.stem}")
+        own = [value for value in vars(module).values()
+               if (inspect.isclass(value) or inspect.isfunction(value))
+               and value.__module__.startswith("qtoda")]
+        out.append((vars(module), own))
+    return out
+
+
 def known_names() -> set[str]:
     """Module globals and class attributes of every qtoda module, and builtins."""
     names = set(dir(builtins))
-    for path in sorted((REPO / "src" / "qtoda").glob("*.py")):
-        module = importlib.import_module(f"qtoda.{path.stem}")
-        names |= set(vars(module))
-        for value in vars(module).values():
-            if inspect.isclass(value) and value.__module__.startswith("qtoda"):
+    for module_globals, own in package_definitions():
+        names |= set(module_globals)
+        for value in own:
+            if inspect.isclass(value):
                 names |= set(dir(value))
+    return names
+
+
+def parameter_names() -> set[str]:
+    """The parameter names of every function and method the package defines."""
+    names = set()
+    for _, own in package_definitions():
+        for value in own:
+            for member in vars(value).values() if inspect.isclass(value) else [value]:
+                func = getattr(member, "__func__", getattr(member, "func", member))
+                if inspect.isfunction(func):
+                    names |= set(inspect.signature(func).parameters)
     return names
 
 
 def unknown_names(rows: list[str]) -> list[str]:
     """The cited names, in order of appearance, that the package does not have."""
-    known, missing = known_names(), []
+    known, parameters, missing = known_names(), parameter_names(), []
     for row in rows:
         for span in re.findall(r"`([^`]+)`", row):
             cited = CALLED.findall(span)
-            if CAMEL.fullmatch(span):
+            if CAMEL.fullmatch(span) or (SNAKE.fullmatch(span) and span not in parameters):
                 cited.append(span)
             missing += [name for name in cited if name not in known and name not in missing]
     return missing
@@ -62,3 +88,10 @@ def test_layout_guard_sees_a_lost_class_and_a_lost_method():
     row = f"| `qtoda.qfield` | exact coefficient field: `{lost}`, `QPowerSum`, `qpow` |"
     assert unknown_names([row]) == [lost]
     assert unknown_names(["| `qtoda.qfield` | `E.value_at(s)`, `terms()` |"]) == ["value_at"]
+
+
+def test_layout_guard_sees_a_lost_function_cited_by_its_bare_name():
+    # negative control: a bare name the package lacks is seen; a parameter
+    # name and a global cited bare are not
+    row = "| `qtoda.report` | `merge_checks` copies a sub-report; `t_end`, `make_report` |"
+    assert unknown_names([row]) == ["merge_checks"]

@@ -12,7 +12,7 @@ from qtoda.cli import main
 from qtoda.errors import InvalidTau, NonCoprime
 from qtoda.partitions import EMPTY, Partition, enumerate_partitions
 from qtoda.qfield import QFieldElem, qpow
-from qtoda.report import merge_checks
+from qtoda.report import make_report
 from qtoda.schur import PowerSumPoly, PowerSumRing, Specialization, skew_diagram, specialize_rho
 from qtoda.suites import identity_suite, pairs_up_to, tau_exponent_suite, tau_shift_suite
 from qtoda.vertex import SessionParams, VertexContext, subpartitions, tau_table
@@ -575,8 +575,7 @@ def test_the_work_counts_see_an_ordered_pair_key(monkeypatch, tmp_path, argv, ce
 
 def test_one_shared_context_gives_the_report_of_a_context_per_suite():
     we, ws, wsch = 6, 5, 5
-    fresh = {"passed": True, "checks": []}
-    for sub in (
+    subs = (
         suites.kappa_suite(8),
         suites.schur_negation_suite(wsch, PowerSumRing(wsch)),
         suites.schur_structure_suite(max(wsch, 4), PowerSumRing(max(wsch, 4))),
@@ -585,8 +584,8 @@ def test_one_shared_context_gives_the_report_of_a_context_per_suite():
         suites.gamma_vertex_link_suite(VertexContext(4), min(4, ws)),
         tau_exponent_suite(1, 1, 1, min(3, we), VertexContext(min(3, we))),
         tau_shift_suite(1, 1, 1, min(we, 4), VertexContext(min(we, 4))),
-    ):
-        merge_checks(fresh, sub)
+    )
+    fresh = make_report([chk for sub in subs for chk in sub["checks"]])
     shared = identity_suite(we, ws, wsch, shift_check=True)
     assert json.dumps(shared, indent=2) == json.dumps(fresh, indent=2)
 

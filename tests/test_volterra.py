@@ -372,7 +372,7 @@ def _reference_records(state, runs, last_state=True):
         states = _banded_rk4(state, 1, dt, steps)
         done = [d for d in range(steps + 1)
                 if d == 0 or d % every == 0 or (last_state and d == steps)]
-        out.append(([state.time + d * dt for d in done], [states[d] for d in done]))
+        out.append(([d * dt for d in done], [states[d] for d in done]))
     return out
 
 
@@ -383,7 +383,6 @@ def _records_differ(trajs, reference):
 
 def test_recorded_states_follow_the_every_or_last_step_rule():
     state = perturbed_constant_state(1, 1, 2, amplitude=0.3)
-    state.time = 0.25
     for runs in _record_cases():
         trajs = integrate_runs(state, 1, 0.012, runs)
         assert len(trajs) == len(runs)
@@ -697,10 +696,14 @@ def test_stationarity_reports():
             stationarity_check(a, b)
 
 
-@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 3)])
-def test_duality_check(a, b):
+# flows 1-3 of each type; a flow-1 case is named by its type alone
+@pytest.mark.parametrize("a,b,k", [
+    pytest.param(a, b, k, id=f"{a}-{b}" if k == 1 else f"{a}-{b}-k{k}")
+    for k in (1, 2, 3) for a, b in [(1, 1), (1, 2), (2, 1), (2, 3)]
+])
+def test_duality_check(a, b, k):
     state = perturbed_constant_state(a, b, 6)
-    rep = duality_check(state)
+    rep = duality_check(state, k)
     assert rep["passed"], [c for c in rep["checks"] if not c["passed"]]
     assert "sigma(j)" in rep["relabeling"]
 
