@@ -13,7 +13,8 @@ a window can never silently pass because of discarded terms.
 
 Coefficients are QFieldElem for the dressing/Lax computations, or SitePoly
 (polynomials in shifted samples u(s+r) of an undetermined lattice function)
-for the symbolic reduction checks.
+for the symbolic reduction checks.  The algebra names neither ring: it sums
+a product coefficient's terms with the ring's own one-pass `sum`.
 """
 
 from __future__ import annotations
@@ -111,11 +112,12 @@ class SitePoly(SparsePoly):
     def __eq__(self, other) -> bool:
         return type(other) is SitePoly and SparsePoly.__eq__(*self._aligned(other))
 
-    def __add__(self, other: "SitePoly") -> "SitePoly":
-        return SparsePoly.__add__(*self._aligned(other))
-
-    def __sub__(self, other: "SitePoly") -> "SitePoly":
-        return SparsePoly.__sub__(*self._aligned(other))
+    @classmethod
+    def sum(cls, polys) -> "SitePoly":
+        """The sum of polys on the lcm of their nonzero operands' grids."""
+        polys = [p for p in polys if p.coeffs]
+        grid = math.lcm(*(p.grid for p in polys))
+        return super().sum([p._on_grid(grid) for p in polys])
 
     def __mul__(self, other: "SitePoly") -> "SitePoly":
         return SparsePoly.__mul__(*self._aligned(other))
@@ -157,17 +159,6 @@ def _offset_str(i: int, grid: int) -> str:
 # ---------------------------------------------------------------------------
 # the operator algebra
 # ---------------------------------------------------------------------------
-
-
-def _sum_coeffs(terms: list):
-    if len(terms) == 1:
-        return terms[0]
-    if isinstance(terms[0], QFieldElem):
-        return QFieldElem.sum(terms)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
 
 
 def _max_opt(a, b):
@@ -235,6 +226,14 @@ class DiffOp:
     def monomial(step, index: int, coef) -> "DiffOp":
         return DiffOp(Fraction(step), {index: coef})
 
+    def _like(self, coeffs: dict, floor, ceil, step=None, other=None) -> "DiffOp":
+        """A result of an operation on self (and other): on self's step unless
+        given, with self's coefficient-ring zero witness, else other's."""
+        zero = self.zero_coeff
+        if zero is None and other is not None:
+            zero = other.zero_coeff
+        return DiffOp(step or self.step, coeffs, floor, ceil, zero=zero)
+
     # -- structure ----------------------------------------------------------
 
     def indices(self) -> list[int]:
@@ -277,12 +276,11 @@ class DiffOp:
         r = ratio.numerator
         if r == 1:
             return self
-        return DiffOp(
-            new_step,
+        return self._like(
             {n * r: c for n, c in self.coeffs.items()},
             None if self.floor is None else self.floor * r,
             None if self.ceil is None else self.ceil * r,
-            zero=self.zero_coeff,
+            step=new_step,
         )
 
     @staticmethod
@@ -299,22 +297,12 @@ class DiffOp:
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
             out[n] = out[n] + c if n in out else c
-        return DiffOp(
-            self.step,
-            out,
-            _max_opt(self.floor, other.floor),
-            _min_opt(self.ceil, other.ceil),
-            zero=self.zero_coeff if self.zero_coeff is not None else other.zero_coeff,
+        return self._like(
+            out, _max_opt(self.floor, other.floor), _min_opt(self.ceil, other.ceil), other=other
         )
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(
-            self.step,
-            {n: -c for n, c in self.coeffs.items()},
-            self.floor,
-            self.ceil,
-            zero=self.zero_coeff,
-        )
+        return self._like({n: -c for n, c in self.coeffs.items()}, self.floor, self.ceil)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
@@ -336,14 +324,11 @@ class DiffOp:
                 if ceil is not None and n > ceil:
                     continue
                 pending.setdefault(n, []).append(c1 * c2.shift(shift_amount))
-        out = {n: _sum_coeffs(terms) for n, terms in pending.items()}
-        return DiffOp(
-            step,
-            out,
-            floor,
-            ceil,
-            zero=a.zero_coeff if a.zero_coeff is not None else b.zero_coeff,
-        )
+        out = {
+            n: terms[0] if len(terms) == 1 else type(terms[0]).sum(terms)
+            for n, terms in pending.items()
+        }
+        return a._like(out, floor, ceil, other=b)
 
     def pow_int(self, k: int) -> "DiffOp":
         if k < 1:
@@ -361,7 +346,7 @@ class DiffOp:
             raise TruncationInsufficient("nonnegative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n >= 0}
         ceil = None if self.ceil is None else max(self.ceil, -1)  # indices < 0 are known zeros
-        return DiffOp(self.step, kept, None, ceil, zero=self.zero_coeff)
+        return self._like(kept, None, ceil)
 
     def proj_neg(self) -> "DiffOp":
         """Shift powers < 0; the whole negative range must be certified."""
@@ -369,19 +354,13 @@ class DiffOp:
             raise TruncationInsufficient("negative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n < 0}
         floor = None if self.floor is None else min(self.floor, 0)  # indices >= 0 are known zeros
-        return DiffOp(self.step, kept, floor, None, zero=self.zero_coeff)
+        return self._like(kept, floor, None)
 
     def with_floor(self, floor) -> "DiffOp":
-        return DiffOp(
-            self.step, self.coeffs, _max_opt(self.floor, floor), self.ceil,
-            zero=self.zero_coeff,
-        )
+        return self._like(self.coeffs, _max_opt(self.floor, floor), self.ceil)
 
     def with_ceil(self, ceil) -> "DiffOp":
-        return DiffOp(
-            self.step, self.coeffs, self.floor, _min_opt(self.ceil, ceil),
-            zero=self.zero_coeff,
-        )
+        return self._like(self.coeffs, self.floor, _min_opt(self.ceil, ceil))
 
     # -- formatting ------------------------------------------------------------------
 
@@ -444,9 +423,7 @@ def op_inverse(a: DiffOp, depth: int, side: str | None = None) -> DiffOp:
     except AttributeError as exc:
         raise NonInvertibleLeading("coefficient ring lacks inversion") from exc
     d_inv = DiffOp.monomial(a.step, -pivot, inv_coef)
-    rest = DiffOp(
-        a.step, {n: c for n, c in a.coeffs.items() if n != pivot}, a.floor, a.ceil
-    )
+    rest = a._like({n: c for n, c in a.coeffs.items() if n != pivot}, a.floor, a.ceil)
     if rest.is_zero_on_window() and rest.is_exact():
         return d_inv
     n_op = d_inv * rest  # strictly one-sided series generator

@@ -21,9 +21,9 @@ makes two terms collide.
 Results are wrapped by `_new`, so a subclass whose monomials are read
 against an attribute of the polynomial keeps it: a `SitePoly` monomial is
 a sorted tuple of int offsets i, each standing for the rational offset
-i / grid on the polynomial's own grid.  `SitePoly` brings two operands to
-one grid before it calls the ring operations here, which then see only
-int tuples.
+i / grid on the polynomial's own grid.  `SitePoly` brings the operands of
+`sum` and `*` to one grid before it calls the ring operations here, which
+then see only int tuples.
 """
 
 from __future__ import annotations
@@ -48,14 +48,7 @@ class SparsePoly:
         """Sum of (monomial, coefficient) pairs, or of a dict's items."""
         if isinstance(terms, dict):
             terms = terms.items()
-        acc: dict = {}
-        for m, c in terms:
-            v = acc.get(m, 0) + c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-        self.coeffs = acc
+        self.coeffs = _accumulate({}, terms)
 
     @classmethod
     def _raw(cls, coeffs: dict):
@@ -87,37 +80,27 @@ class SparsePoly:
 
     # -- ring operations ----------------------------------------------------
 
+    @classmethod
+    def sum(cls, polys):
+        """The sum in one pass, the others added into one copy of the longest
+        operand; a lone nonzero operand is returned itself."""
+        polys = [p for p in polys if p.coeffs]
+        if len(polys) < 2:
+            return polys[0] if polys else cls.zero()
+        polys.sort(key=len, reverse=True)
+        acc = dict(polys[0].coeffs)
+        for p in polys[1:]:
+            _accumulate(acc, p.coeffs.items())
+        return polys[0]._new(acc)
+
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a:
-            return other
-        if not b:
-            return self
-        if len(a) < len(b):
-            a, b = b, a
-        acc = dict(a)
-        for m, c in b.items():
-            v = acc.get(m, 0) + c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-        return self._new(acc)
+        return self.sum((self, other))
 
     def __neg__(self):
         return self._new({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not other.coeffs:
-            return self
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = acc.get(m, 0) - c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-        return self._new(acc)
+        return self + (-other)
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -130,16 +113,9 @@ class SparsePoly:
             ((m, c),) = a.items()
             return other.mul_monomial(m, c)
         mono_mul = self._mono_mul
-        acc: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                v = acc.get(m, 0) + c1 * c2
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
-        return self._new(acc)
+        return self._new(_accumulate(
+            {}, ((mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+        ))
 
     def mul_monomial(self, mono, coef):
         """Product with coef * mono (no two terms can collide); 1 and -1 multiply nothing."""
@@ -174,3 +150,15 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
+
+
+def _accumulate(acc: dict, terms) -> dict:
+    """acc with each (monomial, coefficient) pair of terms added in, a
+    coefficient that cancels to zero dropped."""
+    for m, c in terms:
+        v = acc.get(m, 0) + c
+        if v:
+            acc[m] = v
+        elif m in acc:
+            del acc[m]
+    return acc

@@ -342,7 +342,11 @@ def _traces(u: np.ndarray, a: int, b: int, kmax: int) -> list[list]:
         base = banded_power(lax_diagonals(u, a, b), a + b)
         for k in range(1, kmax + 1):
             power = base if k == 1 else banded_mul(power, base)
-            columns.append([total(row) for row in diagonal_of(power, n).tolist()])
+            rows = diagonal_of(power, n).tolist()
+            try:
+                columns.append([total(row) for row in rows])
+            except OverflowError:  # fsum of finite terms past double range: plain sums, inf or nan
+                columns.append([sum(row) for row in rows])
     return [list(h) for h in zip(*columns)]
 
 
@@ -476,13 +480,14 @@ def integrate_runs(
 
 
 def invariant_drift(traj: Trajectory, kmax: int = 3) -> tuple[list[float], list[list[float]]]:
-    """Max relative drift per invariant: |H_k(t) - H_k(0)| / |H_k(0) + 1|,
-    with the traces of the recorded states formed 512 states per banded pass."""
+    """Max relative drift per invariant: |H_k(t) - H_k(0)| / |H_k(0) + 1|, or
+    the absolute change |H_k(t) - H_k(0)| where H_k(0) + 1 is exactly 0, with
+    the traces of the recorded states formed 512 states per banded pass."""
     blocks = range(0, len(traj.states), 512)  # bounds the arrays live at once in _traces
     series = [h for i in blocks for h in _traces(traj.states[i:i + 512], traj.a, traj.b, kmax)]
     base = series[0]
     drift = [
-        max(abs(row[i] - base[i]) for row in series) / abs(base[i] + 1.0)
+        max(abs(row[i] - base[i]) for row in series) / (abs(base[i] + 1.0) or 1.0)
         for i in range(kmax)
     ]
     return drift, series

@@ -794,6 +794,29 @@ def test_simulate_nonfinite_invariant_prints_only_the_error(tmp_path):
     assert not csv.exists()
 
 
+def test_simulate_refuses_finite_traces_that_sum_past_double_range(tmp_path):
+    # at base 1.3e153 every term of H_2 is finite but their sum is not, where
+    # math.fsum raises OverflowError: the run is refused, with no traceback
+    done = run_cli(["simulate", "--t-end", "0.01", "--base", "1.3e153", "--amplitude", "0",
+                    "--invariants", "2", "--out-csv", str(tmp_path / "run.csv"),
+                    "--out", str(tmp_path / "run.json")])
+    assert done.returncode == 2
+    assert done.stderr == "error: invariant H_2 is not finite: lower --base or --amplitude\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_drift_is_the_absolute_change_where_h_plus_one_is_zero(tmp_path, capsys):
+    # 8 sites at base 1/32 give H_1(0) = -2 * sum(u) = -1 exactly, so the
+    # relative drift's divisor |H_1(0) + 1| is 0 and the drift is absolute
+    out = tmp_path / "run.json"
+    code = main(["simulate", "--sites", "8", "--base", "0.03125", "--amplitude", "0",
+                 "--t-end", "0.01", "--out-csv", str(tmp_path / "run.csv"), "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert doc["invariants"][0] == -1.0
+    assert doc["relative_drift"][0] == 0.0 and doc["max_relative_drift"] == 0.0
+
+
 @pytest.mark.parametrize("csv_name, report_name", [
     ("run.csv", "missing/run.json"),
     ("csvdir", "run.json"),

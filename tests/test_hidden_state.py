@@ -25,6 +25,10 @@ names `conjugated_series` outside its own definition and `LaxSession`.
 Only `report.py` writes the report format: no other module builds a dict
 literal with a "passed" or "checks" key or assigns to `x["passed"]` or
 `x["checks"]`, so a report's pass flag is always derived from its checks.
+
+The operator algebra is generic over its coefficient ring: the `DiffOp`
+class body, `_product_edge`, `op_inverse` and `monomial_pow` name no
+coefficient class, and no code in `opalg` tests a value's type against one.
 """
 
 import ast
@@ -461,3 +465,71 @@ def test_report_scan_flags_a_report_built_by_hand():
         "x.py:1: checks", "x.py:1: passed", "x.py:3: passed", "x.py:4: checks"]
     clean = "code = 0 if report[\"passed\"] else 1\nrow = {\"name\": n, \"detail\": d}\n"
     assert report_writes("cli.py", clean) == []
+
+
+GENERIC_ALGEBRA = ("DiffOp", "_product_edge", "op_inverse", "monomial_pow")
+COEFFICIENT_CLASSES = ("QFieldElem", "QPowerSum", "SitePoly")
+
+
+def coefficient_classes_named(name: str, text: str) -> list[str]:
+    """Places where the operator algebra tells coefficient rings apart: a
+    coefficient class named in the DiffOp class body or in the three
+    module-level functions that work on any ring (as a name, an attribute
+    or inside a string, such as a quoted annotation), and an isinstance
+    test against one anywhere in the module."""
+    pattern = re.compile(r"\b(" + "|".join(COEFFICIENT_CLASSES) + r")\b")
+    found = []
+    for stmt in ast.parse(text).body:
+        where = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if where in GENERIC_ALGEBRA:
+                named = (node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else node.value if isinstance(node, ast.Constant) else None)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                named = ast.unparse(node.args[1])
+            else:
+                continue
+            hit = pattern.search(named) if isinstance(named, str) else None
+            if hit:
+                found.append(f"{name}:{node.lineno}: {where} names {hit[1]}")
+    return found
+
+
+def test_the_operator_algebra_names_no_coefficient_class():
+    assert coefficient_classes_named("opalg.py", package_sources()["opalg.py"]) == []
+
+
+def test_coefficient_class_scan_flags_a_ring_type_test():
+    # negative control: a type test in the DiffOp body, a dotted class in
+    # op_inverse, a quoted annotation in monomial_pow and a type test in a
+    # helper are seen; a coefficient class named by a helper is not
+    source = (
+        "class DiffOp:\n"
+        "    def __mul__(self, other):\n"
+        "        if isinstance(terms[0], QFieldElem):\n"
+        "            return QFieldElem.sum(terms)\n"
+        "\n"
+        "\n"
+        "def op_inverse(a, depth):\n"
+        "    return qfield.QPowerSum.one()\n"
+        "\n"
+        "\n"
+        "def monomial_pow(op: 'DiffOp', k) -> 'SitePoly':\n"
+        "    pass\n"
+        "\n"
+        "\n"
+        "def _sum_coeffs(terms):\n"
+        "    if isinstance(terms[0], (int, QFieldElem)):\n"
+        "        return QFieldElem.sum(terms)\n"
+        "\n"
+        "\n"
+        "def _require_inverse(w):\n"
+        "    return QFieldElem.one()\n"
+    )
+    assert coefficient_classes_named("x.py", source) == [
+        "x.py:3: DiffOp names QFieldElem", "x.py:4: DiffOp names QFieldElem",
+        "x.py:8: op_inverse names QPowerSum", "x.py:11: monomial_pow names SitePoly",
+        "x.py:16: _sum_coeffs names QFieldElem",
+    ]

@@ -7,15 +7,20 @@ operations: each pair is str(x) and str(x * y - z) for seeded random x, y, z,
 as printed before the three classes shared one implementation (the QPowerSum
 pairs, of graded operands, as printed by the core that held a dict of
 s-parts).
+
+The one-pass n-ary `sum` is checked against the left fold of `+`, and DiffOp
+products over SitePoly coefficients, whose terms it sums, are pinned by a
+digest of their text.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qtoda.opalg import SitePoly
+from qtoda.opalg import DiffOp, SitePoly
 from qtoda.qfield import QPowerSum
 from qtoda.schur import PowerSumPoly
 
@@ -323,3 +328,82 @@ def test_sitepoly_reference_sees_a_damaged_coefficient():
     damaged = SitePoly({**product, mono: product[mono] + Fraction(1, 7)})
     assert dict(damaged.terms()) != _ref_mul(dict(x.terms()), dict(y.terms()))
     assert damaged != x * y and str(damaged) != str(x * y)
+
+
+# -- the one-pass sum ---------------------------------------------------------
+
+
+def _with_zeros(rng, cls, gen):
+    """Zero to five draws of gen, about a fifth of them made zero (a SitePoly
+    zero keeps the grid of its draw)."""
+    return [gen(rng) * (cls.one() if rng.random() < 0.8 else cls.zero())
+            for _ in range(rng.randint(0, 5))]
+
+
+def _fold(cls, xs):
+    total = cls.zero()
+    for x in xs:
+        total = total + x
+    return total
+
+
+SUM_CASES = {
+    "sitepoly": (SitePoly, lambda rng: _sitepoly_on_grid(rng, rng.choice([1, 2, 3, 5]))),
+    "powersumpoly": (PowerSumPoly, random_powersumpoly),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_CASES))
+def test_sum_equals_the_left_fold_of_add(name):
+    cls, gen = SUM_CASES[name]
+    rng = random.Random(SEED + 5)
+    mixed = zeros = 0
+    for _ in range(200):
+        xs = _with_zeros(rng, cls, gen)
+        got, folded = cls.sum(xs), _fold(cls, xs)
+        assert type(got) is cls and got == folded and str(got) == str(folded)
+        assert cls.sum(iter(xs)) == folded
+        mixed += len({x.grid for x in xs}) > 1 if cls is SitePoly else 0
+        zeros += any(x.is_zero() for x in xs)
+    assert zeros > 20 and (cls is not SitePoly or mixed > 50)
+
+
+@pytest.mark.parametrize("name", sorted(SUM_CASES))
+def test_sum_returns_a_lone_nonzero_operand_itself_and_zero_for_none(name):
+    cls, gen = SUM_CASES[name]
+    rng = random.Random(SEED + 6)
+    x = gen(rng)
+    while x.is_zero():
+        x = gen(rng)
+    assert cls.sum([x]) is x
+    assert cls.sum([cls.zero(), x, cls.zero()]) is x
+    assert (x + cls.zero()) is x and (cls.zero() + x) is x and (x - cls.zero()) is x
+    for empty in ([], [cls.zero()], [x, -x]):
+        total = cls.sum(empty)
+        assert type(total) is cls and total.is_zero() and total == cls.zero()
+
+
+def _sitepoly_op(rng):
+    """An exact or one-side truncated operator of step 1/2 with SitePoly coefficients."""
+    coeffs = {n: _sitepoly_on_grid(rng, rng.choice([1, 2, 5])) for n in rng.sample(range(-3, 4), 3)}
+    side = rng.choice(["exact", "floor", "ceil"])
+    return DiffOp(Fraction(1, 2), coeffs, floor=-3 if side == "floor" else None,
+                  ceil=3 if side == "ceil" else None)
+
+
+# sha256 of the repr() lines of the seeded products below, as computed when
+# DiffOp summed SitePoly product terms by a left fold of +
+SITEPOLY_PRODUCTS_SHA256 = "02aa25125161e570ba573a8929a987b2f83d7a159cf612d4ff02ed1edb9e39fe"
+
+
+def test_diffop_products_over_sitepoly_coefficients_are_pinned():
+    rng = random.Random(SEED + 7)
+    lines = []
+    for _ in range(40):
+        a, b = _sitepoly_op(rng), _sitepoly_op(rng)
+        if a.floor is not None and b.ceil is not None or a.ceil is not None and b.floor is not None:
+            continue  # opposite truncations have no product window
+        lines.append(repr(a * b))
+    assert len(lines) > 20
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SITEPOLY_PRODUCTS_SHA256
