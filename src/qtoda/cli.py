@@ -26,6 +26,7 @@ from .suites import identity_suite, laxcheck_suite
 from .vertex import SessionParams, VertexContext, tau_table
 from .volterra import (
     RK4_STABILITY_RADIUS,
+    TRACE_BLOCK,
     conserved_quantities,
     integrate_runs,
     invariant_drift,
@@ -46,6 +47,12 @@ MAX_SITE_STEPS = 10**8
 # states over all its runs: 80 MB as float64, before the CSV text.  A
 # larger trajectory is refused before it starts.
 MAX_RECORDED_VALUES = 10**7
+# The most trace work one simulate run may take: H_1..H_kmax of a recorded
+# state take about kmax^2 (a+b)^2 multiply-adds per refined site, in as many
+# numpy calls per banded pass of TRACE_BLOCK states whether or not the pass
+# is full, so a pass counts as full: some seconds on any lattice.  A larger
+# run is refused before it starts.
+MAX_TRACE_WORK = 10**9
 
 
 def _timestamp() -> str:
@@ -223,12 +230,20 @@ def cmd_simulate(args) -> int:
             "raise --dt or lower --t-end"
         )
     # a run records its first state, every record_every-th and its last
-    recorded = sites * sum(-(-n // every) + 1 for n, (_, every) in zip(steps, runs))
+    states = [-(-n // every) + 1 for n, (_, every) in zip(steps, runs)]
+    recorded = sites * sum(states)
     if recorded > MAX_RECORDED_VALUES:
         raise ValueError(
             f"--record-every {args.record_every} records {recorded:.3g} values on "
             f"{sites} refined sites, more than {MAX_RECORDED_VALUES:.0e}: "
             "raise --record-every or lower --t-end"
+        )
+    passes = sum(-(-n // TRACE_BLOCK) for n in states)
+    traces = passes * TRACE_BLOCK * sites * args.invariants**2 * (args.a + args.b) ** 2
+    if traces > MAX_TRACE_WORK:
+        raise ValueError(
+            f"--invariants {args.invariants} takes {traces:.3g} trace steps on {sites} "
+            f"refined sites, more than {MAX_TRACE_WORK:.0e}: lower --invariants"
         )
     # refused before the first step: a start that is not finite, then a
     # step above RK4's stability limit, unless the state's invariants

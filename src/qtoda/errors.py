@@ -48,3 +48,7 @@ class NonFinite(QTodaError):
 
 class MixedSParts(QTodaError):
     """Two q-power sums of different s-parts were added."""
+
+
+class NotSFree(QTodaError):
+    """A q-power sum with an s-part was packed as a polynomial in q^(1/G)."""

@@ -42,10 +42,11 @@ by 1.  Callers may rely on that identity; nothing may mutate a sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul, sub
 from typing import Union
 
-from .errors import MixedSParts
+from .errors import MixedSParts, NotSFree
 
 Rat = Union[int, Fraction]
 
@@ -157,7 +158,8 @@ def _part_mul(a: tuple, b: tuple) -> tuple:
 def _part_from_ints(L: int, D: int, P: dict) -> tuple | None:
     """The part of the sum of P[k]/D * q^(k/L), P's values ints and D > 0:
     one gcd pass, then the smallest grid; None if every value is zero."""
-    P = {k: v for k, v in P.items() if v}
+    if 0 in P.values():  # a scan in C; most sums cancel no term
+        P = {k: v for k, v in P.items() if v}
     if not P:
         return None
     g = gcd(*P.values()) * (1 if P[max(P)] > 0 else -1)
@@ -543,6 +545,76 @@ class QFieldElem:
 
 _ELEM_ZERO = QFieldElem(_QPS_ZERO)
 _ELEM_ONE = QFieldElem(_QPS_ONE)
+
+
+def _digit_width(bound: int) -> int:
+    """The least B whose digits in [-2^(B-1), 2^(B-1)) hold every |int| <= bound."""
+    return bound.bit_length() + 1
+
+
+def _balanced_digits(n: int, B: int, at: int, step: int) -> dict:
+    """The nonzero digits of n in base 2^B, each in [-2^(B-1), 2^(B-1)),
+    keyed by at, at + step, at + 2*step, ... from the lowest."""
+    out, half, mask = {}, 1 << (B - 1), (1 << B) - 1
+    while n:
+        v = n & mask
+        v -= (v & half) << 1  # a digit at or above half borrows from the next
+        if v:
+            out[at] = v
+        n, at = (n - v) >> B, at + step
+    return out
+
+
+def _packing_form(x: QFieldElem) -> tuple:
+    """The s-free x = n/d as (L, lo_n, lo_d, g, Qn, Qd, |Qn|_1, |Qd|_1): n and
+    d on their common grid L, each scaled by the other's content denominator
+    (x = Qn/Qd), lo their lowest exponents, Q the int {exponent - lo:
+    coefficient}, g the gcd of those exponents; an s-part raises `NotSFree`."""
+    if x.num.s not in (_S0, None):
+        raise NotSFree(f"cannot pack {x}: its exponents depend on s")
+    (Ln, (nn, dn), Pn), (Ld, (nd, dd), Pd) = x.num.part or (1, (0, 1), {0: 0}), x.den.part
+    L = lcm(Ln, Ld)
+    ln, ld = min(Pn) * (L // Ln), min(Pd) * (L // Ld)
+    Qn = {k * (L // Ln) - ln: nn * dd * c for k, c in Pn.items()}
+    Qd = {k * (L // Ld) - ld: nd * dn * c for k, c in Pd.items()}
+    return L, ln, ld, gcd(*Qn, *Qd), Qn, Qd, sum(map(abs, Qn.values())), sum(map(abs, Qd.values()))
+
+
+def _packed_sum(forms: list, rows: list) -> QFieldElem:
+    """The sum over the (c, e) rows of c * prod_k x_k^e[k] (c a nonzero int
+    pair, forms[k] the `_packing_form` of x_k = n_k/d_k) over the one
+    denominator prod_k d_k^cap_k, cap_k the largest e[k]: its numerator
+    rows c * prod_k n_k^e[k] d_k^(cap_k - e[k]), and the denominator, are
+    each one big-int sum (Kronecker substitution).  On the common grid G,
+    every n_k and d_k is packed at 2^B from its lowest exponent in steps of
+    s, the gcd of their exponent steps and of the numerator rows' lowest
+    exponents less the least, low; a row is an int C (c over a common
+    denominator) times packed powers, shifted by its lowest exponent less
+    low.  No coefficient exceeds the larger of the two bounds
+    sum |C| prod |Q|_1^f, so with B from it (`_digit_width`) one pass of
+    balanced digits reads each sum back exactly."""
+    G = lcm(*[f[0] for f in forms])
+    lon, lod = [f[1] * (G // f[0]) for f in forms], [f[2] * (G // f[0]) for f in forms]
+    s = gcd(*[f[3] * (G // f[0]) for f in forms])
+    caps, deltas = list(map(max, zip(*[e for _, e in rows]))), list(map(sub, lon, lod))
+    offs = [sum(map(mul, e, deltas)) for _, e in rows]  # less the denominator's, base
+    low, base, D = min(offs), sum(map(mul, caps, lod)), lcm(*[d for (_, d), _ in rows])
+    s = gcd(s, *[o - low for o in offs]) or 1
+    ints = [n * (D // d) for (n, d), _ in rows]
+    an, ad = [f[6] for f in forms], [f[7] for f in forms]
+    bound = sum([abs(C) * prod(map(pow, an, e)) * prod(map(pow, ad, map(sub, caps, e)))
+                 for C, (_, e) in zip(ints, rows)])
+    B, pn, pd, num, parts = _digit_width(max(bound, prod(map(pow, ad, caps)))), [], [], 0, []
+    for L, _, _, _, Qn, Qd, _, _ in forms:
+        pn.append(sum([c << (B * (k * (G // L) // s)) for k, c in Qn.items()]))
+        pd.append(sum([c << (B * (k * (G // L) // s)) for k, c in Qd.items()]))
+    for C, (_, e), o in zip(ints, rows, offs):
+        num += C * prod(map(pow, pn, e)) * prod(map(pow, pd, map(sub, caps, e))) << (B * ((o - low) // s))
+    for t, at, d in ((num, base + low, D), (prod(map(pow, pd, caps)), base, 1)):
+        g = gcd(G, at, s)  # each sum read on the coarsest grid dividing G, at and s
+        parts.append(_part_from_ints(G // g, d, _balanced_digits(t, B, at // g, s // g)))
+    num, den = parts
+    return QFieldElem(_QPS_ZERO if num is None else QPowerSum._raw(_S0, num), QPowerSum._raw(_S0, den))
 
 
 def qpow(c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, coef: Rat = 1) -> QFieldElem:

@@ -14,7 +14,8 @@ The module also provides the closed-form principal specializations of the
 power sums used by the vertex: p_k at q^rho and at q^(nu+rho), each an int
 Laurent polynomial in q^(1/2) over one in q.  The rational continuation to
 q^(-rho) is p_k -> -p_k, so a value there is `negate_p()` evaluated at
-q^rho.
+q^rho.  A `Specialization` evaluates a polynomial at such a point as one
+packed big-int sum over a common denominator (`qfield._packed_sum`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 from .errors import DegreeBoundExceeded
 from .partitions import EMPTY, Partition, partitions_of
-from .qfield import QFieldElem, QPowerSum
+from .qfield import QFieldElem, QPowerSum, _packed_sum, _packing_form
 from .sparse import SparsePoly
 
 # A monomial in p_1, p_2, ... is the tuple of exponents (e1, e2, ..., ek)
@@ -287,23 +288,19 @@ class Specialization:
     """Point values p_k -> QFieldElem for k = 1..bound, with a ring-hom
     evaluator.
 
-    `point(k)` gives the value of p_k.  Each value is made when an
+    `point(k)` gives the s-free value n_k / d_k of p_k, made when an
     evaluation first reads it, so a p_k that no evaluated polynomial holds
-    is never made; a polynomial in a p_k past the bound raises
-    `DegreeBoundExceeded`.  Values are held as (num, den) pairs and
-    polynomials are evaluated over a common denominator, which keeps the
-    q-expression sizes bounded.  For as long as the specialization lives it
-    keeps each value, each power of a num or den it has formed, and each
-    monomial's product over the common denominator per exponent caps, so
-    nothing is formed twice.
+    is never made; a p_k past the bound raises `DegreeBoundExceeded`.  A
+    polynomial is evaluated over the one denominator prod_k d_k^cap_k,
+    cap_k its largest power of p_k, as one packed big-int sum, so no power
+    or product of the values is formed.  For as long as the specialization
+    lives it keeps each value, in the form that sum packs.
     """
 
     def __init__(self, point: Callable[[int], QFieldElem], bound: int):
         self.point = point
         self.bound = bound
-        self._values: dict[int, QFieldElem] = {}
-        self._pow_cache: dict[tuple[str, int, int], QPowerSum] = {}
-        self._product_cache: dict[tuple[Monomial, tuple[int, ...]], QPowerSum] = {}
+        self._values: dict[int, tuple] = {}
 
     @staticmethod
     def rho(degree_bound: int) -> "Specialization":
@@ -313,52 +310,22 @@ class Specialization:
     def nu_rho(nu: Partition, degree_bound: int) -> "Specialization":
         return Specialization(partial(specialize_nu_rho, nu), degree_bound)
 
-    def _value(self, k: int) -> QFieldElem:
+    def _value(self, k: int) -> tuple:
         got = self._values.get(k)
         if got is None:
-            got = self._values[k] = self.point(k)
-        return got
-
-    def _power(self, tag: str, k: int, e: int) -> QPowerSum:
-        if e == 0:
-            return QPowerSum.one()
-        key = (tag, k, e)
-        got = self._pow_cache.get(key)
-        if got is None:
-            base = self._value(k).num if tag == "n" else self._value(k).den
-            got = self._power(tag, k, e - 1) * base
-            self._pow_cache[key] = got
-        return got
-
-    def _product(self, m: Monomial, caps: tuple[int, ...]) -> QPowerSum:
-        """prod_k n_k^(e_k) * d_k^(cap_k - e_k), the e_k read from m."""
-        key = (m, caps)
-        got = self._product_cache.get(key)
-        if got is None:
-            got = QPowerSum.one()
-            for k, cap in enumerate(caps, start=1):
-                e = m[k - 1] if k - 1 < len(m) else 0
-                if e:
-                    got = got * self._power("n", k, e)
-                if cap - e:
-                    got = got * self._power("d", k, cap - e)
-            self._product_cache[key] = got
+            got = self._values[k] = _packing_form(self.point(k))
         return got
 
     def evaluate(self, poly: PowerSumPoly) -> QFieldElem:
-        """Evaluate with every monomial expressed over one shared denominator."""
+        """poly at the point, over prod_k d_k^cap_k (`qfield._packed_sum`)."""
         if poly.is_zero():
             return QFieldElem.zero()
         top = poly.max_index()
         if top > self.bound:
             raise DegreeBoundExceeded(f"specialization lacks p_{self.bound + 1}")
-        caps = [0] * top
-        for m in poly.coeffs:
-            for i, e in enumerate(m):
-                if e > caps[i]:
-                    caps[i] = e
-        caps = tuple(caps)
-        num_total = QPowerSum.combine(
-            (self._product(m, caps), c.as_integer_ratio()) for m, c in poly.coeffs.items()
-        )
-        return QFieldElem(num_total, self._product((), caps))
+        if top == 0:  # a constant is its own value
+            return QFieldElem(QPowerSum.monomial(coef=poly.coeffs[()]))
+        ks = sorted({k for m in poly.coeffs for k, e in enumerate(m, start=1) if e})
+        rows = [(c.as_integer_ratio(), [m[k - 1] if k <= len(m) else 0 for k in ks])
+                for m, c in poly.coeffs.items()]
+        return _packed_sum([self._value(k) for k in ks], rows)

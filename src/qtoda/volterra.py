@@ -479,12 +479,19 @@ def integrate_runs(
     return [Trajectory(state.a, state.b, np.array(t), np.array(s)) for t, s in zip(times, states)]
 
 
+# The recorded states whose traces one banded pass forms: it bounds the
+# arrays live at once in _traces.
+TRACE_BLOCK = 512
+
+
 def invariant_drift(traj: Trajectory, kmax: int = 3) -> tuple[list[float], list[list[float]]]:
     """Max relative drift per invariant: |H_k(t) - H_k(0)| / |H_k(0) + 1|, or
     the absolute change |H_k(t) - H_k(0)| where H_k(0) + 1 is exactly 0, with
-    the traces of the recorded states formed 512 states per banded pass."""
-    blocks = range(0, len(traj.states), 512)  # bounds the arrays live at once in _traces
-    series = [h for i in blocks for h in _traces(traj.states[i:i + 512], traj.a, traj.b, kmax)]
+    the traces of the recorded states formed TRACE_BLOCK states per banded
+    pass."""
+    blocks = range(0, len(traj.states), TRACE_BLOCK)
+    series = [h for i in blocks
+              for h in _traces(traj.states[i:i + TRACE_BLOCK], traj.a, traj.b, kmax)]
     base = series[0]
     drift = [
         max(abs(row[i] - base[i]) for row in series) / (abs(base[i] + 1.0) or 1.0)

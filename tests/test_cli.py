@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 from collections import Counter
 from fractions import Fraction
@@ -665,6 +666,35 @@ def test_simulate_rejects_invariants_zero_before_integrating(tmp_path, monkeypat
     assert code == 2
     assert "--invariants 0 must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_simulate_refuses_unbounded_trace_work_before_integrating(tmp_path, monkeypatch, capsys):
+    # 1,600 invariants of 2 recorded 24-site states, one banded pass counted
+    # as 512 states: 1600^2 * 2^2 * 512 * 24 trace steps, whose banded powers
+    # took about 93 s before H_506 overflowed
+    monkeypatch.chdir(tmp_path)  # where the default CSV path would be written
+    start = time.monotonic()
+    code = main(["simulate", "--t-end", "0.01", "--invariants", "1600"])
+    elapsed = time.monotonic() - start
+    assert code == 2 and elapsed < 5.0
+    err = capsys.readouterr().err
+    assert err == ("error: --invariants 1600 takes 1.26e+11 trace steps on 24 refined sites, "
+                   "more than 1e+09: lower --invariants\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("invariants, refused", [(142, False), (143, True)])
+def test_simulate_trace_bound_sits_at_its_limit(tmp_path, monkeypatch, capsys, invariants, refused):
+    # 512 * 24 * 2^2 * 142^2 = 9.9e8 trace steps are within 1e9, 143^2 are not
+    monkeypatch.setattr(cli, "integrate_runs", _integrated)
+    argv = ["simulate", "--t-end", "0.01", "--invariants", str(invariants),
+            "--out-csv", str(tmp_path / "run.csv")]
+    if not refused:
+        with pytest.raises(_Integrated):
+            main(argv)
+        return
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --invariants 143 takes 1.01e+09 trace steps")
 
 
 @pytest.mark.parametrize("report, csv", [

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from qtoda import schur
-from qtoda.errors import DegreeBoundExceeded
+from qtoda import qfield, schur
+from qtoda.errors import DegreeBoundExceeded, NotSFree
 from qtoda.partitions import EMPTY, Partition, enumerate_partitions
-from qtoda.qfield import QFieldElem, QPowerSum
+from qtoda.qfield import QFieldElem, QPowerSum, qpow
 from qtoda.suites import schur_structure_suite
 from qtoda.vertex import VertexContext, subpartitions
 from qtoda.schur import (
@@ -404,3 +405,123 @@ def test_special_point_check_fails_on_a_wrong_nu_rho_value(monkeypatch):
     }
     failing = next(c for c in report["checks"] if not c["passed"])
     assert failing["detail"].split("; ")[0] == f"({Partition((1,))}, k=1)"
+
+
+# -- the packed evaluator against products and sums of field elements -------------
+
+POINTS = [
+    ("rho", specialize_rho),
+    ("-rho", lambda k: -specialize_rho(k)),
+    *((f"nu_rho{nu}", partial(specialize_nu_rho, Partition(nu))) for nu in [(1,), (2, 1), (3, 1, 1)]),
+]
+
+
+def _random_poly(rng: random.Random, top: int = 4) -> PowerSumPoly:
+    """A few monomials in p_1..p_top, with Fraction coefficients of either
+    sign, numerators and denominators up to past 2^64."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, top)))
+        while mono and not mono[-1]:
+            mono = mono[:-1]
+        size = rng.choice([3, 70])
+        coeffs[mono] = Fraction(rng.randint(-2**size, 2**size) or 1, rng.randint(1, 2**(size - 2)))
+    return PowerSumPoly(coeffs)
+
+
+def _by_elements(point, poly: PowerSumPoly) -> QFieldElem:
+    """sum_m c_m prod_k p_k^(e_k), each term a product of field elements."""
+    total = QFieldElem.zero()
+    for m, c in poly.coeffs.items():
+        term = qpow(coef=c)
+        for k, e in enumerate(m, start=1):
+            for _ in range(e):
+                term = term * point(k)
+        total = total + term
+    return total
+
+
+def _over_the_caps(point, poly: PowerSumPoly) -> QFieldElem:
+    """The same sum over prod_k d_k^cap_k, cap_k the largest power of p_k
+    in poly: its numerator sum_m c_m prod_k n_k^(e_k) d_k^(cap_k - e_k) made
+    with QPowerSum products and sums, the form `evaluate` returns."""
+    caps = [max((m[k] for m in poly.coeffs if k < len(m)), default=0) for k in range(poly.max_index())]
+    values = {k: point(k) for k, cap in enumerate(caps, start=1) if cap}
+    num, den = QPowerSum.zero(), QPowerSum.one()
+    for k, v in values.items():
+        den = den * _qps_power(v.den, caps[k - 1])
+    for m, c in poly.coeffs.items():
+        term = QPowerSum.monomial(coef=c)
+        for k, v in values.items():
+            e = m[k - 1] if k <= len(m) else 0
+            term = term * _qps_power(v.num, e) * _qps_power(v.den, caps[k - 1] - e)
+        num = num + term
+    return QFieldElem(num, den)
+
+
+def _qps_power(x: QPowerSum, e: int) -> QPowerSum:
+    out = QPowerSum.one()
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+def _packing_failures(cases) -> list[str]:
+    """The (point, poly) cases whose packed value differs from the element
+    route by value, or from the common-denominator route by its text."""
+    bad = []
+    for name, point, poly in cases:
+        try:
+            got = Specialization(point, 8).evaluate(poly)
+        except ZeroDivisionError:  # a denominator read back as 0
+            got = None
+        if got is None or got != _by_elements(point, poly) or str(got) != str(
+                _over_the_caps(point, poly)):
+            bad.append(f"{name}: {poly}")
+    return bad
+
+
+def _seeded_cases(seed: int, count: int = 6):
+    rng = random.Random(seed)
+    return [(name, point, _random_poly(rng)) for name, point in POINTS for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_evaluate_matches_sums_of_products(seed):
+    assert _packing_failures(_seeded_cases(seed)) == []
+
+
+# a numerator coefficient that needs every bit of its width: 3*p_1 at q^rho
+# is -3*q^(1/2) / (1 - q), with the bound 3 of width 3
+TIGHT = [("rho", specialize_rho, PowerSumPoly.p(1).scale(3))]
+
+
+def test_the_packed_check_sees_a_width_one_bit_short(monkeypatch):
+    # negative control: balanced digits of width bound.bit_length() hold
+    # only [-2, 2) for the bound 3
+    assert _packing_failures(TIGHT) == []
+    monkeypatch.setattr(qfield, "_digit_width", lambda bound: bound.bit_length())
+    assert _packing_failures(TIGHT) == ["rho: 3*p1"]
+
+
+def test_the_packed_check_sees_unsigned_digits(monkeypatch):
+    # negative control: digits read in [0, 2^B) and no borrow; every
+    # denominator 1 - q^k has a negative coefficient
+    def unsigned(n, B, at, step):
+        out = {}
+        while n > 0:
+            if n & ((1 << B) - 1):
+                out[at] = n & ((1 << B) - 1)
+            n, at = n >> B, at + step
+        return out
+
+    monkeypatch.setattr(qfield, "_balanced_digits", unsigned)
+    cases = TIGHT + _seeded_cases(0, count=1)
+    packed = [f"{name}: {poly}" for name, _, poly in cases if poly.max_index()]  # no constant
+    assert len(packed) > 4 and _packing_failures(cases) == packed
+
+
+def test_a_point_with_an_s_part_is_refused():
+    spec = Specialization(lambda k: qpow(c1=k), 2)  # q^(k*s)
+    with pytest.raises(NotSFree, match=r"^cannot pack .*: its exponents depend on s$"):
+        spec.evaluate(PowerSumPoly.p(1))

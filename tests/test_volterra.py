@@ -440,6 +440,51 @@ def test_conserved_h1_formula():
     assert H[0] == -2 * sum(state.sites)
 
 
+# -- the hungry Lotka-Volterra lattice, a closed form from outside this package -----
+
+
+def _hungry_lv_rhs(u: list, n: int) -> list:
+    """du_j/dt = u_j * sum_{i=1..n} (u_{j-i} - u_{j+i}) on a periodic list:
+    the hungry Lotka-Volterra (Bogoyavlensky) lattice, Bogoyavlensky,
+    Phys. Lett. A 134 (1988) 34; also Narita, J. Phys. Soc. Japan 51
+    (1982) 1682 and Itoh, Prog. Theor. Phys. 78 (1987) 507."""
+    N = len(u)
+    return [u[j] * sum(u[(j - i) % N] - u[(j + i) % N] for i in range(1, n + 1)) for j in range(N)]
+
+
+def _hungry_lv_h1(u: list, n: int):
+    """Its first trace, H_1 = -(n+1) * sum_j u_j."""
+    return -(n + 1) * sum(u)
+
+
+def _hungry_lv_mismatches(n: int, seed: int) -> list[str]:
+    """Where flow_rhs and conserved_quantities(state, 1) of type (1, n), tau = n,
+    differ from the closed forms, on a seeded Fraction state of n + 2 coarse
+    sites (more than n, so no closed path of L^(n+1) wraps the period)."""
+    rng = np.random.default_rng(seed)
+    u = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 50, size=((n + 2) * (n + 1), 2))]
+    state = LatticeState(1, n, np.array(u, dtype=object))
+    bad = []
+    if list(flow_rhs(state)) != _hungry_lv_rhs(u, n):
+        bad.append("flow")
+    if conserved_quantities(state, 1) != [_hungry_lv_h1(u, n)]:
+        bad.append("H_1")
+    return bad
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_type_1_n_is_the_hungry_lotka_volterra_lattice(n):
+    for seed in range(3):
+        assert _hungry_lv_mismatches(n, seed) == [], (n, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_the_hungry_lv_check_sees_a_moved_band(monkeypatch, n):
+    # negative control: the -u band one site nearer the diagonal, at j - (b-1)
+    monkeypatch.setattr(volterra, "lax_diagonals", lambda u, a, b: {a: np.ones_like(u), 1 - b: -u})
+    assert "H_1" in _hungry_lv_mismatches(n, 0)
+
+
 def test_zero_state_traces_are_shift_traces():
     # pure shift: trace of the k*(a+b)-power is n when the shift wraps fully
     assert conserved_quantities(LatticeState(1, 1, np.zeros(24)), 3) == [0.0, 0.0, 0.0]
