@@ -245,12 +245,11 @@ def cmd_simulate(args) -> int:
             f"--invariants {args.invariants} takes {traces:.3g} trace steps on {sites} "
             f"refined sites, more than {MAX_TRACE_WORK:.0e}: lower --invariants"
         )
-    # refused before the first step: a start that is not finite, then a
-    # step above RK4's stability limit, unless the state's invariants
-    # overflow, which names the state as the cause
+    # refused before the first step: a start that is not finite, then
+    # invariants that already overflow, then a step above RK4's stability limit
     rho = rk4_unstable_rate(state, args.flows, args.dt)
+    _require_finite_invariants(conserved_quantities(state, args.invariants))
     if rho is not None:
-        _require_finite_invariants(conserved_quantities(state, args.invariants))
         raise ValueError(
             f"--dt {args.dt} is above RK4's stability limit 2*sqrt(2)/rho = "
             f"{RK4_STABILITY_RADIUS / rho:.4g}, rho = {rho:.4g} being the spectral radius of "
@@ -259,7 +258,7 @@ def cmd_simulate(args) -> int:
     traj, *half = integrate_runs(state, args.flows, args.t_end, runs)
     drift, series = invariant_drift(traj, args.invariants)
     drift_half = invariant_drift(half[0], args.invariants)[0] if half else None
-    _require_finite_invariants(series[0], drift, drift_half or drift)
+    _require_finite_invariants(drift, drift_half or drift)
 
     n = traj.states.shape[1]
     head = ["time", *(f"u_{j}" for j in range(n)),

@@ -6,8 +6,11 @@ in the shift Lam, with a rational step quantum.  The defining relation is
     (a(s) Lam^x) (b(s) Lam^y) = a(s) b(s+x) Lam^(x+y).
 
 Every operator carries the window on which its coefficients are certified:
-`floor`/`ceil` are the lowest/highest known index, None meaning the series
-is exactly known in that direction (all unstored coefficients zero).
+`floor`/`ceil` are the lowest/highest known index, an extended integer that
+is -inf/+inf where the series is exactly known in that direction (all
+unstored coefficients zero), so window arithmetic is plain max and min.
+None spells an exact edge only at the boundary: the constructor takes it and
+`window()` returns it.
 Products propagate windows conservatively, so an assertion quantified over
 a window can never silently pass because of discarded terms.
 
@@ -161,42 +164,29 @@ def _offset_str(i: int, grid: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _max_opt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def _min_opt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _product_edge(a: "DiffOp", b: "DiffOp", lower: bool) -> int | None:
+def _product_edge(a: "DiffOp", b: "DiffOp", lower: bool) -> int | float:
     """Floor (lower) or ceil of a*b: a truncated edge of one factor plus the
     other factor's farthest nonzero index on the far side, the nearest such
     bound kept.  A far side that is itself truncated leaves no window."""
     edges = []
     for x, y in ((a, b), (b, a)):
-        edge = x.floor if lower else x.ceil
-        if edge is None:
+        edge, far = (x.floor, y.ceil) if lower else (x.ceil, y.floor)
+        if math.isinf(edge):
             continue
-        if (y.ceil if lower else y.floor) is not None:
+        if math.isfinite(far):
             raise TruncationInsufficient("product of opposite truncations has no window")
         if y.coeffs:
             edges.append(edge + (max(y.coeffs) if lower else min(y.coeffs)))
-    if not edges:
-        return None
-    return max(edges) if lower else min(edges)
+    return max(edges, default=-math.inf) if lower else min(edges, default=math.inf)
 
 
 class DiffOp:
-    """sum over n of coeffs[n] * Lam^(n*step), certified on [floor, ceil]."""
+    """sum over n of coeffs[n] * Lam^(n*step), certified on [floor, ceil].
+
+    floor and ceil are ints, or -inf and +inf for an exactly known side;
+    the constructor also takes None for an exact side, and `window()` shows
+    one as None.
+    """
 
     __slots__ = ("step", "coeffs", "floor", "ceil", "zero_coeff")
 
@@ -208,18 +198,11 @@ class DiffOp:
         self.step = step
         if zero is None and coeffs:
             zero = type(next(iter(coeffs.values()))).zero()
-        cleaned = {}
-        for n, c in coeffs.items():
-            if c.is_zero():
-                continue
-            if floor is not None and n < floor:
-                continue
-            if ceil is not None and n > ceil:
-                continue
-            cleaned[int(n)] = c
-        self.coeffs = cleaned
-        self.floor = floor
-        self.ceil = ceil
+        self.floor = floor = -math.inf if floor is None else floor
+        self.ceil = ceil = math.inf if ceil is None else ceil
+        self.coeffs = {
+            int(n): c for n, c in coeffs.items() if floor <= n <= ceil and not c.is_zero()
+        }
         self.zero_coeff = zero
 
     @staticmethod
@@ -244,9 +227,7 @@ class DiffOp:
 
     def coeff(self, index: int):
         """Coefficient at an index inside the known window (zero if unstored)."""
-        if (self.floor is not None and index < self.floor) or (
-            self.ceil is not None and index > self.ceil
-        ):
+        if not self.floor <= index <= self.ceil:
             raise TruncationInsufficient(
                 f"coefficient index {index} outside known window {self.window()}"
             )
@@ -258,13 +239,14 @@ class DiffOp:
         return self.zero_coeff
 
     def window(self) -> tuple:
-        return (self.floor, self.ceil)
+        """(floor, ceil), an exactly known side as None."""
+        return tuple(None if math.isinf(e) else e for e in (self.floor, self.ceil))
 
     def is_zero_on_window(self) -> bool:
         return not self.coeffs
 
     def is_exact(self) -> bool:
-        return self.floor is None and self.ceil is None
+        return self.floor == -math.inf and self.ceil == math.inf
 
     # -- step refinement ------------------------------------------------------
 
@@ -277,10 +259,7 @@ class DiffOp:
         if r == 1:
             return self
         return self._like(
-            {n * r: c for n, c in self.coeffs.items()},
-            None if self.floor is None else self.floor * r,
-            None if self.ceil is None else self.ceil * r,
-            step=new_step,
+            {n * r: c for n, c in self.coeffs.items()}, self.floor * r, self.ceil * r, step=new_step
         )
 
     @staticmethod
@@ -297,9 +276,8 @@ class DiffOp:
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
             out[n] = out[n] + c if n in out else c
-        return self._like(
-            out, _max_opt(self.floor, other.floor), _min_opt(self.ceil, other.ceil), other=other
-        )
+        floor, ceil = max(self.floor, other.floor), min(self.ceil, other.ceil)
+        return self._like(out, floor, ceil, other=other)
 
     def __neg__(self) -> "DiffOp":
         return self._like({n: -c for n, c in self.coeffs.items()}, self.floor, self.ceil)
@@ -319,11 +297,8 @@ class DiffOp:
             shift_amount = n1 * step
             for n2, c2 in b.coeffs.items():
                 n = n1 + n2
-                if floor is not None and n < floor:
-                    continue
-                if ceil is not None and n > ceil:
-                    continue
-                pending.setdefault(n, []).append(c1 * c2.shift(shift_amount))
+                if floor <= n <= ceil:
+                    pending.setdefault(n, []).append(c1 * c2.shift(shift_amount))
         out = {
             n: terms[0] if len(terms) == 1 else type(terms[0]).sum(terms)
             for n, terms in pending.items()
@@ -342,25 +317,23 @@ class DiffOp:
 
     def proj_nonneg(self) -> "DiffOp":
         """Shift powers >= 0; the whole nonnegative range must be certified."""
-        if self.floor is not None and self.floor > 0:
+        if self.floor > 0:
             raise TruncationInsufficient("nonnegative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n >= 0}
-        ceil = None if self.ceil is None else max(self.ceil, -1)  # indices < 0 are known zeros
-        return self._like(kept, None, ceil)
+        return self._like(kept, None, max(self.ceil, -1))  # indices < 0 are known zeros
 
     def proj_neg(self) -> "DiffOp":
         """Shift powers < 0; the whole negative range must be certified."""
-        if self.ceil is not None and self.ceil < -1:
+        if self.ceil < -1:
             raise TruncationInsufficient("negative part not fully certified")
         kept = {n: c for n, c in self.coeffs.items() if n < 0}
-        floor = None if self.floor is None else min(self.floor, 0)  # indices >= 0 are known zeros
-        return self._like(kept, floor, None)
+        return self._like(kept, min(self.floor, 0), None)  # indices >= 0 are known zeros
 
     def with_floor(self, floor) -> "DiffOp":
-        return self._like(self.coeffs, _max_opt(self.floor, floor), self.ceil)
+        return self._like(self.coeffs, max(self.floor, floor), self.ceil)
 
     def with_ceil(self, ceil) -> "DiffOp":
-        return self._like(self.coeffs, self.floor, _min_opt(self.ceil, ceil))
+        return self._like(self.coeffs, self.floor, min(self.ceil, ceil))
 
     # -- formatting ------------------------------------------------------------------
 
@@ -395,20 +368,20 @@ def op_inverse(a: DiffOp, depth: int, side: str | None = None) -> DiffOp:
         raise NonInvertibleLeading("cannot invert an operator with empty window")
     idxs = a.indices()
     if side is None:
-        if a.ceil is None:
+        if a.ceil == math.inf:
             side = "top"
-        elif a.floor is None:
+        elif a.floor == -math.inf:
             side = "bot"
         else:
             raise NonInvertibleLeading("both directions truncated; no certified pivot")
     if side == "top":
-        if a.ceil is not None:
+        if a.ceil != math.inf:
             raise NonInvertibleLeading("unknown terms above the candidate top pivot")
         pivot = idxs[-1]
         if depth > -pivot:
             raise TruncationInsufficient("depth does not reach the pivot term")
     elif side == "bot":
-        if a.floor is not None:
+        if a.floor != -math.inf:
             raise NonInvertibleLeading("unknown terms below the candidate bottom pivot")
         pivot = idxs[0]
         if depth < -pivot:
@@ -457,9 +430,8 @@ def monomial_pow(op: DiffOp, k: int) -> DiffOp:
 def _offence(residual: DiffOp) -> tuple | None:
     """(power, coefficient text, message) of the lowest nonzero coefficient of a
     residual that should vanish, or None; an empty window offends at power None."""
-    lo, hi = residual.window()
-    if lo is not None and hi is not None and lo > hi:
-        return None, None, f"empty window {(lo, hi)}"
+    if residual.floor > residual.ceil:
+        return None, None, f"empty window {residual.window()}"
     if not residual.coeffs:
         return None
     n = min(residual.coeffs)

@@ -81,14 +81,6 @@ class PowerSumPoly(SparsePoly):
             f"p{k}" if e == 1 else f"p{k}^{e}" for k, e in enumerate(m, start=1) if e
         )
 
-    @staticmethod
-    def p(k: int) -> "PowerSumPoly":
-        """The generator p_k."""
-        if k < 1:
-            raise ValueError("power-sum index must be >= 1")
-        mono = (0,) * (k - 1) + (1,)
-        return PowerSumPoly({mono: Fraction(1)})
-
     def negate_p(self) -> "PowerSumPoly":
         """Substitute p_k -> -p_k for every k."""
         return PowerSumPoly._raw(

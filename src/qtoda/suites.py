@@ -8,6 +8,7 @@ The functions are also what the acceptance tests call.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import RelationViolated
@@ -234,8 +235,8 @@ def laxcheck_suite(params: SessionParams, tau_degree: int | None = None, flow_k:
         cc = cross_check_initial(session, tau_degree, flow_k)
         checks += [{**chk, "name": "tau_" + chk["name"]} for chk in cc["checks"]]
         tau_fields["gauge"] = cc["gauge"]
-    lo = total.floor if total.floor is not None else min(total.coeffs, default=0)
-    hi = total.ceil if total.ceil is not None else max(total.coeffs, default=0)
+    lo = total.floor if math.isfinite(total.floor) else min(total.coeffs, default=0)
+    hi = total.ceil if math.isfinite(total.ceil) else max(total.coeffs, default=0)
     residuals = {
         "fractional_sum_window": [str(n if n is None else n * params.step) for n in total.window()],
         "fractional_sum": {str(n * params.step): str(total.coeff(n)) for n in range(lo, hi + 1)},

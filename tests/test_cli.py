@@ -835,6 +835,27 @@ def test_simulate_refuses_finite_traces_that_sum_past_double_range(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_refuses_overflowing_initial_invariants_before_a_step(tmp_path, monkeypatch,
+                                                                        capsys):
+    # at base 1e4 H_40 of the initial state already overflows, and dt is
+    # far below RK4's stability limit: the run is refused with no step taken
+    calls = []
+    rhs = volterra._rhs
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return rhs(*args)
+
+    monkeypatch.setattr(volterra, "_rhs", counted)
+    code = main(["simulate", "--base", "1e4", "--amplitude", "0", "--invariants", "40",
+                 "--dt", "1e-6", "--t-end", "2e-2", "--out-csv", str(tmp_path / "run.csv"),
+                 "--out", str(tmp_path / "run.json")])
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err == (
+        "error: invariant H_40 is not finite: lower --base or --amplitude\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_drift_is_the_absolute_change_where_h_plus_one_is_zero(tmp_path, capsys):
     # 8 sites at base 1/32 give H_1(0) = -2 * sum(u) = -1 exactly, so the
     # relative drift's divisor |H_1(0) + 1| is 0 and the drift is absolute

@@ -171,9 +171,9 @@ def test_window_arithmetic_conservative():
     v = DiffOp(Fraction(1), {0: ONE, -1: QS}, floor=-1, ceil=None)
     prod = w * v
     # unknown terms of v below -1 meet the top of w at 0: floor is -1+0
-    assert prod.floor == -1 and prod.ceil is None
+    assert prod.window() == (-1, None)
     exact = DiffOp(Fraction(1), {0: ONE, -1: QS})
-    assert (exact * exact).floor is None
+    assert (exact * exact).window() == (None, None)
     with pytest.raises(TruncationInsufficient):
         prod.coeff(-2)
 
@@ -264,6 +264,12 @@ def _random_truncation(rng, full):
     return DiffOp(full.step, full.coeffs, floor, ceil)
 
 
+def _opposite_truncations(a: DiffOp, b: DiffOp) -> bool:
+    """Whether one operand is truncated below and the other above."""
+    (a_lo, a_hi), (b_lo, b_hi) = a.window(), b.window()
+    return (a_lo is not None and b_hi is not None) or (a_hi is not None and b_lo is not None)
+
+
 def _first_disagreement(got: DiffOp, exact: DiffOp, lo: int, hi: int):
     return next((n for n in range(lo, hi + 1) if got.coeff(n) != exact.coeff(n)), None)
 
@@ -279,9 +285,7 @@ def test_product_window_never_certifies_a_discarded_term():
         step, lam = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)]), rng.choice(LAMBDAS)
         full_a, full_b = _random_full(rng, step, lam), _random_full(rng, step, lam)
         a, b = _random_truncation(rng, full_a), _random_truncation(rng, full_b)
-        if (a.floor is not None and b.ceil is not None) or (
-            a.ceil is not None and b.floor is not None
-        ):
+        if _opposite_truncations(a, b):
             with pytest.raises(TruncationInsufficient, match="opposite truncations"):
                 a * b
             raised += 1
@@ -289,17 +293,18 @@ def test_product_window_never_certifies_a_discarded_term():
         got, exact = a * b, full_a * full_b
         products += 1
         known = list(exact.coeffs) + list(got.coeffs)
-        lo = got.floor if got.floor is not None else min(known) - 1
-        hi = got.ceil if got.ceil is not None else max(known) + 1
+        floor, ceil = got.window()
+        lo = floor if floor is not None else min(known) - 1
+        hi = ceil if ceil is not None else max(known) + 1
         assert _first_disagreement(got, exact, lo, hi) is None, (trial, a, b)
         if lo > hi:
             continue
         # every term the truncations do hold, summed without a window
         unwindowed = DiffOp(step, a.coeffs) * DiffOp(step, b.coeffs)
-        if got.floor is not None:
+        if floor is not None:
             widened += 1
             assert _first_disagreement(unwindowed, exact, lo - 1, hi) == lo - 1, (trial, a, b)
-        if got.ceil is not None:
+        if ceil is not None:
             widened += 1
             assert _first_disagreement(unwindowed, exact, lo, hi + 1) == hi + 1, (trial, a, b)
     assert raised > 20 and products > 150 and widened > 100, (raised, products, widened)
@@ -320,8 +325,9 @@ def _completion(rng, full, cut, lam):
     second exact operator that `cut` truncates, differing from `full` on
     every discarded index that the checks below look at."""
     coeffs = dict(full.coeffs)
+    lo, hi = cut.window()
     for n in range(-8, 11):
-        if (cut.floor is not None and n < cut.floor) or (cut.ceil is not None and n > cut.ceil):
+        if (lo is not None and n < lo) or (hi is not None and n > hi):
             extra = qpow(Fraction(rng.randint(-9, 9), 4), lam * n, coef=rng.randint(2, 9))
             coeffs[n] = coeffs[n] + extra if n in coeffs else extra
     return DiffOp(full.step, coeffs)
@@ -396,7 +402,7 @@ def test_pow_int_window_is_sound_and_tight():
         truth, other_k = full, other
         for _ in range(k - 1):
             truth, other_k = _schoolbook(truth, full), _schoolbook(other_k, other)
-        if k > 1 and a.floor is not None and a.ceil is not None:
+        if k > 1 and None not in a.window():
             with pytest.raises(TruncationInsufficient):
                 a.pow_int(k)
             assert _differs_somewhere(truth, other_k, _span(truth))
@@ -464,6 +470,121 @@ def test_projection_is_sound_and_tight(method):
             continue
         refused += _check_claims(got, truth, other_part, _span(full, got))
     assert whole > 10 and refused > 50, (whole, refused)
+
+
+# -- the window rules as they were stated on None edges (None: that side is
+# exactly known), kept as an oracle for the extended-integer edges that the
+# algebra stores: every operation's window() must equal the oracle's ---------
+
+
+def _max_opt(x, y):
+    """The larger of two window edges, a None edge skipped."""
+    return y if x is None else x if y is None else max(x, y)
+
+
+def _min_opt(x, y):
+    """The smaller of two window edges, a None edge skipped."""
+    return y if x is None else x if y is None else min(x, y)
+
+
+def _oracle_product_edge(a: DiffOp, b: DiffOp, lower: bool):
+    edges = []
+    for x, y in ((a, b), (b, a)):
+        (x_lo, x_hi), (y_lo, y_hi) = x.window(), y.window()
+        edge = x_lo if lower else x_hi
+        if edge is None:
+            continue
+        if (y_hi if lower else y_lo) is not None:
+            raise TruncationInsufficient("product of opposite truncations has no window")
+        if y.coeffs:
+            edges.append(edge + (max(y.coeffs) if lower else min(y.coeffs)))
+    if not edges:
+        return None
+    return max(edges) if lower else min(edges)
+
+
+def _oracle_product(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a * b summed term by term and cut to the oracle's window: the factor
+    that the oracle's next power reads the stored indices of."""
+    window = _oracle_product_edge(a, b, True), _oracle_product_edge(a, b, False)
+    return DiffOp(a.step, _schoolbook(a, b).coeffs, *window)
+
+
+def _oracle_window(name: str, a: DiffOp, b: DiffOp, r: int, edge: int) -> tuple:
+    """The window of the operation `name` by the rules on None edges; raises
+    TruncationInsufficient where they refuse the whole operation."""
+    (a_lo, a_hi), (b_lo, b_hi) = a.window(), b.window()
+    if name in ("a + b", "a - b"):
+        return _max_opt(a_lo, b_lo), _min_opt(a_hi, b_hi)
+    if name == "-a":
+        return a_lo, a_hi
+    if name == "a * b":
+        return _oracle_product_edge(a, b, True), _oracle_product_edge(a, b, False)
+    if name == "a.pow_int(r)":
+        out = a
+        for _ in range(r - 1):
+            out = _oracle_product(out, a)
+        return out.window()
+    if name == "a.with_step(step / r)":
+        return None if a_lo is None else a_lo * r, None if a_hi is None else a_hi * r
+    if name == "a.proj_nonneg()":
+        if a_lo is not None and a_lo > 0:
+            raise TruncationInsufficient("nonnegative part not fully certified")
+        return None, None if a_hi is None else max(a_hi, -1)
+    if name == "a.proj_neg()":
+        if a_hi is not None and a_hi < -1:
+            raise TruncationInsufficient("negative part not fully certified")
+        return None if a_lo is None else min(a_lo, 0), None
+    if name == "a.with_floor(edge)":
+        return _max_opt(a_lo, edge), a_hi
+    assert name == "a.with_ceil(edge)"
+    return a_lo, _min_opt(a_hi, edge)
+
+
+WINDOW_OPERATIONS = {
+    "a + b": lambda a, b, r, edge: a + b,
+    "a - b": lambda a, b, r, edge: a - b,
+    "-a": lambda a, b, r, edge: -a,
+    "a * b": lambda a, b, r, edge: a * b,
+    "a.pow_int(r)": lambda a, b, r, edge: a.pow_int(r),
+    "a.with_step(step / r)": lambda a, b, r, edge: a.with_step(a.step / r),
+    "a.proj_nonneg()": lambda a, b, r, edge: a.proj_nonneg(),
+    "a.proj_neg()": lambda a, b, r, edge: a.proj_neg(),
+    "a.with_floor(edge)": lambda a, b, r, edge: a.with_floor(edge),
+    "a.with_ceil(edge)": lambda a, b, r, edge: a.with_ceil(edge),
+}
+
+
+def _oracle_outcome(*args):
+    """The oracle's window, or "refused"."""
+    try:
+        return _oracle_window(*args)
+    except TruncationInsufficient:
+        return "refused"
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_OPERATIONS))
+def test_every_window_equals_the_rules_stated_on_none_edges(name):
+    rng = random.Random(27)
+    outcomes = Counter()
+    for _ in range(150):
+        step, lam = rng.choice(STEPS), rng.choice(LAMBDAS)
+        a, b = _operand(rng, step, lam)[0], _operand(rng, step, lam)[0]
+        r, edge = rng.randint(1, 3), rng.randint(-6, 8)
+        args = a, b, r, edge
+        expected = _oracle_outcome(name, *args)
+        if expected == "refused":
+            with pytest.raises(TruncationInsufficient):
+                WINDOW_OPERATIONS[name](*args)
+            outcomes["refused"] += 1
+            continue
+        got = WINDOW_OPERATIONS[name](*args)
+        window = got.window()
+        assert window == expected, (name, a, b, r, edge)
+        assert all(e is None or type(e) is int for e in window), window  # no infinity
+        assert got.is_exact() == (window == (None, None))
+        outcomes["exact" if window == (None, None) else "truncated"] += 1
+    assert outcomes["truncated"] > 20, outcomes
 
 
 def _monomial_power(step, idx, coef, k):

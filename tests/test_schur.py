@@ -20,9 +20,15 @@ from qtoda.schur import (
     specialize_rho,
 )
 
-P1 = PowerSumPoly.p(1)
-P2 = PowerSumPoly.p(2)
-P3 = PowerSumPoly.p(3)
+
+def power_sum(k: int) -> PowerSumPoly:
+    """The generator p_k."""
+    return PowerSumPoly({(0,) * (k - 1) + (1,): Fraction(1)})
+
+
+P1 = power_sum(1)
+P2 = power_sum(2)
+P3 = power_sum(3)
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +290,7 @@ def _fraction_h(m: int, cache: dict) -> PowerSumPoly:
     if m not in cache:
         acc = PowerSumPoly.one() if m == 0 else PowerSumPoly.zero()
         for k in range(1, m + 1):
-            acc = acc + PowerSumPoly.p(k) * _fraction_h(m - k, cache)
+            acc = acc + power_sum(k) * _fraction_h(m - k, cache)
         cache[m] = acc if m == 0 else acc.scale(Fraction(1, m))
     return cache[m]
 
@@ -377,10 +383,10 @@ def test_specialization_evaluator_is_ring_hom(ring):
 
 def test_specialization_matches_direct_value():
     rho = Specialization.rho(4)
-    assert rho.evaluate(PowerSumPoly.p(3)) == specialize_rho(3)
+    assert rho.evaluate(power_sum(3)) == specialize_rho(3)
     missing = Specialization(specialize_rho, 1)
     with pytest.raises(DegreeBoundExceeded):
-        missing.evaluate(PowerSumPoly.p(2))
+        missing.evaluate(power_sum(2))
 
 
 def test_special_point_check_fails_on_a_wrong_nu_rho_value(monkeypatch):
@@ -493,7 +499,7 @@ def test_packed_evaluate_matches_sums_of_products(seed):
 
 # a numerator coefficient that needs every bit of its width: 3*p_1 at q^rho
 # is -3*q^(1/2) / (1 - q), with the bound 3 of width 3
-TIGHT = [("rho", specialize_rho, PowerSumPoly.p(1).scale(3))]
+TIGHT = [("rho", specialize_rho, power_sum(1).scale(3))]
 
 
 def test_the_packed_check_sees_a_width_one_bit_short(monkeypatch):
@@ -524,4 +530,4 @@ def test_the_packed_check_sees_unsigned_digits(monkeypatch):
 def test_a_point_with_an_s_part_is_refused():
     spec = Specialization(lambda k: qpow(c1=k), 2)  # q^(k*s)
     with pytest.raises(NotSFree, match=r"^cannot pack .*: its exponents depend on s$"):
-        spec.evaluate(PowerSumPoly.p(1))
+        spec.evaluate(power_sum(1))

@@ -443,6 +443,11 @@ def test_conserved_h1_formula():
 # -- the hungry Lotka-Volterra lattice, a closed form from outside this package -----
 
 
+def _seeded_fractions(count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [Fraction(int(p), int(q)) for p, q in rng.integers(1, 50, size=(count, 2))]
+
+
 def _hungry_lv_rhs(u: list, n: int) -> list:
     """du_j/dt = u_j * sum_{i=1..n} (u_{j-i} - u_{j+i}) on a periodic list:
     the hungry Lotka-Volterra (Bogoyavlensky) lattice, Bogoyavlensky,
@@ -458,21 +463,24 @@ def _hungry_lv_h1(u: list, n: int):
 
 
 def _hungry_lv_mismatches(n: int, seed: int) -> list[str]:
-    """Where flow_rhs and conserved_quantities(state, 1) of type (1, n), tau = n,
-    differ from the closed forms, on a seeded Fraction state of n + 2 coarse
-    sites (more than n, so no closed path of L^(n+1) wraps the period)."""
-    rng = np.random.default_rng(seed)
-    u = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 50, size=((n + 2) * (n + 1), 2))]
-    state = LatticeState(1, n, np.array(u, dtype=object))
+    """Where flow_rhs, the symbolic stencil and conserved_quantities(state, 1)
+    of type (1, n), tau = n, differ from the closed forms, on a seeded
+    Fraction state of n + 2 coarse sites (more than n, so no closed path of
+    L^(n+1) wraps the period)."""
+    u = _seeded_fractions((n + 2) * (n + 1), seed)
+    sites = np.array(u, dtype=object)
+    state = LatticeState(1, n, sites)
     bad = []
     if list(flow_rhs(state)) != _hungry_lv_rhs(u, n):
         bad.append("flow")
+    if list(stencil_apply(symbolic_flow_stencil(1, n, 1), sites, n + 1)) != _hungry_lv_rhs(u, n):
+        bad.append("stencil")
     if conserved_quantities(state, 1) != [_hungry_lv_h1(u, n)]:
         bad.append("H_1")
     return bad
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_type_1_n_is_the_hungry_lotka_volterra_lattice(n):
     for seed in range(3):
         assert _hungry_lv_mismatches(n, seed) == [], (n, seed)
@@ -483,6 +491,94 @@ def test_the_hungry_lv_check_sees_a_moved_band(monkeypatch, n):
     # negative control: the -u band one site nearer the diagonal, at j - (b-1)
     monkeypatch.setattr(volterra, "lax_diagonals", lambda u, a, b: {a: np.ones_like(u), 1 - b: -u})
     assert "H_1" in _hungry_lv_mismatches(n, 0)
+
+
+# -- Bogoyavlensky's product lattice and the second Volterra flow, closed
+# forms from outside this package ------------------------------------------
+
+
+def _product_lattice_rhs(u: list, n: int, sign: int = 1) -> list:
+    """du_j/dt = (-1)^n u_j (prod_{i=1..n} u_{j+i} - prod_{i=1..n} u_{j-i}) on a
+    periodic list: Bogoyavlensky's product generalization of the Volterra
+    lattice, Bogoyavlensky, Phys. Lett. A 134 (1988) 34.  sign = -1 gives the
+    wrong-signed form of the negative control."""
+    N = len(u)
+    return [
+        sign * (-1) ** n * u[j] * (math.prod(u[(j + i) % N] for i in range(1, n + 1))
+                                   - math.prod(u[(j - i) % N] for i in range(1, n + 1)))
+        for j in range(N)
+    ]
+
+
+def _product_lattice_h1(u: list, n: int):
+    """Its first trace, H_1 = (-1)^n (n+1) sum_j prod_{i=0..n-1} u_{j+i}.
+
+    This needs at least n + 1 coarse sites.  On n coarse sites the ring has
+    n(n+1) sites, so the closed path of n+1 steps of +n wraps it once, and
+    the periodic trace gains 1 per site: H_1 is then larger by n(n+1),
+    exactly 20 at n = 4."""
+    N = len(u)
+    return (-1) ** n * (n + 1) * sum(math.prod(u[(j + i) % N] for i in range(n)) for j in range(N))
+
+
+def _second_volterra_rhs(u: list) -> list:
+    """du_j/dt_2 = u_j (u_{j+1}(u_j + u_{j+1} + u_{j+2}) - u_{j-1}(u_{j-2} + u_{j-1} + u_j)):
+    the second flow of the Volterra lattice of Kac and van Moerbeke, Adv.
+    Math. 16 (1975) 160."""
+    N = len(u)
+    return [
+        u[j] * (u[(j + 1) % N] * (u[j] + u[(j + 1) % N] + u[(j + 2) % N])
+                - u[j - 1] * (u[j - 2] + u[j - 1] + u[j]))
+        for j in range(N)
+    ]
+
+
+def _product_lattice_mismatches(n: int, seed: int, sign: int = 1) -> list[str]:
+    """Where flow_rhs, the symbolic stencil and conserved_quantities(state, 1)
+    of type (n, 1), tau = 1/n, differ from the closed forms, on a seeded
+    Fraction state of n + 1 coarse sites."""
+    u = _seeded_fractions((n + 1) ** 2, seed)
+    sites = np.array(u, dtype=object)
+    state = LatticeState(n, 1, sites)
+    expected = _product_lattice_rhs(u, n, sign)
+    bad = []
+    if list(flow_rhs(state)) != expected:
+        bad.append("flow")
+    if list(stencil_apply(symbolic_flow_stencil(n, 1, 1), sites, n + 1)) != expected:
+        bad.append("stencil")
+    if conserved_quantities(state, 1) != [_product_lattice_h1(u, n)]:
+        bad.append("H_1")
+    return bad
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_n_1_is_bogoyavlenskys_product_lattice(n):
+    for seed in range(3):
+        assert _product_lattice_mismatches(n, seed) == [], (n, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_product_lattice_check_sees_a_moved_gather_and_a_wrong_sign(monkeypatch, n):
+    # negative controls: for odd n the wrong-signed form differs from every
+    # route; the -u gather of the path recursion one site along moves the flow
+    if n % 2:
+        assert _product_lattice_mismatches(n, 0, sign=-1) == ["flow", "stencil"]
+    real = volterra.path_plan
+
+    def moved(a, b, k, n_sites, copies=1):
+        return [((idx + 1) % n_sites, *rows) for idx, *rows in real(a, b, k, n_sites, copies)]
+
+    monkeypatch.setattr(volterra, "path_plan", moved)
+    assert "flow" in _product_lattice_mismatches(n, 0)
+
+
+def test_second_flow_of_type_1_1_is_the_second_volterra_flow():
+    for seed in range(3):
+        u = _seeded_fractions(2 * 6, seed)
+        sites = np.array(u, dtype=object)
+        expected = _second_volterra_rhs(u)
+        assert list(flow_rhs(LatticeState(1, 1, sites), 2)) == expected
+        assert list(stencil_apply(symbolic_flow_stencil(1, 1, 2), sites, 2)) == expected
 
 
 def test_zero_state_traces_are_shift_traces():
