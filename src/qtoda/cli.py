@@ -109,7 +109,7 @@ def cmd_schur(args) -> int:
     ring = PowerSumRing(max(args.mu.weight, 1))
     poly = ring.schur(args.mu) if args.nu is None else ring.skew_schur(args.mu, args.nu)
     if args.json or args.out:
-        _emit_json({"mu": str(args.mu), "nu": str(args.nu) if args.nu else None,
+        _emit_json({"mu": str(args.mu), "nu": str(args.nu) if args.nu is not None else None,
                     "polynomial": str(poly)}, args.out)
     else:
         print(poly)
@@ -148,10 +148,8 @@ def _require_sizes(*options: tuple[str, int]) -> None:
 def cmd_tau(args) -> int:
     _require_sizes(("--deg", args.deg))
     table = tau_table(args.a, args.b, args.sign, args.shift, args.deg, VertexContext(args.deg))
-    entries = {}
-    for key in sorted(table.pairs):
-        nu, nubar = table.pairs[key]
-        entries[f"{nu}|{nubar}"] = str(table.entry(nu, nubar))
+    entries = {f"{nu}|{nubar}": str(table.entry(nu, nubar))
+               for nu, nubar in sorted(table.prefactors)}
     payload = {
         "a": args.a,
         "b": args.b,

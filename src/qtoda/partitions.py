@@ -2,79 +2,80 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+class Partition(tuple):
+    """Non-increasing tuple of positive integers; trailing zeros dropped and
+    an interior zero refused.
 
-@dataclass(frozen=True)
-class Partition:
-    """Non-increasing tuple of positive integers; trailing zeros dropped."""
+    A partition is an immutable tuple of its parts, so it is its own dict
+    key and equals the plain tuple of its parts.  No dict mixes partition
+    keys with other int tuples: the `VertexContext` keys are (mu, eta,
+    point), (diagram, point), (a, b, point) and (nu, nubar), and the
+    `PowerSumRing` keys are monomials and skew diagrams.  The empty
+    partition is falsy.
+    """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts if p != 0)
+    def __new__(cls, parts=()):
+        parts = tuple(int(p) for p in parts)
+        while parts and parts[-1] == 0:
+            parts = parts[:-1]
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not non-increasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _raw(cls, parts: tuple[int, ...]) -> "Partition":
         """Wrap a tuple of positive non-increasing ints, without checking it:
         for partitions built from valid ones."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "parts", parts)
-        return new
+        return tuple.__new__(cls, parts)
 
     @staticmethod
     def parse(text: str) -> "Partition":
         """Parse the CLI text form, e.g. "[3,1]" or "3,1" or "[]"."""
         body = text.strip().strip("[]")
-        if not body:
-            return Partition()
-        return Partition(tuple(int(tok) for tok in body.split(",")))
+        return Partition(int(tok) for tok in body.split(",")) if body else Partition()
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def part(self, i: int) -> int:
         """The i-th part, 1-based, zero beyond the length."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return self
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition._raw(tuple(cols))
 
     def contains(self, other: "Partition") -> bool:
         """Young-diagram inclusion: other[i] <= self[i] componentwise."""
-        if other.length > self.length:
-            return False
-        return all(other.parts[i] <= self.parts[i] for i in range(other.length))
+        return len(other) <= len(self) and all(o <= p for o, p in zip(other, self))
 
     def intersect(self, other: "Partition") -> "Partition":
-        n = min(self.length, other.length)
-        return Partition._raw(tuple(min(self.parts[i], other.parts[i]) for i in range(n)))
+        return Partition._raw(tuple(map(min, self, other)))
 
     def kappa(self) -> int:
         """kappa = sum_i part_i * (part_i - 2i + 1), 1-based rows."""
-        return sum(p * (p - 2 * i + 1) for i, p in enumerate(self.parts, start=1))
+        return sum(p * (p - 2 * i + 1) for i, p in enumerate(self, start=1))
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def __repr__(self) -> str:
-        return f"Partition({self.parts})"
+        return f"Partition({tuple(self)})"
 
 
 EMPTY = Partition()
@@ -88,7 +89,7 @@ def partitions_of(weight: int, max_part: int | None = None) -> tuple[Partition, 
     out = []
     for first in range(cap, 0, -1):
         for rest in partitions_of(weight - first, first):
-            out.append(Partition._raw((first,) + rest.parts))
+            out.append(Partition._raw((first,) + rest))
     return tuple(out)
 
 

@@ -50,7 +50,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 def _multiplicities(mu: Partition) -> Monomial:
     """(m_1, m_2, ...): how often mu has each part, the monomial of p_mu."""
     m = [0] * mu.part(1)
-    for p in mu.parts:
+    for p in mu:
         m[p - 1] += 1
     return tuple(m)
 
@@ -176,7 +176,7 @@ def skew_diagram(mu: Partition, nu: Partition) -> tuple[tuple[int, int], ...] | 
     """
     if not mu.contains(nu):
         return None
-    rows = [(nu.part(i), p) for i, p in enumerate(mu.parts, start=1) if nu.part(i) < p]
+    rows = [(nu.part(i), p) for i, p in enumerate(mu, start=1) if nu.part(i) < p]
     filled = sorted({c for lo, hi in rows for c in range(lo, hi)})
     rank = {c: i for i, c in enumerate(filled)}  # a filled column's place among them
     return tuple((rank[lo], rank[lo] + hi - lo) for lo, hi in rows)
@@ -269,7 +269,7 @@ def specialize_nu_rho(nu: Partition, k: int) -> QFieldElem:
     if k < 1:
         raise ValueError("power-sum index must be >= 1")
     num = {-k * (2 * nu.length + 1): 1}
-    for i, part in enumerate(nu.parts, start=1):
+    for i, part in enumerate(nu, start=1):
         e = k * (2 * (part - i) + 1)
         num[e] = num.get(e, 0) + 1
         num[e - 2 * k] = num.get(e - 2 * k, 0) - 1

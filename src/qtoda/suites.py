@@ -37,7 +37,7 @@ def vertex_equality_suite(ctx: VertexContext, weight: int, corrupt: bool = False
     for nu, nubar in pairs_up_to(weight):
         lhs = ctx.vertex_def(nu, nubar)
         rhs = ctx.vertex_hook(nu, nubar)
-        if corrupt and (nu.parts, nubar.parts) == ((1,), ()):
+        if corrupt and (nu, nubar) == ((1,), ()):
             rhs = -rhs
         if not (lhs == rhs):
             bad.append(f"({nu},{nubar}): {lhs} != {rhs}")
@@ -114,7 +114,7 @@ def kappa_suite(weight: int = 8) -> dict:
         for nu in enumerate_partitions(weight)
         if nu.conjugate().kappa() != -nu.kappa()
         or nu.conjugate().weight != nu.weight
-        or (nu.parts and nu.conjugate().length != nu.parts[0])
+        or (nu and nu.conjugate().length != nu[0])
     ]
     return make_report([check_all(f"kappa_conjugation_w{weight}", bad)])
 
@@ -145,7 +145,7 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) 
     for c in (Fraction(1, 2), Fraction(1, 3)):
         shifted = tau_table(a, b, sign, c, degree, ctx)
         bad = [] if shifted.cubic == base.cubic_shifted(c) else ["cubic prefactor mismatch"]
-        for nu, nubar in base.pairs.values():
+        for nu, nubar in base.prefactors:
             if not (shifted.entry(nu, nubar) == base.entry(nu, nubar).shift(c)):
                 bad.append(f"entry ({nu},{nubar})")
         checks.append(check_all(f"tau_shift_c={c}", bad))
@@ -154,15 +154,14 @@ def tau_shift_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) 
 
 def tau_exponent_suite(a: int, b: int, sign: int, degree: int, ctx: VertexContext) -> dict:
     """Entry prefactors q^E(s) re-derived independently from kappa and
-    weights, on a table whose gammas come from the caller's `ctx`."""
+    weights, on a table built on the caller's `ctx`."""
     table = tau_table(a, b, sign, 0, degree, ctx)
     tau = table.tau
     # unshifted cubic prefactor is scale * (4 s^3 - s)
     scale = (tau + 1 / tau + 2) / 24
     cubic_ok = table.cubic == (Fraction(0), -scale, Fraction(0), 4 * scale)
     bad = [] if cubic_ok else ["cubic prefactor mismatch"]
-    for key, pref in table.prefactors.items():
-        nu, nubar = table.pairs[key]
+    for (nu, nubar), pref in table.prefactors.items():
         redo = qpow(
             c0=(tau + 1) * Fraction(nu.kappa(), 2) + (1 / tau + 1) * Fraction(nubar.kappa(), 2),
             c1=(tau + 1) * nu.weight + (1 / tau + 1) * nubar.weight,

@@ -20,7 +20,7 @@ defined here, the lowest module that needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -32,7 +32,7 @@ from .schur import PowerSumRing, Specialization, skew_diagram
 
 def subpartitions(limit: Partition) -> Iterator[Partition]:
     """All partitions eta with eta_i <= limit_i componentwise."""
-    return _subpartitions(limit.parts, 0, limit.part(1), ())
+    return _subpartitions(limit, 0, limit.part(1), ())
 
 
 def _subpartitions(parts: tuple[int, ...], i: int, prev: int,
@@ -106,9 +106,11 @@ class VertexContext:
     `vertex_def` per pair; and the eta-sum behind the hook form and the
     matrix element gamma per unordered pair and point, since
     sum_eta s_{mu/eta} s_{nu/eta} is symmetric in mu and nu.  So one
-    session computes each once.  A value does not depend on the degree
-    bound, so one context with a bound covering every caller serves them
-    all, the Schur suites included through `ring`.
+    session computes each once, and the one owner of gamma is the context:
+    a `TauTable` built on it reads each matrix element from it.  A value
+    does not depend on the degree bound, so one context with a bound
+    covering every caller serves them all, the Schur suites included
+    through `ring`.  Partitions are their own keys (`Partition` is a tuple).
     """
 
     def __init__(self, degree_bound: int):
@@ -128,15 +130,15 @@ class VertexContext:
             )
 
     def nu_rho_specialization(self, nu: Partition) -> Specialization:
-        got = self._nu_rho.get(nu.parts)
+        got = self._nu_rho.get(nu)
         if got is None:
             got = Specialization.nu_rho(nu, self.degree_bound)
-            self._nu_rho[nu.parts] = got
+            self._nu_rho[nu] = got
         return got
 
     def skew_at(self, mu: Partition, eta: Partition, point: str) -> QFieldElem:
         """s_{mu/eta} at q^rho ("rho") or at its continuation q^(-rho) ("neg")."""
-        pair = (mu.parts, eta.parts, point)
+        pair = (mu, eta, point)
         got = self._skew_at.get(pair)
         if got is None:
             key = (skew_diagram(mu, eta), point)  # one diagram, one polynomial
@@ -153,7 +155,7 @@ class VertexContext:
     def vertex_def(self, nu: Partition, nubar: Partition) -> QFieldElem:
         """Defining form s_nu(q^rho) * s_nubar(q^(nu+rho))."""
         self._check(nu, nubar)
-        key = (nu.parts, nubar.parts)
+        key = (nu, nubar)
         got = self._vertex.get(key)
         if got is None:
             left = self.skew_at(nu, EMPTY, "rho")
@@ -180,8 +182,7 @@ class VertexContext:
     def _eta_sum(self, mu: Partition, nu: Partition, point: str) -> QFieldElem:
         """sum over eta inside mu and nu of s_{mu/eta} * s_{nu/eta} at `point`,
         kept per unordered pair: the sum is symmetric in mu and nu."""
-        a, b = mu.parts, nu.parts
-        key = (a, b, point) if a <= b else (b, a, point)
+        key = (mu, nu, point) if mu <= nu else (nu, mu, point)
         got = self._eta.get(key)
         if got is None:
             got = QFieldElem.zero()
@@ -193,33 +194,28 @@ class VertexContext:
 
 @dataclass
 class TauTable:
-    """Exact coefficient table of the double Schur expansion.
+    """Exact coefficient table of the double Schur expansion, a view of the
+    `VertexContext` it was built on.
 
-    entry(nu, nubar) = prefactors[key] * gammas[key], key = (nu.parts,
-    nubar.parts): the monomial q^(E(s)), E the quadratic-in-s exponent
-    (kappa and weight terms, at the shifted coordinate s + c), times gamma,
-    the vertex-operator matrix element.  `pairs` maps each key to the
-    partitions (nu, nubar) the table was built from, so no caller rebuilds
-    them.  The partition-independent cubic exponent is recorded separately
-    in `cubic`, as the coefficients (c0, c1, c2, c3) of a polynomial in s.
+    entry(nu, nubar) = prefactors[(nu, nubar)] * gamma(nu, nubar): the
+    monomial q^(E(s)), E the quadratic-in-s exponent (kappa and weight
+    terms, at the shifted coordinate s + c), times gamma, the
+    vertex-operator matrix element, which `ctx` owns and the table reads
+    only when an entry is read.  The keys of `prefactors` are the pairs the
+    table covers.  The partition-independent cubic exponent is recorded
+    separately in `cubic`, as the coefficients (c0, c1, c2, c3) of a
+    polynomial in s.
     """
 
     tau: Fraction
     shift: Fraction
     max_deg: int
-    pairs: dict[tuple[tuple, tuple], tuple[Partition, Partition]] = field(default_factory=dict)
-    prefactors: dict[tuple[tuple, tuple], QFieldElem] = field(default_factory=dict)
-    gammas: dict[tuple[tuple, tuple], QFieldElem] = field(default_factory=dict)
-    cubic: tuple[Fraction, Fraction, Fraction, Fraction] = (
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-    )
+    ctx: VertexContext
+    prefactors: dict[tuple[Partition, Partition], QFieldElem]
+    cubic: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def entry(self, nu: Partition, nubar: Partition) -> QFieldElem:
-        key = (nu.parts, nubar.parts)
-        return self.prefactors[key] * self.gammas[key]
+        return self.prefactors[(nu, nubar)] * self.ctx.gamma_matrix_element(nu, nubar)
 
     def cubic_shifted(self, e) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Coefficients (c0, c1, c2, c3) of P(s+e) for the recorded cubic P."""
@@ -257,39 +253,31 @@ def tau_table(a: int, b: int, sign: int, shift, max_deg: int, ctx: VertexContext
     (nu, nubar)-independent cubic (tau + 1/tau + 2)(4(s+c)^3 - (s+c))/24 is
     recorded on the side and is what normalizes the (empty, empty) entry to 1.
     Each side's (c0, c1) terms are formed once per partition, so an entry's
-    exponent is two sums; gamma comes from `ctx`, which the caller builds
-    and owns (its bound must cover max_deg) and which keeps it per
-    unordered pair.
+    exponent is two sums.  An entry reads gamma from `ctx` when it is read,
+    so a gamma no caller reads is never formed; the caller builds and owns
+    `ctx` (its bound must cover max_deg), which keeps gamma per unordered
+    pair.
     """
     tau = SessionParams(a, b, sign).tau
-    shift = Fraction(shift)
-    table = TauTable(tau=tau, shift=shift, max_deg=max_deg)
-
+    c = Fraction(shift)
     tau_inv = 1 / tau
     # cubic prefactor (tau + 1/tau + 2)(4(s+c)^3 - (s+c))/24 expanded in s
     scale = (tau + tau_inv + 2) / 24
-    c = shift
-    c0 = scale * (4 * c**3 - c)
-    c1 = scale * (12 * c**2 - 1)
-    c2 = scale * (12 * c)
-    c3 = scale * 4
-    table.cubic = (c0, c1, c2, c3)
+    cubic = (scale * (4 * c**3 - c), scale * (12 * c**2 - 1), scale * (12 * c), scale * 4)
 
     parts = enumerate_partitions(max_deg)
 
     def side(factor: Fraction) -> list[tuple[Partition, Fraction, Fraction]]:
         """(p, c0, c1), c0 = factor * (kappa(p)/2 + c|p|) and c1 = factor * |p|,
         for each partition p."""
-        return [(p, factor * (Fraction(p.kappa(), 2) + shift * p.weight), factor * p.weight)
+        return [(p, factor * (Fraction(p.kappa(), 2) + c * p.weight), factor * p.weight)
                 for p in parts]
 
+    prefactors = {}
     right = side(tau_inv + 1)
     for nu, a0, a1 in side(tau + 1):
         for nubar, b0, b1 in right:
             if nu.weight + nubar.weight > max_deg:
                 break  # parts run by weight
-            key = (nu.parts, nubar.parts)
-            table.pairs[key] = (nu, nubar)
-            table.prefactors[key] = qpow(c0=a0 + b0, c1=a1 + b1)
-            table.gammas[key] = ctx.gamma_matrix_element(nu, nubar)
-    return table
+            prefactors[(nu, nubar)] = qpow(c0=a0 + b0, c1=a1 + b1)
+    return TauTable(tau, c, max_deg, ctx, prefactors, cubic)

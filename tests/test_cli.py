@@ -25,6 +25,7 @@ from qtoda.opalg import LaxSession, SitePoly
 from qtoda.qfield import QFieldElem, qpow
 from qtoda.vertex import VertexContext
 from qtoda.volterra import LatticeState, flow_rhs, stencil_apply, symbolic_flow_stencil
+from test_opalg import damage_entry
 
 RUN = [sys.executable, "-m", "qtoda.cli"]
 REPO = Path(__file__).resolve().parents[1]
@@ -61,6 +62,42 @@ def test_vertex_empty_prints_one(capsys):
     assert main(["vertex", "--nu", "[]", "--nubar", "[]"]) == 0
     out = capsys.readouterr().out
     assert "defining form: 1" in out
+
+
+def test_an_empty_inner_partition_keeps_its_report(capsys):
+    # the empty partition is falsy; the report still names it
+    assert main(["schur", "--mu", "[2,1]", "--nu", "[]", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["nu"], doc["polynomial"]) == ("[]", "1/3*p1^3 - 1/3*p3")
+
+
+def test_the_vertex_of_two_empty_partitions_is_one(capsys):
+    assert main(["vertex", "--nu", "[]", "--nubar", "[]", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["defining_form"], doc["hook_sum_form"], doc["difference"], doc["equal"]) == (
+        "1", "1", "0", True)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["schur", "--mu"], "--mu"),
+    (["vertex", "--nubar", "[]", "--nu"], "--nu"),
+], ids=["schur", "vertex"])
+@pytest.mark.parametrize("text, message", [
+    ("[1,2]", "parts not non-increasing: (1, 2)"),
+    ("[-1]", "negative part in (-1,)"),
+    ("[x]", "invalid literal for int() with base 10: 'x'"),
+    ("[1,,2]", "invalid literal for int() with base 10: ''"),
+    ("[3,0,1]", "parts not non-increasing: (3, 0, 1)"),
+])
+def test_a_malformed_partition_is_a_usage_error(tmp_path, capsys, argv, flag, text, message):
+    # an interior zero is refused, not dropped: [3,0,1] is not [3,1]
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [text, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    usage, *rest = capsys.readouterr().err.splitlines()
+    assert usage.startswith(f"usage: qtoda {argv[0]} ")
+    assert rest == [f"qtoda {argv[0]}: error: argument {flag}: {message}"]
 
 
 def test_tau_degree_zero_single_entry(tmp_path):
@@ -203,15 +240,7 @@ def test_laxcheck_wrong_closed_form_inverse_exits_2(monkeypatch, capsys):
 def test_laxcheck_wrong_tau_table_entry_exits_2(monkeypatch, capsys):
     # entry((d), empty) of a degree-d table is the deepest coefficient of the
     # tau-route W inverse; its certification is a program error, not a check
-    build = opalg.tau_table
-
-    def damaged(*args, **kwargs):
-        table = build(*args, **kwargs)
-        key = ((table.max_deg,), ())
-        table.gammas[key] = table.gammas[key] + qpow(Fraction(1))
-        return table
-
-    monkeypatch.setattr(opalg, "tau_table", damaged)
+    damage_entry(monkeypatch, (4,), ())
     assert main(["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "4"]) == 2
     err = capsys.readouterr().err
     assert "tau-route W inverse: first offending coefficient at power -4: " in err
@@ -240,6 +269,13 @@ def test_exact_benchmark_job_matches_its_reference(name, tmp_path):
     assert main(list(job.argv) + ["--out", str(out)]) == 0
     reference = (bench.REFERENCE / f"{name}.json").read_text(encoding="utf-8")
     assert bench.compare_to_reference(out.read_text(encoding="utf-8"), reference) is None
+
+
+def test_the_benchmark_self_test_passes():
+    # the negative controls of the benchmark's own checks
+    done = subprocess.run([sys.executable, str(REPO / "benchmarks" / "selftest.py")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -834,14 +834,18 @@ def test_laxcheck_suite_never_calls_op_inverse(monkeypatch, tau_degree):
 # built (W0, W0bar and their inverses, once each) and the (q;q)_n formed
 # again for an n, at most their counts once the session formed each once.
 # The third job's cross-check reads W0 and W0bar past T from its session:
-# two series more, from the same h_n extended to the degree
+# two series more, from the same h_n extended to the degree.  The eta-sums
+# (`VertexContext._eta_sum`) the cross-check forms, at most their counts once
+# a tau table read each matrix element only when an entry was read
 LAX_WORK_CEILINGS = [
     (["laxcheck", "--a", "1", "--b", "1", "--T", "6", "--deg", "4"],
-     {"part products": 986, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0}),
+     {"part products": 986, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0,
+      "eta-sums": 10}),
     (["laxcheck", "--a", "2", "--b", "1", "--sign", "-1", "--T", "6"],
-     {"part products": 478, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0}),
+     {"part products": 478, "s-free shift copies": 0, "series": 4, "repeated (q;q)_n": 0,
+      "eta-sums": 0}),
     (["laxcheck", "--a", "1", "--b", "1", "--T", "4", "--deg", "6"],
-     {"s-free shift copies": 0, "series": 6, "repeated (q;q)_n": 0}),
+     {"s-free shift copies": 0, "series": 6, "repeated (q;q)_n": 0, "eta-sums": 16}),
 ]
 
 
@@ -854,6 +858,7 @@ def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
     counts = Counter()
     part_mul, shift = qfield._part_mul, QPowerSum.shift
     series, q_factorial = opalg.conjugated_series, opalg._q_factorial_den
+    eta_sum = VertexContext._eta_sum
     formed = Counter()
 
     def counted_series(*args):
@@ -869,6 +874,12 @@ def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
         counts["part products"] += 1
         return part_mul(a, b)
 
+    def counted_eta_sum(ctx, *args):
+        before = len(ctx._eta)
+        got = eta_sum(ctx, *args)
+        counts["eta-sums"] += len(ctx._eta) - before
+        return got
+
     def counted_shift(p, beta):
         got = shift(p, beta)
         counts["shifts"] += 1
@@ -879,6 +890,7 @@ def _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings) -> dict:
     monkeypatch.setattr(QPowerSum, "shift", counted_shift)
     monkeypatch.setattr(opalg, "conjugated_series", counted_series)
     monkeypatch.setattr(opalg, "_q_factorial_den", counted_q_factorial)
+    monkeypatch.setattr(VertexContext, "_eta_sum", counted_eta_sum)
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert counts["part products"] > 100 and counts["shifts"] > 100  # the counts see the job
     # (q;q)_0 .. (q;q)_(T+1), and on to the tau degree when the cross-check reaches past T
@@ -898,6 +910,23 @@ def test_the_lax_work_counts_see_a_shift_that_copies_an_s_free_sum(monkeypatch, 
     # negative control: every sum shifted through its exponent key, as before
     monkeypatch.setattr(QPowerSum, "shift", shift_by_key)
     assert "s-free shift copies" in _lax_work_over_ceilings(monkeypatch, tmp_path, argv, ceilings)
+
+
+@pytest.mark.parametrize("job, eager_count", [(0, 21), (2, 73)])
+def test_the_lax_work_counts_see_an_eager_tau_table(monkeypatch, tmp_path, job, eager_count):
+    # negative control: a table that reads every entry when it is built, as
+    # each table once copied every gamma of its pairs
+    build = opalg.tau_table
+
+    def eager(*args):
+        table = build(*args)
+        for nu, nubar in table.prefactors:
+            table.entry(nu, nubar)
+        return table
+
+    monkeypatch.setattr(opalg, "tau_table", eager)
+    over = _lax_work_over_ceilings(monkeypatch, tmp_path, *LAX_WORK_CEILINGS[job])
+    assert over == {"eta-sums": eager_count}
 
 
 def test_the_lax_work_counts_see_a_cross_check_that_builds_its_own_series(monkeypatch, tmp_path):
@@ -1047,11 +1076,11 @@ def test_dressing_truncation_stability():
     assert small.Wbar.coeff(1) == big.Wbar.coeff(1)
 
 
-def test_dressing_trivial_table_is_identity():
+def test_dressing_trivial_table_is_identity(monkeypatch):
     table = tau_table(1, 1, 1, 0, 3, VertexContext(3))
-    for key in table.gammas:
-        if key != ((), ()):
-            table.gammas[key] = QFieldElem.zero()
+    gamma = VertexContext.gamma_matrix_element
+    monkeypatch.setattr(VertexContext, "gamma_matrix_element", lambda ctx, nu, nubar: (
+        gamma(ctx, nu, nubar) if (nu, nubar) == ((), ()) else QFieldElem.zero()))
     dressing = dressing_from_tau(table)
     assert dressing.W.coeff(0).is_one()
     for n in range(1, 4):
@@ -1093,17 +1122,19 @@ def test_dressing_inverses_are_the_adjoint_tau_quotients(dressing11):
     assert dressing.W_inv.coeff(-1) == -dressing.W.coeff(-1)
 
 
-def damage_entry(table, nu, nubar):
-    # add q^1 to one gamma; the entry changes by q^(its exponent) * q
-    key = (Partition(nu).parts, Partition(nubar).parts)
-    table.gammas[key] = table.gammas[key] + qpow(Fraction(1))
+def damage_entry(monkeypatch, nu, nubar):
+    # add q^1 to the gamma of one pair of part tuples, as every context hands
+    # it out; the entry changes by q^(its exponent) * q
+    gamma = VertexContext.gamma_matrix_element
+    monkeypatch.setattr(VertexContext, "gamma_matrix_element", lambda ctx, *pair: (
+        gamma(ctx, *pair) + qpow(Fraction(1)) if pair == (nu, nubar) else gamma(ctx, *pair)))
 
 
 @pytest.mark.parametrize("d", [2, 4])
-def test_dressing_certifies_the_w_inverse(d):
+def test_dressing_certifies_the_w_inverse(monkeypatch, d):
     # entry((d), empty) enters W^-1 at its deepest power -d and W not at all
     table = tau_table(1, 1, 1, 0, d, VertexContext(d))
-    damage_entry(table, (d,), ())
+    damage_entry(monkeypatch, (d,), ())
     with pytest.raises(RelationViolated) as exc:
         dressing_from_tau(table)
     assert exc.value.power == -d
@@ -1112,9 +1143,9 @@ def test_dressing_certifies_the_w_inverse(d):
     )
 
 
-def test_dressing_certifies_the_wbar_inverse():
+def test_dressing_certifies_the_wbar_inverse(monkeypatch):
     table = tau_table(1, 2, 1, 0, 4, VertexContext(4))
-    damage_entry(table, (), (1, 1))
+    damage_entry(monkeypatch, (), (1, 1))
     with pytest.raises(RelationViolated) as exc:
         dressing_from_tau(table)
     assert exc.value.power == 2

@@ -25,8 +25,8 @@ def test_conjugate_is_involution():
         c = nu.conjugate()
         assert c.conjugate() == nu
         assert c.weight == nu.weight
-        if nu.parts:
-            assert c.length == nu.parts[0]
+        if nu:
+            assert c.length == nu[0]
 
 
 def test_kappa_examples():
@@ -54,7 +54,7 @@ def test_enumerate_counts_match_partition_function():
 
 
 def test_enumerate_order_deterministic():
-    got = [nu.parts for nu in partitions_of(4)]
+    got = [tuple(nu) for nu in partitions_of(4)]
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
@@ -75,13 +75,23 @@ def test_text_round_trip():
         Partition((1, 2))
 
 
-@pytest.mark.parametrize("parts", [(1, 2), (3, -1), (-2,), (2, 3, 1), (1, 0, 2)])
+@pytest.mark.parametrize("parts", [(1, 2), (3, -1), (-2,), (2, 3, 1), (1, 0, 2), (3, 0, 1)])
 def test_malformed_parts_are_refused(parts):
-    # the checked constructors; only the program's own builders skip the checks
+    # the checked constructors; only the program's own builders skip the
+    # checks, and only trailing zeros are dropped: (3, 0, 1) is not (3, 1)
     with pytest.raises(ValueError):
         Partition(parts)
     with pytest.raises(ValueError):
         Partition.parse(",".join(map(str, parts)))
+
+
+def test_a_partition_is_the_tuple_of_its_parts():
+    p = Partition([3, 1, 0, 0])
+    assert isinstance(p, tuple) and tuple(p) == (3, 1) and p == (3, 1)
+    assert hash(p) == hash((3, 1)) and {(3, 1): "x"}[p] == "x"
+    assert str(p) == "[3,1]" and repr(p) == "Partition((3, 1))" and repr(EMPTY) == "Partition(())"
+    assert not EMPTY and Partition((0,)) == EMPTY and Partition.parse("[0]") == EMPTY
+    assert not hasattr(p, "parts") and not hasattr(p, "__dict__")
 
 
 def test_unchecked_builders_make_valid_partitions():
@@ -91,4 +101,4 @@ def test_unchecked_builders_make_valid_partitions():
     built += [p.intersect(q) for p in built[:40] for q in built[:40]]
     built += [eta for p in enumerate_partitions(6) for eta in subpartitions(p)]
     for p in built:
-        assert Partition(p.parts) == p
+        assert type(p) is Partition and Partition(tuple(p)) == p
