@@ -299,10 +299,7 @@ class DiffOp:
                 n = n1 + n2
                 if floor <= n <= ceil:
                     pending.setdefault(n, []).append(c1 * c2.shift(shift_amount))
-        out = {
-            n: terms[0] if len(terms) == 1 else type(terms[0]).sum(terms)
-            for n, terms in pending.items()
-        }
+        out = {n: type(terms[0]).sum(terms) for n, terms in pending.items()}
         return a._like(out, floor, ceil, other=b)
 
     def pow_int(self, k: int) -> "DiffOp":

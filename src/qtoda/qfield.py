@@ -16,10 +16,10 @@ coefficient.  The form is canonical, so equality and hashing are
 structural.  Products multiply the P's in ints with no gcd pass (Gauss's
 lemma), and a one-term factor c*q^(k/L) is a shift of the other's
 exponents with its content scaled by c.  A sum of any number of terms,
-`QPowerSum.combine` (a + b and a - b are sums of two), takes one lcm of
-the grids and of the content denominators, one pass over the terms and
-one gcd pass.  Adding two nonzero sums of different s-parts raises
-`MixedSParts`.
+`QPowerSum.sum` (a + b is a sum of two, a - b is a + (-b)), takes one lcm
+of the grids and of the content denominators, one pass over the terms and
+one gcd pass; negation and scaling change only the content.  Adding two
+nonzero sums of different s-parts raises `MixedSParts`.
 
 Every operation works on this part.  The text form writes the s-part
 once per sum and reads each c0 = k/L and coefficient from the ints.  An
@@ -184,7 +184,7 @@ class QPowerSum:
 
     def __init__(self, terms=()):
         """Sum of (c0, c1, c2, coefficient) terms, the form `terms()` reads out."""
-        total = QPowerSum.combine((QPowerSum.monomial(*t), (1, 1)) for t in terms)
+        total = QPowerSum.sum(QPowerSum.monomial(*t) for t in terms)
         self.s, self.part = total.s, total.part
 
     @staticmethod
@@ -214,14 +214,13 @@ class QPowerSum:
         return _QPS_ZERO if part is None else QPowerSum._raw(_S0, part)
 
     @staticmethod
-    def combine(pairs) -> "QPowerSum":
-        """The sum of c * x over the (x, c) pairs, c a nonzero int pair
-        (num, den > 0), in one pass; nonzero x of two s-parts raise
-        `MixedSParts`."""
-        items = [(x, c) for x, c in pairs if x.part is not None]
-        if len(items) == 1 and items[0][1] == (1, 1):
-            return items[0][0]
-        return _sum(items) if items else _QPS_ZERO
+    def sum(sums) -> "QPowerSum":
+        """The sum in one pass; a lone nonzero operand is returned itself, and
+        nonzero operands of two s-parts raise `MixedSParts`."""
+        sums = [x for x in sums if x.part is not None]
+        if len(sums) < 2:
+            return sums[0] if sums else _QPS_ZERO
+        return _sum(sums)
 
     def terms(self):
         """Every term as (c0, c1, c2, coefficient), all Fractions."""
@@ -249,17 +248,13 @@ class QPowerSum:
         return self._hash
 
     def __add__(self, other: "QPowerSum") -> "QPowerSum":
-        if self.part is None or other.part is None:
-            return other if self.part is None else self
-        return _sum([(self, (1, 1)), (other, (1, 1))])
+        return QPowerSum.sum((self, other))
 
     def __neg__(self) -> "QPowerSum":
         return self.scale(-1)
 
     def __sub__(self, other: "QPowerSum") -> "QPowerSum":
-        if self.part is None or other.part is None:
-            return -other if self.part is None else self
-        return _sum([(self, (1, 1)), (other, (-1, 1))])
+        return self + (-other)
 
     def __mul__(self, other: "QPowerSum") -> "QPowerSum":
         if self.part is None or other.part is None:
@@ -270,15 +265,12 @@ class QPowerSum:
             return other
         return QPowerSum._raw(_sigma_add(self.s, other.s), _part_mul(self.part, other.part))
 
-    def _times(self, key: tuple, coef: tuple[int, int]) -> "QPowerSum":
-        """Product of a nonzero sum with coef * q^E, E given by its int key
-        and coef as an int pair."""
-        (L, c, P), (n, d) = self.part, key[4:]
-        part = _part_times_q((L, _rmul(c, coef), P), n, d)
-        return QPowerSum._raw(_sigma_add(self.s, key[:4]), part)
-
     def scale(self, r: Rat) -> "QPowerSum":
-        return self._times(_S0 + (0, 1), _rat(r)) if r and self.part else _QPS_ZERO
+        """r times the sum: only the content changes."""
+        if not r or self.part is None:
+            return _QPS_ZERO
+        L, c, P = self.part
+        return QPowerSum._raw(self.s, (L, _rmul(c, _rat(r)), P))
 
     def shift(self, beta: Rat) -> "QPowerSum":
         """Substitute s -> s + beta in every exponent (ring homomorphism); an
@@ -326,12 +318,11 @@ _QPS_ZERO = QPowerSum.zero()
 _QPS_ONE = QPowerSum.one()
 
 
-def _sum(items: list) -> QPowerSum:
-    """The sum of c * x over the (x, c) items, x nonzero and of one s-part,
-    c a nonzero int pair: one lcm of the grids and of the denominators, one
-    pass over the terms and one gcd pass."""
-    s, L, D = items[0][0].s, 1, 1
-    for x, (_, cd) in items:
+def _sum(sums: list) -> QPowerSum:
+    """The sum of nonzero sums of one s-part: one lcm of the grids and of the
+    content denominators, one pass over the terms and one gcd pass."""
+    s, L, D = sums[0].s, 1, 1
+    for x in sums:
         if x.s != s:
             raise MixedSParts(
                 f"cannot add q-power sums of different s-parts "
@@ -340,12 +331,12 @@ def _sum(items: list) -> QPowerSum:
         Li, (_, d), _ = x.part
         if L % Li:
             L = lcm(L, Li)
-        if D % (d * cd):
-            D = lcm(D, d * cd)
+        if D % d:
+            D = lcm(D, d)
     P = {}
-    for x, (cn, cd) in items:
+    for x in sums:
         Li, (n, d), Pi = x.part
-        m, r = n * cn * (D // (d * cd)), L // Li
+        m, r = n * (D // d), L // Li
         for k, v in Pi.items():
             k *= r
             P[k] = P.get(k, 0) + m * v
@@ -420,22 +411,20 @@ class QFieldElem:
             s, (L, (n, d), P) = den.s, den.part
             k = min(P)
             if not (s == _S0 and k == 0 and n * P[k] == d):
-                key, inv = _s_neg(s) + _pair(-k, L), _rdiv((1, 1), (n * P[k], d))
-                num, den = num._times(key, inv), den._times(key, inv)
+                inv = QPowerSum._raw(_s_neg(s), _on_grid(L, _rdiv((1, 1), (n * P[k], d)), {-k: 1}))
+                num, den = num * inv, den * inv  # each times 1 over that term
         self.num = num
         self.den = den
 
     @staticmethod
     def _raw(num: QPowerSum, den: QPowerSum) -> "QFieldElem":
-        """num/den as given: den must already be s-free with smallest term 1."""
+        """num/den as given, den already s-free with smallest term 1; zero
+        for a zero num."""
+        if num.part is None:
+            return _ELEM_ZERO
         new = object.__new__(QFieldElem)
         new.num, new.den = num, den
         return new
-
-    @staticmethod
-    def _over(num: QPowerSum, den: QPowerSum) -> "QFieldElem":
-        """num/den for a den already s-free with smallest term 1."""
-        return QFieldElem._raw(num, den) if num.part is not None else _ELEM_ZERO
 
     @staticmethod
     def zero() -> "QFieldElem":
@@ -469,14 +458,14 @@ class QFieldElem:
         if other.is_zero():
             return self
         if self.den == other.den:
-            return QFieldElem._over(self.num + other.num, self.den)
+            return QFieldElem._raw(self.num + other.num, self.den)
         t = _divide_exact(other.den, self.den)
         if t is not None:
-            return QFieldElem._over(self.num * t + other.num, other.den)
+            return QFieldElem._raw(self.num * t + other.num, other.den)
         t = _divide_exact(self.den, other.den)
         if t is not None:
-            return QFieldElem._over(self.num + other.num * t, self.den)
-        return QFieldElem._over(self.num * other.den + other.num * self.den, self.den * other.den)
+            return QFieldElem._raw(self.num + other.num * t, self.den)
+        return QFieldElem._raw(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "QFieldElem":
         return QFieldElem._raw(-self.num, self.den)
@@ -505,7 +494,7 @@ class QFieldElem:
     def scale(self, r: Rat) -> "QFieldElem":
         if r == 1:
             return self
-        return QFieldElem._raw(self.num.scale(r), self.den) if r else _ELEM_ZERO
+        return QFieldElem._raw(self.num.scale(r), self.den)
 
     def shift(self, beta: Rat) -> "QFieldElem":
         """Substitute s -> s + beta throughout; the s-free den stays."""
@@ -519,14 +508,16 @@ class QFieldElem:
     @staticmethod
     def sum(elems) -> "QFieldElem":
         """Sum a collection: the numerators over each denominator in one
-        `QPowerSum.combine`, then the groups pairwise."""
+        `QPowerSum.sum`, then the groups pairwise; a lone nonzero operand is
+        returned itself."""
         groups: dict[QPowerSum, list] = {}
         for x in elems:
             if not x.is_zero():
-                groups.setdefault(x.den, []).append((x.num, (1, 1)))
+                groups.setdefault(x.den, []).append(x)
         total = _ELEM_ZERO
-        for den, nums in groups.items():
-            total = total + QFieldElem._over(QPowerSum.combine(nums), den)
+        for den, xs in groups.items():
+            nums = QPowerSum.sum([x.num for x in xs])
+            total = total + (xs[0] if len(xs) == 1 else QFieldElem._raw(nums, den))
         return total
 
     # -- formatting --------------------------------------------------------------------

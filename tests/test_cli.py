@@ -32,7 +32,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
-    return subprocess.run(RUN + args, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run(RUN + args, env=env, capture_output=True, text=True)
 
 
 def strip_timestamp_json(text: str) -> str:

@@ -613,10 +613,10 @@ def is_canonical(p) -> bool:
     return True
 
 
-def combine_cases():
+def sum_cases():
     """Seeded (pairs, reference sum) cases: up to six sums of one s-part on
-    grids up to 16, with content denominators from 1 to 10007 and
-    coefficients of their own, and a sum that cancels to zero."""
+    grids up to 16, with content denominators from 1 to 10007, each paired
+    with a coefficient (n, d) it is scaled by, and a sum that cancels to zero."""
     rng = random.Random(SEED + 11)
     cases = []
     for L in range(1, 17):
@@ -635,12 +635,12 @@ def combine_cases():
     return cases
 
 
-def combine_failures(cases) -> list[str]:
-    """What goes wrong when each case is summed: a wrong value or a
-    non-canonical form."""
+def sum_failures(cases) -> list[str]:
+    """What goes wrong when the scaled operands of each case are summed: a
+    wrong value or a non-canonical form."""
     bad = []
     for pairs, want in cases:
-        got = QPowerSum.combine(pairs)
+        got = QPowerSum.sum([x.scale(Fraction(n, d)) for x, (n, d) in pairs])
         if expand(got) != want:
             bad.append(f"value {got}")
         if not is_canonical(got):
@@ -648,28 +648,28 @@ def combine_failures(cases) -> list[str]:
     return bad
 
 
-def test_combine_matches_the_reference_sum():
-    cases = combine_cases()
-    assert combine_failures(cases) == []
+def test_sum_matches_the_reference_sum():
+    cases = sum_cases()
+    assert sum_failures(cases) == []
     assert sum(not want for _, want in cases) == len(cases) // 2
     assert len({c[1] for pairs, _ in cases for _, c in pairs}) > 5
     # the binary operators are sums of two
     for pairs, _ in cases[::2]:
         x, y = pairs[0][0], pairs[-1][0]
-        assert x + y == QPowerSum.combine([(x, (1, 1)), (y, (1, 1))])
-        assert x - y == QPowerSum.combine([(x, (1, 1)), (y, (-1, 1))])
+        assert x + y == QPowerSum.sum([x, y])
+        assert x - y == QPowerSum.sum([x, y.scale(-1)])
 
 
-def test_combine_across_two_s_parts_raises():
+def test_sum_across_two_s_parts_raises():
     x, y = QPowerSum.monomial(1, c1=1), QPowerSum.monomial(2, c1=2)
     with pytest.raises(MixedSParts, match=r"^cannot add q-power sums of different s-parts s and 2\*s$"):
-        QPowerSum.combine([(x, (1, 1)), (QPowerSum.zero(), (1, 1)), (y, (3, 2))])
+        QPowerSum.sum([x, QPowerSum.zero(), y.scale(Fraction(3, 2))])
     # zero sums are skipped, whatever their s-part
-    assert QPowerSum.combine([(QPowerSum.zero(), (1, 1)), (x, (2, 1))]) == x.scale(2)
-    assert QPowerSum.combine([]).is_zero()
+    assert QPowerSum.sum([QPowerSum.zero(), x.scale(2)]) == x.scale(2)
+    assert QPowerSum.sum([]).is_zero()
 
 
-def test_the_combine_check_sees_a_skipped_gcd_pass(monkeypatch):
+def test_the_sum_check_sees_a_skipped_gcd_pass(monkeypatch):
     # negative control: a sum that keeps its common multiple inside P has
     # the right value but not the canonical form
     def no_gcd_pass(L, D, P):
@@ -679,9 +679,9 @@ def test_the_combine_check_sees_a_skipped_gcd_pass(monkeypatch):
         sign = 1 if P[max(P)] > 0 else -1
         return qfield._on_grid(L, (sign, D), {k: sign * v for k, v in P.items()})
 
-    cases = combine_cases()
+    cases = sum_cases()
     monkeypatch.setattr(qfield, "_part_from_ints", no_gcd_pass)
-    bad = combine_failures(cases)
+    bad = sum_failures(cases)
     assert bad and all(b.startswith("form") for b in bad)
 
 
